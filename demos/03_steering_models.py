@@ -14,8 +14,8 @@ realistic constructions achieve:
   1/3 once the dead zone bites (it is not bound by 1/3 because its
   readouts are not qubit measurements).
 """
-from lrpovm.estimators import (enumerate_exact, estimate_steering,
-                               min_copies, sweep_curves)
+from lrpovm.estimators import (enumerate_exact, estimate, min_copies,
+                               sweep_curves)
 from lrpovm.models import ModelConfig, tomography_config
 from lrpovm.quantum import quantum_steering_T
 
@@ -28,7 +28,7 @@ print(f"trusted pick model (M=3):      T = {t:.4f} "
 
 for n in (1, 3, 6):
     config = ModelConfig(kind="ncopy-steering", n_copies=n, seed=2)
-    stats = estimate_steering(config, 300_000)
+    stats = estimate(config, 300_000)
     t, se, _ = stats.steering()
     w = stats.weights[0, 0]
     rate = w[:, (0, 2)].sum() / w.sum()
@@ -40,8 +40,8 @@ for n in (1, 3, 6):
 print()
 print("thresholded tomography, q = 0 (full detection):")
 for n in (1, 3, 6, 10):
-    stats = estimate_steering(tomography_config("steering", n, 0.0, seed=3),
-                              300_000)
+    stats = estimate(tomography_config("steering", n, 0.0, seed=3),
+                     300_000)
     t, se, _ = stats.steering()
     flag = "  <- already above 1/3" if t > 1 / 3 else ""
     print(f"  N={n:>2}: T = {t:.4f} +/- {se:.4f}{flag}")

@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from lrpovm.curvefile import write_curve_csv
-from lrpovm.estimators import enumerate_exact, estimate_bell, sweep_curves
+from lrpovm.estimators import enumerate_exact, estimate, sweep_curves
 from lrpovm.models import ModelConfig
 from lrpovm.svgchart import write_curve_svg
 
@@ -24,7 +24,7 @@ s, _, _ = simple.chsh()
 print(f"pick model: efficiency = {simple.efficiency('alice'):.3f}, "
       f"coincidence S = {s:.4f} (the quantum value)")
 
-mc = estimate_bell(ModelConfig(kind="simple-bell", seed=1), 200_000)
+mc = estimate(ModelConfig(kind="simple-bell", seed=1), 200_000)
 s, se, _ = mc.chsh()
 print(f"  Monte Carlo check: S = {s:.4f} +/- {se:.4f}")
 print()

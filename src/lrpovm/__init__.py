@@ -18,9 +18,8 @@ The ``lrpovm`` command line fronts all of it; see the README.
 from .causality import (CausalScenario, Event, ReadoutSignature,
                         in_future_lightcone, readout_signature)
 from .estimators import (CurvePoint, RunStatistics, default_q_grid,
-                         enumerate_exact, estimate_bell, estimate_steering,
-                         frontier_value, min_copies, sweep_curve,
-                         sweep_curves)
+                         enumerate_exact, estimate, frontier_value,
+                         min_copies, sweep_curve, sweep_curves)
 from .models import (DEFAULT_SEED, JointReadout, ModelConfig, ReadoutBatch,
                      ncopy_steering_sample, ncopy_tomography_sample,
                      qubit_copies_joint, sample_batch, simple_bell_sample,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CausalScenario", "Event", "ReadoutSignature", "in_future_lightcone",
     "readout_signature", "CurvePoint", "RunStatistics", "default_q_grid",
-    "enumerate_exact", "estimate_bell", "estimate_steering", "frontier_value",
+    "enumerate_exact", "estimate", "frontier_value",
     "min_copies", "sweep_curve", "sweep_curves", "DEFAULT_SEED",
     "JointReadout", "ModelConfig", "ReadoutBatch", "ncopy_steering_sample",
     "ncopy_tomography_sample", "qubit_copies_joint", "sample_batch",

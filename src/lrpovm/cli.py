@@ -18,7 +18,7 @@ import numpy as np
 
 from . import causality, estimators, models, quantum
 from .curvefile import write_curve_csv
-from .estimators import estimate_bell, estimate_steering, sweep_curves
+from .estimators import estimate, sweep_curves
 from .models import DEFAULT_SEED, ModelConfig
 from .svgchart import write_curve_svg
 
@@ -153,17 +153,18 @@ def _model_config(args, steering: bool) -> ModelConfig:
             n_copies=n, q=args.q, seed=args.seed)
     if kind == "simple-bell":
         return ModelConfig(kind="simple-bell", seed=args.seed)
-    m = args.m_choices
-    return ModelConfig(kind=kind, n_copies=args.n_copies, m_choices=m,
-                       seed=args.seed)
+    try:
+        return ModelConfig(kind=kind, n_copies=args.n_copies,
+                           m_choices=args.m_choices, seed=args.seed)
+    except ValueError as exc:
+        # ModelConfig names the field; report the flag that set it.
+        raise CliError(str(exc).replace("n_copies", "--n-copies")
+                       .replace("m_choices", "--m-choices"))
 
 
 def _pair_lines(stats: estimators.RunStatistics) -> list[str]:
     lines = []
-    ma, mb = stats.weights.shape[:2]
-    pairs = [(i, j) for i in range(ma) for j in range(mb)] \
-        if stats.kind == "bell" else [(j, j) for j in range(min(ma, mb))]
-    for i, j in pairs:
+    for i, j in stats.reading_pairs():
         p = stats.pair(i, j)
         corr = "undefined" if p.degenerate else f"{p.correlation:+.6f}"
         lines.append(
@@ -189,7 +190,7 @@ def _write_pair_csv(stats: estimators.RunStatistics, path: str) -> None:
 def _cmd_bell(args) -> int:
     _validate_samples(args.samples)
     config = _model_config(args, steering=False)
-    stats = estimate_bell(config, args.samples, workers=args.workers)
+    stats = estimate(config, args.samples, workers=args.workers)
     print(f"model: {config.kind}  n_copies: {config.n_copies}  "
           f"q: {config.q:g}  samples: {args.samples}  seed: {args.seed}")
     for line in _pair_lines(stats):
@@ -213,7 +214,7 @@ def _cmd_bell(args) -> int:
 def _cmd_steer(args) -> int:
     _validate_samples(args.samples)
     config = _model_config(args, steering=True)
-    stats = estimate_steering(config, args.samples, workers=args.workers)
+    stats = estimate(config, args.samples, workers=args.workers)
     print(f"model: {config.kind}  n_copies: {config.n_copies}  "
           f"q: {config.q:g}  m_choices: {len(config.bob_directions)}  "
           f"samples: {args.samples}  seed: {args.seed}")

@@ -132,12 +132,13 @@ class RunStatistics:
         side ('alice' for p(a2=b2=1)/p(a2=1)).
         """
         vals = []
-        for i, j in self._reading_pairs():
+        for i, j in self.reading_pairs():
             p = self.pair(i, j)
             vals.append(p.eta_alice if variant == "alice" else p.eta_bob)
         return float(np.nanmean(vals))
 
-    def _reading_pairs(self) -> list[tuple[int, int]]:
+    def reading_pairs(self) -> list[tuple[int, int]]:
+        """Pairs read: every (i, j) for Bell, matched (j, j) for steering."""
         ma, mb = self.weights.shape[:2]
         if self.kind == "steering":
             return [(j, j) for j in range(min(ma, mb))]
@@ -295,32 +296,23 @@ def _run_kind(config: ModelConfig) -> str:
     return "bell" if len(config.alice_directions) == 2 else "steering"
 
 
-def _estimate(config: ModelConfig, samples: int, kind: str, *,
-              seed: int | None, workers: int, chunk: int) -> RunStatistics:
+def estimate(config: ModelConfig, samples: int, *, seed: int | None = None,
+             workers: int = 1, chunk: int = DEFAULT_CHUNK) -> RunStatistics:
+    """Monte Carlo CHSH or steering statistics of a model.
+
+    The test follows the model: Bell for simple-bell and two-axis
+    tomography configs, steering otherwise.
+    """
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     seed = config.seed if seed is None else seed
     tasks = [(config, seed, idx, size)
              for idx, size in enumerate(_chunk_sizes(samples, chunk))]
     counts = _map_sum(_estimate_chunk, tasks, workers)
-    return RunStatistics(kind=kind, weights=counts, samples=samples,
+    return RunStatistics(kind=_run_kind(config), weights=counts,
+                         samples=samples,
                          metadata=dict(config.metadata, model=config.kind,
                                        seed=seed))
-
-
-def estimate_bell(config: ModelConfig, samples: int, *, seed: int | None = None,
-                  workers: int = 1, chunk: int = DEFAULT_CHUNK) -> RunStatistics:
-    """Monte Carlo CHSH statistics for a Bell-readable model."""
-    return _estimate(config, samples, "bell",
-                     seed=seed, workers=workers, chunk=chunk)
-
-
-def estimate_steering(config: ModelConfig, samples: int, *,
-                      seed: int | None = None, workers: int = 1,
-                      chunk: int = DEFAULT_CHUNK) -> RunStatistics:
-    """Monte Carlo steering statistics for a steering-readable model."""
-    return _estimate(config, samples, "steering",
-                     seed=seed, workers=workers, chunk=chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +329,8 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b, *,
     edges; the two azimuthal integrals reduce to analytic circle arcs.
     For the finite-N pair spread the opening-angle integral runs over the
     exactly transformed uniform variable w with cos = 1 - 2 w^(1/(N+1)).
+    Bob's cells come from the arcs above +q and above -q, so the dead-zone
+    cell is a difference of ordered fractions and never negative.
     """
     ct = float(np.clip(np.dot(dir_a, dir_b), -1.0, 1.0))
     st = math.sqrt(max(0.0, 1.0 - ct * ct))
@@ -352,10 +346,10 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b, *,
             mean = ct * xs
             amp = st * sx
             p_plus = circle_arc_fraction(mean, amp, q)
-            p_minus = circle_arc_fraction(-mean, amp, q)
+            p_live = circle_arc_fraction(mean, amp, -q)
             table[a_idx, 2] += float(np.dot(wxs, p_plus))
-            table[a_idx, 0] += float(np.dot(wxs, p_minus))
-            table[a_idx, 1] += float(np.dot(wxs, 1.0 - p_plus - p_minus))
+            table[a_idx, 0] += float(np.dot(wxs, 1.0 - p_live))
+            table[a_idx, 1] += float(np.dot(wxs, p_live - p_plus))
             continue
         n = int(n_copies)
         phis, wph = gauss_legendre(phi_nodes, 0.0, math.pi)
@@ -368,11 +362,11 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b, *,
         mean = cos_open[None, None, :] * beta[:, :, None]
         amp = sin_open[None, None, :] * sb[:, :, None]
         p_plus = circle_arc_fraction(mean, amp, q)
-        p_minus = circle_arc_fraction(-mean, amp, q)
+        p_live = circle_arc_fraction(mean, amp, -q)
         wt = wxs[:, None, None] * wph[None, :, None] * ww[None, None, :]
         table[a_idx, 2] += float((wt * p_plus).sum())
-        table[a_idx, 0] += float((wt * p_minus).sum())
-        table[a_idx, 1] += float((wt * (1.0 - p_plus - p_minus)).sum())
+        table[a_idx, 0] += float((wt * (1.0 - p_live)).sum())
+        table[a_idx, 1] += float((wt * (p_live - p_plus)).sum())
     return table
 
 
@@ -388,26 +382,21 @@ def _tomography_tables(config: ModelConfig) -> np.ndarray:
     return out
 
 
-def enumerate_exact(config: ModelConfig, kind: str | None = None
-                    ) -> RunStatistics:
+def enumerate_exact(config: ModelConfig) -> RunStatistics:
     """Exact statistics with no Monte Carlo error.
 
-    Supported: simple-bell and trusted-steering (enumeration over picks
-    and outcome tables), ncopy-steering up to 10 copies (per-copy joint
-    powers), and the tomography family (deterministic quadrature).
+    The unanimity family (simple-bell, trusted-steering, and
+    ncopy-steering up to 10 copies) is enumerated in closed form; the
+    tomography family uses deterministic quadrature.
     """
-    if config.kind in ("simple-bell", "trusted-steering"):
-        probs = models.enumerate_pick_model(config)
-    elif config.kind == "ncopy-steering":
-        if config.n_copies > 10:
-            raise ValueError("ncopy-steering enumeration capped at 10 copies")
-        probs = models.enumerate_ncopy_steering(config)
-    elif config.is_tomography:
+    if config.is_tomography:
         probs = _tomography_tables(config)
+    elif config.n_copies > 10:
+        raise ValueError("unanimity enumeration capped at 10 copies")
     else:
-        raise ValueError(f"no exact path for model kind {config.kind!r}")
-    kind = kind or _run_kind(config)
-    return RunStatistics(kind=kind, weights=probs, samples=0, exact=True,
+        probs = models.enumerate_unanimity(config)
+    return RunStatistics(kind=_run_kind(config), weights=probs, samples=0,
+                         exact=True,
                          metadata=dict(config.metadata, model=config.kind))
 
 

@@ -19,7 +19,11 @@ ncopy-tomography  thresholded projections of a correlated direction pair
                   (A, B) drawn from the N-copy tomography density.
 chaotic-ball      the N -> infinity limit: both parties threshold
                   projections of one shared uniformly random axis.
-qubit-copies      two-time single-qubit readout served by two copies.
+
+The two pick kinds are the unanimity model at N = 1, since a single copy
+is always unanimous: one sampler (``unanimity_batch``) and one exact
+enumerator (``enumerate_unanimity``) serve all three discrete kinds, and
+``ModelConfig`` pins ``n_copies = 1`` for the pick kinds.
 """
 from __future__ import annotations
 
@@ -29,13 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantum
-from .sphere import as_generator, orthonormal_frame, \
+from .sphere import as_generator, check_unit, sample_pair, \
     sample_uniform_direction
 
 DEFAULT_SEED = 12345
 
 KINDS = ("simple-bell", "trusted-steering", "ncopy-steering",
-         "ncopy-tomography", "chaotic-ball", "qubit-copies")
+         "ncopy-tomography", "chaotic-ball")
 
 # Preselection weight of the N-copy tomography construction, reported as
 # metadata and never folded into the detection efficiency.
@@ -50,10 +54,11 @@ def preselection_weight(n_copies) -> float:
 class ModelConfig:
     """Immutable-by-convention model configuration.
 
-    ``n_copies`` may be ``math.inf`` for the chaotic-ball limit.  The
-    direction sets are (M, 3) arrays of unit rows; steering models default
-    to the orthogonal triple for Bob and its antipodes for Alice, which is
-    the perfectly correlated matched arrangement.
+    ``n_copies`` may be ``math.inf`` for the chaotic-ball limit; the pick
+    kinds always hold ``n_copies = 1``.  The direction sets are (M, 3)
+    arrays of unit rows; steering models default to the orthogonal triple
+    for Bob and its antipodes for Alice, which is the perfectly correlated
+    matched arrangement.
     """
 
     kind: str
@@ -62,9 +67,6 @@ class ModelConfig:
     m_choices: int = 3
     alice_directions: np.ndarray | None = None
     bob_directions: np.ndarray | None = None
-    omega: float = 1.0
-    t_a: float = 0.0
-    t_b: float = 0.0
     seed: int = DEFAULT_SEED
     metadata: dict = field(default_factory=dict)
 
@@ -78,6 +80,8 @@ class ModelConfig:
                 raise ValueError(f"n_copies must be a positive integer or "
                                  f"inf, got {self.n_copies}")
             self.n_copies = int(self.n_copies)
+        elif self.kind == "ncopy-steering":
+            raise ValueError("n_copies must be finite for ncopy-steering")
         if self.kind == "simple-bell":
             if self.alice_directions is None:
                 self.alice_directions = quantum.CHSH_ALICE
@@ -85,7 +89,7 @@ class ModelConfig:
                 self.bob_directions = quantum.CHSH_BOB
         elif self.kind in ("trusted-steering", "ncopy-steering"):
             if self.m_choices < 2:
-                raise ValueError("steering needs at least two choices")
+                raise ValueError("m_choices must be at least 2 for steering")
             if self.bob_directions is None:
                 self.bob_directions = quantum.STEERING_TRIPLE[:self.m_choices]
             if self.alice_directions is None:
@@ -95,15 +99,17 @@ class ModelConfig:
                 self.alice_directions = quantum.CHSH_ALICE
             if self.bob_directions is None:
                 self.bob_directions = quantum.CHSH_BOB
-        if self.alice_directions is not None:
-            self.alice_directions = _unit_rows(self.alice_directions)
-        if self.bob_directions is not None:
-            self.bob_directions = _unit_rows(self.bob_directions)
+        self.alice_directions = check_unit(
+            np.atleast_2d(self.alice_directions), "alice_directions")
+        self.bob_directions = check_unit(
+            np.atleast_2d(self.bob_directions), "bob_directions")
         if self.kind in ("trusted-steering", "ncopy-steering"):
             if len(self.bob_directions) != self.m_choices:
                 raise ValueError("m_choices must match the direction set")
         if self.kind == "chaotic-ball":
             self.n_copies = math.inf
+        elif self.kind in ("simple-bell", "trusted-steering"):
+            self.n_copies = 1
         self.metadata.setdefault(
             "preselection_weight",
             preselection_weight(self.n_copies)
@@ -112,14 +118,6 @@ class ModelConfig:
     @property
     def is_tomography(self) -> bool:
         return self.kind in ("ncopy-tomography", "chaotic-ball")
-
-
-def _unit_rows(dirs) -> np.ndarray:
-    d = np.atleast_2d(np.asarray(dirs, dtype=float))
-    norms = np.linalg.norm(d, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("direction rows must be unit vectors")
-    return d
 
 
 def tomography_config(kind: str = "bell", n_copies: float = 1,
@@ -191,16 +189,6 @@ def _correlation_table(alice_dirs, bob_dirs) -> np.ndarray:
     return -np.asarray(alice_dirs) @ np.asarray(bob_dirs).T
 
 
-def _correlated_signs(corr: np.ndarray, gen: np.random.Generator
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (xi, zeta) in {-1,+1}^2 with uniform marginals and E[xi*zeta]=corr."""
-    n = corr.shape[0]
-    xi = gen.integers(0, 2, n).astype(np.int8) * 2 - 1
-    same = gen.random(n) < (1.0 + corr) / 2.0
-    zeta = np.where(same, xi, -xi).astype(np.int8)
-    return xi, zeta
-
-
 def _scatter(n: int, m: int, picks: np.ndarray, values: np.ndarray
              ) -> np.ndarray:
     out = np.zeros((n, m), dtype=np.int8)
@@ -208,30 +196,16 @@ def _scatter(n: int, m: int, picks: np.ndarray, values: np.ndarray
     return out
 
 
-def simple_bell_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    """Pick-one-of-two model with exact singlet statistics on the match."""
-    gen = as_generator(rng)
-    table = _correlation_table(config.alice_directions, config.bob_directions)
-    ma, mb = table.shape
-    pick_a = gen.integers(0, ma, n)
-    pick_b = gen.integers(0, mb, n)
-    xi, zeta = _correlated_signs(table[pick_a, pick_b], gen)
-    return ReadoutBatch(alice=_scatter(n, ma, pick_a, xi),
-                        bob=_scatter(n, mb, pick_b, zeta))
+def unanimity_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
+    """Unanimity model over N singlet copies; the pick models are N = 1.
 
-
-def trusted_steering_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    """M-choice pick model; structurally identical to simple-bell sampling.
-
-    The difference is bookkeeping: Bob's zeros are unregistered events the
-    steering estimator drops, which is what suppresses the full
-    correlation to 1/M while coincidences stay perfect.
+    Each party picks one of its choices uniformly; the picked readout is
+    +-1 when all N copies agree (exact singlet statistics per copy) and 0
+    otherwise, and every other choice reads 0.  For the steering kinds
+    Bob's zeros are unregistered events the estimator drops, which is
+    what suppresses the full correlation to 1/M while coincidences stay
+    perfect.
     """
-    return simple_bell_batch(config, rng, n)
-
-
-def ncopy_steering_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    """Unanimity model over N singlet copies."""
     gen = as_generator(rng)
     table = _correlation_table(config.alice_directions, config.bob_directions)
     ma, mb = table.shape
@@ -260,25 +234,9 @@ def tomography_projections(config: ModelConfig, rng, n: int
         a = sample_uniform_direction(gen, n)
         b = a
     else:
-        a, b = _sample_pair_directions(int(config.n_copies), gen, n)
+        a, b = sample_pair(int(config.n_copies), gen, n)
     return (a @ np.asarray(config.alice_directions).T,
             b @ np.asarray(config.bob_directions).T)
-
-
-def _sample_pair_directions(n_copies: int, gen: np.random.Generator, n: int
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    # Local re-implementation of sphere.sample_pair with a fixed draw order
-    # so that the sweep estimators can couple all N through one uniform set.
-    a = sample_uniform_direction(gen, n)
-    u = gen.random(n) ** (1.0 / (n_copies + 1))
-    cos_t = 1.0 - 2.0 * u
-    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-    chi = gen.random(n) * (2.0 * math.pi)
-    e1, e2 = orthonormal_frame(a)
-    b = (cos_t[:, None] * a
-         + sin_t[:, None] * (np.cos(chi)[:, None] * e1
-                             + np.sin(chi)[:, None] * e2))
-    return a, b
 
 
 def tomography_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
@@ -287,21 +245,9 @@ def tomography_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
                         bob=_threshold(proj_b, config.q))
 
 
-_BATCH_SAMPLERS = {
-    "simple-bell": simple_bell_batch,
-    "trusted-steering": trusted_steering_batch,
-    "ncopy-steering": ncopy_steering_batch,
-    "ncopy-tomography": tomography_batch,
-    "chaotic-ball": tomography_batch,
-}
-
-
 def sample_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
     """Draw n joint readouts from the configured model."""
-    try:
-        sampler = _BATCH_SAMPLERS[config.kind]
-    except KeyError:
-        raise ValueError(f"model kind {config.kind!r} has no readout sampler")
+    sampler = tomography_batch if config.is_tomography else unanimity_batch
     return sampler(config, rng, n)
 
 
@@ -312,7 +258,7 @@ def simple_bell_sample(rng, alice_directions=None, bob_directions=None
     config = ModelConfig(kind="simple-bell",
                          alice_directions=alice_directions,
                          bob_directions=bob_directions)
-    return _first(simple_bell_batch(config, rng, 1))
+    return _first(unanimity_batch(config, rng, 1))
 
 
 def trusted_steering_sample(m_choices: int, directions, rng,
@@ -320,7 +266,7 @@ def trusted_steering_sample(m_choices: int, directions, rng,
     config = ModelConfig(kind="trusted-steering", m_choices=m_choices,
                          bob_directions=directions,
                          alice_directions=alice_directions)
-    return _first(trusted_steering_batch(config, rng, 1))
+    return _first(unanimity_batch(config, rng, 1))
 
 
 def ncopy_steering_sample(n_copies: int, directions, rng,
@@ -329,7 +275,7 @@ def ncopy_steering_sample(n_copies: int, directions, rng,
                          m_choices=m_choices or len(np.atleast_2d(directions)),
                          bob_directions=directions,
                          alice_directions=alice_directions)
-    return _first(ncopy_steering_batch(config, rng, 1))
+    return _first(unanimity_batch(config, rng, 1))
 
 
 def ncopy_tomography_sample(n_copies, q: float, rng,
@@ -357,69 +303,33 @@ def qubit_copies_joint(t_a: float, t_b: float, omega: float,
 
 # Exact joint-readout distributions ----------------------------------------
 
-def enumerate_pick_model(config: ModelConfig) -> np.ndarray:
-    """Exact trit table for the pick models (simple-bell, trusted-steering).
+def enumerate_unanimity(config: ModelConfig) -> np.ndarray:
+    """Exact trit table for the unanimity model (and the pick kinds, N = 1).
 
     Returns probs[i, j, a, b] over every (Alice choice i, Bob choice j)
-    reading pair, trit axes ordered (-1, 0, +1).
+    reading pair, trit axes ordered (-1, 0, +1).  Per pick pair, both
+    parties are unanimous with sign (s, t) with probability
+    ((1 + s t corr) / 4)^N and one party alone with probability 2^-N.
     """
     table = _correlation_table(config.alice_directions, config.bob_directions)
     ma, mb = table.shape
-    probs = np.zeros((ma, mb, 3, 3))
-    tr = {1: 2, 0: 1, -1: 0}
-    for i in range(ma):
-        for j in range(mb):
-            for pick_a in range(ma):
-                for pick_b in range(mb):
-                    w = 1.0 / (ma * mb)
-                    pm = quantum.singlet_pair_probabilities(
-                        config.alice_directions[pick_a],
-                        config.bob_directions[pick_b])
-                    for (ia, xi) in ((0, 1), (1, -1)):
-                        for (ib, zeta) in ((0, 1), (1, -1)):
-                            a_val = xi if pick_a == i else 0
-                            b_val = zeta if pick_b == j else 0
-                            probs[i, j, tr[a_val], tr[b_val]] += w * pm[ia, ib]
-    return probs
-
-
-def enumerate_ncopy_steering(config: ModelConfig) -> np.ndarray:
-    """Exact trit table for the unanimity model, via per-copy joint powers."""
-    table = _correlation_table(config.alice_directions, config.bob_directions)
-    ma, mb = table.shape
     ncopies = int(config.n_copies)
-    probs = np.zeros((ma, mb, 3, 3))
-    tr = {1: 2, 0: 1, -1: 0}
     half_pow = 0.5 ** ncopies
-    for i in range(ma):
-        for j in range(mb):
-            for pick_a in range(ma):
-                for pick_b in range(mb):
-                    w = 1.0 / (ma * mb)
-                    corr = table[pick_a, pick_b]
-                    p = {(s, t): ((1.0 + s * t * corr) / 4.0) ** ncopies
-                         for s in (1, -1) for t in (1, -1)}
-                    cell = np.zeros((3, 3))
-                    for s in (1, -1):
-                        for t in (1, -1):
-                            cell[tr[s], tr[t]] = p[(s, t)]
-                    for s in (1, -1):
-                        cell[tr[s], tr[0]] = half_pow - sum(
-                            p[(s, t)] for t in (1, -1))
-                    for t in (1, -1):
-                        cell[tr[0], tr[t]] = half_pow - sum(
-                            p[(s, t)] for s in (1, -1))
-                    cell[tr[0], tr[0]] = (1.0 - 4.0 * half_pow
-                                          + sum(p.values()))
-                    # Map the unanimity outcome onto the reading pair (i, j).
-                    out = np.zeros((3, 3))
-                    if pick_a == i and pick_b == j:
-                        out = cell
-                    elif pick_a == i:
-                        out[:, tr[0]] = cell.sum(axis=1)
-                    elif pick_b == j:
-                        out[tr[0], :] = cell.sum(axis=0)
-                    else:
-                        out[tr[0], tr[0]] = 1.0
-                    probs[i, j] += w * out
-    return probs
+    signs = np.array([-1.0, 1.0])
+    both = ((1.0 + np.multiply.outer(table, np.outer(signs, signs))) / 4.0
+            ) ** ncopies
+    # cell[pick_a, pick_b] is the unanimity outcome of that pick pair.
+    cell = np.empty((ma, mb, 3, 3))
+    cell[..., ::2, ::2] = both
+    cell[..., ::2, 1] = half_pow - both.sum(axis=-1)
+    cell[..., 1, ::2] = half_pow - both.sum(axis=-2)
+    cell[..., 1, 1] = 1.0 - 4.0 * half_pow + both.sum(axis=(-2, -1))
+    # On reading pair (i, j): both picks match -> the cell; only Alice's
+    # matches -> Bob reads 0; only Bob's -> Alice reads 0; neither -> (0, 0).
+    probs = cell.copy()
+    probs[..., 1] += np.einsum("iqa,qj->ija", cell.sum(axis=3),
+                               1.0 - np.eye(mb))
+    probs[..., 1, :] += np.einsum("pjb,pi->ijb", cell.sum(axis=2),
+                                  1.0 - np.eye(ma))
+    probs[..., 1, 1] += (ma - 1) * (mb - 1)
+    return probs / (ma * mb)

@@ -11,8 +11,6 @@ from functools import lru_cache
 
 import numpy as np
 
-UNIT_NORM_TOL = 1e-12
-
 
 @dataclass
 class RngStream:
@@ -63,8 +61,9 @@ def unit(v) -> np.ndarray:
 
 
 def check_unit(v, name: str = "direction") -> np.ndarray:
+    """v as a float array; a vector, or each row of a matrix, must be unit."""
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9):
         raise ValueError(f"{name} is not unit length: {v!r}")
     return v
 

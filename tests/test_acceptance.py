@@ -24,8 +24,8 @@ import pytest
 
 from lrpovm import models, quantum
 from lrpovm.cli import main as cli_main
-from lrpovm.estimators import (enumerate_exact, estimate_bell,
-                               estimate_steering, min_copies, sweep_curve)
+from lrpovm.estimators import (enumerate_exact, estimate, min_copies,
+                               sweep_curve)
 from lrpovm.models import ModelConfig
 from lrpovm.sphere import cap_overlap_quadrature, pair_density
 
@@ -115,7 +115,7 @@ def test_c03_simple_bell_model():
     exact = enumerate_exact(config)
     if exact.efficiency("alice") != 0.5:
         failures.append(f"enumerated eta = {exact.efficiency('alice')!r}")
-    stats = estimate_bell(config, SAMPLES, workers=WORKERS)
+    stats = estimate(config, SAMPLES, workers=WORKERS)
     for i in range(2):
         for j in range(2):
             pair = stats.pair(i, j)
@@ -139,14 +139,14 @@ def test_c04_steering_models():
         for j in range(m):
             if abs(exact.full_correlation(j, j) - 1.0 / m) > 1e-12:
                 failures.append(f"M={m} pair {j} correlation != 1/M")
-    mc = estimate_steering(ModelConfig(kind="trusted-steering", seed=SEED),
-                           SAMPLES, workers=WORKERS)
+    mc = estimate(ModelConfig(kind="trusted-steering", seed=SEED),
+                  SAMPLES, workers=WORKERS)
     t, se, _ = mc.steering()
     if t > 1.0 / 3.0 + 3 * se:
         failures.append(f"trusted T = {t:.5f} above bound")
     for n in range(1, 7):
         config = ModelConfig(kind="ncopy-steering", n_copies=n, seed=SEED)
-        stats = estimate_steering(config, SAMPLES, workers=WORKERS)
+        stats = estimate(config, SAMPLES, workers=WORKERS)
         expected_rate = 2.0 ** (1 - n) / 3.0  # pick match times unanimity
         for j in range(3):
             pair = stats.pair(j, j)

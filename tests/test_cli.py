@@ -39,6 +39,14 @@ class TestValidation:
         assert code == 1
         assert "--n-copies" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("--model", "ncopy-steering", "--n-copies", "inf"), "--n-copies"),
+        (("--m-choices", "1"), "--m-choices")])
+    def test_bad_model_flag_named(self, capsys, argv, flag):
+        code, _, err = run(capsys, "steer", *argv, "--samples", "1000")
+        assert code == 1
+        assert flag in err
+
     def test_missing_command(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

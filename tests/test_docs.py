@@ -1,0 +1,40 @@
+"""Every lrpovm name the demos and the README quick start import exists.
+
+Nothing runs the demos in the test suite, so a renamed or deleted public
+name would otherwise break them silently.
+"""
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sources():
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        yield path.name, path.read_text()
+    readme = (ROOT / "README.md").read_text()
+    for k, block in enumerate(re.findall(r"```python\n(.*?)```", readme,
+                                         re.S)):
+        yield f"README-python-{k}", block
+
+
+SOURCES = dict(_sources())
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_lrpovm_imports_resolve(name):
+    imported, missing = 0, []
+    for node in ast.walk(ast.parse(SOURCES[name])):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "lrpovm":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported += 1
+                if not hasattr(module, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+    assert imported > 0
+    assert not missing

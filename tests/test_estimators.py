@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
-                               enumerate_exact, estimate_bell,
-                               estimate_steering, frontier_value,
+                               enumerate_exact, estimate, frontier_value,
                                merge_counts, min_copies, sweep_curve,
                                sweep_curves)
 from lrpovm.models import ModelConfig, tomography_config
@@ -16,7 +15,7 @@ from lrpovm.models import ModelConfig, tomography_config
 
 class TestRunStatistics:
     def test_probabilities_normalized(self):
-        stats = estimate_bell(ModelConfig(kind="simple-bell", seed=1), 20_000)
+        stats = estimate(ModelConfig(kind="simple-bell", seed=1), 20_000)
         for i in range(2):
             for j in range(2):
                 assert stats.pair_probabilities(i, j).sum() == \
@@ -48,24 +47,23 @@ class TestRunStatistics:
 class TestEstimateBell:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            estimate_bell(ModelConfig(kind="simple-bell"), 100)
+            estimate(ModelConfig(kind="simple-bell"), 100)
 
     def test_simple_bell_quantum_value(self):
-        stats = estimate_bell(ModelConfig(kind="simple-bell", seed=3),
-                              400_000)
+        stats = estimate(ModelConfig(kind="simple-bell", seed=3), 400_000)
         s, se, degenerate = stats.chsh()
         assert not degenerate
         assert abs(abs(s) - 2 * math.sqrt(2)) < 3 * se
 
     def test_chaotic_ball_zero_threshold(self):
-        stats = estimate_bell(tomography_config("bell", math.inf, seed=5),
-                              100_000)
+        stats = estimate(tomography_config("bell", math.inf, seed=5),
+                         100_000)
         s, se, _ = stats.chsh()
         assert abs(abs(s) - 2.0) <= 3 * se + 1e-12
 
     def test_exact_agrees_with_mc(self):
         config = tomography_config("bell", 3, q=0.3, seed=7)
-        mc = estimate_bell(config, 200_000)
+        mc = estimate(config, 200_000)
         exact = enumerate_exact(config)
         s_mc, se, _ = mc.chsh()
         s_ex, se_ex, _ = exact.chsh()
@@ -85,7 +83,7 @@ class TestEstimateSteering:
 
     def test_mc_agrees_with_enumeration(self):
         config = ModelConfig(kind="ncopy-steering", n_copies=2, seed=9)
-        mc = estimate_steering(config, 200_000)
+        mc = estimate(config, 200_000)
         exact = enumerate_exact(config)
         t_mc, se, _ = mc.steering()
         t_ex, _, _ = exact.steering()
@@ -94,8 +92,19 @@ class TestEstimateSteering:
 
 class TestEnumerateExact:
     def test_unsupported_kind(self):
-        with pytest.raises(ValueError):
-            enumerate_exact(ModelConfig(kind="qubit-copies", n_copies=2))
+        with pytest.raises(ValueError, match="unknown model kind"):
+            ModelConfig(kind="qubit-copies", n_copies=2)
+
+    @pytest.mark.parametrize("kind,n", [("bell", 1), ("bell", 4),
+                                        ("bell", math.inf), ("steering", 2)])
+    def test_tomography_zero_threshold_cells(self, kind, n):
+        # No dead zone at q = 0: every zero-trit cell is exactly 0, never
+        # a rounding residue below it.
+        stats = enumerate_exact(tomography_config(kind, n, q=0.0))
+        assert np.all(stats.weights >= 0.0)
+        assert np.all(stats.weights[:, :, 1, :] == 0.0)
+        assert np.all(stats.weights[:, :, :, 1] == 0.0)
+        assert np.allclose(stats.weights.sum(axis=(2, 3)), 1.0, atol=1e-12)
 
     def test_ncopy_cap(self):
         with pytest.raises(ValueError):
@@ -126,8 +135,8 @@ class TestMergeCounts:
 class TestParallelDeterminism:
     def test_worker_count_invariance(self):
         config = ModelConfig(kind="simple-bell", seed=11)
-        one = estimate_bell(config, 50_000, workers=1)
-        three = estimate_bell(config, 50_000, workers=3)
+        one = estimate(config, 50_000, workers=1)
+        three = estimate(config, 50_000, workers=3)
         assert np.array_equal(one.weights, three.weights)
 
     def test_sweep_reproducible(self):
@@ -142,7 +151,7 @@ class TestStderrScaling:
         exact = 2 * math.sqrt(2)
         prev_se = None
         for k, samples in enumerate([25_000, 100_000, 400_000]):
-            stats = estimate_bell(config, samples, seed=15 + k)
+            stats = estimate(config, samples, seed=15 + k)
             s, se, _ = stats.chsh()
             assert abs(abs(s) - exact) < 4 * se
             if prev_se is not None:

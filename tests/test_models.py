@@ -1,12 +1,14 @@
+import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from lrpovm import causality, quantum
-from lrpovm.estimators import (enumerate_exact, estimate_bell,
-                               estimate_steering)
-from lrpovm.models import (ModelConfig, ncopy_steering_sample,
+from lrpovm.estimators import enumerate_exact, estimate
+from lrpovm.models import (ModelConfig, enumerate_unanimity,
+                           ncopy_steering_sample,
                            ncopy_tomography_sample, qubit_copies_joint,
                            sample_batch, simple_bell_sample,
                            threshold_readout, tomography_config,
@@ -54,7 +56,7 @@ class TestSimpleBell:
 
     def test_mc_coincidence_correlations(self):
         config = ModelConfig(kind="simple-bell", seed=21)
-        stats = estimate_bell(config, 200_000)
+        stats = estimate(config, 200_000)
         for i in range(2):
             for j in range(2):
                 p = stats.pair(i, j)
@@ -99,7 +101,7 @@ class TestTrustedSteering:
         assert not flagged
 
     def test_mc_T_within_bound(self):
-        stats = estimate_steering(
+        stats = estimate(
             ModelConfig(kind="trusted-steering", seed=23), 200_000)
         t, se, _ = stats.steering()
         assert t <= 1.0 / 3.0 + 3 * se
@@ -118,7 +120,7 @@ class TestNcopySteering:
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_unanimity_rate(self, n):
         config = ModelConfig(kind="ncopy-steering", n_copies=n, seed=29)
-        stats = estimate_steering(config, 100_000)
+        stats = estimate(config, 100_000)
         # Bob's registration rate per matched pair: pick match (1/3) times
         # unanimity (2^(1-n)).
         expected = 2.0 ** (1 - n) / 3.0
@@ -130,14 +132,14 @@ class TestNcopySteering:
 
     def test_matched_coincidence_perfect(self):
         config = ModelConfig(kind="ncopy-steering", n_copies=4, seed=31)
-        stats = estimate_steering(config, 100_000)
+        stats = estimate(config, 100_000)
         p = stats.pair(1, 1)
         assert p.correlation == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_matches_mc(self):
         config = ModelConfig(kind="ncopy-steering", n_copies=3, seed=37)
         exact = enumerate_exact(config)
-        mc = estimate_steering(config, 200_000)
+        mc = estimate(config, 200_000)
         t_exact, _, _ = exact.steering()
         t_mc, se, _ = mc.steering()
         assert abs(t_mc - t_exact) < 3 * se + 1e-9
@@ -145,6 +147,59 @@ class TestNcopySteering:
     def test_discard_flag(self):
         r = ncopy_steering_sample(5, quantum.STEERING_TRIPLE, RngStream(3))
         assert r.discarded == (not any(r.bob))
+
+    def test_rejects_infinite_copies(self):
+        with pytest.raises(ValueError, match="n_copies"):
+            ModelConfig(kind="ncopy-steering", n_copies=math.inf)
+
+
+class TestUnanimityEnumeration:
+    """The closed-form enumerator against a sum over per-copy outcomes."""
+
+    @staticmethod
+    def brute_force(config):
+        alice, bob = config.alice_directions, config.bob_directions
+        ma, mb = len(alice), len(bob)
+        terms = collections.defaultdict(list)
+        strings = list(itertools.product((0, 1), repeat=config.n_copies))
+        for pick_a, pick_b in itertools.product(range(ma), range(mb)):
+            # singlet table indices 0: +1, 1: -1
+            pm = quantum.singlet_pair_probabilities(alice[pick_a], bob[pick_b])
+            for xs, zs in itertools.product(strings, strings):
+                p = math.prod(pm[x, z] for x, z in zip(xs, zs)) / (ma * mb)
+                a = 1 - 2 * xs[0] if len(set(xs)) == 1 else 0
+                b = 1 - 2 * zs[0] if len(set(zs)) == 1 else 0
+                for i, j in itertools.product(range(ma), range(mb)):
+                    terms[i, j, (a if i == pick_a else 0) + 1,
+                          (b if j == pick_b else 0) + 1].append(p)
+        # fsum keeps the oracle's own rounding below the tolerance
+        probs = np.zeros((ma, mb, 3, 3))
+        for index, values in terms.items():
+            probs[index] = math.fsum(values)
+        return probs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alice,bob", [
+        (quantum.CHSH_ALICE, quantum.CHSH_BOB),
+        (-quantum.STEERING_TRIPLE, quantum.STEERING_TRIPLE)])
+    def test_matches_brute_force(self, n, alice, bob):
+        config = ModelConfig(kind="ncopy-steering", n_copies=n,
+                             m_choices=len(bob), alice_directions=alice,
+                             bob_directions=bob)
+        probs = enumerate_unanimity(config)
+        assert np.all(probs >= 0.0)
+        assert np.max(np.abs(probs - self.brute_force(config))) <= 1e-14
+
+    def test_pick_kinds_pin_one_copy(self):
+        pinned = ModelConfig(kind="trusted-steering", n_copies=3)
+        single = ModelConfig(kind="trusted-steering")
+        assert pinned.n_copies == 1
+        a = sample_batch(pinned, RngStream(8), 5_000)
+        b = sample_batch(single, RngStream(8), 5_000)
+        assert np.array_equal(a.alice, b.alice)
+        assert np.array_equal(a.bob, b.bob)
+        assert np.array_equal(enumerate_exact(pinned).weights,
+                              enumerate_exact(single).weights)
 
 
 class TestTomography:
@@ -156,7 +211,7 @@ class TestTomography:
 
     def test_deadzone_swallows_everything(self):
         config = tomography_config("bell", 1, q=0.95, seed=43)
-        stats = estimate_bell(config, 50_000)
+        stats = estimate(config, 50_000)
         assert stats.efficiency("alice") < 0.1
 
     def test_mc_matches_quadrature_matched_axes(self):
@@ -183,14 +238,14 @@ class TestTomography:
     def test_mc_matches_quadrature_full_table(self):
         config = tomography_config("bell", 2, q=0.4, seed=53)
         exact = enumerate_exact(config)
-        mc = estimate_bell(config, 200_000)
+        mc = estimate(config, 200_000)
         s_mc, se, _ = mc.chsh()
         s_ex, _, _ = exact.chsh()
         assert abs(s_mc - s_ex) < 3 * se
 
     def test_chaotic_ball_signed_endpoint(self):
         config = tomography_config("bell", math.inf, q=0.0, seed=59)
-        stats = estimate_bell(config, 200_000)
+        stats = estimate(config, 200_000)
         s, se, _ = stats.chsh()
         assert abs(s - (-2.0)) < 3 * se + 1e-9
 
@@ -243,7 +298,7 @@ class TestNoSignaling:
 
     def test_tomography_marginals_mc(self):
         config = tomography_config("bell", 2, q=0.3, seed=61)
-        stats = estimate_bell(config, 200_000)
+        stats = estimate(config, 200_000)
         for i in range(2):
             m0 = stats.alice_marginal(i, 0)
             m1 = stats.alice_marginal(i, 1)
@@ -263,7 +318,7 @@ class TestLocalRealisticBounds:
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_bell_bound_full_detection(self, n):
         config = tomography_config("bell", n, q=0.0, seed=67)
-        stats = estimate_bell(config, 100_000)
+        stats = estimate(config, 100_000)
         s, se, _ = stats.chsh()
         assert abs(s) <= 2.0 + 3 * se
 
@@ -271,7 +326,7 @@ class TestLocalRealisticBounds:
                                         ("ncopy-steering", 2),
                                         ("ncopy-steering", 5)])
     def test_steering_bound_trusted_models(self, kind, n):
-        stats = estimate_steering(
+        stats = estimate(
             ModelConfig(kind=kind, n_copies=n, seed=71), 100_000)
         t, se, _ = stats.steering()
         assert t <= 1.0 / 3.0 + 3 * se
@@ -281,7 +336,7 @@ class TestLocalRealisticBounds:
         c_n = (2.0 / math.pi) * math.gamma(n + 1.5) * math.gamma(0.5) \
             / math.gamma(n + 2.0) - 1.0
         config = tomography_config("steering", n, q=0.0, seed=73)
-        stats = estimate_steering(config, 200_000)
+        stats = estimate(config, 200_000)
         t, se, _ = stats.steering()
         assert t == pytest.approx(c_n ** 2, abs=4 * se + 1e-4)
 
