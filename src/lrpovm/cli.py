@@ -65,14 +65,19 @@ def _copies_list(text):
     return [_copies(part) for part in text.split(",") if part != ""]
 
 
-def _fraction_q(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("--q expects a number")
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("--q must lie in [0, 1)")
-    return value
+def _number(flag, valid=math.isfinite, requirement="be finite"):
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} expects a number")
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{flag} must {requirement}")
+        return value
+    return parse
+
+
+_fraction_q = _number("--q", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 
 
 def _add_run_flags(p, samples_default=1_000_000):
@@ -111,9 +116,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("qubit",
                        help="sequential versus copy-served two-time readout")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--t-a", type=float, default=math.pi / 2.0)
-    p.add_argument("--t-b", type=float, default=math.pi)
+    p.add_argument("--omega", type=_number("--omega"), default=1.0)
+    p.add_argument("--t-a", type=_number("--t-a"), default=math.pi / 2.0)
+    p.add_argument("--t-b", type=_number("--t-b"), default=math.pi)
     p.add_argument("--n-copies", type=_copies, default=2)
 
     p = sub.add_parser("curves",
@@ -234,11 +239,16 @@ def _cmd_steer(args) -> int:
 
 
 def _cmd_qubit(args) -> int:
+    if args.t_a > args.t_b:
+        raise CliError("--t-a must not exceed --t-b")
     sequential = quantum.sequential_qubit_probability(
         args.t_a, args.t_b, args.omega)
-    copies = models.qubit_copies_joint(
-        args.t_a, args.t_b, args.omega, args.n_copies
-        if args.n_copies != math.inf else 2)
+    try:
+        copies = models.qubit_copies_joint(
+            args.t_a, args.t_b, args.omega, args.n_copies
+            if args.n_copies != math.inf else 2)
+    except ValueError as exc:
+        raise CliError(f"--n-copies: {exc}")
     p_a = quantum.qubit_probability_plus(args.omega * args.t_a)
     p_b = quantum.qubit_probability_plus(args.omega * args.t_b)
     print(f"two-time qubit readout: omega={args.omega:g} t_a={args.t_a:g} "
@@ -258,6 +268,8 @@ def _cmd_qubit(args) -> int:
 
 def _cmd_curves(args) -> int:
     _validate_samples(args.samples)
+    if not args.n_copies:
+        raise CliError("--n-copies expects at least one copy count")
     n_list = list(dict.fromkeys(args.n_copies))
     if args.model == "chaotic-ball":
         n_list = [math.inf]

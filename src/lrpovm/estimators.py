@@ -1,10 +1,12 @@
 """Monte Carlo and exact estimation of efficiency, CHSH S, and steering T.
 
-Counting is the only stateful step: every estimator reduces a model to a
-per-setting-pair table of trit counts, and every derived statistic is a
-function of that table.  The same table layout holds exact probabilities
-when a model admits enumeration or quadrature, so Monte Carlo and exact
-paths share all downstream code.
+Every estimator reduces a model to a per-setting-pair table of trit
+counts, and every derived statistic is a function of that table; exact
+enumeration and quadrature fill the same layout with probabilities.  One
+kernel counts for sweeps and point estimates: each projection gets a
+signed threshold level (``models.threshold_levels``), one bincount per
+reading pair histograms the joint levels, and 2-D prefix sums of it give
+the table of every threshold.  A fixed-q estimate is the one-level case.
 
 Parallelism is a map over fixed-size sample chunks, one independent
 substream per chunk, merged by integer addition; results are identical
@@ -78,7 +80,6 @@ class RunStatistics:
 
     def pair(self, i: int, j: int) -> PairSummary:
         w = self.weights[i, j]
-        total = w.sum()
         coinc = w[_COINC]
         n_c = coinc.sum()
         a_det = w[(0, 2), :].sum()
@@ -214,77 +215,60 @@ class RunStatistics:
         return self.steering()
 
 
-def merge_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Combine two count tables; associative and commutative by construction."""
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation.
 # ---------------------------------------------------------------------------
 
-def _count_batch(batch: models.ReadoutBatch) -> np.ndarray:
-    n, ma = batch.alice.shape
-    mb = batch.bob.shape[1]
-    counts = np.zeros((ma, mb, 3, 3), dtype=np.int64)
-    a_idx = batch.alice.astype(np.int64) + 1
-    b_idx = batch.bob.astype(np.int64) + 1
-    for i in range(ma):
-        for j in range(mb):
-            codes = a_idx[:, i] * 3 + b_idx[:, j]
-            counts[i, j] = np.bincount(codes, minlength=9).reshape(3, 3)
-    return counts
+def _count_levels(levels_a: np.ndarray, levels_b: np.ndarray,
+                  n_levels: int) -> np.ndarray:
+    """Trit tables (L, Ma, Mb, 3, 3) from signed levels v in [-L, L].
+
+    Threshold k reads v <= -(k+1) as -1, |v| <= k as 0, v >= k+1 as +1.
+    """
+    width = 2 * n_levels + 1
+    a_codes = (np.asarray(levels_a, np.intp) + n_levels) * width
+    b_codes = np.asarray(levels_b, np.intp) + n_levels
+    ma, mb = a_codes.shape[1], b_codes.shape[1]
+    hist = np.stack([np.bincount(a_codes[:, i] + b_codes[:, j],
+                                 minlength=width * width)
+                     for i in range(ma) for j in range(mb)])
+    cum = np.zeros((ma, mb, width + 1, width + 1), dtype=np.int64)
+    cum[:, :, 1:, 1:] = hist.reshape(ma, mb, width, width).cumsum(2).cumsum(3)
+    k = np.arange(n_levels)
+    edges = np.stack([np.zeros_like(k), n_levels - k, n_levels + k + 1,
+                      np.full_like(k, width)], axis=1)
+    # corner[..., l, r, c] = cum at (edges[l, r], edges[l, c]).
+    corner = cum[:, :, edges[:, :, None], edges[:, None, :]]
+    tables = (corner[..., 1:, 1:] - corner[..., :-1, 1:]
+              - corner[..., 1:, :-1] + corner[..., :-1, :-1])
+    return np.moveaxis(tables, 2, 0)
 
 
-def _chunk_sizes(samples: int, chunk: int) -> list[int]:
-    full, rest = divmod(samples, chunk)
-    return [chunk] * full + ([rest] if rest else [])
-
-
-def _estimate_chunk(task) -> np.ndarray:
-    config, seed, index, size = task
+def _count_chunk(task) -> np.ndarray:
+    """Tables of one chunk: trits at the model's q, or levels on a q grid."""
+    config, q_sorted, seed, index, size = task
     gen = RngStream(seed, index).generator
-    return _count_batch(models.sample_batch(config, gen, size))
-
-
-def _sweep_chunk(task) -> np.ndarray:
-    config, q_grid, seed, index, size = task
-    gen = RngStream(seed, index).generator
+    if q_sorted is None:
+        batch = models.sample_batch(config, gen, size)
+        return _count_levels(batch.alice, batch.bob, 1)[0]
     proj_a, proj_b = models.tomography_projections(config, gen, size)
-    ma, mb = proj_a.shape[1], proj_b.shape[1]
-    counts = np.zeros((len(q_grid), ma, mb, 3, 3), dtype=np.int64)
-    for iq, q in enumerate(q_grid):
-        a_idx = np.zeros(proj_a.shape, dtype=np.int64)
-        a_idx[proj_a > q] = 2
-        a_idx[(proj_a >= -q) & (proj_a <= q)] = 1
-        b_idx = np.zeros(proj_b.shape, dtype=np.int64)
-        b_idx[proj_b > q] = 2
-        b_idx[(proj_b >= -q) & (proj_b <= q)] = 1
-        for i in range(ma):
-            for j in range(mb):
-                codes = a_idx[:, i] * 3 + b_idx[:, j]
-                counts[iq, i, j] = np.bincount(codes, minlength=9).reshape(3, 3)
-    return counts
+    return _count_levels(models.threshold_levels(proj_a, q_sorted),
+                         models.threshold_levels(proj_b, q_sorted),
+                         len(q_sorted))
 
 
-def _map_sum(worker, tasks, workers: int) -> np.ndarray:
+def _count_chunks(head: tuple, samples: int, chunk: int,
+                  workers: int) -> np.ndarray:
+    """Sum the chunk tables of ``head`` = (config, q grid or None, seed)."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    full, rest = divmod(samples, chunk)
+    sizes = [chunk] * full + ([rest] if rest else [])
+    tasks = [head + (index, size) for index, size in enumerate(sizes)]
     if workers <= 1:
-        results = map(worker, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = pool.map(worker, tasks)
-            return _sum_results(results)
-        finally:
-            pool.shutdown()
-    return _sum_results(results)
-
-
-def _sum_results(results) -> np.ndarray:
-    total = None
-    for r in results:
-        total = r if total is None else merge_counts(total, r)
-    return total
+        return sum(map(_count_chunk, tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(_count_chunk, tasks))
 
 
 def _run_kind(config: ModelConfig) -> str:
@@ -303,12 +287,8 @@ def estimate(config: ModelConfig, samples: int, *, seed: int | None = None,
     The test follows the model: Bell for simple-bell and two-axis
     tomography configs, steering otherwise.
     """
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     seed = config.seed if seed is None else seed
-    tasks = [(config, seed, idx, size)
-             for idx, size in enumerate(_chunk_sizes(samples, chunk))]
-    counts = _map_sum(_estimate_chunk, tasks, workers)
+    counts = _count_chunks((config, None, seed), samples, chunk, workers)
     return RunStatistics(kind=_run_kind(config), weights=counts,
                          samples=samples,
                          metadata=dict(config.metadata, model=config.kind,
@@ -435,16 +415,14 @@ def sweep_curve(kind: str, n_copies, q_grid=None, samples: int = DEFAULT_SWEEP_S
     q_grid = default_q_grid() if q_grid is None else np.asarray(q_grid, float)
     if np.any((q_grid < 0) | (q_grid >= 1)):
         raise ValueError("q_grid must lie in [0, 1)")
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     config = tomography_config(kind, n_copies,
                                seed=models.DEFAULT_SEED if seed is None else seed)
-    tasks = [(config, tuple(q_grid), config.seed, idx, size)
-             for idx, size in enumerate(_chunk_sizes(samples, chunk))]
-    counts = _map_sum(_sweep_chunk, tasks, workers)
+    q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)
+    counts = _count_chunks((config, q_sorted, config.seed), samples, chunk,
+                           workers)
     points = []
-    for iq, q in enumerate(q_grid):
-        stats = RunStatistics(kind=kind, weights=counts[iq], samples=samples)
+    for q, k in zip(q_grid, sorted_index):
+        stats = RunStatistics(kind=kind, weights=counts[k], samples=samples)
         value, stderr, degenerate = stats.value()
         points.append(CurvePoint(
             n_copies=n_copies, q=float(q),

@@ -178,11 +178,17 @@ def threshold_readout(projection: float, q: float) -> int:
     return 0
 
 
-def _threshold(projections: np.ndarray, q: float) -> np.ndarray:
-    out = np.zeros(projections.shape, dtype=np.int8)
-    out[projections > q] = 1
-    out[projections < -q] = -1
-    return out
+def threshold_levels(projections, q_sorted) -> np.ndarray:
+    """Signed threshold level of each projection against a sorted q grid.
+
+    The level is v = sign(p) * #{k : q_k < |p|}.  At grid index k the trit
+    is +1 when v >= k + 1, -1 when v <= -(k + 1) and 0 when |v| <= k, so
+    every dead zone is the closed interval [-q_k, +q_k], as in
+    ``threshold_readout``.  On a one-point grid the level is the trit.
+    """
+    p = np.asarray(projections)
+    level = np.searchsorted(q_sorted, np.abs(p), side="left")
+    return np.copysign(level, p).astype(level.dtype)
 
 
 def _correlation_table(alice_dirs, bob_dirs) -> np.ndarray:
@@ -240,9 +246,9 @@ def tomography_projections(config: ModelConfig, rng, n: int
 
 
 def tomography_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    proj_a, proj_b = tomography_projections(config, rng, n)
-    return ReadoutBatch(alice=_threshold(proj_a, config.q),
-                        bob=_threshold(proj_b, config.q))
+    alice, bob = (threshold_levels(p, (config.q,)).astype(np.int8)
+                  for p in tomography_projections(config, rng, n))
+    return ReadoutBatch(alice=alice, bob=bob)
 
 
 def sample_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:

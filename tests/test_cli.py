@@ -47,6 +47,23 @@ class TestValidation:
         assert code == 1
         assert flag in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("qubit", "--n-copies", "1"), "--n-copies"),
+        (("qubit", "--n-copies", "13"), "--n-copies"),
+        (("curves", "--n-copies", ",", "--out", "x.csv"), "--n-copies"),
+        (("qubit", "--omega", "nan"), "--omega"),
+        (("qubit", "--omega", "inf"), "--omega"),
+        (("qubit", "--t-a", "nan"), "--t-a"),
+        (("qubit", "--t-a", "inf"), "--t-a"),
+        (("qubit", "--t-b", "nan"), "--t-b"),
+        (("qubit", "--t-b", "inf"), "--t-b"),
+        (("qubit", "--t-a", "2", "--t-b", "1"), "--t-a")])
+    def test_bad_input_flag_named(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and flag in err
+        assert out == ""
+
     def test_missing_command(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

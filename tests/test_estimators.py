@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
+from lrpovm import estimators
 from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                enumerate_exact, estimate, frontier_value,
-                               merge_counts, min_copies, sweep_curve,
-                               sweep_curves)
-from lrpovm.models import ModelConfig, tomography_config
+                               min_copies, sweep_curve, sweep_curves)
+from lrpovm.models import ModelConfig, tomography_config, \
+    tomography_projections
+from lrpovm.sphere import RngStream
 
 
 class TestRunStatistics:
@@ -115,23 +114,6 @@ class TestEnumerateExact:
         assert stats.efficiency("alice") == pytest.approx(0.5, abs=1e-15)
 
 
-class TestMergeCounts:
-    small = hnp.arrays(np.int64, (2, 2, 3, 3),
-                       elements=st.integers(min_value=0, max_value=1000))
-
-    @given(small, small)
-    @settings(max_examples=40)
-    def test_commutative(self, a, b):
-        assert np.array_equal(merge_counts(a, b), merge_counts(b, a))
-
-    @given(small, small, small)
-    @settings(max_examples=40)
-    def test_associative(self, a, b, c):
-        left = merge_counts(merge_counts(a, b), c)
-        right = merge_counts(a, merge_counts(b, c))
-        assert np.array_equal(left, right)
-
-
 class TestParallelDeterminism:
     def test_worker_count_invariance(self):
         config = ModelConfig(kind="simple-bell", seed=11)
@@ -143,6 +125,72 @@ class TestParallelDeterminism:
         a = sweep_curve("bell", 2, [0.0, 0.3], 20_000, seed=13)
         b = sweep_curve("bell", 2, [0.0, 0.3], 20_000, seed=13, workers=2)
         assert a == b
+
+    def test_uneven_tail_estimate(self):
+        config = tomography_config("steering", 3, q=0.2, seed=41)
+        one = estimate(config, 50_001, workers=1, chunk=7_000)
+        two = estimate(config, 50_001, workers=2, chunk=7_000)
+        assert np.array_equal(one.weights, two.weights)
+        assert np.all(one.weights.sum(axis=(2, 3)) == 50_001)
+
+    def test_uneven_tail_sweep(self):
+        a = sweep_curve("bell", 2, [0.6, 0.0, 0.3], 50_001, seed=43,
+                        chunk=7_000)
+        b = sweep_curve("bell", 2, [0.6, 0.0, 0.3], 50_001, seed=43,
+                        workers=2, chunk=7_000)
+        assert a == b
+
+
+def _reference_sweep_tables(kind, n_copies, q_grid, samples, seed, chunk):
+    """Per-threshold trit tables by plain comparison, one q at a time."""
+    config = tomography_config(kind, n_copies, seed=seed)
+    sizes = [chunk] * (samples // chunk) + (
+        [samples % chunk] if samples % chunk else [])
+    draws = [tomography_projections(config, RngStream(seed, index).generator,
+                                    size)
+             for index, size in enumerate(sizes)]
+    proj_a = np.concatenate([a for a, _ in draws])
+    proj_b = np.concatenate([b for _, b in draws])
+    ma, mb = proj_a.shape[1], proj_b.shape[1]
+    tables = []
+    for q in q_grid:
+        trit_a = np.where(proj_a > q, 2, np.where(proj_a < -q, 0, 1))
+        trit_b = np.where(proj_b > q, 2, np.where(proj_b < -q, 0, 1))
+        counts = np.zeros((ma, mb, 3, 3), dtype=np.int64)
+        for i in range(ma):
+            for j in range(mb):
+                np.add.at(counts[i, j], (trit_a[:, i], trit_b[:, j]), 1)
+        tables.append(counts)
+    return tables
+
+
+class TestSweepKernelOracle:
+    """Sweep count tables equal a per-threshold reference count."""
+
+    @pytest.mark.parametrize("grid", [
+        (0.0, 0.3, 0.6, 0.95), (0.6, 0.0, 0.3, 0.3, 0.95),
+        tuple(default_q_grid())], ids=["sorted", "unsorted", "default"])
+    @pytest.mark.parametrize("seed", [12345, 7, 1])
+    @pytest.mark.parametrize("n_copies", [1, 2, math.inf])
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    def test_tables_match_reference(self, monkeypatch, kind, n_copies,
+                                    seed, grid):
+        seen = []
+
+        class Recording(RunStatistics):
+            def __post_init__(self):
+                super().__post_init__()
+                seen.append(self.weights)
+
+        monkeypatch.setattr(estimators, "RunStatistics", Recording)
+        points = sweep_curve(kind, n_copies, grid, 50_001, seed=seed,
+                             chunk=7_000)
+        expected = _reference_sweep_tables(kind, n_copies, grid, 50_001,
+                                           seed, 7_000)
+        assert [p.q for p in points] == list(grid)
+        assert len(seen) == len(grid)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
 
 
 class TestStderrScaling:

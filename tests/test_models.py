@@ -11,8 +11,8 @@ from lrpovm.models import (ModelConfig, enumerate_unanimity,
                            ncopy_steering_sample,
                            ncopy_tomography_sample, qubit_copies_joint,
                            sample_batch, simple_bell_sample,
-                           threshold_readout, tomography_config,
-                           trusted_steering_sample)
+                           threshold_levels, threshold_readout,
+                           tomography_config, trusted_steering_sample)
 from lrpovm.sphere import RngStream
 
 
@@ -36,6 +36,35 @@ class TestThresholdReadout:
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             threshold_readout(0.2, 1.0)
+
+
+class TestThresholdLevels:
+    """Signed levels decode to the scalar trit at every grid index."""
+
+    @staticmethod
+    def _trit(level, k):
+        return 1 if level >= k + 1 else -1 if level <= -(k + 1) else 0
+
+    @pytest.mark.parametrize("grid", [[0.0], [0.5], [0.0, 0.3, 0.6, 0.95],
+                                      list(np.round(np.arange(33) * 0.03, 10))])
+    def test_agrees_with_scalar_readout(self, grid):
+        q_sorted = np.array(grid)
+        boundaries = np.concatenate([q_sorted, -q_sorted,
+                                     np.nextafter(q_sorted, 2.0),
+                                     -np.nextafter(q_sorted, 2.0)])
+        values = np.concatenate([
+            boundaries, [0.0, -0.0, 1.0, -1.0],
+            np.random.default_rng(3).uniform(-1.0, 1.0, 500)])
+        levels = threshold_levels(values, q_sorted)
+        assert levels.shape == values.shape
+        for p, level in zip(values, levels):
+            for k, q in enumerate(grid):
+                assert self._trit(level, k) == threshold_readout(p, q), (p, q)
+
+    def test_one_point_grid_is_the_trit(self):
+        p = np.array([[-0.7, -0.3, 0.0], [0.3, 0.31, 1.0]])
+        assert threshold_levels(p, (0.3,)).tolist() == [[-1, 0, 0],
+                                                        [0, 1, 1]]
 
 
 class TestSimpleBell:
