@@ -241,6 +241,8 @@ def _cmd_steer(args) -> int:
 def _cmd_qubit(args) -> int:
     if args.t_a > args.t_b:
         raise CliError("--t-a must not exceed --t-b")
+    if not all(math.isfinite(args.omega * t) for t in (args.t_a, args.t_b)):
+        raise CliError("--omega times --t-a and --t-b must be finite")
     sequential = quantum.sequential_qubit_probability(
         args.t_a, args.t_b, args.omega)
     try:

@@ -300,65 +300,112 @@ def estimate(config: ModelConfig, samples: int, *, seed: int | None = None,
 # tomography family.
 # ---------------------------------------------------------------------------
 
-def tomography_pair_table(n_copies, q: float, dir_a, dir_b, *,
-                          x_nodes: int = 160, phi_nodes: int = 96,
-                          w_nodes: int = 96) -> np.ndarray:
+# Gauss-Legendre nodes of the tomography quadrature: polar cosine x of A
+# about Alice's axis, azimuth phi of A, and the opening variable w.
+X_NODES, PHI_NODES, W_NODES = 160, 96, 96
+# Polar nodes per block of the finite-N grid (a divisor of X_NODES).  Four
+# block-sized buffers of 4 x 96 x 96 doubles (1.2 MB) stay in cache and are
+# reused, so memory stays flat whatever the node counts.
+X_BLOCK = 4
+
+
+def _bob_cells(mean, amp, q: float, reduce, work=(None, None)) -> np.ndarray:
+    """Bob's (-1, 0, +1) cells given B.b = mean + amp*cos(chi), chi uniform.
+
+    Each cell is ``reduce`` of a non-negative per-node value: 1 - p_live,
+    p_live - p_plus and p_plus, with p_plus and p_live the arcs above +q
+    and above -q.  At q = 0 the two arcs coincide and the dead-zone cell is
+    exactly 0.  ``work`` holds optional buffers for the two arcs, which are
+    overwritten.
+    """
+    p_plus = circle_arc_fraction(mean, amp, q, out=work[0])
+    plus = reduce(p_plus)
+    if q == 0.0:
+        return np.array([reduce(np.subtract(1.0, p_plus, out=p_plus)), 0.0,
+                         plus])
+    p_live = circle_arc_fraction(mean, amp, -q, out=work[1])
+    zero = reduce(np.subtract(p_live, p_plus, out=p_plus))
+    return np.array([reduce(np.subtract(1.0, p_live, out=p_live)), zero,
+                     plus])
+
+
+def _finite_n_cells(n: int, q: float, ct: float, st: float, xs, sx,
+                    wxs) -> np.ndarray:
+    """Bob's cells over one polar region for the N-copy pair spread.
+
+    The opening-angle integral runs over the exactly transformed uniform
+    variable w with cos = 1 - 2 w^(1/(N+1)).  The (x, phi, w) grid is
+    evaluated X_BLOCK polar nodes at a time and reduced by matrix-vector
+    products over the separable weights.
+    """
+    phis, wph = gauss_legendre(PHI_NODES, 0.0, math.pi)
+    wgrid, ww = gauss_legendre(W_NODES, 0.0, 1.0)
+    cos_open = 1.0 - 2.0 * wgrid ** (1.0 / (n + 1))
+    sin_open = np.sqrt(np.clip(1.0 - cos_open ** 2, 0.0, None))
+    beta = ct * xs[:, None] + st * sx[:, None] * np.cos(phis)[None, :]
+    sb = np.sqrt(np.clip(1.0 - beta ** 2, 0.0, None))
+    w_xphi = wxs[:, None] * (wph / math.pi)[None, :]
+    mean, amp, *work = np.empty((4, X_BLOCK, PHI_NODES, W_NODES))
+    cells = np.zeros(3)
+    for lo in range(0, X_NODES, X_BLOCK):
+        blk = slice(lo, lo + X_BLOCK)
+        np.multiply(beta[blk, :, None], cos_open, out=mean)
+        np.multiply(sb[blk, :, None], sin_open, out=amp)
+        w_blk = w_xphi[blk].ravel()
+        cells += _bob_cells(
+            mean, amp, q,
+            lambda p: float(w_blk @ (p.reshape(-1, W_NODES) @ ww)), work)
+    return cells
+
+
+def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
     """Exact 3x3 trit table for one tomography setting pair, by quadrature.
 
-    The polar integral over the shared axis is split at the dead-zone
-    edges; the two azimuthal integrals reduce to analytic circle arcs.
-    For the finite-N pair spread the opening-angle integral runs over the
-    exactly transformed uniform variable w with cos = 1 - 2 w^(1/(N+1)).
-    Bob's cells come from the arcs above +q and above -q, so the dead-zone
-    cell is a difference of ordered fractions and never negative.
+    The polar integral over Alice's axis is split at the dead-zone edges;
+    the azimuthal integral of B about A reduces to an analytic circle arc.
+    Inverting both directions, (A, B) -> (-A, -B), keeps the pair density
+    and flips both trits, so Alice's -1 row is her +1 row with Bob's trits
+    reversed: only the polar regions [q, 1] and [-q, q] are integrated.
+    The table depends on the directions only through a.b; replacing b by
+    -b flips Bob's trit, which ``_tomography_tables`` uses.
     """
     ct = float(np.clip(np.dot(dir_a, dir_b), -1.0, 1.0))
     st = math.sqrt(max(0.0, 1.0 - ct * ct))
     table = np.zeros((3, 3))
-    regions = [(q, 1.0, 2), (-q, q, 1), (-1.0, -q, 0)]
-    for lo, hi, a_idx in regions:
+    for lo, hi, a_idx in ((q, 1.0, 2), (-q, q, 1)):
         if hi - lo < 1e-15:
             continue
-        xs, wxs = gauss_legendre(x_nodes, lo, hi)
+        xs, wxs = gauss_legendre(X_NODES, lo, hi)
         wxs = wxs / 2.0  # uniform measure dx/2 on the polar cosine
         sx = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
         if n_copies == math.inf:
-            mean = ct * xs
-            amp = st * sx
-            p_plus = circle_arc_fraction(mean, amp, q)
-            p_live = circle_arc_fraction(mean, amp, -q)
-            table[a_idx, 2] += float(np.dot(wxs, p_plus))
-            table[a_idx, 0] += float(np.dot(wxs, 1.0 - p_live))
-            table[a_idx, 1] += float(np.dot(wxs, p_live - p_plus))
-            continue
-        n = int(n_copies)
-        phis, wph = gauss_legendre(phi_nodes, 0.0, math.pi)
-        wph = wph / math.pi
-        wgrid, ww = gauss_legendre(w_nodes, 0.0, 1.0)
-        cos_open = 1.0 - 2.0 * wgrid ** (1.0 / (n + 1))
-        sin_open = np.sqrt(np.clip(1.0 - cos_open ** 2, 0.0, None))
-        beta = (ct * xs[:, None] + st * sx[:, None] * np.cos(phis)[None, :])
-        sb = np.sqrt(np.clip(1.0 - beta ** 2, 0.0, None))
-        mean = cos_open[None, None, :] * beta[:, :, None]
-        amp = sin_open[None, None, :] * sb[:, :, None]
-        p_plus = circle_arc_fraction(mean, amp, q)
-        p_live = circle_arc_fraction(mean, amp, -q)
-        wt = wxs[:, None, None] * wph[None, :, None] * ww[None, None, :]
-        table[a_idx, 2] += float((wt * p_plus).sum())
-        table[a_idx, 0] += float((wt * (1.0 - p_live)).sum())
-        table[a_idx, 1] += float((wt * (p_live - p_plus)).sum())
+            table[a_idx] = _bob_cells(ct * xs, st * sx, q,
+                                      lambda p: float(np.dot(wxs, p)))
+        else:
+            table[a_idx] = _finite_n_cells(int(n_copies), q, ct, st, xs, sx,
+                                           wxs)
+    table[0] = table[2, ::-1]
     return table
 
 
 def _tomography_tables(config: ModelConfig) -> np.ndarray:
+    """Quadrature tables of every reading pair, one per distinct |a.b|.
+
+    A pair's table depends only on (N, q, a.b), and a pair with a.b < 0 is
+    the |a.b| table with Bob's trits reversed (b -> -b), so each distinct
+    |a.b| is integrated once.
+    """
     ma = len(config.alice_directions)
     mb = len(config.bob_directions)
     out = np.zeros((ma, mb, 3, 3))
-    for i in range(ma):
-        for j in range(mb):
-            out[i, j] = tomography_pair_table(
-                config.n_copies, config.q,
-                config.alice_directions[i], config.bob_directions[j])
+    tables = {}
+    for i, a in enumerate(config.alice_directions):
+        for j, b in enumerate(config.bob_directions):
+            ct = float(np.dot(a, b))
+            if abs(ct) not in tables:
+                tables[abs(ct)] = tomography_pair_table(
+                    config.n_copies, config.q, a, -b if ct < 0 else b)
+            out[i, j] = tables[abs(ct)][:, ::-1] if ct < 0 else tables[abs(ct)]
     return out
 
 

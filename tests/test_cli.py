@@ -57,7 +57,9 @@ class TestValidation:
         (("qubit", "--t-a", "inf"), "--t-a"),
         (("qubit", "--t-b", "nan"), "--t-b"),
         (("qubit", "--t-b", "inf"), "--t-b"),
-        (("qubit", "--t-a", "2", "--t-b", "1"), "--t-a")])
+        (("qubit", "--t-a", "2", "--t-b", "1"), "--t-a"),
+        (("qubit", "--omega", "1e300", "--t-a", "1e10", "--t-b", "1e11"),
+         "--omega")])
     def test_bad_input_flag_named(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 1

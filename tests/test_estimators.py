@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                min_copies, sweep_curve, sweep_curves)
 from lrpovm.models import ModelConfig, tomography_config, \
     tomography_projections
-from lrpovm.sphere import RngStream
+from lrpovm.sphere import RngStream, circle_arc_fraction, gauss_legendre
 
 
 class TestRunStatistics:
@@ -112,6 +113,96 @@ class TestEnumerateExact:
     def test_simple_bell_efficiency(self):
         stats = enumerate_exact(ModelConfig(kind="simple-bell"))
         assert stats.efficiency("alice") == pytest.approx(0.5, abs=1e-15)
+
+
+def dense_pair_table(n_copies, q, dir_a, dir_b):
+    """Reference quadrature: every polar region, one whole dense grid each.
+
+    The same node set as ``tomography_pair_table`` with neither symmetry
+    used: all three regions are integrated for every pair, and the finite-N
+    (x, phi, w) grid is built and weighted as dense 3-D arrays.
+    """
+    ct = float(np.clip(np.dot(dir_a, dir_b), -1.0, 1.0))
+    st = math.sqrt(max(0.0, 1.0 - ct * ct))
+    table = np.zeros((3, 3))
+    for lo, hi, a_idx in [(q, 1.0, 2), (-q, q, 1), (-1.0, -q, 0)]:
+        if hi - lo < 1e-15:
+            continue
+        xs, wxs = gauss_legendre(160, lo, hi)
+        wxs = wxs / 2.0
+        sx = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+        if n_copies == math.inf:
+            mean, amp, wt = ct * xs, st * sx, wxs
+        else:
+            phis, wph = gauss_legendre(96, 0.0, math.pi)
+            wgrid, ww = gauss_legendre(96, 0.0, 1.0)
+            cos_open = 1.0 - 2.0 * wgrid ** (1.0 / (int(n_copies) + 1))
+            sin_open = np.sqrt(np.clip(1.0 - cos_open ** 2, 0.0, None))
+            beta = ct * xs[:, None] + st * sx[:, None] * np.cos(phis)
+            sb = np.sqrt(np.clip(1.0 - beta ** 2, 0.0, None))
+            mean = cos_open[None, None, :] * beta[:, :, None]
+            amp = sin_open[None, None, :] * sb[:, :, None]
+            wt = (wxs[:, None, None] * (wph / math.pi)[None, :, None]
+                  * ww[None, None, :])
+        p_plus = circle_arc_fraction(mean, amp, q)
+        p_live = circle_arc_fraction(mean, amp, -q)
+        table[a_idx] = [(wt * (1.0 - p_live)).sum(),
+                        (wt * (p_live - p_plus)).sum(), (wt * p_plus).sum()]
+    return table
+
+
+def random_tomography_config(n_copies, q, seed=3):
+    """Random unit directions; Bob's third is minus his first, so a.b takes
+    distinct values of both signs and one |a.b| repeats with a sign flip."""
+    dirs = np.random.default_rng(seed).standard_normal((4, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return ModelConfig(kind="ncopy-tomography", n_copies=n_copies, q=q,
+                       alice_directions=dirs[:2],
+                       bob_directions=np.vstack([dirs[2:], -dirs[2]]))
+
+
+# One finite-N oracle pair per q, alternating so that each N sees both:
+# Bell (0, 0) has a.b < 0 (the mirrored table) and (1, 1) has a.b > 0;
+# steering (0, 0) is parallel and (0, 1) orthogonal.
+ORACLE_PAIRS = {"bell": [(0, 0), (1, 1)], "steering": [(0, 0), (0, 1)]}
+ORACLE_Q = [0.0, 0.3, 0.9]
+
+
+class TestQuadratureOracle:
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    @pytest.mark.parametrize("n", [1, 2, math.inf])
+    @pytest.mark.parametrize("q", ORACLE_Q)
+    def test_tables_match_dense_reference(self, kind, n, q):
+        config = tomography_config(kind, n, q=q)
+        tables = enumerate_exact(config).weights
+        pairs = (np.ndindex(tables.shape[:2]) if n == math.inf else
+                 [ORACLE_PAIRS[kind][ORACLE_Q.index(q) % 2]])
+        for i, j in pairs:
+            ref = dense_pair_table(n, q, config.alice_directions[i],
+                                   config.bob_directions[j])
+            assert np.max(np.abs(tables[i, j] - ref)) <= 1e-14, (i, j)
+
+    @pytest.mark.parametrize("n,q", [(3, 0.3), (math.inf, 0.6)])
+    def test_random_directions_match_dense_reference(self, n, q):
+        config = random_tomography_config(n, q)
+        dots = config.alice_directions @ config.bob_directions.T
+        assert np.any(dots < 0) and len(set(np.abs(dots).ravel())) == 4
+        tables = enumerate_exact(config).weights
+        for i, j in np.ndindex(tables.shape[:2]):
+            ref = dense_pair_table(n, q, config.alice_directions[i],
+                                   config.bob_directions[j])
+            assert np.max(np.abs(tables[i, j] - ref)) <= 1e-14, (i, j)
+
+    def test_finite_n_table_memory_bounded(self):
+        # The dense grid needed ~114 MB here; the blocked grid needs a few.
+        z, x = np.eye(3)[2], np.eye(3)[0]
+        tracemalloc.start()
+        try:
+            estimators.tomography_pair_table(4, 0.3, z, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestParallelDeterminism:
