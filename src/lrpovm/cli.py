@@ -10,7 +10,9 @@ seed defaults to the fixed constant 12345 and randomness is opt-in via
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -36,14 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _positive_int(flag):
+def _integer(flag, minimum=1):
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{flag} expects an integer")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= 1")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}")
         return value
     return parse
 
@@ -80,12 +82,35 @@ def _number(flag, valid=math.isfinite, requirement="be finite"):
 _fraction_q = _number("--q", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 
 
+def _output_file(flag):
+    """Reject an output path that cannot be a file before any work runs."""
+    def parse(text):
+        parent = os.path.dirname(text) or "."
+        if os.path.isdir(text):
+            raise argparse.ArgumentTypeError(f"{flag}: {text} is a directory")
+        if not os.path.isdir(parent):
+            raise argparse.ArgumentTypeError(
+                f"{flag}: directory {parent} does not exist")
+        return text
+    return parse
+
+
+@contextlib.contextmanager
+def _writing(flag, path):
+    """Report a failed write of ``path`` as an error naming ``flag``."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"{flag}: cannot write {path}: "
+                       f"{exc.strerror or exc}") from exc
+
+
 def _add_run_flags(p, samples_default=1_000_000):
     p.add_argument("--samples", type=int, default=samples_default,
                    help=f"Monte Carlo draws (default {samples_default})")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_integer("--seed", 0), default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
-    p.add_argument("--workers", type=_positive_int("--workers"), default=1,
+    p.add_argument("--workers", type=_integer("--workers"), default=1,
                    help="parallel sample workers (default 1)")
 
 
@@ -101,7 +126,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n-copies", type=_copies, default=1)
     p.add_argument("--q", type=_fraction_q, default=0.0)
     _add_run_flags(p)
-    p.add_argument("--out", help="optional CSV with per-pair statistics")
+    p.add_argument("--out", type=_output_file("--out"),
+                   help="optional CSV with per-pair statistics")
 
     p = sub.add_parser("steer",
                        help="steering statistics of a local realistic model")
@@ -110,9 +136,10 @@ def build_parser() -> _Parser:
                             "ncopy-tomography", "chaotic-ball"])
     p.add_argument("--n-copies", type=_copies, default=1)
     p.add_argument("--q", type=_fraction_q, default=0.0)
-    p.add_argument("--m-choices", type=_positive_int("--m-choices"), default=3)
+    p.add_argument("--m-choices", type=_integer("--m-choices"), default=3)
     _add_run_flags(p)
-    p.add_argument("--out", help="optional CSV with per-pair statistics")
+    p.add_argument("--out", type=_output_file("--out"),
+                   help="optional CSV with per-pair statistics")
 
     p = sub.add_parser("qubit",
                        help="sequential versus copy-served two-time readout")
@@ -129,8 +156,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n-copies", type=_copies_list, default=[1],
                    help="comma-separated copy counts, e.g. 1,2,3,inf")
     _add_run_flags(p)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--svg", help="optional SVG chart path")
+    p.add_argument("--out", type=_output_file("--out"), required=True,
+                   help="output CSV path")
+    p.add_argument("--svg", type=_output_file("--svg"),
+                   help="optional SVG chart path")
 
     p = sub.add_parser("causality",
                        help="readout signature of a scenario file")
@@ -202,7 +231,8 @@ def _cmd_bell(args) -> int:
         print(line)
     s, se, degenerate = stats.chsh()
     if args.out:
-        _write_pair_csv(stats, args.out)
+        with _writing("--out", args.out):
+            _write_pair_csv(stats, args.out)
         print(f"wrote {args.out}")
     if degenerate:
         raise DegenerateError("CHSH undefined: a setting pair has no "
@@ -227,7 +257,8 @@ def _cmd_steer(args) -> int:
         print(line)
     t, se, empty = stats.steering()
     if args.out:
-        _write_pair_csv(stats, args.out)
+        with _writing("--out", args.out):
+            _write_pair_csv(stats, args.out)
         print(f"wrote {args.out}")
     if empty:
         raise DegenerateError("steering statistics have empty conditional "
@@ -278,10 +309,12 @@ def _cmd_curves(args) -> int:
     curves = sweep_curves(args.kind, n_list, samples=args.samples,
                           seed=args.seed, workers=args.workers)
     points = [p for pts in curves.values() for p in pts]
-    write_curve_csv(points, args.out)
+    with _writing("--out", args.out):
+        write_curve_csv(points, args.out)
     print(f"wrote {args.out} ({len(points)} points, kinds={args.kind})")
     if args.svg:
-        write_curve_svg(curves, args.svg, kind=args.kind)
+        with _writing("--svg", args.svg):
+            write_curve_svg(curves, args.svg, kind=args.kind)
         print(f"wrote {args.svg}")
     return 0
 

@@ -2,11 +2,16 @@
 
 Every estimator reduces a model to a per-setting-pair table of trit
 counts, and every derived statistic is a function of that table; exact
-enumeration and quadrature fill the same layout with probabilities.  One
-kernel counts for sweeps and point estimates: each projection gets a
-signed threshold level (``models.threshold_levels``), one bincount per
-reading pair histograms the joint levels, and 2-D prefix sums of it give
-the table of every threshold.  A fixed-q estimate is the one-level case.
+enumeration and quadrature fill the same layout with probabilities.  Each
+model family has one counting kernel.  The unanimity family is counted
+from its picks: one bincount over (pick pair, Alice trit, Bob trit)
+codes, and ``models.pick_tables`` maps the pick-pair cells to reading
+pairs, as it does for the exact enumeration.  The tomography family is
+counted from threshold levels, for sweeps and point estimates alike: each
+projection gets a signed level (``models.threshold_levels``), one
+bincount per reading pair histograms the joint levels, and 2-D prefix
+sums of it give the table of every threshold.  A fixed-q estimate is the
+one-level case.
 
 Parallelism is a map over fixed-size sample chunks, one independent
 substream per chunk, merged by integer addition; results are identical
@@ -244,12 +249,33 @@ def _count_levels(levels_a: np.ndarray, levels_b: np.ndarray,
     return np.moveaxis(tables, 2, 0)
 
 
+def _count_picks(config: ModelConfig, gen, size: int) -> np.ndarray:
+    """Tables (Ma, Mb, 3, 3) of one unanimity chunk from its pick histogram.
+
+    One bincount over the code ((pick_a Mb + pick_b) 3 + a + 1) 3 + b + 1
+    counts every (pick pair, Alice trit, Bob trit); ``models.pick_tables``
+    turns the pick-pair cells into reading-pair tables.
+    """
+    pick_a, pick_b, a_val, b_val = models.unanimity_pick_batch(config, gen,
+                                                               size)
+    ma, mb = len(config.alice_directions), len(config.bob_directions)
+    code = pick_a * mb
+    code += pick_b
+    code *= 9
+    code += 3 * a_val + b_val + 4
+    cell = np.bincount(code, minlength=ma * mb * 9).reshape(ma, mb, 3, 3)
+    return models.pick_tables(cell)
+
+
 def _count_chunk(task) -> np.ndarray:
-    """Tables of one chunk: trits at the model's q, or levels on a q grid."""
+    """Tables of one chunk: pick histogram for the unanimity family; trits
+    at the model's q, or levels on a q grid, for the tomography family."""
     config, q_sorted, seed, index, size = task
     gen = RngStream(seed, index).generator
+    if not config.is_tomography:
+        return _count_picks(config, gen, size)
     if q_sorted is None:
-        batch = models.sample_batch(config, gen, size)
+        batch = models.tomography_batch(config, gen, size)
         return _count_levels(batch.alice, batch.bob, 1)[0]
     proj_a, proj_b = models.tomography_projections(config, gen, size)
     return _count_levels(models.threshold_levels(proj_a, q_sorted),

@@ -21,9 +21,13 @@ chaotic-ball      the N -> infinity limit: both parties threshold
                   projections of one shared uniformly random axis.
 
 The two pick kinds are the unanimity model at N = 1, since a single copy
-is always unanimous: one sampler (``unanimity_batch``) and one exact
-enumerator (``enumerate_unanimity``) serve all three discrete kinds, and
-``ModelConfig`` pins ``n_copies = 1`` for the pick kinds.
+is always unanimous, and ``ModelConfig`` pins ``n_copies = 1`` for them.
+One sampler (``unanimity_pick_batch``) serves all three discrete kinds:
+it returns each run's two picks and the trit read at each, which is the
+whole readout.  ``unanimity_batch`` scatters those into one trit per
+choice.  One table map (``pick_tables``) turns per-pick-pair outcomes
+into reading-pair tables, for the exact enumerator
+(``enumerate_unanimity``) and for Monte Carlo pick counts alike.
 """
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ def preselection_weight(n_copies) -> float:
     if n_copies == math.inf:
         return 0.0
     n = int(n_copies)
-    return (n + 1) / 2.0 ** n
+    return math.ldexp(n + 1, -n)
 
 
 @dataclass
@@ -202,15 +206,15 @@ def _scatter(n: int, m: int, picks: np.ndarray, values: np.ndarray
     return out
 
 
-def unanimity_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
+def unanimity_pick_batch(config: ModelConfig, rng, n: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
     """Unanimity model over N singlet copies; the pick models are N = 1.
 
-    Each party picks one of its choices uniformly; the picked readout is
-    +-1 when all N copies agree (exact singlet statistics per copy) and 0
-    otherwise, and every other choice reads 0.  For the steering kinds
-    Bob's zeros are unregistered events the estimator drops, which is
-    what suppresses the full correlation to 1/M while coincidences stay
-    perfect.
+    Returns (pick_a, pick_b, a_val, b_val): each party's uniformly picked
+    choice and the trit it reads there, +-1 when all N copies agree (exact
+    singlet statistics per copy) and 0 otherwise.  Every other choice
+    reads 0, so these four vectors are the whole readout.
     """
     gen = as_generator(rng)
     table = _correlation_table(config.alice_directions, config.bob_directions)
@@ -218,14 +222,35 @@ def unanimity_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
     ncopies = int(config.n_copies)
     pick_a = gen.integers(0, ma, n)
     pick_b = gen.integers(0, mb, n)
-    corr = table[pick_a, pick_b][:, None]
-    xi = gen.integers(0, 2, (n, ncopies)).astype(np.int8) * 2 - 1
-    same = gen.random((n, ncopies)) < (1.0 + corr) / 2.0
-    zeta = np.where(same, xi, -xi).astype(np.int8)
-    a_val = np.where(np.all(xi == xi[:, :1], axis=1), xi[:, 0], 0)
-    b_val = np.where(np.all(zeta == zeta[:, :1], axis=1), zeta[:, 0], 0)
-    return ReadoutBatch(alice=_scatter(n, ma, pick_a, a_val),
-                        bob=_scatter(n, mb, pick_b, b_val))
+    p_same = ((1.0 + table) / 2.0)[pick_a, pick_b][:, None]
+    xi = gen.integers(0, 2, (n, ncopies)).astype(bool)
+    same = gen.random((n, ncopies)) < p_same
+    # Bob's copy k reads xi_k when same_k and -xi_k otherwise, so his copies
+    # agree with copy 0 exactly when (xi_k == xi_0) == (same_k == same_0).
+    xi_0, same_0 = xi[:, 0], same[:, 0]
+    alice_all = np.ones(n, dtype=bool)
+    bob_all = np.ones(n, dtype=bool)
+    for k in range(1, ncopies):
+        agree = xi[:, k] == xi_0
+        alice_all &= agree
+        bob_all &= agree == (same[:, k] == same_0)
+    # Copy 0 reads +1 for Alice when xi_0, and for Bob when xi_0 == same_0.
+    a_val = (2 * xi_0.astype(np.int8) - 1) * alice_all
+    b_val = (2 * (xi_0 == same_0).astype(np.int8) - 1) * bob_all
+    return pick_a, pick_b, a_val, b_val
+
+
+def unanimity_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
+    """Unanimity readouts scattered to one trit per (sample, choice).
+
+    For the steering kinds Bob's zeros are unregistered events the
+    estimator drops, which is what suppresses the full correlation to 1/M
+    while coincidences stay perfect.
+    """
+    pick_a, pick_b, a_val, b_val = unanimity_pick_batch(config, rng, n)
+    return ReadoutBatch(
+        alice=_scatter(n, len(config.alice_directions), pick_a, a_val),
+        bob=_scatter(n, len(config.bob_directions), pick_b, b_val))
 
 
 def tomography_projections(config: ModelConfig, rng, n: int
@@ -309,6 +334,27 @@ def qubit_copies_joint(t_a: float, t_b: float, omega: float,
 
 # Exact joint-readout distributions ----------------------------------------
 
+def pick_tables(cell: np.ndarray) -> np.ndarray:
+    """Reading-pair trit tables from unanimity outcomes per pick pair.
+
+    ``cell[p, q]`` is the (Alice trit, Bob trit) table of the runs that
+    picked (p, q), as counts or probabilities, trit axes ordered
+    (-1, 0, +1).  On reading pair (i, j): both picks match -> that cell;
+    only Alice's matches -> Bob reads 0; only Bob's -> Alice reads 0;
+    neither -> (0, 0).  Each mismatch term is a row sum minus the matched
+    pick, so integer counts stay integer-exact.
+    """
+    alice = cell.sum(axis=3)
+    bob = cell.sum(axis=2)
+    total = alice.sum(axis=2)
+    tables = cell.copy()
+    tables[..., 1] += alice.sum(axis=1, keepdims=True) - alice
+    tables[..., 1, :] += bob.sum(axis=0, keepdims=True) - bob
+    tables[..., 1, 1] += (total.sum() - total.sum(axis=1, keepdims=True)
+                          - total.sum(axis=0, keepdims=True) + total)
+    return tables
+
+
 def enumerate_unanimity(config: ModelConfig) -> np.ndarray:
     """Exact trit table for the unanimity model (and the pick kinds, N = 1).
 
@@ -330,12 +376,4 @@ def enumerate_unanimity(config: ModelConfig) -> np.ndarray:
     cell[..., ::2, 1] = half_pow - both.sum(axis=-1)
     cell[..., 1, ::2] = half_pow - both.sum(axis=-2)
     cell[..., 1, 1] = 1.0 - 4.0 * half_pow + both.sum(axis=(-2, -1))
-    # On reading pair (i, j): both picks match -> the cell; only Alice's
-    # matches -> Bob reads 0; only Bob's -> Alice reads 0; neither -> (0, 0).
-    probs = cell.copy()
-    probs[..., 1] += np.einsum("iqa,qj->ija", cell.sum(axis=3),
-                               1.0 - np.eye(mb))
-    probs[..., 1, :] += np.einsum("pjb,pi->ijb", cell.sum(axis=2),
-                                  1.0 - np.eye(ma))
-    probs[..., 1, 1] += (ma - 1) * (mb - 1)
-    return probs / (ma * mb)
+    return pick_tables(cell) / (ma * mb)

@@ -68,6 +68,20 @@ def check_unit(v, name: str = "direction") -> np.ndarray:
     return v
 
 
+def _norm3(x, y, z) -> np.ndarray:
+    """Euclidean norm of the rows (x, y, z), summed as (x^2 + y^2) + z^2.
+
+    That is the order ``np.linalg.norm(v, axis=1)`` uses on an (n, 3)
+    array, so the two agree bit for bit.
+    """
+    norm = np.multiply(x, x)
+    square = np.multiply(y, y)
+    norm += square
+    np.multiply(z, z, out=square)
+    norm += square
+    return np.sqrt(norm, out=norm)
+
+
 def sample_uniform_direction(rng, size: int | None = None) -> np.ndarray:
     """Uniform direction(s) on the unit sphere.
 
@@ -76,27 +90,15 @@ def sample_uniform_direction(rng, size: int | None = None) -> np.ndarray:
     gen = as_generator(rng)
     n = 1 if size is None else int(size)
     v = gen.standard_normal((n, 3))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = _norm3(*v.T)
     # A zero norm has probability ~1e-900; resample rather than divide by 0.
-    bad = norms[:, 0] < 1e-12
+    bad = norms < 1e-12
     while np.any(bad):
         v[bad] = gen.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        bad = norms[:, 0] < 1e-12
-    v /= norms
+        norms = _norm3(*v.T)
+        bad = norms < 1e-12
+    v /= norms[:, None]
     return v[0] if size is None else v
-
-
-def orthonormal_frame(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row orthonormal basis (e1, e2) of the plane normal to each row."""
-    d = np.atleast_2d(np.asarray(dirs, dtype=float))
-    helper = np.where(np.abs(d[:, 0:1]) < 0.9,
-                      np.array([1.0, 0.0, 0.0]),
-                      np.array([0.0, 1.0, 0.0]))
-    e1 = np.cross(d, helper)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(d, e1)
-    return e1, e2
 
 
 def sample_pair(n_copies: int, rng, size: int | None = None
@@ -108,6 +110,11 @@ def sample_pair(n_copies: int, rng, size: int | None = None
     u = U^(1/(N+1)); B is uniform in azimuth about A.  For large N this
     concentrates B antipodally to A.  n_copies = 0 is the degenerate
     extension with B uniform and independent of A, used by oracle tests.
+
+    The azimuth is measured in the frame e1 = A x h / |A x h|, e2 = A x e1,
+    with helper h = x-hat unless |A_x| >= 0.9, then y-hat.  Components are
+    computed one at a time, with the same operations ``np.cross`` performs,
+    and B is written one column at a time.
     """
     n_copies = int(n_copies)
     if n_copies < 0:
@@ -115,14 +122,42 @@ def sample_pair(n_copies: int, rng, size: int | None = None
     gen = as_generator(rng)
     n = 1 if size is None else int(size)
     a = sample_uniform_direction(gen, n)
-    u = gen.random(n) ** (1.0 / (n_copies + 1))
-    cos_t = 1.0 - 2.0 * u
-    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-    chi = gen.random(n) * (2.0 * math.pi)
-    e1, e2 = orthonormal_frame(a)
-    b = (cos_t[:, None] * a
-         + sin_t[:, None] * (np.cos(chi)[:, None] * e1
-                             + np.sin(chi)[:, None] * e2))
+    cos_t = gen.random(n) ** (1.0 / (n_copies + 1))
+    cos_t *= -2.0
+    cos_t += 1.0
+    sin_t = np.multiply(cos_t, cos_t)
+    np.subtract(1.0, sin_t, out=sin_t)
+    np.clip(sin_t, 0.0, None, out=sin_t)
+    np.sqrt(sin_t, out=sin_t)
+    chi = gen.random(n)
+    chi *= 2.0 * math.pi
+    cos_chi = np.cos(chi)
+    sin_chi = np.sin(chi, out=chi)
+    # e1 before normalisation: A x x-hat = (0, A_z, -A_y) where |A_x| < 0.9,
+    # else A x y-hat = (-A_z, 0, A_x).
+    ax, ay, az = a.T
+    use_y = np.abs(ax) >= 0.9
+    e1 = np.zeros((3, n))
+    np.negative(az, out=e1[0], where=use_y)
+    np.copyto(e1[1], az, where=~use_y)
+    np.negative(ay, out=e1[2])
+    np.copyto(e1[2], ax, where=use_y)
+    e1 /= _norm3(*e1)
+    b = np.empty_like(a)
+    e2_c, work = np.empty(n), np.empty(n)
+    for c in range(3):
+        # e2 = A x e1, component c; then B_c = cos_t A_c
+        # + sin_t (cos_chi e1_c + sin_chi e2_c).
+        i, j = (c + 1) % 3, (c + 2) % 3
+        np.multiply(a[:, i], e1[j], out=e2_c)
+        np.multiply(a[:, j], e1[i], out=work)
+        e2_c -= work
+        e2_c *= sin_chi
+        np.multiply(cos_chi, e1[c], out=work)
+        work += e2_c
+        work *= sin_t
+        np.multiply(cos_t, a[:, c], out=b[:, c])
+        b[:, c] += work
     if size is None:
         return a[0], b[0]
     return a, b

@@ -59,7 +59,21 @@ class TestValidation:
         (("qubit", "--t-b", "inf"), "--t-b"),
         (("qubit", "--t-a", "2", "--t-b", "1"), "--t-a"),
         (("qubit", "--omega", "1e300", "--t-a", "1e10", "--t-b", "1e11"),
-         "--omega")])
+         "--omega"),
+        (("bell", "--seed", "-1", "--samples", "2000"), "--seed"),
+        (("curves", "--seed", "-3", "--out", "x.csv"), "--seed"),
+        (("bell", "--samples", "2000", "--out", "/nonexistent/x.csv"),
+         "--out"),
+        (("steer", "--samples", "2000", "--out", "/nonexistent/x.csv"),
+         "--out"),
+        (("bell", "--samples", "2000", "--out", "."), "--out"),
+        (("curves", "--samples", "2000", "--out", "/nonexistent/x.csv"),
+         "--out"),
+        (("curves", "--samples", "2000", "--out", "x.csv",
+          "--svg", "/nonexistent/x.svg"), "--svg"),
+        # passes the up-front check; the write itself fails (ENAMETOOLONG)
+        (("curves", "--samples", "2000", "--out", "x" * 300 + ".csv"),
+         "--out")])
     def test_bad_input_flag_named(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -119,6 +133,12 @@ class TestBellCommand:
         assert lines[0].startswith("pair_alice,pair_bob,")
         assert len(lines) == 5
 
+    def test_out_write_failure_named(self, capsys, tmp_path):
+        code, _, err = run(capsys, "bell", "--samples", "2000",
+                           "--out", str(tmp_path / ("x" * 300 + ".csv")))
+        assert code == 1
+        assert err.startswith("error:") and "--out" in err
+
 
 class TestSteerCommand:
     def test_trusted_block(self, capsys):
@@ -176,6 +196,13 @@ class TestCurvesCommand:
         text = svg.read_text()
         assert "<polyline" in text
         assert "LR bound 0.3333" in text
+
+    def test_svg_write_failure_named(self, capsys, tmp_path):
+        code, _, err = run(capsys, "curves", "--samples", "2000",
+                           "--out", str(tmp_path / "c.csv"),
+                           "--svg", str(tmp_path / ("y" * 300 + ".svg")))
+        assert code == 1
+        assert err.startswith("error:") and "--svg" in err
 
     def test_round_trip(self, capsys, tmp_path):
         out = tmp_path / "r.csv"

@@ -9,7 +9,7 @@ from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                enumerate_exact, estimate, frontier_value,
                                min_copies, sweep_curve, sweep_curves)
 from lrpovm.models import ModelConfig, tomography_config, \
-    tomography_projections
+    tomography_projections, unanimity_batch
 from lrpovm.sphere import RngStream, circle_arc_fraction, gauss_legendre
 
 
@@ -282,6 +282,64 @@ class TestSweepKernelOracle:
         assert len(seen) == len(grid)
         for got, want in zip(seen, expected):
             assert np.array_equal(got, want)
+
+
+UNANIMITY_CONFIGS = {
+    "simple-bell": dict(kind="simple-bell"),
+    "trusted-M2": dict(kind="trusted-steering", m_choices=2),
+    "trusted-M3": dict(kind="trusted-steering", m_choices=3),
+    **{f"ncopy-N{n}": dict(kind="ncopy-steering", n_copies=n, m_choices=3)
+       for n in (1, 3, 7)}}
+
+
+class TestPickCountOracle:
+    """Pick-histogram tables equal the level kernel over scattered trits."""
+
+    @pytest.mark.parametrize("seed", [12345, 7, 1])
+    @pytest.mark.parametrize("name", sorted(UNANIMITY_CONFIGS))
+    def test_tables_match_level_kernel(self, name, seed):
+        config = ModelConfig(**UNANIMITY_CONFIGS[name])
+        for size in (1, 7, 99_999, 131_072):
+            got = estimators._count_chunk((config, None, seed, 3, size))
+            batch = unanimity_batch(config, RngStream(seed, 3).generator,
+                                    size)
+            want = estimators._count_levels(batch.alice, batch.bob, 1)[0]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), size
+
+
+def chunk_peak(config, q_sorted=None) -> int:
+    """tracemalloc peak in bytes of one DEFAULT_CHUNK-sample chunk."""
+    task = (config, q_sorted, 5, 0, estimators.DEFAULT_CHUNK)
+    estimators._count_chunk(task)
+    tracemalloc.start()
+    try:
+        estimators._count_chunk(task)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    """One chunk allocates no more than the scatter-and-cross code did.
+
+    The bounds are that code's peaks, measured the same way (second call,
+    seed 5): 24.19 MB (23.07 MiB) for tomography Bell N = 4, at q = 0.3
+    and on the default grid alike, and 8.19 MB (7.81 MiB) for
+    ncopy-steering N = 3.  The current code peaks at 15.86 MB and
+    7.15 MB.
+    """
+
+    def test_tomography_bell_point(self):
+        assert chunk_peak(tomography_config("bell", 4, q=0.3)) <= 24_187_240
+
+    def test_tomography_bell_sweep(self):
+        assert chunk_peak(tomography_config("bell", 4),
+                          default_q_grid()) <= 24_187_048
+
+    def test_ncopy_steering(self):
+        config = ModelConfig(kind="ncopy-steering", n_copies=3, m_choices=3)
+        assert chunk_peak(config) <= 8_194_832
 
 
 class TestStderrScaling:

@@ -9,8 +9,8 @@ from lrpovm import causality, quantum
 from lrpovm.estimators import enumerate_exact, estimate
 from lrpovm.models import (ModelConfig, enumerate_unanimity,
                            ncopy_steering_sample,
-                           ncopy_tomography_sample, qubit_copies_joint,
-                           sample_batch, simple_bell_sample,
+                           ncopy_tomography_sample, preselection_weight,
+                           qubit_copies_joint, sample_batch, simple_bell_sample,
                            threshold_levels, threshold_readout,
                            tomography_config, trusted_steering_sample)
 from lrpovm.sphere import RngStream
@@ -173,6 +173,19 @@ class TestNcopySteering:
         t_mc, se, _ = mc.steering()
         assert abs(t_mc - t_exact) < 3 * se + 1e-9
 
+    def test_mc_tables_match_enumeration_off_axis(self):
+        # CHSH directions give |corr| = 1/sqrt(2), where Bob's unanimity
+        # depends on both xi and the same-sign draws; every cell of every
+        # reading pair is checked, not only the matched ones.
+        config = ModelConfig(kind="ncopy-steering", n_copies=3, m_choices=2,
+                             alice_directions=quantum.CHSH_ALICE,
+                             bob_directions=quantum.CHSH_BOB, seed=61)
+        samples = 200_000
+        exact = enumerate_exact(config).weights
+        freq = estimate(config, samples).weights / samples
+        bound = 5.0 * np.sqrt(exact * (1.0 - exact) / samples) + 1e-12
+        assert np.all(np.abs(freq - exact) <= bound)
+
     def test_discard_flag(self):
         r = ncopy_steering_sample(5, quantum.STEERING_TRIPLE, RngStream(3))
         assert r.discarded == (not any(r.bob))
@@ -286,6 +299,18 @@ class TestTomography:
         config = tomography_config("bell", 4, q=0.1)
         assert config.metadata["preselection_weight"] == \
             pytest.approx(5.0 / 16.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 1023])
+    def test_preselection_weight_bits(self, n):
+        # (n + 1) / 2**n, the form it replaced, to the last bit
+        assert preselection_weight(n) == (n + 1) / 2.0 ** n
+
+    def test_preselection_weight_large_n(self):
+        # 2.0 ** 1024 overflows a float; the weight itself does not
+        assert preselection_weight(1024) == 1025 * 2.0 ** -1024 > 0.0
+        assert preselection_weight(100_000) == 0.0
+        config = tomography_config("bell", 100_000)
+        assert config.metadata["preselection_weight"] == 0.0
 
 
 class TestQubitCopies:

@@ -74,6 +74,52 @@ class TestSamplePair:
             sample_pair(-1, RngStream(9))
 
 
+def cross_sample_pair(n_copies, rng, size):
+    """Reference sampler: the same draws, framed with ``np.cross``.
+
+    A is normalised with ``np.linalg.norm``; the frame is the broadcast
+    helper axis, two ``np.cross`` calls and a second norm, and B is formed
+    from whole (n, 3) arrays.
+    """
+    gen = rng.generator
+    a = gen.standard_normal((size, 3))
+    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    assert np.all(norms >= 1e-12)
+    a /= norms
+    u = gen.random(size) ** (1.0 / (n_copies + 1))
+    cos_t = 1.0 - 2.0 * u
+    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
+    chi = gen.random(size) * (2.0 * math.pi)
+    helper = np.where(np.abs(a[:, 0:1]) < 0.9, np.array([1.0, 0.0, 0.0]),
+                      np.array([0.0, 1.0, 0.0]))
+    e1 = np.cross(a, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(a, e1)
+    b = (cos_t[:, None] * a
+         + sin_t[:, None] * (np.cos(chi)[:, None] * e1
+                             + np.sin(chi)[:, None] * e2))
+    return a, b
+
+
+class TestSamplePairOracle:
+    """The component-wise sampler equals the np.cross reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 12345, 2024])
+    @pytest.mark.parametrize("n_copies", [0, 1, 2, 4, 7])
+    def test_matches_cross_reference(self, n_copies, seed):
+        a, b = sample_pair(n_copies, RngStream(seed), size=50_001)
+        ref_a, ref_b = cross_sample_pair(n_copies, RngStream(seed), 50_001)
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(b, ref_b)
+        # both helper axes are exercised
+        assert 0 < np.sum(np.abs(a[:, 0]) >= 0.9) < len(a)
+
+    def test_single_draw_matches(self):
+        a, b = sample_pair(3, RngStream(5))
+        ref_a, ref_b = cross_sample_pair(3, RngStream(5), 1)
+        assert np.array_equal(a, ref_a[0]) and np.array_equal(b, ref_b[0])
+
+
 class TestPairDensity:
     def test_aligned_forbidden(self):
         assert pair_density(1, 1.0) == 0.0
