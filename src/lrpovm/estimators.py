@@ -8,10 +8,12 @@ from its picks: one bincount over (pick pair, Alice trit, Bob trit)
 codes, and ``models.pick_tables`` maps the pick-pair cells to reading
 pairs, as it does for the exact enumeration.  The tomography family is
 counted from threshold levels, for sweeps and point estimates alike: each
-projection gets a signed level (``models.threshold_levels``), one
+projection gets a signed level (``models.threshold_levels``: the number
+of thresholds below |p|, read from a 1024-bin table of the grid and exact
+by comparison with the few thresholds that share |p|'s bin), one
 bincount per reading pair histograms the joint levels, and 2-D prefix
 sums of it give the table of every threshold.  A fixed-q estimate is the
-one-level case.
+one-level case, whose level is the trit itself.
 
 Parallelism is a map over fixed-size sample chunks, one independent
 substream per chunk, merged by integer addition; results are identical
@@ -486,8 +488,11 @@ def sweep_curve(kind: str, n_copies, q_grid=None, samples: int = DEFAULT_SWEEP_S
     if kind not in ("bell", "steering"):
         raise ValueError(f"kind must be 'bell' or 'steering': {kind!r}")
     q_grid = default_q_grid() if q_grid is None else np.asarray(q_grid, float)
-    if np.any((q_grid < 0) | (q_grid >= 1)):
-        raise ValueError("q_grid must lie in [0, 1)")
+    if q_grid.ndim != 1 or q_grid.size == 0:
+        raise ValueError(f"q_grid must be a non-empty 1-D sequence, got "
+                         f"shape {q_grid.shape}")
+    if not np.all((q_grid >= 0) & (q_grid < 1)):
+        raise ValueError("q_grid must lie in [0, 1) with no NaN")
     config = tomography_config(kind, n_copies,
                                seed=models.DEFAULT_SEED if seed is None else seed)
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)

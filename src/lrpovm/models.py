@@ -182,17 +182,49 @@ def threshold_readout(projection: float, q: float) -> int:
     return 0
 
 
+# Uniform bins of |p| on [0, 1] for the level lookup; a power of two, so
+# |p| * LEVEL_BINS is exact.
+LEVEL_BINS = 1024
+
+
 def threshold_levels(projections, q_sorted) -> np.ndarray:
     """Signed threshold level of each projection against a sorted q grid.
 
     The level is v = sign(p) * #{k : q_k < |p|}.  At grid index k the trit
     is +1 when v >= k + 1, -1 when v <= -(k + 1) and 0 when |v| <= k, so
     every dead zone is the closed interval [-q_k, +q_k], as in
-    ``threshold_readout``.  On a one-point grid the level is the trit.
+    ``threshold_readout``.  On a one-point grid the level is the trit,
+    (p > q) - (p < -q).  Levels come back in the smallest signed integer
+    type that holds +-L for L grid points (int8 up to L = 127).
+
+    Longer grids use a bucket table over B = LEVEL_BINS bins.  As B is a
+    power of two, bin(x) = min(floor(x B), B) is exact and monotone, so a
+    grid point in a lower bin than |p| lies below |p| and one in a higher
+    bin lies above it.  The count starts at first[bin(|p|)], the number of
+    grid points in lower bins; each of w steps then adds 1 while the next
+    grid point is below |p|, w being the most grid points one bin holds.
+    Only same-bin points are ever compared, and the +inf that pads the grid
+    stops a count that has passed every point.  The result equals the
+    binary-search count for any sorted grid, duplicates included.
     """
     p = np.asarray(projections)
-    level = np.searchsorted(q_sorted, np.abs(p), side="left")
-    return np.copysign(level, p).astype(level.dtype)
+    q = np.asarray(q_sorted, dtype=float)
+    if q.size == 1:
+        return (p > q[0]).view(np.int8) - (p < -q[0]).view(np.int8)
+    q_bin = np.minimum(q * LEVEL_BINS, LEVEL_BINS).astype(np.intp)
+    per_bin = np.bincount(q_bin, minlength=LEVEL_BINS + 1)
+    first = np.zeros(LEVEL_BINS + 1, dtype=np.min_scalar_type(-q.size - 1))
+    np.cumsum(per_bin[:-1], out=first[1:])
+    q_pad = np.append(q, np.inf)
+    mag = np.abs(p)
+    index = np.multiply(mag, LEVEL_BINS, out=np.empty(p.shape, np.intp),
+                        casting="unsafe")
+    level = first[np.minimum(index, LEVEL_BINS, out=index)]
+    del index  # free the bins before the comparisons allocate
+    for _ in range(per_bin.max()):
+        level += mag > q_pad[level]
+    level *= (p > 0).view(np.int8) - (p < 0).view(np.int8)
+    return level
 
 
 def _correlation_table(alice_dirs, bob_dirs) -> np.ndarray:
@@ -222,7 +254,7 @@ def unanimity_pick_batch(config: ModelConfig, rng, n: int
     ncopies = int(config.n_copies)
     pick_a = gen.integers(0, ma, n)
     pick_b = gen.integers(0, mb, n)
-    p_same = ((1.0 + table) / 2.0)[pick_a, pick_b][:, None]
+    p_same = ((1.0 + table) / 2.0).ravel()[pick_a * mb + pick_b][:, None]
     xi = gen.integers(0, 2, (n, ncopies)).astype(bool)
     same = gen.random((n, ncopies)) < p_same
     # Bob's copy k reads xi_k when same_k and -xi_k otherwise, so his copies
@@ -271,7 +303,7 @@ def tomography_projections(config: ModelConfig, rng, n: int
 
 
 def tomography_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    alice, bob = (threshold_levels(p, (config.q,)).astype(np.int8)
+    alice, bob = (threshold_levels(p, (config.q,))
                   for p in tomography_projections(config, rng, n))
     return ReadoutBatch(alice=alice, bob=bob)
 

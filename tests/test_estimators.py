@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrpovm import estimators
+from lrpovm import estimators, quantum
 from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                enumerate_exact, estimate, frontier_value,
                                min_copies, sweep_curve, sweep_curves)
 from lrpovm.models import ModelConfig, tomography_config, \
-    tomography_projections, unanimity_batch
+    tomography_projections, unanimity_batch, unanimity_pick_batch
 from lrpovm.sphere import RngStream, circle_arc_fraction, gauss_legendre
 
 
@@ -260,7 +260,10 @@ class TestSweepKernelOracle:
 
     @pytest.mark.parametrize("grid", [
         (0.0, 0.3, 0.6, 0.95), (0.6, 0.0, 0.3, 0.3, 0.95),
-        tuple(default_q_grid())], ids=["sorted", "unsorted", "default"])
+        tuple(default_q_grid()),
+        (0.5, 1 / 1024, np.nextafter(0.5, 1.0), np.nextafter(1 / 1024, 0.0),
+         0.5, 0.0, np.nextafter(1023 / 1024, 1.0))],
+        ids=["sorted", "unsorted", "default", "adversarial"])
     @pytest.mark.parametrize("seed", [12345, 7, 1])
     @pytest.mark.parametrize("n_copies", [1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["bell", "steering"])
@@ -286,14 +289,44 @@ class TestSweepKernelOracle:
 
 UNANIMITY_CONFIGS = {
     "simple-bell": dict(kind="simple-bell"),
+    "bell-2x3": dict(kind="simple-bell",
+                     bob_directions=quantum.STEERING_TRIPLE),
     "trusted-M2": dict(kind="trusted-steering", m_choices=2),
     "trusted-M3": dict(kind="trusted-steering", m_choices=3),
     **{f"ncopy-N{n}": dict(kind="ncopy-steering", n_copies=n, m_choices=3)
        for n in (1, 3, 7)}}
 
 
+def copywise_pick_batch(config, gen, n):
+    """Unanimity picks and trits, one reading per copy, in the sampler's
+    draw order: picks, then each copy's sign, then each copy's match."""
+    table = -config.alice_directions @ config.bob_directions.T
+    ma, mb = table.shape
+    pick_a = gen.integers(0, ma, n)
+    pick_b = gen.integers(0, mb, n)
+    p_same = (1.0 + table[pick_a, pick_b]) / 2.0
+    alice = 2 * gen.integers(0, 2, (n, config.n_copies)) - 1
+    bob = np.where(gen.random((n, config.n_copies)) < p_same[:, None],
+                   alice, -alice)
+    a_val = np.where((alice == alice[:, :1]).all(axis=1), alice[:, 0], 0)
+    b_val = np.where((bob == bob[:, :1]).all(axis=1), bob[:, 0], 0)
+    return pick_a, pick_b, a_val, b_val
+
+
 class TestPickCountOracle:
     """Pick-histogram tables equal the level kernel over scattered trits."""
+
+    @pytest.mark.parametrize("seed", [12345, 7, 1])
+    @pytest.mark.parametrize("name", sorted(UNANIMITY_CONFIGS))
+    def test_picks_match_copywise_reference(self, name, seed):
+        config = ModelConfig(**UNANIMITY_CONFIGS[name])
+        for size in (1, 7, 99_999, 131_072):
+            got = unanimity_pick_batch(config, RngStream(seed, 3).generator,
+                                       size)
+            want = copywise_pick_batch(config, RngStream(seed, 3).generator,
+                                       size)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), size
 
     @pytest.mark.parametrize("seed", [12345, 7, 1])
     @pytest.mark.parametrize("name", sorted(UNANIMITY_CONFIGS))
@@ -321,13 +354,16 @@ def chunk_peak(config, q_sorted=None) -> int:
 
 
 class TestChunkMemory:
-    """One chunk allocates no more than the scatter-and-cross code did.
+    """One chunk allocates no more than the code it replaced did.
 
-    The bounds are that code's peaks, measured the same way (second call,
-    seed 5): 24.19 MB (23.07 MiB) for tomography Bell N = 4, at q = 0.3
-    and on the default grid alike, and 8.19 MB (7.81 MiB) for
-    ncopy-steering N = 3.  The current code peaks at 15.86 MB and
-    7.15 MB.
+    The first three bounds are the scatter-and-cross code's peaks, measured
+    the same way (second call, seed 5): 24.19 MB (23.07 MiB) for
+    tomography Bell N = 4, at q = 0.3 and on the default grid alike, and
+    8.19 MB (7.81 MiB) for ncopy-steering N = 3.  The last two are the
+    binary-search level code's peaks: 16 124 192 B for a chaotic-ball
+    steering point chunk and 20 249 472 B for a steering N = 2 chunk on
+    the default grid.  The current code peaks at 15.86 MB, 15.86 MB,
+    7.15 MB, 9 439 032 B and 15 862 240 B.
     """
 
     def test_tomography_bell_point(self):
@@ -340,6 +376,14 @@ class TestChunkMemory:
     def test_ncopy_steering(self):
         config = ModelConfig(kind="ncopy-steering", n_copies=3, m_choices=3)
         assert chunk_peak(config) <= 8_194_832
+
+    def test_chaotic_ball_steering_point(self):
+        config = tomography_config("steering", math.inf, q=0.3)
+        assert chunk_peak(config) <= 16_124_192
+
+    def test_tomography_steering_sweep(self):
+        assert chunk_peak(tomography_config("steering", 2),
+                          default_q_grid()) <= 20_249_472
 
 
 class TestStderrScaling:
@@ -374,6 +418,18 @@ class TestSweepCurve:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             sweep_curve("bell", 1, [0.0, 1.0], 20_000)
+
+    def test_nan_grid_rejected(self):
+        with pytest.raises(ValueError, match="q_grid"):
+            sweep_curve("bell", 1, [0.0, math.nan], 20_000)
+
+    def test_two_dimensional_grid_rejected(self):
+        with pytest.raises(ValueError, match="q_grid"):
+            sweep_curve("bell", 1, [[0.0, 0.3], [0.6, 0.9]], 20_000)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="q_grid"):
+            sweep_curve("bell", 1, [], 20_000)
 
     def test_default_grid(self):
         grid = default_q_grid()
@@ -435,3 +491,6 @@ class TestMinCopies:
             min_copies(0.5, 0.0, "steering", 5, curves={})
         with pytest.raises(ValueError):
             min_copies(math.inf, 0.5, "steering", 5, curves={})
+        with pytest.raises(ValueError, match="q_grid"):
+            min_copies(0.5, 0.5, "steering", 2, q_grid=[math.nan],
+                       samples=20_000)

@@ -7,7 +7,7 @@ import pytest
 
 from lrpovm import causality, quantum
 from lrpovm.estimators import enumerate_exact, estimate
-from lrpovm.models import (ModelConfig, enumerate_unanimity,
+from lrpovm.models import (LEVEL_BINS, ModelConfig, enumerate_unanimity,
                            ncopy_steering_sample,
                            ncopy_tomography_sample, preselection_weight,
                            qubit_copies_joint, sample_batch, simple_bell_sample,
@@ -38,6 +38,30 @@ class TestThresholdReadout:
             threshold_readout(0.2, 1.0)
 
 
+def searchsorted_levels(projections, q_sorted):
+    """Signed levels by binary search, the lookup the bucket table replaced."""
+    p = np.asarray(projections)
+    level = np.searchsorted(q_sorted, np.abs(p), side="left")
+    return np.copysign(level, p).astype(level.dtype)
+
+
+def _edge_grid():
+    """Thresholds on the bin edges k / LEVEL_BINS and their neighbours."""
+    edges = np.array([0, 1, 2, 3, 511, 512, 513, 1022, 1023]) / LEVEL_BINS
+    grid = np.concatenate([edges, np.nextafter(edges, 1.0),
+                           np.nextafter(edges, -1.0)])
+    return np.sort(grid[(grid >= 0.0) & (grid < 1.0)])
+
+
+ADVERSARIAL_GRIDS = {
+    "one-ulp": [0.5, np.nextafter(0.5, 1.0)],
+    "duplicates": [0.0, 0.0, 0.2, 0.3, 0.3, 0.3, 0.7, 0.7],
+    "bin-edges": _edge_grid(),
+    "below-one": [0.25, np.nextafter(1.0, 0.0)],
+    "crowded": np.sort(np.random.default_rng(11).random(2_000)),
+}
+
+
 class TestThresholdLevels:
     """Signed levels decode to the scalar trit at every grid index."""
 
@@ -65,6 +89,29 @@ class TestThresholdLevels:
         p = np.array([[-0.7, -0.3, 0.0], [0.3, 0.31, 1.0]])
         assert threshold_levels(p, (0.3,)).tolist() == [[-1, 0, 0],
                                                         [0, 1, 1]]
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_GRIDS))
+    def test_matches_binary_search(self, name):
+        q_sorted = np.asarray(ADVERSARIAL_GRIDS[name], dtype=float)
+        near = np.concatenate([q_sorted, np.nextafter(q_sorted, 2.0),
+                               np.nextafter(q_sorted, -1.0)])
+        mags = np.concatenate([
+            near, [0.0, 1.0, 1.0 + 2.0 ** -52],
+            np.random.default_rng(5).random(5_000)])
+        values = np.concatenate([mags, -mags])  # -0.0, -1, -(1 + 2^-52)
+        want = searchsorted_levels(values, q_sorted)
+        assert np.array_equal(threshold_levels(values, q_sorted), want)
+        shaped = values[:len(values) // 3 * 3].reshape(-1, 3)
+        assert np.array_equal(threshold_levels(shaped, q_sorted),
+                              searchsorted_levels(shaped, q_sorted))
+
+    def test_levels_fit_their_dtype(self):
+        for size in (2, 127, 128, 300):
+            q_sorted = np.linspace(0.0, 0.9, size)
+            values = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+            levels = threshold_levels(values, q_sorted)
+            assert np.array_equal(levels,
+                                  searchsorted_levels(values, q_sorted))
 
 
 class TestSimpleBell:
