@@ -1,8 +1,10 @@
 """Monte Carlo and exact estimation of efficiency, CHSH S, and steering T.
 
 Every estimator reduces a model to a per-setting-pair table of trit
-counts, and every derived statistic is a function of that table; exact
-enumeration and quadrature fill the same layout with probabilities.  Each
+counts, and every derived statistic is a function of that table; the
+exact paths fill the same layout with probabilities: closed-form
+enumeration for the unanimity family, a closed-form Legendre sum for
+finite-N tomography tables and a 1-D quadrature at N = inf.  Each
 model family has one counting kernel.  The unanimity family is counted
 from its picks: one bincount over (pick pair, Alice trit, Bob trit)
 codes, and ``models.pick_tables`` maps the pick-pair cells to reading
@@ -137,12 +139,15 @@ class RunStatistics:
 
         For Bell runs this averages the four setting pairs; steering runs
         average the matched pairs.  ``variant`` picks the conditioning
-        side ('alice' for p(a2=b2=1)/p(a2=1)).
+        side ('alice' for p(a2=b2=1)/p(a2=1)).  NaN when no pair has a
+        detection on that side.
         """
         vals = []
         for i, j in self.reading_pairs():
             p = self.pair(i, j)
             vals.append(p.eta_alice if variant == "alice" else p.eta_bob)
+        if all(math.isnan(v) for v in vals):
+            return math.nan
         return float(np.nanmean(vals))
 
     def reading_pairs(self) -> list[tuple[int, int]]:
@@ -324,73 +329,50 @@ def estimate(config: ModelConfig, samples: int, *, seed: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Exact paths: enumeration for the discrete models, quadrature for the
-# tomography family.
+# Exact paths: enumeration for the discrete models, a closed-form Legendre
+# sum for finite-N tomography tables, and a 1-D quadrature for N = inf.
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre nodes of the tomography quadrature: polar cosine x of A
-# about Alice's axis, azimuth phi of A, and the opening variable w.
-X_NODES, PHI_NODES, W_NODES = 160, 96, 96
-# Polar nodes per block of the finite-N grid (a divisor of X_NODES).  Four
-# block-sized buffers of 4 x 96 x 96 doubles (1.2 MB) stay in cache and are
-# reused, so memory stays flat whatever the node counts.
-X_BLOCK = 4
+# Gauss-Legendre nodes of the N = inf quadrature in the polar cosine x of A
+# about Alice's axis.
+X_NODES = 160
 
 
-def _bob_cells(mean, amp, q: float, reduce, work=(None, None)) -> np.ndarray:
-    """Bob's (-1, 0, +1) cells given B.b = mean + amp*cos(chi), chi uniform.
+def _legendre_table(n: int, q: float, ct: float) -> np.ndarray:
+    """Finite-N 3x3 trit table at a.b = ct, in closed form.
 
-    Each cell is ``reduce`` of a non-negative per-node value: 1 - p_live,
-    p_live - p_plus and p_plus, with p_plus and p_live the arcs above +q
-    and above -q.  At q = 0 the two arcs coincide and the dead-zone cell is
-    exactly 0.  ``work`` holds optional buffers for the two arcs, which are
-    overwritten.
+    The pair density ((1 - A.B)/2)^N is sum_l a_l P_l(A.B) with
+    a_l = (-1)^l (2l+1) N!^2 / ((N-l)! (N+l+1)!).  By the Funk-Hecke
+    formula the cell of Alice's band I and Bob's band J is
+    ((N+1)/4) sum_l a_l F_l(I) F_l(J) P_l(a.b), where F_l(I) is the
+    integral of P_l over I: the difference of (P_{l+1} - P_{l-1})/(2l+1)
+    at I's ends, and I's length for l = 0.  Rounding leaves cells whose
+    true value is ~0 slightly negative; those within 4(N+1) eps of 0 are
+    set to 0, and anything below is left for ``RunStatistics`` to reject.
     """
-    p_plus = circle_arc_fraction(mean, amp, q, out=work[0])
-    plus = reduce(p_plus)
-    if q == 0.0:
-        return np.array([reduce(np.subtract(1.0, p_plus, out=p_plus)), 0.0,
-                         plus])
-    p_live = circle_arc_fraction(mean, amp, -q, out=work[1])
-    zero = reduce(np.subtract(p_live, p_plus, out=p_plus))
-    return np.array([reduce(np.subtract(1.0, p_live, out=p_live)), zero,
-                     plus])
-
-
-def _finite_n_cells(n: int, q: float, ct: float, st: float, xs, sx,
-                    wxs) -> np.ndarray:
-    """Bob's cells over one polar region for the N-copy pair spread.
-
-    The opening-angle integral runs over the exactly transformed uniform
-    variable w with cos = 1 - 2 w^(1/(N+1)).  The (x, phi, w) grid is
-    evaluated X_BLOCK polar nodes at a time and reduced by matrix-vector
-    products over the separable weights.
-    """
-    phis, wph = gauss_legendre(PHI_NODES, 0.0, math.pi)
-    wgrid, ww = gauss_legendre(W_NODES, 0.0, 1.0)
-    cos_open = 1.0 - 2.0 * wgrid ** (1.0 / (n + 1))
-    sin_open = np.sqrt(np.clip(1.0 - cos_open ** 2, 0.0, None))
-    beta = ct * xs[:, None] + st * sx[:, None] * np.cos(phis)[None, :]
-    sb = np.sqrt(np.clip(1.0 - beta ** 2, 0.0, None))
-    w_xphi = wxs[:, None] * (wph / math.pi)[None, :]
-    mean, amp, *work = np.empty((4, X_BLOCK, PHI_NODES, W_NODES))
-    cells = np.zeros(3)
-    for lo in range(0, X_NODES, X_BLOCK):
-        blk = slice(lo, lo + X_BLOCK)
-        np.multiply(beta[blk, :, None], cos_open, out=mean)
-        np.multiply(sb[blk, :, None], sin_open, out=amp)
-        w_blk = w_xphi[blk].ravel()
-        cells += _bob_cells(
-            mean, amp, q,
-            lambda p: float(w_blk @ (p.reshape(-1, W_NODES) @ ww)), work)
-    return cells
+    edges = np.array([-1.0, -q, q, 1.0])
+    legendre = np.polynomial.legendre.legvander(np.append(edges, ct), n + 1)
+    deg = np.arange(1, n + 1)
+    antideriv = np.empty((4, n + 1))
+    antideriv[:, 0] = edges
+    antideriv[:, 1:] = (legendre[:4, 2:] - legendre[:4, :-2]) / (2 * deg + 1)
+    bands = np.diff(antideriv, axis=0)  # F_l of the (-1, 0, +1) bands
+    # (N+1) a_l, by the ratio a_l / a_{l-1}.
+    coef = np.cumprod(np.append(1.0, -(2 * deg + 1) * (n - deg + 1)
+                                / ((2 * deg - 1) * (n + deg + 1.0))))
+    table = 0.25 * (bands * (coef * legendre[4, :n + 1])) @ bands.T
+    table[(table < 0.0) & (table >= -4 * (n + 1) * np.finfo(float).eps)] = 0.0
+    return table
 
 
 def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
-    """Exact 3x3 trit table for one tomography setting pair, by quadrature.
+    """Exact 3x3 trit table for one tomography setting pair.
 
-    The polar integral over Alice's axis is split at the dead-zone edges;
-    the azimuthal integral of B about A reduces to an analytic circle arc.
+    Finite N uses the closed-form Legendre sum.  N = inf is a quadrature
+    over the polar cosine x of A about Alice's axis, split at the dead-zone
+    edges; at each node the azimuthal integral reduces to analytic circle
+    arcs, p_plus above +q and p_live above -q, and Bob's cells are the
+    non-negative 1 - p_live, p_live - p_plus and p_plus.
     Inverting both directions, (A, B) -> (-A, -B), keeps the pair density
     and flips both trits, so Alice's -1 row is her +1 row with Bob's trits
     reversed: only the polar regions [q, 1] and [-q, q] are integrated.
@@ -398,6 +380,8 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
     -b flips Bob's trit, which ``_tomography_tables`` uses.
     """
     ct = float(np.clip(np.dot(dir_a, dir_b), -1.0, 1.0))
+    if n_copies != math.inf:
+        return _legendre_table(int(n_copies), q, ct)
     st = math.sqrt(max(0.0, 1.0 - ct * ct))
     table = np.zeros((3, 3))
     for lo, hi, a_idx in ((q, 1.0, 2), (-q, q, 1)):
@@ -406,22 +390,21 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
         xs, wxs = gauss_legendre(X_NODES, lo, hi)
         wxs = wxs / 2.0  # uniform measure dx/2 on the polar cosine
         sx = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-        if n_copies == math.inf:
-            table[a_idx] = _bob_cells(ct * xs, st * sx, q,
-                                      lambda p: float(np.dot(wxs, p)))
-        else:
-            table[a_idx] = _finite_n_cells(int(n_copies), q, ct, st, xs, sx,
-                                           wxs)
+        # At q = 0 the two arcs coincide and the dead-zone cell is exactly 0.
+        p_plus = circle_arc_fraction(ct * xs, st * sx, q)
+        p_live = circle_arc_fraction(ct * xs, st * sx, -q)
+        table[a_idx] = [np.dot(wxs, 1.0 - p_live),
+                        np.dot(wxs, p_live - p_plus), np.dot(wxs, p_plus)]
     table[0] = table[2, ::-1]
     return table
 
 
 def _tomography_tables(config: ModelConfig) -> np.ndarray:
-    """Quadrature tables of every reading pair, one per distinct |a.b|.
+    """Exact tables of every reading pair, one per distinct |a.b|.
 
     A pair's table depends only on (N, q, a.b), and a pair with a.b < 0 is
     the |a.b| table with Bob's trits reversed (b -> -b), so each distinct
-    |a.b| is integrated once.
+    |a.b| is computed once.
     """
     ma = len(config.alice_directions)
     mb = len(config.bob_directions)
@@ -441,8 +424,9 @@ def enumerate_exact(config: ModelConfig) -> RunStatistics:
     """Exact statistics with no Monte Carlo error.
 
     The unanimity family (simple-bell, trusted-steering, and
-    ncopy-steering up to 10 copies) is enumerated in closed form; the
-    tomography family uses deterministic quadrature.
+    ncopy-steering up to 10 copies) is enumerated in closed form.
+    Tomography tables are a closed-form Legendre sum for finite N, exact
+    to rounding, and a 1-D Gauss-Legendre quadrature for N = inf.
     """
     if config.is_tomography:
         probs = _tomography_tables(config)

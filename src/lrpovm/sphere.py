@@ -208,20 +208,17 @@ def cap_overlap_quadrature(f, nodes: int = 64) -> float:
     return float(np.dot(w, y))
 
 
-def circle_arc_fraction(mean, amplitude, threshold, out=None) -> np.ndarray:
+def circle_arc_fraction(mean, amplitude, threshold) -> np.ndarray:
     """Fraction of the circle where mean + amplitude*cos(phi) > threshold.
 
     Computed analytically; all arguments broadcast.  Amplitude must be
     non-negative; a zero amplitude degenerates to the plain indicator.
-    ``out``, when given, receives the result and must have the broadcast
-    shape; the quadrature reuses one buffer per block this way.
     """
     mean = np.asarray(mean, dtype=float)
     amplitude = np.asarray(amplitude, dtype=float)
     threshold = np.asarray(threshold, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(
-            mean.shape, amplitude.shape, threshold.shape))
+    out = np.empty(np.broadcast_shapes(
+        mean.shape, amplitude.shape, threshold.shape))
     live = amplitude > 0.0
     all_live = bool(live.all())
     np.subtract(threshold, mean, out=out)

@@ -9,7 +9,7 @@ N-copy tomography model provably does, at full strength:
   C_N = (2/pi) B(N + 3/2, 1/2) - 1, so T(q=0) = C_N^2 exactly.  The
   Monte Carlo value must agree with it within 3 standard errors for
   N = 1..10; ``test_c05_closed_form_matches_exact_twin`` checks the
-  formula against the quadrature twin.  C_N^2 crosses the trusted bound
+  formula against the exact twin.  C_N^2 crosses the trusted bound
   1/3 at N = 6 (0.3376, 0.3687, ... 0.4404 for N = 6..10): for N >= 2
   Bob's readout is a measurement on N qubits, which the single-qubit
   bound does not cover.  At N = 1 his sign(B.e) readout is a qubit POVM
@@ -214,7 +214,7 @@ def test_c05_full_efficiency_bounds(bell_curves, steering_curves):
               "T <= 1/3 at N = 1", failures)
 
 
-@pytest.mark.parametrize("n,tol", [(1, 1e-4), (6, 1e-4), (10, 1e-4),
+@pytest.mark.parametrize("n,tol", [(1, 1e-12), (6, 1e-12), (10, 1e-12),
                                    (math.inf, 1e-12)])
 def test_c05_closed_form_matches_exact_twin(n, tol):
     exact = enumerate_exact(tomography_config("steering", n, q=0.0))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -115,35 +116,56 @@ class TestEnumerateExact:
         assert stats.efficiency("alice") == pytest.approx(0.5, abs=1e-15)
 
 
-def dense_pair_table(n_copies, q, dir_a, dir_b):
-    """Reference quadrature: every polar region, one whole dense grid each.
-
-    The same node set as ``tomography_pair_table`` with neither symmetry
-    used: all three regions are integrated for every pair, and the finite-N
-    (x, phi, w) grid is built and weighted as dense 3-D arrays.
+def band_nodes(axis, lo, hi, n_copies):
+    """Nodes and weights on the band lo <= A.axis <= hi of the unit sphere
+    that integrate every polynomial of degree <= N in A's components
+    exactly: Gauss-Legendre in the polar cosine x (floor(N/2) + 2 nodes)
+    times an (N+2)-point trapezoid in the azimuth.  All weights are >= 0.
     """
+    xs, wxs = gauss_legendre(n_copies // 2 + 2, lo, hi)
+    phis = 2.0 * math.pi * np.arange(n_copies + 2) / (n_copies + 2)
+    helper = np.eye(3)[0] if abs(axis[0]) < 0.9 else np.eye(3)[1]
+    e1 = np.cross(axis, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    ring = np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2
+    sx = np.sqrt(1.0 - xs * xs)
+    nodes = xs[:, None, None] * axis + sx[:, None, None] * ring[None]
+    weights = np.repeat(wxs * 2.0 * math.pi / (n_copies + 2), n_copies + 2)
+    return nodes.reshape(-1, 3), weights
+
+
+def dense_pair_table(n_copies, q, dir_a, dir_b):
+    """Reference table, with neither symmetry of ``tomography_pair_table``.
+
+    Finite N: the pair density ((N+1)/(16 pi^2)) ((1 - A.B)/2)^N is a
+    polynomial of degree N in the components of A and of B, so the tensor
+    product of ``band_nodes`` for the two parties integrates each cell
+    exactly.  N = inf: all three polar regions on the 160-node grid of
+    ``tomography_pair_table``, each with its analytic circle arcs.
+    """
+    table = np.zeros((3, 3))
+    if n_copies != math.inf:
+        n = int(n_copies)
+        edges = [-1.0, -q, q, 1.0]
+        bands = list(zip(edges, edges[1:]))
+        for i, band_a in enumerate(bands):
+            nodes_a, w_a = band_nodes(np.asarray(dir_a, float), *band_a, n)
+            for j, band_b in enumerate(bands):
+                nodes_b, w_b = band_nodes(np.asarray(dir_b, float), *band_b,
+                                          n)
+                density = ((1.0 - nodes_a @ nodes_b.T) / 2.0) ** n
+                table[i, j] = w_a @ density @ w_b
+        return (n + 1) / (16.0 * math.pi ** 2) * table
     ct = float(np.clip(np.dot(dir_a, dir_b), -1.0, 1.0))
     st = math.sqrt(max(0.0, 1.0 - ct * ct))
-    table = np.zeros((3, 3))
     for lo, hi, a_idx in [(q, 1.0, 2), (-q, q, 1), (-1.0, -q, 0)]:
         if hi - lo < 1e-15:
             continue
         xs, wxs = gauss_legendre(160, lo, hi)
         wxs = wxs / 2.0
         sx = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-        if n_copies == math.inf:
-            mean, amp, wt = ct * xs, st * sx, wxs
-        else:
-            phis, wph = gauss_legendre(96, 0.0, math.pi)
-            wgrid, ww = gauss_legendre(96, 0.0, 1.0)
-            cos_open = 1.0 - 2.0 * wgrid ** (1.0 / (int(n_copies) + 1))
-            sin_open = np.sqrt(np.clip(1.0 - cos_open ** 2, 0.0, None))
-            beta = ct * xs[:, None] + st * sx[:, None] * np.cos(phis)
-            sb = np.sqrt(np.clip(1.0 - beta ** 2, 0.0, None))
-            mean = cos_open[None, None, :] * beta[:, :, None]
-            amp = sin_open[None, None, :] * sb[:, :, None]
-            wt = (wxs[:, None, None] * (wph / math.pi)[None, :, None]
-                  * ww[None, None, :])
+        mean, amp, wt = ct * xs, st * sx, wxs
         p_plus = circle_arc_fraction(mean, amp, q)
         p_live = circle_arc_fraction(mean, amp, -q)
         table[a_idx] = [(wt * (1.0 - p_live)).sum(),
@@ -165,12 +187,12 @@ def random_tomography_config(n_copies, q, seed=3):
 # Bell (0, 0) has a.b < 0 (the mirrored table) and (1, 1) has a.b > 0;
 # steering (0, 0) is parallel and (0, 1) orthogonal.
 ORACLE_PAIRS = {"bell": [(0, 0), (1, 1)], "steering": [(0, 0), (0, 1)]}
-ORACLE_Q = [0.0, 0.3, 0.9]
+ORACLE_Q = [0.0, 0.3, 0.9, 0.99]
 
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize("kind", ["bell", "steering"])
-    @pytest.mark.parametrize("n", [1, 2, math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 10, math.inf])
     @pytest.mark.parametrize("q", ORACLE_Q)
     def test_tables_match_dense_reference(self, kind, n, q):
         config = tomography_config(kind, n, q=q)
@@ -194,7 +216,7 @@ class TestQuadratureOracle:
             assert np.max(np.abs(tables[i, j] - ref)) <= 1e-14, (i, j)
 
     def test_finite_n_table_memory_bounded(self):
-        # The dense grid needed ~114 MB here; the blocked grid needs a few.
+        # A dense 3-D quadrature grid needed ~114 MB here.
         z, x = np.eye(3)[2], np.eye(3)[0]
         tracemalloc.start()
         try:
@@ -203,6 +225,43 @@ class TestQuadratureOracle:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+
+class TestClosedFormTables:
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("q", [0.3, 0.9])
+    def test_marginals_exact(self, kind, n, q):
+        tables = enumerate_exact(tomography_config(kind, n, q=q)).weights
+        expect = np.array([(1.0 - q) / 2.0, q, (1.0 - q) / 2.0])
+        for i, j in np.ndindex(tables.shape[:2]):
+            t = tables[i, j]
+            assert np.max(np.abs(t.sum(axis=0) - expect)) <= 1e-14, (i, j)
+            assert np.max(np.abs(t.sum(axis=1) - expect)) <= 1e-14, (i, j)
+            assert abs(t.sum() - 1.0) <= 1e-14, (i, j)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_near_zero_cells_not_negative(self, n):
+        # At q = 0.99 and a.b = 1 some cells are ~1e-19 in truth; the sum
+        # rounds them below 0 unless they are set to 0.
+        stats = enumerate_exact(tomography_config("steering", n, q=0.99))
+        assert np.all(stats.weights >= 0.0)
+
+    @pytest.mark.parametrize("n", [60, 200, 1000])
+    def test_large_n_tables_non_negative(self, n):
+        z = np.eye(3)[2]
+        for ct in np.linspace(-1.0, 1.0, 11):
+            b = np.array([math.sqrt(1.0 - ct * ct), 0.0, ct])
+            for q in np.linspace(0.0, 0.99, 12):
+                t = estimators.tomography_pair_table(n, q, z, b)
+                assert np.all(t >= 0.0), (ct, q)
+                assert abs(t.sum() - 1.0) <= 1e-12, (ct, q)
+        if n <= 100:
+            for q, ct in [(0.3, 0.5), (0.99, 1.0)]:
+                b = np.array([math.sqrt(1.0 - ct * ct), 0.0, ct])
+                ref = dense_pair_table(n, q, z, b)
+                t = estimators.tomography_pair_table(n, q, z, b)
+                assert np.max(np.abs(t - ref)) <= 1e-14, (q, ct)
 
 
 class TestParallelDeterminism:
@@ -430,6 +489,15 @@ class TestSweepCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="q_grid"):
             sweep_curve("bell", 1, [], 20_000)
+
+    def test_no_alice_detection_point_is_nan_without_warning(self):
+        # Just below q = 1 no reading pair has an Alice detection.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = sweep_curve("bell", 1, [0.0, np.nextafter(1, 0)], 50_001,
+                              seed=1)
+        assert pts[0].eta == 1.0
+        assert math.isnan(pts[1].eta) and math.isnan(pts[1].value)
 
     def test_default_grid(self):
         grid = default_q_grid()
