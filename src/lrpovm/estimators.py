@@ -19,11 +19,19 @@ one-level case, whose level is the trit itself.
 
 Parallelism is a map over fixed-size sample chunks, one independent
 substream per chunk, merged by integer addition; results are identical
-for any worker count at a fixed (seed, chunk schedule).
+for any worker count at a fixed (seed, chunk schedule).  A chunk
+allocates almost nothing: each thread (so each pool worker) keeps one
+``sphere.Workspace`` that every chunk of every model config reuses.  The
+chunk's draws go straight into it, and its projections, levels, trits
+and codes are computed in cache-sized blocks of its buffers.  The
+workspace grows to the largest chunk seen, so it holds the largest single
+config's need, not their sum.  Only ``Generator.integers``, which has no
+``out=``, still allocates (the picks and the copies' signs).
 """
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,7 +39,8 @@ import numpy as np
 
 from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import RngStream, circle_arc_fraction, gauss_legendre
+from .sphere import RngStream, Workspace, circle_arc_fraction, \
+    gauss_legendre
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SWEEP_SAMPLES = 1_000_000
@@ -232,18 +241,26 @@ class RunStatistics:
 # ---------------------------------------------------------------------------
 
 def _count_levels(levels_a: np.ndarray, levels_b: np.ndarray,
-                  n_levels: int) -> np.ndarray:
+                  n_levels: int, code: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Trit tables (L, Ma, Mb, 3, 3) from signed levels v in [-L, L].
 
     Threshold k reads v <= -(k+1) as -1, |v| <= k as 0, v >= k+1 as +1.
+    Each reading pair's joint level code (v_a + L)(2L + 1) + v_b + L is
+    written into ``code`` (n intp, allocated if not given) and histogrammed
+    by one bincount.
     """
     width = 2 * n_levels + 1
-    a_codes = (np.asarray(levels_a, np.intp) + n_levels) * width
-    b_codes = np.asarray(levels_b, np.intp) + n_levels
-    ma, mb = a_codes.shape[1], b_codes.shape[1]
-    hist = np.stack([np.bincount(a_codes[:, i] + b_codes[:, j],
-                                 minlength=width * width)
-                     for i in range(ma) for j in range(mb)])
+    ma, mb = levels_a.shape[1], levels_b.shape[1]
+    if code is None:
+        code = np.empty(len(levels_a), np.intp)
+    hist = np.empty((ma, mb, width * width), dtype=np.int64)
+    for i in range(ma):
+        for j in range(mb):
+            np.multiply(levels_a[:, i], width, out=code, dtype=np.intp)
+            code += levels_b[:, j]
+            code += n_levels * (width + 1)
+            hist[i, j] = np.bincount(code, minlength=width * width)
     cum = np.zeros((ma, mb, width + 1, width + 1), dtype=np.int64)
     cum[:, :, 1:, 1:] = hist.reshape(ma, mb, width, width).cumsum(2).cumsum(3)
     k = np.arange(n_levels)
@@ -256,38 +273,38 @@ def _count_levels(levels_a: np.ndarray, levels_b: np.ndarray,
     return np.moveaxis(tables, 2, 0)
 
 
-def _count_picks(config: ModelConfig, gen, size: int) -> np.ndarray:
-    """Tables (Ma, Mb, 3, 3) of one unanimity chunk from its pick histogram.
+class _ThreadWorkspace(threading.local):
+    """The chunk workspace of each thread, shared by every model config."""
 
-    One bincount over the code ((pick_a Mb + pick_b) 3 + a + 1) 3 + b + 1
-    counts every (pick pair, Alice trit, Bob trit); ``models.pick_tables``
-    turns the pick-pair cells into reading-pair tables.
-    """
-    pick_a, pick_b, a_val, b_val = models.unanimity_pick_batch(config, gen,
-                                                               size)
-    ma, mb = len(config.alice_directions), len(config.bob_directions)
-    code = pick_a * mb
-    code += pick_b
-    code *= 9
-    code += 3 * a_val + b_val + 4
-    cell = np.bincount(code, minlength=ma * mb * 9).reshape(ma, mb, 3, 3)
-    return models.pick_tables(cell)
+    def __init__(self) -> None:
+        self.workspace = Workspace()
+
+
+_CHUNK_WORKSPACE = _ThreadWorkspace()
 
 
 def _count_chunk(task) -> np.ndarray:
-    """Tables of one chunk: pick histogram for the unanimity family; trits
-    at the model's q, or levels on a q grid, for the tomography family."""
+    """Tables of one chunk, every work array taken from the thread's workspace.
+
+    The unanimity family is counted from its pick-cell histogram, which
+    ``models.pick_tables`` turns into reading-pair tables; the tomography
+    family from its levels on the q grid, or its trits at the model's q.
+    """
     config, q_sorted, seed, index, size = task
     gen = RngStream(seed, index).generator
+    ws = _CHUNK_WORKSPACE.workspace
+    ws.reset()
     if not config.is_tomography:
-        return _count_picks(config, gen, size)
-    if q_sorted is None:
-        batch = models.tomography_batch(config, gen, size)
-        return _count_levels(batch.alice, batch.bob, 1)[0]
-    proj_a, proj_b = models.tomography_projections(config, gen, size)
-    return _count_levels(models.threshold_levels(proj_a, q_sorted),
-                         models.threshold_levels(proj_b, q_sorted),
-                         len(q_sorted))
+        ma, mb = len(config.alice_directions), len(config.bob_directions)
+        cell = models.unanimity_cell_batch(config, gen, size, ws)
+        return models.pick_tables(np.bincount(cell, minlength=ma * mb * 9)
+                                  .reshape(ma, mb, 3, 3))
+    grid = (config.q,) if q_sorted is None else q_sorted
+    levels_a, levels_b = models.tomography_level_batch(config, gen, size,
+                                                       grid, ws)
+    tables = _count_levels(levels_a, levels_b, len(grid),
+                           ws.take(size, np.intp))
+    return tables[0] if q_sorted is None else tables
 
 
 def _count_chunks(head: tuple, samples: int, chunk: int,
@@ -295,6 +312,8 @@ def _count_chunks(head: tuple, samples: int, chunk: int,
     """Sum the chunk tables of ``head`` = (config, q grid or None, seed)."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     full, rest = divmod(samples, chunk)
     sizes = [chunk] * full + ([rest] if rest else [])
     tasks = [head + (index, size) for index, size in enumerate(sizes)]

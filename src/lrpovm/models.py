@@ -22,12 +22,19 @@ chaotic-ball      the N -> infinity limit: both parties threshold
 
 The two pick kinds are the unanimity model at N = 1, since a single copy
 is always unanimous, and ``ModelConfig`` pins ``n_copies = 1`` for them.
-One sampler (``unanimity_pick_batch``) serves all three discrete kinds:
-it returns each run's two picks and the trit read at each, which is the
-whole readout.  ``unanimity_batch`` scatters those into one trit per
-choice.  One table map (``pick_tables``) turns per-pick-pair outcomes
-into reading-pair tables, for the exact enumerator
-(``enumerate_unanimity``) and for Monte Carlo pick counts alike.
+One sampler serves all three discrete kinds: each run's two picks and
+the trit read at each are the whole readout.  ``unanimity_pick_batch``
+returns those four vectors and ``unanimity_batch`` scatters them into one
+trit per choice; ``unanimity_cell_batch`` folds them into one pick-cell
+index per run for counting.  Likewise one sampler serves the tomography
+kinds: ``tomography_projections`` returns the projections and
+``tomography_level_batch`` their threshold levels.  The two kernels that
+counting calls, ``unanimity_cell_batch`` and ``tomography_level_batch``,
+take a ``sphere.Workspace`` and return views of it; the other samplers
+give each call a fresh workspace.  One table map (``pick_tables``) turns
+per-pick-pair outcomes into reading-pair tables, for the exact
+enumerator (``enumerate_unanimity``) and for Monte Carlo pick counts
+alike.
 """
 from __future__ import annotations
 
@@ -37,8 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantum
-from .sphere import as_generator, check_unit, sample_pair, \
-    sample_uniform_direction
+from .sphere import BLOCK, PairSampler, Workspace, as_generator, blocks, \
+    check_unit
 
 DEFAULT_SEED = 12345
 
@@ -187,6 +194,52 @@ def threshold_readout(projection: float, q: float) -> int:
 LEVEL_BINS = 1024
 
 
+class _LevelGrid:
+    """The kernel of ``threshold_levels``: the grid's bucket table, and work
+    arrays for blocks of up to ``size`` projections taken from ``ws``."""
+
+    def __init__(self, q_sorted, size: int, ws: Workspace) -> None:
+        q = np.asarray(q_sorted, dtype=float)
+        self.q = q
+        self.dtype = np.min_scalar_type(-q.size - 1)
+        self.bools = ws.take((2, size), bool)
+        if q.size == 1:
+            return
+        q_bin = np.minimum(q * LEVEL_BINS, LEVEL_BINS).astype(np.intp)
+        per_bin = np.bincount(q_bin, minlength=LEVEL_BINS + 1)
+        self.first = np.zeros(LEVEL_BINS + 1, dtype=np.intp)
+        np.cumsum(per_bin[:-1], out=self.first[1:])
+        self.q_pad = np.append(q, np.inf)
+        self.steps = int(per_bin.max())
+        self.mag, self.near = ws.take((2, size))
+        self.bins, self.level = ws.take((2, size), np.intp)
+
+    def levels_into(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Levels of the projections p (any shape) written into out."""
+        m = p.size
+        p, out = p.reshape(m), out.reshape(m)
+        above, below = self.bools[0, :m], self.bools[1, :m]
+        if self.q.size == 1:
+            np.greater(p, self.q[0], out=above)
+            np.less(p, -self.q[0], out=below)
+            return np.subtract(above.view(np.int8), below.view(np.int8),
+                               out=out)
+        mag, near = self.mag[:m], self.near[:m]
+        bins, level = self.bins[:m], self.level[:m]
+        np.abs(p, out=mag)
+        np.multiply(mag, LEVEL_BINS, out=bins, casting="unsafe")
+        np.minimum(bins, LEVEL_BINS, out=bins)
+        np.take(self.first, bins, out=level, mode="clip")
+        for _ in range(self.steps):
+            np.take(self.q_pad, level, out=near, mode="clip")
+            np.greater(mag, near, out=above)
+            level += above
+        np.less(p, 0.0, out=below)
+        np.negative(level, out=level, where=below)
+        np.copyto(out, level, casting="unsafe")
+        return out
+
+
 def threshold_levels(projections, q_sorted) -> np.ndarray:
     """Signed threshold level of each projection against a sorted q grid.
 
@@ -207,24 +260,12 @@ def threshold_levels(projections, q_sorted) -> np.ndarray:
     stops a count that has passed every point.  The result equals the
     binary-search count for any sorted grid, duplicates included.
     """
-    p = np.asarray(projections)
-    q = np.asarray(q_sorted, dtype=float)
-    if q.size == 1:
-        return (p > q[0]).view(np.int8) - (p < -q[0]).view(np.int8)
-    q_bin = np.minimum(q * LEVEL_BINS, LEVEL_BINS).astype(np.intp)
-    per_bin = np.bincount(q_bin, minlength=LEVEL_BINS + 1)
-    first = np.zeros(LEVEL_BINS + 1, dtype=np.min_scalar_type(-q.size - 1))
-    np.cumsum(per_bin[:-1], out=first[1:])
-    q_pad = np.append(q, np.inf)
-    mag = np.abs(p)
-    index = np.multiply(mag, LEVEL_BINS, out=np.empty(p.shape, np.intp),
-                        casting="unsafe")
-    level = first[np.minimum(index, LEVEL_BINS, out=index)]
-    del index  # free the bins before the comparisons allocate
-    for _ in range(per_bin.max()):
-        level += mag > q_pad[level]
-    level *= (p > 0).view(np.int8) - (p < 0).view(np.int8)
-    return level
+    p = np.ascontiguousarray(projections, dtype=float).reshape(-1)
+    grid = _LevelGrid(q_sorted, BLOCK + 1, Workspace())
+    out = np.empty(p.shape, grid.dtype)
+    for rows in blocks(p.size):
+        grid.levels_into(p[rows], out[rows])
+    return out.reshape(np.shape(projections))
 
 
 def _correlation_table(alice_dirs, bob_dirs) -> np.ndarray:
@@ -238,6 +279,65 @@ def _scatter(n: int, m: int, picks: np.ndarray, values: np.ndarray
     return out
 
 
+def _unanimity_readout(config: ModelConfig, gen, n: int, ws: Workspace
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unanimity model over N singlet copies; the pick models are N = 1.
+
+    Returns (pick, a_val, b_val): the pick pair pick_a * Mb + pick_b of
+    each party's uniformly picked choice, and the trit each reads there,
+    +-1 when all N copies agree (exact singlet statistics per copy) and 0
+    otherwise.  The draws are pick_a, pick_b, each copy's sign xi and each
+    copy's match; the trits are written into ``ws``.  ``pick`` is pick_a's
+    own array, and the match uniforms reuse xi's.
+    """
+    table = _correlation_table(config.alice_directions, config.bob_directions)
+    p_same = ((1.0 + table) / 2.0).ravel()
+    mb = table.shape[1]
+    ncopies = int(config.n_copies)
+    pick = gen.integers(0, table.shape[0], n)
+    pick *= mb
+    pick += gen.integers(0, mb, n)
+    draws = gen.integers(0, 2, (n, ncopies))
+    xi = ws.take((n, ncopies), bool)
+    np.not_equal(draws, 0, out=xi)
+    match = draws.view(float)
+    gen.random(out=match)
+    same = ws.take((n, ncopies), bool)
+    a_val, b_val = ws.take((2, n), np.int8)
+    work = ws.take(BLOCK + 1)
+    alice_all, bob_all, agree, flag = ws.take((4, BLOCK + 1), bool)
+    for rows in blocks(n):
+        m = rows.stop - rows.start
+        p = np.take(p_same, pick[rows], out=work[:m], mode="clip")
+        np.less(match[rows], p[:, None], out=same[rows])
+        # Bob's copy k reads xi_k when same_k and -xi_k otherwise, so his
+        # copies agree with copy 0 exactly when
+        # (xi_k == xi_0) == (same_k == same_0).
+        xi_0, same_0 = xi[rows, 0], same[rows, 0]
+        a_all, b_all, eq, fl = alice_all[:m], bob_all[:m], agree[:m], flag[:m]
+        a_all[:] = True
+        b_all[:] = True
+        for k in range(1, ncopies):
+            np.equal(xi[rows, k], xi_0, out=eq)
+            a_all &= eq
+            np.equal(same[rows, k], same_0, out=fl)
+            np.equal(eq, fl, out=fl)
+            b_all &= fl
+        # Copy 0 reads +1 for Alice when xi_0, and for Bob when
+        # xi_0 == same_0.
+        _sign_into(xi_0, a_all, a_val[rows])
+        np.equal(xi_0, same_0, out=fl)
+        _sign_into(fl, b_all, b_val[rows])
+    return pick, a_val, b_val
+
+
+def _sign_into(positive, live, out) -> None:
+    """out = (2 positive - 1) * live, for boolean positive and live."""
+    np.multiply(positive.view(np.int8), 2, out=out)
+    out -= 1
+    out *= live
+
+
 def unanimity_pick_batch(config: ModelConfig, rng, n: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                     np.ndarray]:
@@ -248,28 +348,29 @@ def unanimity_pick_batch(config: ModelConfig, rng, n: int
     singlet statistics per copy) and 0 otherwise.  Every other choice
     reads 0, so these four vectors are the whole readout.
     """
-    gen = as_generator(rng)
-    table = _correlation_table(config.alice_directions, config.bob_directions)
-    ma, mb = table.shape
-    ncopies = int(config.n_copies)
-    pick_a = gen.integers(0, ma, n)
-    pick_b = gen.integers(0, mb, n)
-    p_same = ((1.0 + table) / 2.0).ravel()[pick_a * mb + pick_b][:, None]
-    xi = gen.integers(0, 2, (n, ncopies)).astype(bool)
-    same = gen.random((n, ncopies)) < p_same
-    # Bob's copy k reads xi_k when same_k and -xi_k otherwise, so his copies
-    # agree with copy 0 exactly when (xi_k == xi_0) == (same_k == same_0).
-    xi_0, same_0 = xi[:, 0], same[:, 0]
-    alice_all = np.ones(n, dtype=bool)
-    bob_all = np.ones(n, dtype=bool)
-    for k in range(1, ncopies):
-        agree = xi[:, k] == xi_0
-        alice_all &= agree
-        bob_all &= agree == (same[:, k] == same_0)
-    # Copy 0 reads +1 for Alice when xi_0, and for Bob when xi_0 == same_0.
-    a_val = (2 * xi_0.astype(np.int8) - 1) * alice_all
-    b_val = (2 * (xi_0 == same_0).astype(np.int8) - 1) * bob_all
+    pick, a_val, b_val = _unanimity_readout(config, as_generator(rng), n,
+                                            Workspace())
+    pick_a, pick_b = np.divmod(pick, len(config.bob_directions))
     return pick_a, pick_b, a_val, b_val
+
+
+def unanimity_cell_batch(config: ModelConfig, rng, n: int, ws: Workspace
+                         ) -> np.ndarray:
+    """Pick-cell index of n unanimity runs, the readout's whole content.
+
+    The index ((pick_a Mb + pick_b) 3 + a + 1) 3 + b + 1 numbers the cells
+    of the (Ma, Mb, 3, 3) table that ``pick_tables`` reads.  It is built
+    in place on the pick array; the other work arrays come from ``ws``.
+    """
+    cell, a_val, b_val = _unanimity_readout(config, as_generator(rng), n, ws)
+    for rows in blocks(n):
+        c = cell[rows]
+        c *= 3
+        c += a_val[rows]
+        c *= 3
+        c += b_val[rows]
+        c += 4
+    return cell
 
 
 def unanimity_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
@@ -285,6 +386,23 @@ def unanimity_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
         bob=_scatter(n, len(config.bob_directions), pick_b, b_val))
 
 
+def _projection_blocks(config: ModelConfig, gen, n: int, ws: Workspace):
+    """Yield (rows, proj_a, proj_b) per block of n sampled direction pairs.
+
+    For finite N the pair (A, B) follows the N-copy tomography density;
+    the chaotic-ball limit shares one axis exactly (B = A).  The
+    projections are block buffers of ``ws``, overwritten by the next block.
+    """
+    dirs_a = np.asarray(config.alice_directions).T
+    dirs_b = np.asarray(config.bob_directions).T
+    proj_a = ws.take((BLOCK + 1, dirs_a.shape[1]))
+    proj_b = ws.take((BLOCK + 1, dirs_b.shape[1]))
+    for rows, a, b in PairSampler(config.n_copies, gen, n, ws):
+        m = rows.stop - rows.start
+        yield (rows, np.matmul(a, dirs_a, out=proj_a[:m]),
+               np.matmul(b, dirs_b, out=proj_b[:m]))
+
+
 def tomography_projections(config: ModelConfig, rng, n: int
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Projections of the sampled direction pair onto both parties' axes.
@@ -292,19 +410,38 @@ def tomography_projections(config: ModelConfig, rng, n: int
     For finite N the pair (A, B) follows the N-copy tomography density;
     the chaotic-ball limit shares one axis exactly (B = A).
     """
-    gen = as_generator(rng)
-    if config.n_copies == math.inf:
-        a = sample_uniform_direction(gen, n)
-        b = a
-    else:
-        a, b = sample_pair(int(config.n_copies), gen, n)
-    return (a @ np.asarray(config.alice_directions).T,
-            b @ np.asarray(config.bob_directions).T)
+    out_a = np.empty((n, len(config.alice_directions)))
+    out_b = np.empty((n, len(config.bob_directions)))
+    for rows, proj_a, proj_b in _projection_blocks(
+            config, as_generator(rng), n, Workspace()):
+        out_a[rows] = proj_a
+        out_b[rows] = proj_b
+    return out_a, out_b
+
+
+def tomography_level_batch(config: ModelConfig, rng, n: int, q_sorted,
+                           ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Signed threshold levels (n, Ma) and (n, Mb) of n sampled runs.
+
+    Levels are read against the sorted grid ``q_sorted`` as by
+    ``threshold_levels``; on the one-point grid (config.q,) they are the
+    trits.  Sampling, projection and levels run block by block in work
+    arrays of ``ws``, and the returned levels are views of it.
+    """
+    grid = _LevelGrid(q_sorted, (BLOCK + 1) * max(
+        len(config.alice_directions), len(config.bob_directions)), ws)
+    levels_a = ws.take((n, len(config.alice_directions)), grid.dtype)
+    levels_b = ws.take((n, len(config.bob_directions)), grid.dtype)
+    for rows, proj_a, proj_b in _projection_blocks(
+            config, as_generator(rng), n, ws):
+        grid.levels_into(proj_a, levels_a[rows])
+        grid.levels_into(proj_b, levels_b[rows])
+    return levels_a, levels_b
 
 
 def tomography_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    alice, bob = (threshold_levels(p, (config.q,))
-                  for p in tomography_projections(config, rng, n))
+    alice, bob = tomography_level_batch(config, rng, n, (config.q,),
+                                        Workspace())
     return ReadoutBatch(alice=alice, bob=bob)
 
 

@@ -2,6 +2,15 @@
 
 Random directions, correlated direction pairs for the tomography models,
 and the Gauss-Legendre machinery used by the exact estimators.
+
+Sampling writes into a ``Workspace``, one byte arena reused round after
+round.  Every draw of n directions or pairs is made at full size, straight
+into the arena (``standard_normal(out=)``, ``random(out=)``), in a fixed
+order; the elementwise work that follows (norms, division, the pair
+frame) runs in blocks of ``BLOCK`` rows through reused block buffers.
+The Monte Carlo estimators keep one workspace per thread for all their
+chunks; the public samplers give each call a fresh one, so their results
+are new arrays.  Blocking changes no bit of any result.
 """
 from __future__ import annotations
 
@@ -68,18 +77,101 @@ def check_unit(v, name: str = "direction") -> np.ndarray:
     return v
 
 
-def _norm3(x, y, z) -> np.ndarray:
-    """Euclidean norm of the rows (x, y, z), summed as (x^2 + y^2) + z^2.
+# Rows per block of elementwise work: one float vector of a block is 64 KiB,
+# so a block's handful of work vectors stays in cache.
+BLOCK = 8192
+
+
+def blocks(n: int):
+    """Slices covering range(n) in blocks of BLOCK rows.
+
+    A one-row remainder joins the block before it, so no block has one row
+    unless n = 1: numpy multiplies a one-row matrix through another BLAS
+    routine, whose last bits can differ from the blocked rows'.  A block
+    therefore holds at most BLOCK + 1 rows.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start <= BLOCK + 1 else start + BLOCK
+        yield slice(start, stop)
+        start = stop
+
+
+class Workspace:
+    """Reusable scratch memory: one byte arena carved into typed views.
+
+    ``take`` hands out consecutive views of the arena; ``reset`` starts the
+    next round of takes at its front again, so a view stays valid until the
+    next reset.  A round that outgrows the arena gets new arrays for the
+    rest, and the next reset grows the arena to the largest round seen.
+    The arena therefore holds one round's need, the largest, and a fresh
+    workspace allocates exactly what one round asks for.
+    """
+
+    ALIGN = 64  # views start on a cache line, whatever came before them
+
+    def __init__(self) -> None:
+        self._arena = np.empty(0, np.uint8)
+        self._used = 0
+        self._high = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the arena holds."""
+        return self._arena.nbytes
+
+    def reset(self) -> None:
+        """Start a new round; the views of the last one become invalid."""
+        if self._high > self._arena.size:
+            self._arena = np.empty(0, np.uint8)  # free before growing
+            self._arena = np.empty(self._high, np.uint8)
+        self._used = 0
+
+    def take(self, shape, dtype=float) -> np.ndarray:
+        """An uninitialised C-contiguous array, in the arena if it fits."""
+        dtype = np.dtype(dtype)
+        start = -(-self._used // self.ALIGN) * self.ALIGN
+        stop = start + math.prod(np.atleast_1d(shape)) * dtype.itemsize
+        self._used = stop
+        self._high = max(self._high, stop)
+        if stop > self._arena.size:
+            return np.empty(shape, dtype)
+        return self._arena[start:stop].view(dtype).reshape(shape)
+
+
+def _norm3(x, y, z, out, work) -> np.ndarray:
+    """Euclidean norm of the rows (x, y, z) into out, as (x^2 + y^2) + z^2.
 
     That is the order ``np.linalg.norm(v, axis=1)`` uses on an (n, 3)
     array, so the two agree bit for bit.
     """
-    norm = np.multiply(x, x)
-    square = np.multiply(y, y)
-    norm += square
-    np.multiply(z, z, out=square)
-    norm += square
-    return np.sqrt(norm, out=norm)
+    np.multiply(x, x, out=out)
+    np.multiply(y, y, out=work)
+    out += work
+    np.multiply(z, z, out=work)
+    out += work
+    return np.sqrt(out, out=out)
+
+
+def _draw_directions(gen: np.random.Generator, n: int, ws: Workspace
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Standard normal rows (n, 3) and their norms, drawn into ``ws``.
+
+    Dividing a row by its norm gives a uniform direction; callers do it
+    block by block.  A zero norm has probability ~1e-900; such rows are
+    redrawn, all at once, before anything else is drawn.
+    """
+    v = ws.take((n, 3))
+    gen.standard_normal(out=v)
+    norms = ws.take(n)
+    bad = ws.take(n, bool)
+    work = ws.take(BLOCK + 1)
+    while True:
+        for rows in blocks(n):
+            _norm3(*v[rows].T, norms[rows], work[:rows.stop - rows.start])
+        if not np.less(norms, 1e-12, out=bad).any():
+            return v, norms
+        v[bad] = gen.standard_normal((int(bad.sum()), 3))
 
 
 def sample_uniform_direction(rng, size: int | None = None) -> np.ndarray:
@@ -87,18 +179,93 @@ def sample_uniform_direction(rng, size: int | None = None) -> np.ndarray:
 
     Returns shape (3,) when size is None, else (size, 3).
     """
-    gen = as_generator(rng)
     n = 1 if size is None else int(size)
-    v = gen.standard_normal((n, 3))
-    norms = _norm3(*v.T)
-    # A zero norm has probability ~1e-900; resample rather than divide by 0.
-    bad = norms < 1e-12
-    while np.any(bad):
-        v[bad] = gen.standard_normal((int(bad.sum()), 3))
-        norms = _norm3(*v.T)
-        bad = norms < 1e-12
-    v /= norms[:, None]
+    v, norms = _draw_directions(as_generator(rng), n, Workspace())
+    for rows in blocks(n):
+        v[rows] /= norms[rows, None]
     return v[0] if size is None else v
+
+
+class PairSampler:
+    """Direction pairs (A, B) of the N-copy tomography density, by blocks.
+
+    The constructor makes every draw of n pairs, in this order: normal rows
+    for A (zero norms redrawn), n uniforms for the opening variable, n for
+    the azimuth.  Iterating then yields (rows, A, B) per block of
+    ``blocks(n)``: A is that block of the drawn rows, normalised in place;
+    B is a reused block buffer, or A itself when n_copies is inf (the
+    shared axis of the chaotic-ball limit), which draws nothing more.
+    """
+
+    def __init__(self, n_copies, gen: np.random.Generator, n: int,
+                 ws: Workspace) -> None:
+        self.n, self.n_copies = n, n_copies
+        self.a, self.norms = _draw_directions(gen, n, ws)
+        if n_copies == math.inf:
+            return
+        self.exponent = 1.0 / (n_copies + 1)
+        self.u = ws.take(n)
+        gen.random(out=self.u)
+        self.chi = ws.take(n)
+        gen.random(out=self.chi)
+        self.b = ws.take((BLOCK + 1, 3))
+        self.work = ws.take((8, BLOCK + 1))
+        self.use_y = ws.take((2, BLOCK + 1), bool)
+
+    def __iter__(self):
+        for rows in blocks(self.n):
+            a = self.a[rows]
+            a /= self.norms[rows, None]
+            if self.n_copies == math.inf:
+                yield rows, a, a
+                continue
+            b = self.b[:rows.stop - rows.start]
+            self._partner(a, self.u[rows], self.chi[rows], b)
+            yield rows, a, b
+
+    def _partner(self, a, cos_t, chi, b) -> None:
+        """B of one block (see ``sample_pair``), from A and its two
+        uniforms, which are overwritten."""
+        m = len(a)
+        sin_t, cos_chi, e2_c, work, norm, e1 = (
+            self.work[0, :m], self.work[1, :m], self.work[2, :m],
+            self.work[3, :m], self.work[4, :m], self.work[5:, :m])
+        use_y, use_x = self.use_y[0, :m], self.use_y[1, :m]
+        np.power(cos_t, self.exponent, out=cos_t)
+        cos_t *= -2.0
+        cos_t += 1.0
+        np.multiply(cos_t, cos_t, out=sin_t)
+        np.subtract(1.0, sin_t, out=sin_t)
+        np.clip(sin_t, 0.0, None, out=sin_t)
+        np.sqrt(sin_t, out=sin_t)
+        chi *= 2.0 * math.pi
+        np.cos(chi, out=cos_chi)
+        sin_chi = np.sin(chi, out=chi)
+        # e1 before normalisation: A x x-hat = (0, A_z, -A_y) where
+        # |A_x| < 0.9, else A x y-hat = (-A_z, 0, A_x).
+        ax, ay, az = a.T
+        np.abs(ax, out=work)
+        np.greater_equal(work, 0.9, out=use_y)
+        np.logical_not(use_y, out=use_x)
+        e1[:2] = 0.0
+        np.negative(az, out=e1[0], where=use_y)
+        np.copyto(e1[1], az, where=use_x)
+        np.negative(ay, out=e1[2])
+        np.copyto(e1[2], ax, where=use_y)
+        e1 /= _norm3(*e1, norm, work)
+        for c in range(3):
+            # e2 = A x e1, component c; then B_c = cos_t A_c
+            # + sin_t (cos_chi e1_c + sin_chi e2_c).
+            i, j = (c + 1) % 3, (c + 2) % 3
+            np.multiply(a[:, i], e1[j], out=e2_c)
+            np.multiply(a[:, j], e1[i], out=work)
+            e2_c -= work
+            e2_c *= sin_chi
+            np.multiply(cos_chi, e1[c], out=work)
+            work += e2_c
+            work *= sin_t
+            np.multiply(cos_t, a[:, c], out=b[:, c])
+            b[:, c] += work
 
 
 def sample_pair(n_copies: int, rng, size: int | None = None
@@ -113,54 +280,20 @@ def sample_pair(n_copies: int, rng, size: int | None = None
 
     The azimuth is measured in the frame e1 = A x h / |A x h|, e2 = A x e1,
     with helper h = x-hat unless |A_x| >= 0.9, then y-hat.  Components are
-    computed one at a time, with the same operations ``np.cross`` performs,
-    and B is written one column at a time.
+    computed one at a time, with the same operations ``np.cross`` performs.
+    ``PairSampler`` does the work, in blocks; see it for the draw order.
     """
     n_copies = int(n_copies)
     if n_copies < 0:
         raise ValueError(f"n_copies must be >= 0, got {n_copies}")
-    gen = as_generator(rng)
     n = 1 if size is None else int(size)
-    a = sample_uniform_direction(gen, n)
-    cos_t = gen.random(n) ** (1.0 / (n_copies + 1))
-    cos_t *= -2.0
-    cos_t += 1.0
-    sin_t = np.multiply(cos_t, cos_t)
-    np.subtract(1.0, sin_t, out=sin_t)
-    np.clip(sin_t, 0.0, None, out=sin_t)
-    np.sqrt(sin_t, out=sin_t)
-    chi = gen.random(n)
-    chi *= 2.0 * math.pi
-    cos_chi = np.cos(chi)
-    sin_chi = np.sin(chi, out=chi)
-    # e1 before normalisation: A x x-hat = (0, A_z, -A_y) where |A_x| < 0.9,
-    # else A x y-hat = (-A_z, 0, A_x).
-    ax, ay, az = a.T
-    use_y = np.abs(ax) >= 0.9
-    e1 = np.zeros((3, n))
-    np.negative(az, out=e1[0], where=use_y)
-    np.copyto(e1[1], az, where=~use_y)
-    np.negative(ay, out=e1[2])
-    np.copyto(e1[2], ax, where=use_y)
-    e1 /= _norm3(*e1)
-    b = np.empty_like(a)
-    e2_c, work = np.empty(n), np.empty(n)
-    for c in range(3):
-        # e2 = A x e1, component c; then B_c = cos_t A_c
-        # + sin_t (cos_chi e1_c + sin_chi e2_c).
-        i, j = (c + 1) % 3, (c + 2) % 3
-        np.multiply(a[:, i], e1[j], out=e2_c)
-        np.multiply(a[:, j], e1[i], out=work)
-        e2_c -= work
-        e2_c *= sin_chi
-        np.multiply(cos_chi, e1[c], out=work)
-        work += e2_c
-        work *= sin_t
-        np.multiply(cos_t, a[:, c], out=b[:, c])
-        b[:, c] += work
+    pairs = PairSampler(n_copies, as_generator(rng), n, Workspace())
+    b = np.empty((n, 3))
+    for rows, _, b_rows in pairs:
+        b[rows] = b_rows
     if size is None:
-        return a[0], b[0]
-    return a, b
+        return pairs.a[0], b[0]
+    return pairs.a, b
 
 
 def pair_density(n_copies: int, cos_angle) -> np.ndarray | float:

@@ -40,10 +40,14 @@ from lrpovm.sphere import cap_overlap_quadrature, pair_density
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
 SAMPLES = 1_000_000
-# One worker is fastest on a 2-core machine: both sweep fixtures took
-# 13.5-14.1 s at 1 worker, 17.8-19.4 s at 2 and 18.6-20.6 s at 8.
-# Results do not depend on the worker count.
-WORKERS = 1
+# Two workers are fastest on a 2-core machine: both sweep fixtures took
+# 4.5-5.1 s at 2 workers against 6.9-8.1 s at 1 (3 alternating runs each,
+# OpenBLAS at its default thread count).  Projections are now products of
+# 8192-row blocks, which OpenBLAS runs on one thread; whole-chunk products
+# ran on two per worker, oversubscribed 2 cores at 2 workers and took
+# 14.0-14.9 s there against 7.3-7.6 s at 1 worker.  Results do not depend
+# on the worker count.
+WORKERS = 2
 N_RANGE = range(1, 11)
 GOLDEN_MIN_COPIES = 4  # frozen after the first full-scale frontier run
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -11,7 +13,8 @@ from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                min_copies, sweep_curve, sweep_curves)
 from lrpovm.models import ModelConfig, tomography_config, \
     tomography_projections, unanimity_batch, unanimity_pick_batch
-from lrpovm.sphere import RngStream, circle_arc_fraction, gauss_legendre
+from lrpovm.sphere import RngStream, Workspace, circle_arc_fraction, \
+    gauss_legendre
 
 
 class TestRunStatistics:
@@ -49,6 +52,11 @@ class TestEstimateBell:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             estimate(ModelConfig(kind="simple-bell"), 100)
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_bad_chunk_rejected(self, chunk):
+        with pytest.raises(ValueError, match="chunk"):
+            estimate(ModelConfig(kind="simple-bell"), 20_000, chunk=chunk)
 
     def test_simple_bell_quantum_value(self):
         stats = estimate(ModelConfig(kind="simple-bell", seed=3), 400_000)
@@ -400,18 +408,45 @@ class TestPickCountOracle:
             assert np.array_equal(got, want), size
 
 
+@pytest.fixture
+def fresh_workspace(monkeypatch):
+    """A new, empty chunk workspace for this thread, restored afterwards."""
+    ws = Workspace()
+    monkeypatch.setattr(estimators._CHUNK_WORKSPACE, "workspace", ws)
+    return ws
+
+
 def chunk_peak(config, q_sorted=None) -> int:
-    """tracemalloc peak in bytes of one DEFAULT_CHUNK-sample chunk."""
+    """Peak bytes of one DEFAULT_CHUNK-sample chunk, workspace included.
+
+    The first call sizes the chunk workspace; the second is traced, and
+    the workspace's bytes held before it are added to its tracemalloc peak.
+    Start from a fresh workspace (the ``fresh_workspace`` fixture) so that
+    it holds this config's need alone.
+    """
     task = (config, q_sorted, 5, 0, estimators.DEFAULT_CHUNK)
     estimators._count_chunk(task)
+    held = estimators._CHUNK_WORKSPACE.workspace.nbytes
     tracemalloc.start()
     try:
         estimators._count_chunk(task)
-        return tracemalloc.get_traced_memory()[1]
+        return held + tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+POINT_CONFIGS = {
+    "simple-bell": lambda: ModelConfig(kind="simple-bell"),
+    "trusted-steering": lambda: ModelConfig(kind="trusted-steering",
+                                            m_choices=3),
+    "ncopy-steering-N3": lambda: ModelConfig(kind="ncopy-steering",
+                                             n_copies=3, m_choices=3),
+    "tomography-bell-N4": lambda: tomography_config("bell", 4, q=0.3),
+    "chaotic-ball-steering": lambda: tomography_config("steering", math.inf,
+                                                       q=0.3)}
+
+
+@pytest.mark.usefixtures("fresh_workspace")
 class TestChunkMemory:
     """One chunk allocates no more than the code it replaced did.
 
@@ -421,8 +456,10 @@ class TestChunkMemory:
     8.19 MB (7.81 MiB) for ncopy-steering N = 3.  The last two are the
     binary-search level code's peaks: 16 124 192 B for a chaotic-ball
     steering point chunk and 20 249 472 B for a steering N = 2 chunk on
-    the default grid.  The current code peaks at 15.86 MB, 15.86 MB,
-    7.15 MB, 9 439 032 B and 15 862 240 B.
+    the default grid.  A chunk's peak counts the chunk workspace it keeps
+    (see ``chunk_peak``); the current code peaks at 9.17 MB, 10.20 MB,
+    5.41 MB, 6 739 528 B and 11 595 289 B, of which the workspace is
+    9.09, 9.62, 1.15, 6.67 and 10.29 MB.
     """
 
     def test_tomography_bell_point(self):
@@ -443,6 +480,59 @@ class TestChunkMemory:
     def test_tomography_steering_sweep(self):
         assert chunk_peak(tomography_config("steering", 2),
                           default_q_grid()) <= 20_249_472
+
+    def test_workspace_shared_across_configs(self, monkeypatch):
+        """The five point configs in turn leave one workspace, no larger
+        than the largest single config's need."""
+        def run(config):
+            estimators._count_chunk((config, None, 5, 0,
+                                     estimators.DEFAULT_CHUNK))
+
+        single = {}
+        for name, make in POINT_CONFIGS.items():
+            ws = Workspace()
+            monkeypatch.setattr(estimators._CHUNK_WORKSPACE, "workspace", ws)
+            run(make())
+            run(make())
+            single[name] = ws.nbytes
+        shared = Workspace()
+        monkeypatch.setattr(estimators._CHUNK_WORKSPACE, "workspace", shared)
+        for _ in range(2):
+            for make in POINT_CONFIGS.values():
+                run(make())
+        assert min(single.values()) > 0
+        assert shared.nbytes <= max(single.values())
+
+
+class TestThreadWorkspaces:
+    def test_concurrent_threads_match_serial(self):
+        """Each thread counts in its own workspace, so estimates run on
+        more threads than cores equal the serial ones."""
+        configs = [make() for make in POINT_CONFIGS.values()] * 2
+        serial = [estimate(c, 30_001, seed=9, chunk=4_000).weights
+                  for c in configs]
+        threaded = [None] * len(configs)
+
+        def run(k):
+            threaded[k] = estimate(configs[k], 30_001, seed=9,
+                                   chunk=4_000).weights
+
+        # Daemon threads, so that a thread stuck on a corrupted workspace
+        # fails the test instead of hanging it.
+        threads = [threading.Thread(target=run, args=(k,), daemon=True)
+                   for k in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(threaded, serial):
+            assert got is not None and np.array_equal(got, want)
 
 
 class TestStderrScaling:
@@ -489,6 +579,11 @@ class TestSweepCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="q_grid"):
             sweep_curve("bell", 1, [], 20_000)
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_bad_chunk_rejected(self, chunk):
+        with pytest.raises(ValueError, match="chunk"):
+            sweep_curve("bell", 1, [0.0, 0.3], 20_000, chunk=chunk)
 
     def test_no_alice_detection_point_is_nan_without_warning(self):
         # Just below q = 1 no reading pair has an Alice detection.

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lrpovm.sphere import (RngStream, cap_overlap_quadrature,
-                           circle_arc_fraction, pair_density, sample_pair,
-                           sample_uniform_direction)
+from lrpovm import models
+from lrpovm.sphere import (BLOCK, RngStream, Workspace, blocks,
+                           cap_overlap_quadrature, circle_arc_fraction,
+                           pair_density, sample_pair, sample_uniform_direction)
 
 
 def three_sigma(var, n):
@@ -118,6 +119,152 @@ class TestSamplePairOracle:
         a, b = sample_pair(3, RngStream(5))
         ref_a, ref_b = cross_sample_pair(3, RngStream(5), 1)
         assert np.array_equal(a, ref_a[0]) and np.array_equal(b, ref_b[0])
+
+
+class ZeroRowGenerator(np.random.Generator):
+    """The PCG64 stream of ``seed``, except that the rows ``zero_rows`` of
+    its first ``standard_normal`` draw are set to 0."""
+
+    def __init__(self, seed, zero_rows):
+        super().__init__(np.random.PCG64(seed))
+        self.zero_rows = zero_rows
+        self.normal_draws = 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        draw = super().standard_normal(size, dtype, out)
+        self.normal_draws += 1
+        if self.normal_draws == 1:
+            draw[self.zero_rows] = 0.0
+        return draw
+
+
+def resampling_directions(gen, n):
+    """Reference directions: one allocated (n, 3) draw, zero-norm rows
+    redrawn together until none is left, then one division."""
+    v = gen.standard_normal((n, 3))
+    norms = np.linalg.norm(v, axis=1)
+    bad = norms < 1e-12
+    while np.any(bad):
+        v[bad] = gen.standard_normal((int(bad.sum()), 3))
+        norms = np.linalg.norm(v, axis=1)
+        bad = norms < 1e-12
+    return v / norms[:, None]
+
+
+def resampling_pair(n_copies, gen, n):
+    """Reference pairs: ``resampling_directions``, then the opening and
+    azimuth draws, framed with ``np.cross`` as in ``cross_sample_pair``."""
+    a = resampling_directions(gen, n)
+    cos_t = 1.0 - 2.0 * gen.random(n) ** (1.0 / (n_copies + 1))
+    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
+    chi = gen.random(n) * (2.0 * math.pi)
+    helper = np.where(np.abs(a[:, 0:1]) < 0.9, np.array([1.0, 0.0, 0.0]),
+                      np.array([0.0, 1.0, 0.0]))
+    e1 = np.cross(a, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(a, e1)
+    b = (cos_t[:, None] * a
+         + sin_t[:, None] * (np.cos(chi)[:, None] * e1
+                             + np.sin(chi)[:, None] * e2))
+    return a, b
+
+
+ZERO_ROWS = [0, BLOCK + 3, 2 * BLOCK + 4]
+ZERO_ROW_SIZE = 2 * BLOCK + 5
+
+
+class TestZeroNormResample:
+    """A zero-norm draw is redrawn in the reference's draw order."""
+
+    def test_uniform_direction(self):
+        got = sample_uniform_direction(
+            ZeroRowGenerator(11, ZERO_ROWS), ZERO_ROW_SIZE)
+        gen = ZeroRowGenerator(11, ZERO_ROWS)
+        want = resampling_directions(gen, ZERO_ROW_SIZE)
+        assert gen.normal_draws == 2
+        assert np.array_equal(got, want)
+        # the redrawn rows are real directions, not the zeroed draw
+        assert np.allclose(np.linalg.norm(got[ZERO_ROWS], axis=1), 1.0)
+
+    def test_single_direction(self):
+        got = sample_uniform_direction(ZeroRowGenerator(12, [0]))
+        want = resampling_directions(ZeroRowGenerator(12, [0]), 1)[0]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_copies", [0, 1, 4])
+    def test_pair(self, n_copies):
+        got = sample_pair(n_copies, ZeroRowGenerator(13, ZERO_ROWS),
+                          ZERO_ROW_SIZE)
+        want = resampling_pair(n_copies, ZeroRowGenerator(13, ZERO_ROWS),
+                               ZERO_ROW_SIZE)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("kind, n_copies", [("bell", 2),
+                                                ("steering", math.inf)])
+    def test_chunk_kernel(self, kind, n_copies):
+        """The counting kernel draws through the same resample path."""
+        config = models.tomography_config(kind, n_copies, q=0.3)
+        gen = ZeroRowGenerator(14, ZERO_ROWS)
+        if n_copies == math.inf:
+            a = b = resampling_directions(gen, ZERO_ROW_SIZE)
+        else:
+            a, b = resampling_pair(n_copies, gen, ZERO_ROW_SIZE)
+        want_a = models.threshold_levels(a @ config.alice_directions.T,
+                                         (0.3,))
+        want_b = models.threshold_levels(b @ config.bob_directions.T, (0.3,))
+        got_a, got_b = models.tomography_level_batch(
+            config, ZeroRowGenerator(14, ZERO_ROWS), ZERO_ROW_SIZE, (0.3,),
+            Workspace())
+        assert np.array_equal(got_a, want_a)
+        assert np.array_equal(got_b, want_b)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK, BLOCK + 1, BLOCK + 2,
+                                   2 * BLOCK + 1, 3 * BLOCK - 1])
+    def test_cover_without_one_row_blocks(self, n):
+        rows = list(blocks(n))
+        assert [r.start for r in rows[1:]] == [r.stop for r in rows[:-1]]
+        assert sum(r.stop - r.start for r in rows) == n
+        assert all(1 <= r.stop - r.start <= BLOCK + 1 for r in rows)
+        assert n == 1 or all(r.stop - r.start > 1 for r in rows)
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("n_copies", [2, math.inf])
+    def test_projections_match_full_matmul(self, n, n_copies):
+        """Blocked projections equal one whole-array product bit for bit."""
+        config = models.tomography_config("bell", n_copies)
+        if n_copies == math.inf:
+            a = b = sample_uniform_direction(RngStream(21), n)
+        else:
+            a, b = sample_pair(n_copies, RngStream(21), n)
+        got_a, got_b = models.tomography_projections(config, RngStream(21), n)
+        assert np.array_equal(got_a, a @ config.alice_directions.T)
+        assert np.array_equal(got_b, b @ config.bob_directions.T)
+
+
+class TestWorkspace:
+    def test_views_reused_after_reset(self):
+        ws = Workspace()
+        ws.take((5, 3))
+        ws.take(7, np.int8)
+        assert ws.nbytes == 0  # the first round only sizes the arena
+        ws.reset()
+        first = ws.take((5, 3))
+        levels = ws.take(7, np.int8)
+        assert first.shape == (5, 3) and first.dtype == float
+        assert levels.dtype == np.int8 and first.flags.c_contiguous
+        assert not np.shares_memory(first, levels)
+        ws.reset()
+        assert np.shares_memory(first, ws.take((5, 3)))
+
+    def test_grows_to_largest_round(self):
+        ws = Workspace()
+        for size in (100, 1000, 10):
+            ws.take(size)
+            ws.reset()
+        assert ws.nbytes == 1000 * 8
 
 
 class TestPairDensity:
