@@ -20,11 +20,9 @@ from .causality import (CausalScenario, Event, ReadoutSignature,
 from .estimators import (CurvePoint, RunStatistics, default_q_grid,
                          enumerate_exact, estimate, frontier_value,
                          min_copies, sweep_curve, sweep_curves)
-from .models import (DEFAULT_SEED, JointReadout, ModelConfig, ReadoutBatch,
-                     ncopy_steering_sample, ncopy_tomography_sample,
-                     qubit_copies_joint, sample_batch, simple_bell_sample,
-                     threshold_readout, tomography_config,
-                     trusted_steering_sample)
+from .models import (DEFAULT_SEED, ModelConfig, ReadoutBatch,
+                     qubit_copies_joint, sample_batch, threshold_readout,
+                     tomography_config)
 from .quantum import (CHSH_ALICE, CHSH_BOB, STEERING_TRIPLE, chsh_value,
                       coherent_state, oracle_pair_density,
                       qubit_probability_plus, quantum_correlation,
@@ -40,11 +38,9 @@ __all__ = [
     "readout_signature", "CurvePoint", "RunStatistics", "default_q_grid",
     "enumerate_exact", "estimate", "frontier_value",
     "min_copies", "sweep_curve", "sweep_curves", "DEFAULT_SEED",
-    "JointReadout", "ModelConfig", "ReadoutBatch", "ncopy_steering_sample",
-    "ncopy_tomography_sample", "qubit_copies_joint", "sample_batch",
-    "simple_bell_sample", "threshold_readout", "tomography_config",
-    "trusted_steering_sample", "CHSH_ALICE", "CHSH_BOB", "STEERING_TRIPLE",
-    "chsh_value", "coherent_state", "oracle_pair_density",
+    "ModelConfig", "ReadoutBatch", "qubit_copies_joint", "sample_batch",
+    "threshold_readout", "tomography_config", "CHSH_ALICE", "CHSH_BOB",
+    "STEERING_TRIPLE", "chsh_value", "coherent_state", "oracle_pair_density",
     "qubit_probability_plus", "quantum_correlation", "quantum_steering_T",
     "sequential_qubit_probability", "singlet_power", "RngStream",
     "cap_overlap_quadrature", "pair_density", "sample_pair",

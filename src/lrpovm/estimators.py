@@ -48,8 +48,7 @@ MIN_SAMPLES = 1_000
 
 LR_BOUND = {"bell": 2.0, "steering": 1.0 / 3.0}
 
-# Trit value <-> table index. Index axes are ordered (-1, 0, +1).
-_IDX = {-1: 0, 0: 1, 1: 2}
+# Coincidence cells of a 3x3 table; trit axes are ordered (-1, 0, +1).
 _COINC = np.ix_((0, 2), (0, 2))
 
 
@@ -119,19 +118,17 @@ class RunStatistics:
         w = self.weights[i, j]
         return w / w.sum()
 
-    def full_correlation(self, i: int, j: int,
-                         conditioning: str = "registered") -> float:
-        """<ab> with zero outcomes kept in the average.
+    def full_correlation(self, i: int, j: int) -> float:
+        """<ab> with Alice's zero outcomes kept in the average.
 
-        With ``conditioning='registered'`` the denominator is the events
-        where Bob registered (his trit nonzero), the accounting in which
-        the trusted pick model shows the 1/M suppression; ``'all'`` keeps
-        every event.
+        The denominator is the events where Bob registered (his trit
+        nonzero), the accounting in which the trusted pick model shows the
+        1/M suppression.
         """
         w = self.weights[i, j]
         coinc = w[_COINC]
         num = coinc[0, 0] + coinc[1, 1] - coinc[0, 1] - coinc[1, 0]
-        den = w[:, (0, 2)].sum() if conditioning == "registered" else w.sum()
+        den = w[:, (0, 2)].sum()
         return num / den if den > 0 else math.nan
 
     def alice_marginal(self, i: int, j: int) -> np.ndarray:
@@ -148,9 +145,12 @@ class RunStatistics:
 
         For Bell runs this averages the four setting pairs; steering runs
         average the matched pairs.  ``variant`` picks the conditioning
-        side ('alice' for p(a2=b2=1)/p(a2=1)).  NaN when no pair has a
-        detection on that side.
+        side: 'alice' for p(a2=b2=1)/p(a2=1), or 'bob'.  NaN when no pair
+        has a detection on that side.
         """
+        if variant not in ("alice", "bob"):
+            raise ValueError(
+                f"variant must be 'alice' or 'bob', got {variant!r}")
         vals = []
         for i, j in self.reading_pairs():
             p = self.pair(i, j)
@@ -241,19 +241,16 @@ class RunStatistics:
 # ---------------------------------------------------------------------------
 
 def _count_levels(levels_a: np.ndarray, levels_b: np.ndarray,
-                  n_levels: int, code: np.ndarray | None = None
-                  ) -> np.ndarray:
+                  n_levels: int, code: np.ndarray) -> np.ndarray:
     """Trit tables (L, Ma, Mb, 3, 3) from signed levels v in [-L, L].
 
     Threshold k reads v <= -(k+1) as -1, |v| <= k as 0, v >= k+1 as +1.
     Each reading pair's joint level code (v_a + L)(2L + 1) + v_b + L is
-    written into ``code`` (n intp, allocated if not given) and histogrammed
-    by one bincount.
+    written into ``code`` (n intp work array) and histogrammed by one
+    bincount.
     """
     width = 2 * n_levels + 1
     ma, mb = levels_a.shape[1], levels_b.shape[1]
-    if code is None:
-        code = np.empty(len(levels_a), np.intp)
     hist = np.empty((ma, mb, width * width), dtype=np.int64)
     for i in range(ma):
         for j in range(mb):

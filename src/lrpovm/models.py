@@ -22,19 +22,17 @@ chaotic-ball      the N -> infinity limit: both parties threshold
 
 The two pick kinds are the unanimity model at N = 1, since a single copy
 is always unanimous, and ``ModelConfig`` pins ``n_copies = 1`` for them.
-One sampler serves all three discrete kinds: each run's two picks and
-the trit read at each are the whole readout.  ``unanimity_pick_batch``
-returns those four vectors and ``unanimity_batch`` scatters them into one
-trit per choice; ``unanimity_cell_batch`` folds them into one pick-cell
-index per run for counting.  Likewise one sampler serves the tomography
-kinds: ``tomography_projections`` returns the projections and
-``tomography_level_batch`` their threshold levels.  The two kernels that
-counting calls, ``unanimity_cell_batch`` and ``tomography_level_batch``,
-take a ``sphere.Workspace`` and return views of it; the other samplers
-give each call a fresh workspace.  One table map (``pick_tables``) turns
-per-pick-pair outcomes into reading-pair tables, for the exact
-enumerator (``enumerate_unanimity``) and for Monte Carlo pick counts
-alike.
+``sample_batch`` is the one public sampler: it returns a ``ReadoutBatch``
+with one trit per (run, choice) for every kind.  It wraps the two kernels
+that counting calls, one per model family.  ``unanimity_cell_batch``
+folds each run's two picks and the trit read at each, which are the whole
+unanimity readout, into one pick-cell index.  ``tomography_level_batch``
+gives the threshold levels of the sampled projections on a q grid; on the
+one-point grid (q,) they are the trits.  Both kernels take a
+``sphere.Workspace`` and return views of it; ``sample_batch`` gives each
+call a fresh one.  One table map (``pick_tables``) turns per-pick-pair
+outcomes into reading-pair tables, for the exact enumerator
+(``enumerate_unanimity``) and for Monte Carlo pick counts alike.
 """
 from __future__ import annotations
 
@@ -154,25 +152,6 @@ class ReadoutBatch:
 
     def __len__(self) -> int:
         return self.alice.shape[0]
-
-
-@dataclass(frozen=True)
-class JointReadout:
-    """A single joint readout with all choice-conditioned trits.
-
-    ``discarded`` is True when Bob registered no choice at all (for the
-    unanimity model this is a failed agreement among his copies).
-    """
-
-    alice: tuple[int, ...]
-    bob: tuple[int, ...]
-    discarded: bool
-
-
-def _first(batch: ReadoutBatch) -> JointReadout:
-    alice = tuple(int(v) for v in batch.alice[0])
-    bob = tuple(int(v) for v in batch.bob[0])
-    return JointReadout(alice=alice, bob=bob, discarded=not any(bob))
 
 
 def threshold_readout(projection: float, q: float) -> int:
@@ -338,22 +317,6 @@ def _sign_into(positive, live, out) -> None:
     out *= live
 
 
-def unanimity_pick_batch(config: ModelConfig, rng, n: int
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray]:
-    """Unanimity model over N singlet copies; the pick models are N = 1.
-
-    Returns (pick_a, pick_b, a_val, b_val): each party's uniformly picked
-    choice and the trit it reads there, +-1 when all N copies agree (exact
-    singlet statistics per copy) and 0 otherwise.  Every other choice
-    reads 0, so these four vectors are the whole readout.
-    """
-    pick, a_val, b_val = _unanimity_readout(config, as_generator(rng), n,
-                                            Workspace())
-    pick_a, pick_b = np.divmod(pick, len(config.bob_directions))
-    return pick_a, pick_b, a_val, b_val
-
-
 def unanimity_cell_batch(config: ModelConfig, rng, n: int, ws: Workspace
                          ) -> np.ndarray:
     """Pick-cell index of n unanimity runs, the readout's whole content.
@@ -373,19 +336,6 @@ def unanimity_cell_batch(config: ModelConfig, rng, n: int, ws: Workspace
     return cell
 
 
-def unanimity_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    """Unanimity readouts scattered to one trit per (sample, choice).
-
-    For the steering kinds Bob's zeros are unregistered events the
-    estimator drops, which is what suppresses the full correlation to 1/M
-    while coincidences stay perfect.
-    """
-    pick_a, pick_b, a_val, b_val = unanimity_pick_batch(config, rng, n)
-    return ReadoutBatch(
-        alice=_scatter(n, len(config.alice_directions), pick_a, a_val),
-        bob=_scatter(n, len(config.bob_directions), pick_b, b_val))
-
-
 def _projection_blocks(config: ModelConfig, gen, n: int, ws: Workspace):
     """Yield (rows, proj_a, proj_b) per block of n sampled direction pairs.
 
@@ -401,22 +351,6 @@ def _projection_blocks(config: ModelConfig, gen, n: int, ws: Workspace):
         m = rows.stop - rows.start
         yield (rows, np.matmul(a, dirs_a, out=proj_a[:m]),
                np.matmul(b, dirs_b, out=proj_b[:m]))
-
-
-def tomography_projections(config: ModelConfig, rng, n: int
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Projections of the sampled direction pair onto both parties' axes.
-
-    For finite N the pair (A, B) follows the N-copy tomography density;
-    the chaotic-ball limit shares one axis exactly (B = A).
-    """
-    out_a = np.empty((n, len(config.alice_directions)))
-    out_b = np.empty((n, len(config.bob_directions)))
-    for rows, proj_a, proj_b in _projection_blocks(
-            config, as_generator(rng), n, Workspace()):
-        out_a[rows] = proj_a
-        out_b[rows] = proj_b
-    return out_a, out_b
 
 
 def tomography_level_batch(config: ModelConfig, rng, n: int, q_sorted,
@@ -439,53 +373,25 @@ def tomography_level_batch(config: ModelConfig, rng, n: int, q_sorted,
     return levels_a, levels_b
 
 
-def tomography_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    alice, bob = tomography_level_batch(config, rng, n, (config.q,),
-                                        Workspace())
-    return ReadoutBatch(alice=alice, bob=bob)
-
-
 def sample_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
-    """Draw n joint readouts from the configured model."""
-    sampler = tomography_batch if config.is_tomography else unanimity_batch
-    return sampler(config, rng, n)
+    """Draw n joint readouts from the configured model.
 
-
-# Convenience single-shot samplers -----------------------------------------
-
-def simple_bell_sample(rng, alice_directions=None, bob_directions=None
-                       ) -> JointReadout:
-    config = ModelConfig(kind="simple-bell",
-                         alice_directions=alice_directions,
-                         bob_directions=bob_directions)
-    return _first(unanimity_batch(config, rng, 1))
-
-
-def trusted_steering_sample(m_choices: int, directions, rng,
-                            alice_directions=None) -> JointReadout:
-    config = ModelConfig(kind="trusted-steering", m_choices=m_choices,
-                         bob_directions=directions,
-                         alice_directions=alice_directions)
-    return _first(unanimity_batch(config, rng, 1))
-
-
-def ncopy_steering_sample(n_copies: int, directions, rng,
-                          alice_directions=None, m_choices=None) -> JointReadout:
-    config = ModelConfig(kind="ncopy-steering", n_copies=n_copies,
-                         m_choices=m_choices or len(np.atleast_2d(directions)),
-                         bob_directions=directions,
-                         alice_directions=alice_directions)
-    return _first(unanimity_batch(config, rng, 1))
-
-
-def ncopy_tomography_sample(n_copies, q: float, rng,
-                            alice_directions=None, bob_directions=None
-                            ) -> JointReadout:
-    kind = "chaotic-ball" if n_copies == math.inf else "ncopy-tomography"
-    config = ModelConfig(kind=kind, n_copies=n_copies, q=q,
-                         alice_directions=alice_directions,
-                         bob_directions=bob_directions)
-    return _first(tomography_batch(config, rng, 1))
+    The unanimity family reads one trit at each party's picked choice and
+    0 at every other; for the steering kinds Bob's zeros are unregistered
+    events the estimator drops, which is what suppresses the full
+    correlation to 1/M while coincidences stay perfect.  The tomography
+    family reads every choice, thresholded at ``config.q``.
+    """
+    if config.is_tomography:
+        alice, bob = tomography_level_batch(config, rng, n, (config.q,),
+                                            Workspace())
+        return ReadoutBatch(alice=alice, bob=bob)
+    pick, a_val, b_val = _unanimity_readout(config, as_generator(rng), n,
+                                            Workspace())
+    pick_a, pick_b = np.divmod(pick, len(config.bob_directions))
+    return ReadoutBatch(
+        alice=_scatter(n, len(config.alice_directions), pick_a, a_val),
+        bob=_scatter(n, len(config.bob_directions), pick_b, b_val))
 
 
 def qubit_copies_joint(t_a: float, t_b: float, omega: float,

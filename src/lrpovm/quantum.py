@@ -32,8 +32,6 @@ STEERING_TRIPLE = np.eye(3)
 COPY_CAP = 5          # exact singlet powers up to 4^5 amplitudes
 ORACLE_COPY_CAP = 4   # brute-force pair-density oracle regime
 
-PSD_TOL = 1e-10
-
 
 def direction_operator(direction) -> np.ndarray:
     """The operator d . sigma for a unit direction d."""

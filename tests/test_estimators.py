@@ -11,10 +11,10 @@ from lrpovm import estimators, quantum
 from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                enumerate_exact, estimate, frontier_value,
                                min_copies, sweep_curve, sweep_curves)
-from lrpovm.models import ModelConfig, tomography_config, \
-    tomography_projections, unanimity_batch, unanimity_pick_batch
+from lrpovm.models import ModelConfig, sample_batch, tomography_config, \
+    unanimity_cell_batch
 from lrpovm.sphere import RngStream, Workspace, circle_arc_fraction, \
-    gauss_legendre
+    gauss_legendre, sample_pair, sample_uniform_direction
 
 
 class TestRunStatistics:
@@ -46,6 +46,13 @@ class TestRunStatistics:
         stats = RunStatistics(kind="steering", weights=w, samples=30)
         _, _, flagged = stats.steering()
         assert flagged
+
+    def test_efficiency_rejects_unknown_variant(self):
+        w = np.ones((2, 2, 3, 3))
+        stats = RunStatistics(kind="bell", weights=w, samples=36)
+        assert stats.efficiency("bob") == stats.efficiency("alice")
+        with pytest.raises(ValueError, match="'Alice'"):
+            stats.efficiency("Alice")
 
 
 class TestEstimateBell:
@@ -299,16 +306,24 @@ class TestParallelDeterminism:
         assert a == b
 
 
+def _reference_pairs(n_copies, gen, size):
+    """The chunk's direction pairs from the public sphere samplers."""
+    if n_copies == math.inf:
+        a = sample_uniform_direction(gen, size)
+        return a, a
+    return sample_pair(n_copies, gen, size)
+
+
 def _reference_sweep_tables(kind, n_copies, q_grid, samples, seed, chunk):
     """Per-threshold trit tables by plain comparison, one q at a time."""
     config = tomography_config(kind, n_copies, seed=seed)
     sizes = [chunk] * (samples // chunk) + (
         [samples % chunk] if samples % chunk else [])
-    draws = [tomography_projections(config, RngStream(seed, index).generator,
-                                    size)
+    draws = [_reference_pairs(n_copies, RngStream(seed, index).generator,
+                              size)
              for index, size in enumerate(sizes)]
-    proj_a = np.concatenate([a for a, _ in draws])
-    proj_b = np.concatenate([b for _, b in draws])
+    proj_a = np.concatenate([a for a, _ in draws]) @ config.alice_directions.T
+    proj_b = np.concatenate([b for _, b in draws]) @ config.bob_directions.T
     ma, mb = proj_a.shape[1], proj_b.shape[1]
     tables = []
     for q in q_grid:
@@ -364,9 +379,12 @@ UNANIMITY_CONFIGS = {
        for n in (1, 3, 7)}}
 
 
-def copywise_pick_batch(config, gen, n):
-    """Unanimity picks and trits, one reading per copy, in the sampler's
-    draw order: picks, then each copy's sign, then each copy's match."""
+def copywise_cell_batch(config, gen, n):
+    """Unanimity pick-cell indices, one reading per copy, in the sampler's
+    draw order: picks, then each copy's sign, then each copy's match.
+
+    The cell ((pick_a Mb + pick_b) 3 + a + 1) 3 + b + 1 is one-to-one in
+    (pick_a, pick_b, a, b), so it checks picks and trits exactly."""
     table = -config.alice_directions @ config.bob_directions.T
     ma, mb = table.shape
     pick_a = gen.integers(0, ma, n)
@@ -377,7 +395,7 @@ def copywise_pick_batch(config, gen, n):
                    alice, -alice)
     a_val = np.where((alice == alice[:, :1]).all(axis=1), alice[:, 0], 0)
     b_val = np.where((bob == bob[:, :1]).all(axis=1), bob[:, 0], 0)
-    return pick_a, pick_b, a_val, b_val
+    return ((pick_a * mb + pick_b) * 3 + a_val + 1) * 3 + b_val + 1
 
 
 class TestPickCountOracle:
@@ -388,12 +406,11 @@ class TestPickCountOracle:
     def test_picks_match_copywise_reference(self, name, seed):
         config = ModelConfig(**UNANIMITY_CONFIGS[name])
         for size in (1, 7, 99_999, 131_072):
-            got = unanimity_pick_batch(config, RngStream(seed, 3).generator,
+            got = unanimity_cell_batch(config, RngStream(seed, 3).generator,
+                                       size, Workspace())
+            want = copywise_cell_batch(config, RngStream(seed, 3).generator,
                                        size)
-            want = copywise_pick_batch(config, RngStream(seed, 3).generator,
-                                       size)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w), size
+            assert np.array_equal(got, want), size
 
     @pytest.mark.parametrize("seed", [12345, 7, 1])
     @pytest.mark.parametrize("name", sorted(UNANIMITY_CONFIGS))
@@ -401,9 +418,9 @@ class TestPickCountOracle:
         config = ModelConfig(**UNANIMITY_CONFIGS[name])
         for size in (1, 7, 99_999, 131_072):
             got = estimators._count_chunk((config, None, seed, 3, size))
-            batch = unanimity_batch(config, RngStream(seed, 3).generator,
-                                    size)
-            want = estimators._count_levels(batch.alice, batch.bob, 1)[0]
+            batch = sample_batch(config, RngStream(seed, 3).generator, size)
+            want = estimators._count_levels(batch.alice, batch.bob, 1,
+                                            np.empty(size, np.intp))[0]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), size
 

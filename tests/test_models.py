@@ -8,11 +8,9 @@ import pytest
 from lrpovm import causality, quantum
 from lrpovm.estimators import enumerate_exact, estimate
 from lrpovm.models import (LEVEL_BINS, ModelConfig, enumerate_unanimity,
-                           ncopy_steering_sample,
-                           ncopy_tomography_sample, preselection_weight,
-                           qubit_copies_joint, sample_batch, simple_bell_sample,
-                           threshold_levels, threshold_readout,
-                           tomography_config, trusted_steering_sample)
+                           preselection_weight, qubit_copies_joint,
+                           sample_batch, threshold_levels, threshold_readout,
+                           tomography_config)
 from lrpovm.sphere import RngStream
 
 
@@ -141,10 +139,10 @@ class TestSimpleBell:
                 assert abs(p.correlation - expected) < 3 * p.stderr
 
     def test_single_readout_shape(self):
-        r = simple_bell_sample(RngStream(1))
-        assert sum(v != 0 for v in r.alice) == 1
-        assert sum(v != 0 for v in r.bob) == 1
-        assert not r.discarded
+        r = sample_batch(ModelConfig(kind="simple-bell"), RngStream(1), 1)
+        assert r.alice.shape == r.bob.shape == (1, 2)
+        assert np.count_nonzero(r.alice) == 1
+        assert np.count_nonzero(r.bob) == 1
 
 
 class TestTrustedSteering:
@@ -183,8 +181,10 @@ class TestTrustedSteering:
         assert t <= 1.0 / 3.0 + 3 * se
 
     def test_sample_shape(self):
-        r = trusted_steering_sample(3, quantum.STEERING_TRIPLE, RngStream(2))
-        assert len(r.alice) == 3 and len(r.bob) == 3
+        config = ModelConfig(kind="trusted-steering", m_choices=3,
+                             bob_directions=quantum.STEERING_TRIPLE)
+        r = sample_batch(config, RngStream(2), 1)
+        assert r.alice.shape == r.bob.shape == (1, 3)
 
 
 class TestNcopySteering:
@@ -234,8 +234,17 @@ class TestNcopySteering:
         assert np.all(np.abs(freq - exact) <= bound)
 
     def test_discard_flag(self):
-        r = ncopy_steering_sample(5, quantum.STEERING_TRIPLE, RngStream(3))
-        assert r.discarded == (not any(r.bob))
+        # Bob discards a run (reads 0 at every choice) exactly when his
+        # five copies disagree, with probability 1 - 2^(1-5).
+        n = 20_000
+        config = ModelConfig(kind="ncopy-steering", n_copies=5)
+        r = sample_batch(config, RngStream(3), n)
+        assert np.all(np.count_nonzero(r.alice, axis=1) <= 1)
+        assert np.all(np.count_nonzero(r.bob, axis=1) <= 1)
+        discarded = np.mean(~r.bob.any(axis=1))
+        expected = 1.0 - 2.0 ** (1 - 5)
+        sigma = math.sqrt(expected * (1.0 - expected) / n)
+        assert abs(discarded - expected) < 5 * sigma
 
     def test_rejects_infinite_copies(self):
         with pytest.raises(ValueError, match="n_copies"):
@@ -339,8 +348,9 @@ class TestTomography:
         assert abs(s - (-2.0)) < 3 * se + 1e-9
 
     def test_sample_helper_infinite(self):
-        r = ncopy_tomography_sample(math.inf, 0.0, RngStream(5))
-        assert all(v != 0 for v in r.alice)
+        r = sample_batch(ModelConfig(kind="chaotic-ball", q=0.0),
+                         RngStream(5), 1)
+        assert r.alice.shape == (1, 2) and np.all(r.alice != 0)
 
     def test_preselection_metadata(self):
         config = tomography_config("bell", 4, q=0.1)

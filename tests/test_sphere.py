@@ -239,9 +239,15 @@ class TestBlocks:
             a = b = sample_uniform_direction(RngStream(21), n)
         else:
             a, b = sample_pair(n_copies, RngStream(21), n)
-        got_a, got_b = models.tomography_projections(config, RngStream(21), n)
-        assert np.array_equal(got_a, a @ config.alice_directions.T)
-        assert np.array_equal(got_b, b @ config.bob_directions.T)
+        want_a = a @ config.alice_directions.T
+        want_b = b @ config.bob_directions.T
+        covered = 0
+        for rows, got_a, got_b in models._projection_blocks(
+                config, RngStream(21).generator, n, Workspace()):
+            assert np.array_equal(got_a, want_a[rows])
+            assert np.array_equal(got_b, want_b[rows])
+            covered += rows.stop - rows.start
+        assert covered == n
 
 
 class TestWorkspace:
