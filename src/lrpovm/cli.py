@@ -303,10 +303,8 @@ def _cmd_curves(args) -> int:
     _validate_samples(args.samples)
     if not args.n_copies:
         raise CliError("--n-copies expects at least one copy count")
-    n_list = list(dict.fromkeys(args.n_copies))
-    if args.model == "chaotic-ball":
-        n_list = [math.inf]
-    curves = sweep_curves(args.kind, n_list, samples=args.samples,
+    n_copies = [math.inf] if args.model == "chaotic-ball" else args.n_copies
+    curves = sweep_curves(args.kind, n_copies, samples=args.samples,
                           seed=args.seed, workers=args.workers)
     points = [p for pts in curves.values() for p in pts]
     with _writing("--out", args.out):

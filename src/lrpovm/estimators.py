@@ -17,13 +17,24 @@ bincount per reading pair histograms the joint levels, and 2-D prefix
 sums of it give the table of every threshold.  A fixed-q estimate is the
 one-level case, whose level is the trit itself.
 
+A sweep over several copy counts N is one pass.  Chunk i draws from
+``RngStream(seed, i)`` whatever N is, and a single N draws A (normal rows
+plus zero-norm redraws), then the opening and azimuth uniforms u and chi
+if N is finite: the same numbers for every N.  So each chunk draws them
+once, projects A on Alice's directions and takes her levels once, and
+adds per N only Bob's directions, levels and counts, with every
+elementwise operation in its single-N order.  Each N's tables are
+therefore bit-identical to a sweep of that N alone.
+
 Parallelism is a map over fixed-size sample chunks, one independent
-substream per chunk, merged by integer addition; results are identical
-for any worker count at a fixed (seed, chunk schedule).  A chunk
-allocates almost nothing: each thread (so each pool worker) keeps one
-``sphere.Workspace`` that every chunk of every model config reuses.  The
-chunk's draws go straight into it, and its projections, levels, trits
-and codes are computed in cache-sized blocks of its buffers.  The
+stream per chunk, merged by integer addition; results are identical for
+any worker count at a fixed (seed, chunk schedule), and one estimate or
+sweep starts at most one process pool.  A chunk allocates almost nothing:
+each thread (so each pool worker) keeps one ``sphere.Workspace`` that
+every chunk of every model config reuses.  The chunk's draws go straight
+into it, and its projections, levels, trits and codes are computed in
+cache-sized blocks of its buffers, the blocks outside and the copy counts
+inside, so a sweep needs one extra level array per copy count.  The
 workspace grows to the largest chunk seen, so it holds the largest single
 config's need, not their sum.  Only ``Generator.integers``, which has no
 ``out=``, still allocates (the picks and the copies' signs).
@@ -286,8 +297,10 @@ def _count_chunk(task) -> np.ndarray:
     The unanimity family is counted from its pick-cell histogram, which
     ``models.pick_tables`` turns into reading-pair tables; the tomography
     family from its levels on the q grid, or its trits at the model's q.
+    A sweep chunk counts every copy count of ``n_copies`` from one draw and
+    returns (K, L, Ma, Mb, 3, 3) for K copy counts and L thresholds.
     """
-    config, q_sorted, seed, index, size = task
+    config, n_copies, q_sorted, seed, index, size = task
     gen = RngStream(seed, index).generator
     ws = _CHUNK_WORKSPACE.workspace
     ws.reset()
@@ -298,15 +311,17 @@ def _count_chunk(task) -> np.ndarray:
                                   .reshape(ma, mb, 3, 3))
     grid = (config.q,) if q_sorted is None else q_sorted
     levels_a, levels_b = models.tomography_level_batch(config, gen, size,
-                                                       grid, ws)
-    tables = _count_levels(levels_a, levels_b, len(grid),
-                           ws.take(size, np.intp))
-    return tables[0] if q_sorted is None else tables
+                                                       grid, ws, n_copies)
+    code = ws.take(size, np.intp)
+    tables = np.stack([_count_levels(levels_a, levels, len(grid), code)
+                       for levels in levels_b])
+    return tables[0, 0] if q_sorted is None else tables
 
 
 def _count_chunks(head: tuple, samples: int, chunk: int,
                   workers: int) -> np.ndarray:
-    """Sum the chunk tables of ``head`` = (config, q grid or None, seed)."""
+    """Sum the chunk tables of ``head`` = (config, copy counts or None,
+    q grid or None, seed), all chunks in one map over at most one pool."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if chunk < 1:
@@ -337,7 +352,8 @@ def estimate(config: ModelConfig, samples: int, *, seed: int | None = None,
     tomography configs, steering otherwise.
     """
     seed = config.seed if seed is None else seed
-    counts = _count_chunks((config, None, seed), samples, chunk, workers)
+    counts = _count_chunks((config, None, None, seed), samples, chunk,
+                           workers)
     return RunStatistics(kind=_run_kind(config), weights=counts,
                          samples=samples,
                          metadata=dict(config.metadata, model=config.kind,
@@ -478,12 +494,26 @@ class CurvePoint:
 def sweep_curve(kind: str, n_copies, q_grid=None, samples: int = DEFAULT_SWEEP_SAMPLES,
                 *, seed: int | None = None, workers: int = 1,
                 chunk: int = DEFAULT_CHUNK) -> list[CurvePoint]:
-    """Sweep the dead-zone threshold for one copy count.
+    """Sweep the dead-zone threshold for one copy count (see
+    ``sweep_curves``)."""
+    return sweep_curves(kind, [n_copies], q_grid, samples, seed=seed,
+                        workers=workers, chunk=chunk)[n_copies]
 
-    All thresholds in the grid are evaluated on the same sample stream,
-    which makes the efficiency exactly non-increasing along the grid and
-    keeps reruns byte-for-byte reproducible.  Degenerate points (no
-    coincidences in some setting pair) carry NaN value and stderr.
+
+def sweep_curves(kind: str, n_copies, q_grid=None,
+                 samples: int = DEFAULT_SWEEP_SAMPLES, *,
+                 seed: int | None = None, workers: int = 1,
+                 chunk: int = DEFAULT_CHUNK
+                 ) -> dict[float, list[CurvePoint]]:
+    """Sweep the dead-zone threshold for several copy counts.
+
+    Keys are the ``n_copies`` values, in order.  All thresholds and all
+    copy counts are evaluated in one pass over one chunk schedule, in one
+    map over at most one process pool; each curve is bit-identical to a
+    sweep of its N alone (see the module docstring).  Shared draws make
+    the efficiency exactly non-increasing along the grid and keep reruns
+    byte-for-byte reproducible.  Degenerate points (no coincidences in
+    some setting pair) carry NaN value and stderr.
     """
     if kind not in ("bell", "steering"):
         raise ValueError(f"kind must be 'bell' or 'steering': {kind!r}")
@@ -493,31 +523,31 @@ def sweep_curve(kind: str, n_copies, q_grid=None, samples: int = DEFAULT_SWEEP_S
                          f"shape {q_grid.shape}")
     if not np.all((q_grid >= 0) & (q_grid < 1)):
         raise ValueError("q_grid must lie in [0, 1) with no NaN")
-    config = tomography_config(kind, n_copies,
-                               seed=models.DEFAULT_SEED if seed is None else seed)
+    seed = models.DEFAULT_SEED if seed is None else seed
+    n_copies = list(dict.fromkeys(n_copies))
+    configs = [tomography_config(kind, n, seed=seed) for n in n_copies]
+    if not configs:
+        return {}
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)
-    counts = _count_chunks((config, q_sorted, config.seed), samples, chunk,
-                           workers)
-    points = []
-    for q, k in zip(q_grid, sorted_index):
-        stats = RunStatistics(kind=kind, weights=counts[k], samples=samples)
-        value, stderr, degenerate = stats.value()
-        points.append(CurvePoint(
-            n_copies=n_copies, q=float(q),
-            eta=stats.efficiency("alice"),
-            value=math.nan if degenerate else value,
-            stderr=math.nan if degenerate else stderr,
-            samples=samples))
-    return points
-
-
-def sweep_curves(kind: str, n_list, q_grid=None,
-                 samples: int = DEFAULT_SWEEP_SAMPLES, *,
-                 seed: int | None = None, workers: int = 1
-                 ) -> dict[float, list[CurvePoint]]:
-    """Sweep several copy counts; keys are the n_copies values."""
-    return {n: sweep_curve(kind, n, q_grid, samples, seed=seed,
-                           workers=workers) for n in n_list}
+    # Every copy count has the same direction sets, so the first config
+    # serves them all.
+    counts = _count_chunks(
+        (configs[0], tuple(c.n_copies for c in configs), q_sorted, seed),
+        samples, chunk, workers)
+    curves = {}
+    for n, tables in zip(n_copies, counts):
+        curves[n] = []
+        for q, k in zip(q_grid, sorted_index):
+            stats = RunStatistics(kind=kind, weights=tables[k],
+                                  samples=samples)
+            value, stderr, degenerate = stats.value()
+            curves[n].append(CurvePoint(
+                n_copies=n, q=float(q),
+                eta=stats.efficiency("alice"),
+                value=math.nan if degenerate else value,
+                stderr=math.nan if degenerate else stderr,
+                samples=samples))
+    return curves
 
 
 def frontier_value(points: list[CurvePoint], eta: float) -> float | None:

@@ -11,6 +11,13 @@ frame) runs in blocks of ``BLOCK`` rows through reused block buffers.
 The Monte Carlo estimators keep one workspace per thread for all their
 chunks; the public samplers give each call a fresh one, so their results
 are new arrays.  Blocking changes no bit of any result.
+
+``PairSampler`` serves several copy counts N from one draw.  A, the
+opening uniforms u and the azimuth uniforms chi are drawn once, in the
+order a single N draws them, so each N sees the very numbers it would
+draw alone; the azimuth vector is built once per block, and each N only
+adds its own opening angle.  Every elementwise operation keeps the order
+of the single-N code, so each N's pairs are bit-identical to its own run.
 """
 from __future__ import annotations
 
@@ -28,7 +35,8 @@ class RngStream:
     Equal (seed, stream) always produces the identical sample sequence.
     Distinct stream indices give statistically independent streams, which
     is what the parallel estimators hand to their workers.  The stream
-    index is a tuple so substreams can be nested without collisions.
+    index is a tuple (an int i stands for (i,)), the spawn key of numpy's
+    ``SeedSequence``, so (2, 1), (2,) and (1, 2) are distinct streams.
     """
 
     seed: int
@@ -47,9 +55,6 @@ class RngStream:
                 entropy=self.seed, spawn_key=tuple(self.stream))
             self._gen = np.random.default_rng(seq)
         return self._gen
-
-    def substream(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.stream + (index,))
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -187,57 +192,56 @@ def sample_uniform_direction(rng, size: int | None = None) -> np.ndarray:
 
 
 class PairSampler:
-    """Direction pairs (A, B) of the N-copy tomography density, by blocks.
+    """Direction pairs (A, B) of the N-copy tomography density, by blocks,
+    for several copy counts N at once.
 
     The constructor makes every draw of n pairs, in this order: normal rows
-    for A (zero norms redrawn), n uniforms for the opening variable, n for
-    the azimuth.  Iterating then yields (rows, A, B) per block of
-    ``blocks(n)``: A is that block of the drawn rows, normalised in place;
-    B is a reused block buffer, or A itself when n_copies is inf (the
-    shared axis of the chaotic-ball limit), which draws nothing more.
+    for A (zero norms redrawn), then, if some N is finite, n uniforms for
+    the opening variable and n for the azimuth.  No draw depends on N, so
+    the stream of each single N is this one, cut short after A when N is
+    inf: every N gets exactly the A, u and chi it would draw alone.
+
+    Iterating yields (rows, A, partners) per block of ``blocks(n)``.  A is
+    that block of the drawn rows, normalised in place.  ``partners`` yields
+    B for each N in turn, in one reused block buffer, or A itself when N is
+    inf (the shared axis of the chaotic-ball limit).  The azimuth vector
+    cos(chi) e1 + sin(chi) e2 does not depend on N either, and is built
+    once per block; each finite N adds only its opening cosine and sine.
     """
 
     def __init__(self, n_copies, gen: np.random.Generator, n: int,
                  ws: Workspace) -> None:
-        self.n, self.n_copies = n, n_copies
+        self.n, self.n_copies = n, tuple(n_copies)
         self.a, self.norms = _draw_directions(gen, n, ws)
-        if n_copies == math.inf:
+        self.finite = any(k != math.inf for k in self.n_copies)
+        if not self.finite:
             return
-        self.exponent = 1.0 / (n_copies + 1)
         self.u = ws.take(n)
         gen.random(out=self.u)
         self.chi = ws.take(n)
         gen.random(out=self.chi)
         self.b = ws.take((BLOCK + 1, 3))
-        self.work = ws.take((8, BLOCK + 1))
+        self.azimuth = ws.take((3, BLOCK + 1))
+        self.work = ws.take((7, BLOCK + 1))
         self.use_y = ws.take((2, BLOCK + 1), bool)
 
     def __iter__(self):
         for rows in blocks(self.n):
             a = self.a[rows]
             a /= self.norms[rows, None]
-            if self.n_copies == math.inf:
-                yield rows, a, a
-                continue
-            b = self.b[:rows.stop - rows.start]
-            self._partner(a, self.u[rows], self.chi[rows], b)
-            yield rows, a, b
+            if self.finite:
+                self._azimuth(a, self.chi[rows])
+            yield rows, a, (self._partner(k, a, rows)
+                            for k in self.n_copies)
 
-    def _partner(self, a, cos_t, chi, b) -> None:
-        """B of one block (see ``sample_pair``), from A and its two
-        uniforms, which are overwritten."""
+    def _azimuth(self, a, chi) -> None:
+        """cos(chi) e1 + sin(chi) e2 of one block (see ``sample_pair``),
+        from A and its azimuth uniforms, which are overwritten."""
         m = len(a)
-        sin_t, cos_chi, e2_c, work, norm, e1 = (
+        cos_chi, e2_c, work, norm, e1 = (
             self.work[0, :m], self.work[1, :m], self.work[2, :m],
-            self.work[3, :m], self.work[4, :m], self.work[5:, :m])
+            self.work[3, :m], self.work[4:7, :m])
         use_y, use_x = self.use_y[0, :m], self.use_y[1, :m]
-        np.power(cos_t, self.exponent, out=cos_t)
-        cos_t *= -2.0
-        cos_t += 1.0
-        np.multiply(cos_t, cos_t, out=sin_t)
-        np.subtract(1.0, sin_t, out=sin_t)
-        np.clip(sin_t, 0.0, None, out=sin_t)
-        np.sqrt(sin_t, out=sin_t)
         chi *= 2.0 * math.pi
         np.cos(chi, out=cos_chi)
         sin_chi = np.sin(chi, out=chi)
@@ -254,18 +258,35 @@ class PairSampler:
         np.copyto(e1[2], ax, where=use_y)
         e1 /= _norm3(*e1, norm, work)
         for c in range(3):
-            # e2 = A x e1, component c; then B_c = cos_t A_c
-            # + sin_t (cos_chi e1_c + sin_chi e2_c).
+            # e2 = A x e1, component c.
             i, j = (c + 1) % 3, (c + 2) % 3
             np.multiply(a[:, i], e1[j], out=e2_c)
             np.multiply(a[:, j], e1[i], out=work)
             e2_c -= work
             e2_c *= sin_chi
-            np.multiply(cos_chi, e1[c], out=work)
-            work += e2_c
-            work *= sin_t
+            np.multiply(cos_chi, e1[c], out=self.azimuth[c, :m])
+            self.azimuth[c, :m] += e2_c
+
+    def _partner(self, n_copies, a, rows) -> np.ndarray:
+        """B of one block for n_copies: cos_t A + sin_t (the azimuth
+        vector), with cos_t = 1 - 2 u^(1/(N+1)); A itself at inf."""
+        if n_copies == math.inf:
+            return a
+        m = len(a)
+        cos_t, sin_t, work = self.work[:3, :m]
+        np.power(self.u[rows], 1.0 / (n_copies + 1), out=cos_t)
+        cos_t *= -2.0
+        cos_t += 1.0
+        np.multiply(cos_t, cos_t, out=sin_t)
+        np.subtract(1.0, sin_t, out=sin_t)
+        np.clip(sin_t, 0.0, None, out=sin_t)
+        np.sqrt(sin_t, out=sin_t)
+        b = self.b[:m]
+        for c in range(3):
+            np.multiply(self.azimuth[c, :m], sin_t, out=work)
             np.multiply(cos_t, a[:, c], out=b[:, c])
             b[:, c] += work
+        return b
 
 
 def sample_pair(n_copies: int, rng, size: int | None = None
@@ -287,9 +308,9 @@ def sample_pair(n_copies: int, rng, size: int | None = None
     if n_copies < 0:
         raise ValueError(f"n_copies must be >= 0, got {n_copies}")
     n = 1 if size is None else int(size)
-    pairs = PairSampler(n_copies, as_generator(rng), n, Workspace())
+    pairs = PairSampler((n_copies,), as_generator(rng), n, Workspace())
     b = np.empty((n, 3))
-    for rows, _, b_rows in pairs:
+    for rows, _, (b_rows,) in pairs:
         b[rows] = b_rows
     if size is None:
         return pairs.a[0], b[0]

@@ -33,20 +33,19 @@ import pytest
 from lrpovm import models, quantum
 from lrpovm.cli import main as cli_main
 from lrpovm.estimators import (enumerate_exact, estimate, min_copies,
-                               sweep_curve)
+                               sweep_curves)
 from lrpovm.models import ModelConfig, tomography_config
 from lrpovm.sphere import cap_overlap_quadrature, pair_density
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
 SAMPLES = 1_000_000
-# Two workers are fastest on a 2-core machine: both sweep fixtures took
-# 4.5-5.1 s at 2 workers against 6.9-8.1 s at 1 (3 alternating runs each,
-# OpenBLAS at its default thread count).  Projections are now products of
-# 8192-row blocks, which OpenBLAS runs on one thread; whole-chunk products
-# ran on two per worker, oversubscribed 2 cores at 2 workers and took
-# 14.0-14.9 s there against 7.3-7.6 s at 1 worker.  Results do not depend
-# on the worker count.
+# Two workers are fastest on a 2-core machine: both sweep fixtures, one
+# sweep_curves call each, took 1.69-1.72 s together at 2 workers against
+# 3.12-3.30 s at 1 (3 alternating runs each, OpenBLAS at its default
+# thread count); one sweep_curve call per N took 4.8-5.5 s and 7.9-8.4 s.
+# Projections are products of 8192-row blocks, which OpenBLAS runs on one
+# thread.  Results do not depend on the worker count.
 WORKERS = 2
 N_RANGE = range(1, 11)
 GOLDEN_MIN_COPIES = 4  # frozen after the first full-scale frontier run
@@ -67,26 +66,25 @@ def report(number: int, description: str, failures: list[str]) -> None:
     assert not failures, f"criterion {number}: " + "; ".join(failures)
 
 
+def sweep_all_copy_counts(kind):
+    """Curves for N = 1..10 and inf from one sweep, each N charged the
+    whole sweep's time: stricter than the per-curve runtime limits, and
+    every curve is bit-identical to a sweep of that N alone."""
+    start = time.perf_counter()
+    curves = sweep_curves(kind, [*N_RANGE, math.inf], samples=SAMPLES,
+                          seed=SEED, workers=WORKERS)
+    elapsed = time.perf_counter() - start
+    return curves, dict.fromkeys(curves, elapsed)
+
+
 @pytest.fixture(scope="module")
 def bell_curves():
-    curves, timings = {}, {}
-    for n in [*N_RANGE, math.inf]:
-        start = time.perf_counter()
-        curves[n] = sweep_curve("bell", n, samples=SAMPLES, seed=SEED,
-                                workers=WORKERS)
-        timings[n] = time.perf_counter() - start
-    return curves, timings
+    return sweep_all_copy_counts("bell")
 
 
 @pytest.fixture(scope="module")
 def steering_curves():
-    curves, timings = {}, {}
-    for n in [*N_RANGE, math.inf]:
-        start = time.perf_counter()
-        curves[n] = sweep_curve("steering", n, samples=SAMPLES, seed=SEED,
-                                workers=WORKERS)
-        timings[n] = time.perf_counter() - start
-    return curves, timings
+    return sweep_all_copy_counts("steering")
 
 
 def test_c01_quantum_chsh_exact():

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -314,8 +315,12 @@ def _reference_pairs(n_copies, gen, size):
     return sample_pair(n_copies, gen, size)
 
 
+@functools.lru_cache(maxsize=None)
 def _reference_sweep_tables(kind, n_copies, q_grid, samples, seed, chunk):
-    """Per-threshold trit tables by plain comparison, one q at a time."""
+    """Per-threshold trit tables by plain comparison, one q at a time.
+
+    Memoised: the single-N and the several-N oracle tests read the same
+    references."""
     config = tomography_config(kind, n_copies, seed=seed)
     sizes = [chunk] * (samples // chunk) + (
         [samples % chunk] if samples % chunk else [])
@@ -334,18 +339,22 @@ def _reference_sweep_tables(kind, n_copies, q_grid, samples, seed, chunk):
             for j in range(mb):
                 np.add.at(counts[i, j], (trit_a[:, i], trit_b[:, j]), 1)
         tables.append(counts)
-    return tables
+    return tuple(tables)
+
+
+ORACLE_GRIDS = [
+    (0.0, 0.3, 0.6, 0.95), (0.6, 0.0, 0.3, 0.3, 0.95),
+    tuple(default_q_grid()),
+    (0.5, 1 / 1024, np.nextafter(0.5, 1.0), np.nextafter(1 / 1024, 0.0),
+     0.5, 0.0, np.nextafter(1023 / 1024, 1.0))]
+ORACLE_GRID_IDS = ["sorted", "unsorted", "default", "adversarial"]
+MULTI_N = [1, 2, 5, math.inf]
 
 
 class TestSweepKernelOracle:
     """Sweep count tables equal a per-threshold reference count."""
 
-    @pytest.mark.parametrize("grid", [
-        (0.0, 0.3, 0.6, 0.95), (0.6, 0.0, 0.3, 0.3, 0.95),
-        tuple(default_q_grid()),
-        (0.5, 1 / 1024, np.nextafter(0.5, 1.0), np.nextafter(1 / 1024, 0.0),
-         0.5, 0.0, np.nextafter(1023 / 1024, 1.0))],
-        ids=["sorted", "unsorted", "default", "adversarial"])
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
     @pytest.mark.parametrize("seed", [12345, 7, 1])
     @pytest.mark.parametrize("n_copies", [1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["bell", "steering"])
@@ -367,6 +376,41 @@ class TestSweepKernelOracle:
         assert len(seen) == len(grid)
         for got, want in zip(seen, expected):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
+    @pytest.mark.parametrize("seed", [12345, 7, 1])
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    def test_copy_counts_in_one_pass(self, monkeypatch, kind, seed, grid):
+        """One sweep over several copy counts gives each N the tables of
+        the reference count of that N alone."""
+        seen = []
+
+        class Recording(RunStatistics):
+            def __post_init__(self):
+                super().__post_init__()
+                seen.append(self.weights)
+
+        monkeypatch.setattr(estimators, "RunStatistics", Recording)
+        curves = sweep_curves(kind, MULTI_N, grid, 50_001, seed=seed,
+                              chunk=7_000)
+        assert list(curves) == MULTI_N
+        assert len(seen) == len(MULTI_N) * len(grid)
+        for k, n in enumerate(MULTI_N):
+            assert [p.q for p in curves[n]] == list(grid)
+            assert all(p.n_copies == n for p in curves[n])
+            expected = _reference_sweep_tables(kind, n, grid, 50_001, seed,
+                                               7_000)
+            got = seen[k * len(grid):(k + 1) * len(grid)]
+            for table, want in zip(got, expected):
+                assert np.array_equal(table, want), n
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    def test_copy_counts_worker_invariance(self, kind):
+        grid = (0.6, 0.0, 0.3, 0.3, 0.95)
+        one = sweep_curves(kind, MULTI_N, grid, 50_001, seed=43, chunk=7_000)
+        two = sweep_curves(kind, MULTI_N, grid, 50_001, seed=43, chunk=7_000,
+                           workers=2)
+        assert one == two
 
 
 UNANIMITY_CONFIGS = {
@@ -417,7 +461,8 @@ class TestPickCountOracle:
     def test_tables_match_level_kernel(self, name, seed):
         config = ModelConfig(**UNANIMITY_CONFIGS[name])
         for size in (1, 7, 99_999, 131_072):
-            got = estimators._count_chunk((config, None, seed, 3, size))
+            got = estimators._count_chunk((config, None, None, seed, 3,
+                                           size))
             batch = sample_batch(config, RngStream(seed, 3).generator, size)
             want = estimators._count_levels(batch.alice, batch.bob, 1,
                                             np.empty(size, np.intp))[0]
@@ -433,7 +478,7 @@ def fresh_workspace(monkeypatch):
     return ws
 
 
-def chunk_peak(config, q_sorted=None) -> int:
+def chunk_peak(config, q_sorted=None, n_copies=None) -> int:
     """Peak bytes of one DEFAULT_CHUNK-sample chunk, workspace included.
 
     The first call sizes the chunk workspace; the second is traced, and
@@ -441,7 +486,7 @@ def chunk_peak(config, q_sorted=None) -> int:
     Start from a fresh workspace (the ``fresh_workspace`` fixture) so that
     it holds this config's need alone.
     """
-    task = (config, q_sorted, 5, 0, estimators.DEFAULT_CHUNK)
+    task = (config, n_copies, q_sorted, 5, 0, estimators.DEFAULT_CHUNK)
     estimators._count_chunk(task)
     held = estimators._CHUNK_WORKSPACE.workspace.nbytes
     tracemalloc.start()
@@ -498,11 +543,17 @@ class TestChunkMemory:
         assert chunk_peak(tomography_config("steering", 2),
                           default_q_grid()) <= 20_249_472
 
+    def test_steering_sweep_many_copy_counts(self):
+        """One chunk of N = 1..10 and inf stays within the single-curve
+        bound: the extra memory is one n x Mb level array per finite N."""
+        assert chunk_peak(tomography_config("steering", 1), default_q_grid(),
+                          (*range(1, 11), math.inf)) <= 20_249_472
+
     def test_workspace_shared_across_configs(self, monkeypatch):
         """The five point configs in turn leave one workspace, no larger
         than the largest single config's need."""
         def run(config):
-            estimators._count_chunk((config, None, 5, 0,
+            estimators._count_chunk((config, None, None, 5, 0,
                                      estimators.DEFAULT_CHUNK))
 
         single = {}

@@ -213,11 +213,33 @@ class TestZeroNormResample:
         want_a = models.threshold_levels(a @ config.alice_directions.T,
                                          (0.3,))
         want_b = models.threshold_levels(b @ config.bob_directions.T, (0.3,))
-        got_a, got_b = models.tomography_level_batch(
+        got_a, (got_b,) = models.tomography_level_batch(
             config, ZeroRowGenerator(14, ZERO_ROWS), ZERO_ROW_SIZE, (0.3,),
             Workspace())
         assert np.array_equal(got_a, want_a)
         assert np.array_equal(got_b, want_b)
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    def test_chunk_kernel_several_copy_counts(self, kind):
+        """One draw for several copy counts redraws like each one alone."""
+        n_copies = (1, 4, math.inf, 2)
+        config = models.tomography_config(kind, n_copies[0], q=0.3)
+        got_a, got_b = models.tomography_level_batch(
+            config, ZeroRowGenerator(15, ZERO_ROWS), ZERO_ROW_SIZE, (0.3,),
+            Workspace(), n_copies)
+        assert len(got_b) == len(n_copies)
+        for n, got in zip(n_copies, got_b):
+            gen = ZeroRowGenerator(15, ZERO_ROWS)
+            if n == math.inf:
+                a = b = resampling_directions(gen, ZERO_ROW_SIZE)
+            else:
+                a, b = resampling_pair(n, gen, ZERO_ROW_SIZE)
+            want_a = models.threshold_levels(a @ config.alice_directions.T,
+                                             (0.3,))
+            want_b = models.threshold_levels(b @ config.bob_directions.T,
+                                             (0.3,))
+            assert np.array_equal(got_a, want_a)
+            assert np.array_equal(got, want_b), n
 
 
 class TestBlocks:
@@ -242,8 +264,9 @@ class TestBlocks:
         want_a = a @ config.alice_directions.T
         want_b = b @ config.bob_directions.T
         covered = 0
-        for rows, got_a, got_b in models._projection_blocks(
-                config, RngStream(21).generator, n, Workspace()):
+        for rows, got_a, (got_b,) in models._projection_blocks(
+                config, (n_copies,), RngStream(21).generator, n,
+                Workspace()):
             assert np.array_equal(got_a, want_a[rows])
             assert np.array_equal(got_b, want_b[rows])
             covered += rows.stop - rows.start
@@ -331,11 +354,12 @@ class TestRngStream:
         b = RngStream(42, 1).generator.random(100)
         assert not np.array_equal(a, b)
 
-    def test_substream_nesting(self):
-        s = RngStream(7)
-        a = s.substream(2).substream(1)
-        b = RngStream(7).substream(2).substream(1)
-        assert np.array_equal(a.generator.random(10), b.generator.random(10))
+    def test_tuple_streams(self):
+        draw = RngStream(7, (2, 1)).generator.random(10)
+        assert np.array_equal(draw, RngStream(7, (2, 1)).generator.random(10))
+        for other in ((2,), (1, 2)):
+            assert not np.array_equal(
+                draw, RngStream(7, other).generator.random(10))
 
 
 class TestArcFraction:
