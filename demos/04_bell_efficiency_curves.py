@@ -4,9 +4,10 @@ The pick model fakes the full quantum CHSH value 2*sqrt(2) on
 coincidences at 50% efficiency.  The thresholded tomography models trade
 efficiency for violation continuously: sweeping the dead-zone threshold
 traces one curve per copy count, and the shared-axis limit walks from
-(eta = 1, |S| = 2) up to the quantum value near eta = 2(sqrt(2)-1),
-about 83%, the efficiency below which local realism can fake the whole
-singlet.  Writes the swept curves to CSV and SVG next to this script.
+(eta = 1, |S| = 2) up to the quantum value at eta = 82.2%, a little
+below 2(sqrt(2)-1) = 82.8%, the efficiency below which local realism can
+fake the whole singlet.  Writes the swept curves to CSV and SVG next to
+this script.
 """
 import math
 from pathlib import Path

@@ -19,10 +19,9 @@ from .causality import (CausalScenario, Event, ReadoutSignature,
                         in_future_lightcone, readout_signature)
 from .estimators import (CurvePoint, RunStatistics, default_q_grid,
                          enumerate_exact, estimate, frontier_value,
-                         min_copies, sweep_curve, sweep_curves)
-from .models import (DEFAULT_SEED, ModelConfig, ReadoutBatch,
-                     qubit_copies_joint, sample_batch, threshold_readout,
-                     tomography_config)
+                         min_copies, sweep_curves)
+from .models import (DEFAULT_SEED, ModelConfig, ReadoutBatch, sample_batch,
+                     threshold_readout, tomography_config)
 from .quantum import (CHSH_ALICE, CHSH_BOB, STEERING_TRIPLE, chsh_value,
                       coherent_state, oracle_pair_density,
                       qubit_probability_plus, quantum_correlation,
@@ -37,8 +36,8 @@ __all__ = [
     "CausalScenario", "Event", "ReadoutSignature", "in_future_lightcone",
     "readout_signature", "CurvePoint", "RunStatistics", "default_q_grid",
     "enumerate_exact", "estimate", "frontier_value",
-    "min_copies", "sweep_curve", "sweep_curves", "DEFAULT_SEED",
-    "ModelConfig", "ReadoutBatch", "qubit_copies_joint", "sample_batch",
+    "min_copies", "sweep_curves", "DEFAULT_SEED",
+    "ModelConfig", "ReadoutBatch", "sample_batch",
     "threshold_readout", "tomography_config", "CHSH_ALICE", "CHSH_BOB",
     "STEERING_TRIPLE", "chsh_value", "coherent_state", "oracle_pair_density",
     "qubit_probability_plus", "quantum_correlation", "quantum_steering_T",

@@ -277,7 +277,7 @@ def _cmd_qubit(args) -> int:
     sequential = quantum.sequential_qubit_probability(
         args.t_a, args.t_b, args.omega)
     try:
-        copies = models.qubit_copies_joint(
+        copies = quantum.copies_joint_probability(
             args.t_a, args.t_b, args.omega, args.n_copies
             if args.n_copies != math.inf else 2)
     except ValueError as exc:
@@ -371,6 +371,14 @@ def _cmd_oracle_check(_args) -> int:
             lambda c: pair_density(n, c), 64) * (4 * math.pi) * (2 * math.pi)
         worst = max(worst, abs(integral - 1.0))
     report("pair-density normalization", worst, 1e-10)
+
+    config = models.tomography_config("bell", math.inf)
+    stats = estimators.enumerate_exact(config)
+    theta = np.arccos(np.clip(
+        config.alice_directions @ config.bob_directions.T, -1.0, 1.0))
+    worst = max(abs(stats.pair(i, j).correlation - 1.0 + 2.0 / math.pi
+                    * theta[i, j]) for i, j in np.ndindex(theta.shape))
+    report("chaotic-ball CHSH E = 1 - 2*theta/pi", worst, 1e-12)
 
     report("trusted POVM reduction",
            quantum.trusted_reduction_deviation(), 1e-10)

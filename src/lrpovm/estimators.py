@@ -4,7 +4,7 @@ Every estimator reduces a model to a per-setting-pair table of trit
 counts, and every derived statistic is a function of that table; the
 exact paths fill the same layout with probabilities: closed-form
 enumeration for the unanimity family, a closed-form Legendre sum for
-finite-N tomography tables and a 1-D quadrature at N = inf.  Each
+finite-N tomography tables and two-cap lens areas at N = inf.  Each
 model family has one counting kernel.  The unanimity family is counted
 from its picks: one bincount over (pick pair, Alice trit, Bob trit)
 codes, and ``models.pick_tables`` maps the pick-pair cells to reading
@@ -50,8 +50,7 @@ import numpy as np
 
 from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import RngStream, Workspace, circle_arc_fraction, \
-    gauss_legendre
+from .sphere import RngStream, Workspace, circle_arc_fraction
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SWEEP_SAMPLES = 1_000_000
@@ -362,13 +361,8 @@ def estimate(config: ModelConfig, samples: int, *, seed: int | None = None,
 
 # ---------------------------------------------------------------------------
 # Exact paths: enumeration for the discrete models, a closed-form Legendre
-# sum for finite-N tomography tables, and a 1-D quadrature for N = inf.
+# sum for finite-N tomography tables, and two-cap lens areas for N = inf.
 # ---------------------------------------------------------------------------
-
-# Gauss-Legendre nodes of the N = inf quadrature in the polar cosine x of A
-# about Alice's axis.
-X_NODES = 160
-
 
 def _legendre_table(n: int, q: float, ct: float) -> np.ndarray:
     """Finite-N 3x3 trit table at a.b = ct, in closed form.
@@ -397,38 +391,51 @@ def _legendre_table(n: int, q: float, ct: float) -> np.ndarray:
     return table
 
 
-def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
-    """Exact 3x3 trit table for one tomography setting pair.
+def _lens_table(q: float, ct: float) -> np.ndarray:
+    """Chaotic-ball (B = A) 3x3 trit table at a.b = ct, in closed form.
 
-    Finite N uses the closed-form Legendre sum.  N = inf is a quadrature
-    over the polar cosine x of A about Alice's axis, split at the dead-zone
-    edges; at each node the azimuthal integral reduces to analytic circle
-    arcs, p_plus above +q and p_live above -q, and Bob's cells are the
-    non-negative 1 - p_live, p_live - p_plus and p_plus.
-    Inverting both directions, (A, B) -> (-A, -B), keeps the pair density
-    and flips both trits, so Alice's -1 row is her +1 row with Bob's trits
-    reversed: only the polar regions [q, 1] and [-q, q] are integrated.
-    The table depends on the directions only through a.b; replacing b by
-    -b flips Bob's trit, which ``_tomography_tables`` uses.
+    G(s, t) = P(a.A > s, b.A > t), a lens of two caps over 4 pi, is by
+    Gauss-Bonnet 2G = f(ct, r_s r_t, s t) - s f(ct s, d r_s, t)
+    - t f(ct t, d r_t, s), with f = ``circle_arc_fraction``, d = |a x b|
+    and r_s = sqrt(1 - s^2); f's clipping covers disjoint, nested and
+    complementary caps.  With the marginals (1 - s)/2, G at s, t = +-q is
+    the joint survival function at the band edges, whose mixed second
+    difference is the table.  Inverting A makes the -1 row the +1 row
+    reversed, and b -> -b reverses Bob's trits.  At b = a, f's strict
+    indicator splits the tie of coincident caps, so that table is written
+    out.  An arccos argument within rounding of +-1 loses half its digits:
+    errors reach ~1e-10 within 1e-6 rad of a = +-b and ~5e-9 where cap
+    edges touch; cells this leaves below 0 by at most sqrt(eps) become 0.
+    """
+    if ct < 0.0:
+        return _lens_table(q, -ct)[:, ::-1]
+    if ct == 1.0:
+        return np.diag([(1.0 - q) / 2.0, q, (1.0 - q) / 2.0])
+    d = math.sqrt(1.0 - ct * ct)
+    s = np.array([[-q], [q]])
+    r = np.sqrt(1.0 - s * s)
+    survival = np.zeros((4, 4))
+    survival[0, :3] = survival[:3, 0] = (1.0 + np.array([1.0, q, -q])) / 2.0
+    survival[1:3, 1:3] = 0.5 * (
+        circle_arc_fraction(ct, r * r.T, s * s.T)
+        - s * circle_arc_fraction(ct * s, d * r, s.T)
+        - s.T * circle_arc_fraction(ct * s.T, d * r.T, s))
+    table = np.diff(np.diff(survival, axis=0), axis=1)
+    table[0] = table[2, ::-1]
+    table[(table < 0.0) & (table >= -math.sqrt(np.finfo(float).eps))] = 0.0
+    return table
+
+
+def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
+    """Exact 3x3 trit table for one tomography setting pair: a Legendre
+    sum at finite N, cap lens areas at N = inf.  It depends on the
+    directions only through a.b, and b -> -b flips Bob's trit, which
+    ``_tomography_tables`` uses.
     """
     ct = float(np.clip(np.dot(dir_a, dir_b), -1.0, 1.0))
     if n_copies != math.inf:
         return _legendre_table(int(n_copies), q, ct)
-    st = math.sqrt(max(0.0, 1.0 - ct * ct))
-    table = np.zeros((3, 3))
-    for lo, hi, a_idx in ((q, 1.0, 2), (-q, q, 1)):
-        if hi - lo < 1e-15:
-            continue
-        xs, wxs = gauss_legendre(X_NODES, lo, hi)
-        wxs = wxs / 2.0  # uniform measure dx/2 on the polar cosine
-        sx = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-        # At q = 0 the two arcs coincide and the dead-zone cell is exactly 0.
-        p_plus = circle_arc_fraction(ct * xs, st * sx, q)
-        p_live = circle_arc_fraction(ct * xs, st * sx, -q)
-        table[a_idx] = [np.dot(wxs, 1.0 - p_live),
-                        np.dot(wxs, p_live - p_plus), np.dot(wxs, p_plus)]
-    table[0] = table[2, ::-1]
-    return table
+    return _lens_table(q, ct)
 
 
 def _tomography_tables(config: ModelConfig) -> np.ndarray:
@@ -457,8 +464,9 @@ def enumerate_exact(config: ModelConfig) -> RunStatistics:
 
     The unanimity family (simple-bell, trusted-steering, and
     ncopy-steering up to 10 copies) is enumerated in closed form.
-    Tomography tables are a closed-form Legendre sum for finite N, exact
-    to rounding, and a 1-D Gauss-Legendre quadrature for N = inf.
+    Tomography tables are a closed-form Legendre sum for finite N and
+    two-cap lens areas for N = inf, both exact to rounding away from
+    degenerate geometry (see ``tomography_pair_table``).
     """
     if config.is_tomography:
         probs = _tomography_tables(config)
@@ -489,15 +497,6 @@ class CurvePoint:
     def __post_init__(self) -> None:
         if not (math.isnan(self.eta) or 0.0 <= self.eta <= 1.0):
             raise ValueError(f"eta outside [0, 1]: {self.eta}")
-
-
-def sweep_curve(kind: str, n_copies, q_grid=None, samples: int = DEFAULT_SWEEP_SAMPLES,
-                *, seed: int | None = None, workers: int = 1,
-                chunk: int = DEFAULT_CHUNK) -> list[CurvePoint]:
-    """Sweep the dead-zone threshold for one copy count (see
-    ``sweep_curves``)."""
-    return sweep_curves(kind, [n_copies], q_grid, samples, seed=seed,
-                        workers=workers, chunk=chunk)[n_copies]
 
 
 def sweep_curves(kind: str, n_copies, q_grid=None,

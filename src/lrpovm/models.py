@@ -422,19 +422,6 @@ def sample_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
         bob=_scatter(n, len(config.bob_directions), pick_b, b_val))
 
 
-def qubit_copies_joint(t_a: float, t_b: float, omega: float,
-                       n_copies: int) -> np.ndarray:
-    """Joint two-time readout distribution served by distinct qubit copies.
-
-    Requires at least as many copies as readout times (two here).  The
-    result is the undisturbed product p(beta) * p(gamma); it is computed
-    by brute force on the copied register rather than asserted.
-    """
-    if n_copies < 2:
-        raise ValueError("insufficient copies: need n_copies >= 2 readouts")
-    return quantum.copies_joint_probability(t_a, t_b, omega, n_copies)
-
-
 # Exact joint-readout distributions ----------------------------------------
 
 def pick_tables(cell: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Sampling and deterministic quadrature on the unit sphere.
+"""Sampling, circle arcs and Gauss-Legendre rules on the unit sphere.
 
 Random directions, correlated direction pairs for the tomography models,
-and the Gauss-Legendre machinery used by the exact estimators.
+the circle-arc fraction of the exact chaotic-ball tables, and the
+Gauss-Legendre rule of the pair-density normalisation check.
 
 Sampling writes into a ``Workspace``, one byte arena reused round after
 round.  Every draw of n directions or pairs is made at full size, straight

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrpovm import models, quantum
+from lrpovm import quantum
 from lrpovm.cli import main as cli_main
 from lrpovm.estimators import (enumerate_exact, estimate, min_copies,
                                sweep_curves)
@@ -43,7 +43,7 @@ SAMPLES = 1_000_000
 # Two workers are fastest on a 2-core machine: both sweep fixtures, one
 # sweep_curves call each, took 1.69-1.72 s together at 2 workers against
 # 3.12-3.30 s at 1 (3 alternating runs each, OpenBLAS at its default
-# thread count); one sweep_curve call per N took 4.8-5.5 s and 7.9-8.4 s.
+# thread count); a separate sweep per N took 4.8-5.5 s and 7.9-8.4 s.
 # Projections are products of 8192-row blocks, which OpenBLAS runs on one
 # thread.  Results do not depend on the worker count.
 WORKERS = 2
@@ -251,7 +251,7 @@ def test_c06_chaotic_ball_endpoint(bell_curves):
     elapsed = timings[math.inf] + (time.perf_counter() - start)
     if elapsed >= 120.0:
         failures.append(f"runtime {elapsed:.0f}s >= 2min")
-    report(6, "shared-axis limit: |S|=2 endpoint, 83% quantum-value "
+    report(6, "shared-axis limit: |S|=2 endpoint, 82.2% quantum-value "
               "crossing", failures)
 
 
@@ -344,13 +344,13 @@ def test_c08_qubit_demo():
     sequential = quantum.sequential_qubit_probability(t_a, t_b, omega)
     if np.max(np.abs(sequential - 0.25)) > 1e-12:
         failures.append(f"sequential table {sequential.ravel()}")
-    copies = models.qubit_copies_joint(t_a, t_b, omega, 2)
+    copies = quantum.copies_joint_probability(t_a, t_b, omega, 2)
     if copies[:, 1].sum() > 1e-12:
         failures.append(f"copies p(gamma=1) = {copies[:, 1].sum()!r}")
     rng = np.random.default_rng(SEED)
     for _ in range(100):
         ta, tb = sorted(rng.random(2) * 2.0 * math.pi)
-        joint = models.qubit_copies_joint(ta, tb, omega, 2)
+        joint = quantum.copies_joint_probability(ta, tb, omega, 2)
         pa = quantum.qubit_probability_plus(omega * ta)
         pb = quantum.qubit_probability_plus(omega * tb)
         expected = np.array([[(1 - pa) * (1 - pb), (1 - pa) * pb],

@@ -11,11 +11,11 @@ import pytest
 from lrpovm import estimators, quantum
 from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                enumerate_exact, estimate, frontier_value,
-                               min_copies, sweep_curve, sweep_curves)
+                               min_copies, sweep_curves)
 from lrpovm.models import ModelConfig, sample_batch, tomography_config, \
     unanimity_cell_batch
-from lrpovm.sphere import RngStream, Workspace, circle_arc_fraction, \
-    gauss_legendre, sample_pair, sample_uniform_direction
+from lrpovm.sphere import RngStream, Workspace, gauss_legendre, \
+    sample_pair, sample_uniform_direction
 
 
 class TestRunStatistics:
@@ -157,8 +157,7 @@ def dense_pair_table(n_copies, q, dir_a, dir_b):
     Finite N: the pair density ((N+1)/(16 pi^2)) ((1 - A.B)/2)^N is a
     polynomial of degree N in the components of A and of B, so the tensor
     product of ``band_nodes`` for the two parties integrates each cell
-    exactly.  N = inf: all three polar regions on the 160-node grid of
-    ``tomography_pair_table``, each with its analytic circle arcs.
+    exactly.  N = inf: ``shared_axis_table``.
     """
     table = np.zeros((3, 3))
     if n_copies != math.inf:
@@ -173,19 +172,48 @@ def dense_pair_table(n_copies, q, dir_a, dir_b):
                 density = ((1.0 - nodes_a @ nodes_b.T) / 2.0) ** n
                 table[i, j] = w_a @ density @ w_b
         return (n + 1) / (16.0 * math.pi ** 2) * table
+    return shared_axis_table(q, dir_a, dir_b)
+
+
+def shared_axis_table(q, dir_a, dir_b):
+    """N = inf (B = A) reference table by quadrature in A's polar angle u
+    about a, independent of the lens formula.
+
+    At each u the azimuthal fraction of b.A above a threshold t is an
+    arccos; it has square-root kinks where the circle of A touches the
+    cap edge of radius r = arccos(t) about b: at |theta - r|, theta + r
+    and 2 pi - theta - r.  Split at those and at Alice's band edges, each
+    piece is halved and each half mapped to u = end +- h v^2, which
+    smooths the kink at its end, with 60 Gauss-Legendre nodes in v.
+    """
     ct = float(np.clip(np.dot(dir_a, dir_b), -1.0, 1.0))
-    st = math.sqrt(max(0.0, 1.0 - ct * ct))
-    for lo, hi, a_idx in [(q, 1.0, 2), (-q, q, 1), (-1.0, -q, 0)]:
-        if hi - lo < 1e-15:
-            continue
-        xs, wxs = gauss_legendre(160, lo, hi)
-        wxs = wxs / 2.0
-        sx = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-        mean, amp, wt = ct * xs, st * sx, wxs
-        p_plus = circle_arc_fraction(mean, amp, q)
-        p_live = circle_arc_fraction(mean, amp, -q)
-        table[a_idx] = [(wt * (1.0 - p_live)).sum(),
-                        (wt * (p_live - p_plus)).sum(), (wt * p_plus).sum()]
+    theta, st = math.acos(ct), math.sqrt(1.0 - ct * ct)
+    radii = (math.acos(q), math.acos(-q))
+    cuts = {0.0, math.pi, *radii}
+    for r in radii:
+        cuts.update(k for k in (abs(theta - r), theta + r,
+                                2.0 * math.pi - theta - r)
+                    if 0.0 < k < math.pi)
+    cuts = sorted(cuts)
+    v, wv = np.polynomial.legendre.leggauss(60)
+    v, wv = (v + 1.0) / 2.0, wv / 2.0
+    table = np.zeros((3, 3))
+    for u0, u1 in zip(cuts, cuts[1:]):
+        h = (u1 - u0) / 2.0
+        u = np.concatenate([u0 + h * v * v, u1 - h * v * v])
+        # du = 2 h v dv; the uniform measure on the sphere is sin(u) du / 2.
+        w = np.tile(2.0 * h * v * wv, 2) * np.sin(u) / 2.0
+        mean, amp = ct * np.cos(u), st * np.sin(u)
+
+        def above(t):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                arc = np.arccos(np.clip((t - mean) / amp, -1.0, 1.0))
+            return np.where(amp > 0.0, arc / math.pi, mean > t)
+
+        p_plus, p_live = above(q), above(-q)
+        x_mid = math.cos((u0 + u1) / 2.0)
+        row = 2 if x_mid > q else 0 if x_mid < -q else 1
+        table[row] += [w @ (1.0 - p_live), w @ (p_live - p_plus), w @ p_plus]
     return table
 
 
@@ -213,6 +241,7 @@ class TestQuadratureOracle:
     def test_tables_match_dense_reference(self, kind, n, q):
         config = tomography_config(kind, n, q=q)
         tables = enumerate_exact(config).weights
+        assert np.all(tables >= 0.0)
         pairs = (np.ndindex(tables.shape[:2]) if n == math.inf else
                  [ORACLE_PAIRS[kind][ORACLE_Q.index(q) % 2]])
         for i, j in pairs:
@@ -280,6 +309,67 @@ class TestClosedFormTables:
                 assert np.max(np.abs(t - ref)) <= 1e-14, (q, ct)
 
 
+def exact_bell_point(n_copies, q):
+    """(|S|, eta) of the exact tomography Bell model; None if degenerate."""
+    stats = enumerate_exact(tomography_config("bell", n_copies, q=q))
+    value, _, degenerate = stats.value()
+    return None if degenerate else (value, stats.efficiency("alice"))
+
+
+class TestChaoticBallTables:
+    def test_larsson_bound(self):
+        """No local model beats |S| <= 4/eta - 2 (Larsson, PRA 57, 3304,
+        1998)."""
+        for n in [*range(1, 11), math.inf]:
+            for q in np.round(np.arange(96) * 0.01, 10):
+                point = exact_bell_point(n, q)
+                if point is not None:
+                    value, eta = point
+                    assert value <= 4.0 / eta - 2.0 + 1e-12, (n, q)
+
+    def test_zero_threshold_touches_bound(self):
+        value, eta = exact_bell_point(math.inf, 0.0)
+        assert eta == 1.0 and abs(value - 2.0) <= 1e-12
+
+    def test_quantum_value_crossing(self):
+        """|S| reaches 2 sqrt(2) at eta = 0.822495 (q = 0.174544), below
+        the Garg-Mermin efficiency 2(sqrt(2) - 1) = 0.828427."""
+        lo, hi = 0.0, 0.5
+        for _ in range(50):
+            mid = (lo + hi) / 2.0
+            if exact_bell_point(math.inf, mid)[0] < 2.0 * math.sqrt(2.0):
+                lo = mid
+            else:
+                hi = mid
+        eta = exact_bell_point(math.inf, lo)[1]
+        assert abs(lo - 0.174544) <= 1e-6
+        assert abs(eta - 0.822495) <= 1e-6
+        assert eta < 2.0 * (math.sqrt(2.0) - 1.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.074, 0.6])
+    def test_parallel_and_antiparallel(self, q):
+        z = np.eye(3)[2]
+        diag = np.diag([(1.0 - q) / 2.0, q, (1.0 - q) / 2.0])
+        assert np.array_equal(
+            estimators.tomography_pair_table(math.inf, q, z, z), diag)
+        assert np.array_equal(
+            estimators.tomography_pair_table(math.inf, q, z, -z),
+            diag[:, ::-1])
+
+    def test_degenerate_geometry_non_negative(self):
+        """Tangent cap edges (a.b = 2 q^2 - 1) and directions a rounding
+        away from parallel lose half the digits of an arccos, which must
+        not leave a negative cell."""
+        z = np.eye(3)[2]
+        for q, ct in [(0.9, np.nextafter(0.62, 1.0)), (0.75, 0.125),
+                      (0.68, 1.0 - 2 ** -53)]:
+            b = np.array([math.sqrt(1.0 - ct * ct), 0.0, ct])
+            t = estimators.tomography_pair_table(math.inf, q, z, b)
+            ref = shared_axis_table(q, z, b)
+            assert np.all(t >= 0.0), (q, ct)
+            assert np.max(np.abs(t - ref)) <= 1e-8, (q, ct)
+
+
 class TestParallelDeterminism:
     def test_worker_count_invariance(self):
         config = ModelConfig(kind="simple-bell", seed=11)
@@ -288,8 +378,8 @@ class TestParallelDeterminism:
         assert np.array_equal(one.weights, three.weights)
 
     def test_sweep_reproducible(self):
-        a = sweep_curve("bell", 2, [0.0, 0.3], 20_000, seed=13)
-        b = sweep_curve("bell", 2, [0.0, 0.3], 20_000, seed=13, workers=2)
+        a = sweep_curves("bell", [2], [0.0, 0.3], 20_000, seed=13)
+        b = sweep_curves("bell", [2], [0.0, 0.3], 20_000, seed=13, workers=2)
         assert a == b
 
     def test_uneven_tail_estimate(self):
@@ -300,10 +390,10 @@ class TestParallelDeterminism:
         assert np.all(one.weights.sum(axis=(2, 3)) == 50_001)
 
     def test_uneven_tail_sweep(self):
-        a = sweep_curve("bell", 2, [0.6, 0.0, 0.3], 50_001, seed=43,
-                        chunk=7_000)
-        b = sweep_curve("bell", 2, [0.6, 0.0, 0.3], 50_001, seed=43,
-                        workers=2, chunk=7_000)
+        a = sweep_curves("bell", [2], [0.6, 0.0, 0.3], 50_001, seed=43,
+                         chunk=7_000)
+        b = sweep_curves("bell", [2], [0.6, 0.0, 0.3], 50_001, seed=43,
+                         workers=2, chunk=7_000)
         assert a == b
 
 
@@ -368,8 +458,8 @@ class TestSweepKernelOracle:
                 seen.append(self.weights)
 
         monkeypatch.setattr(estimators, "RunStatistics", Recording)
-        points = sweep_curve(kind, n_copies, grid, 50_001, seed=seed,
-                             chunk=7_000)
+        points = sweep_curves(kind, [n_copies], grid, 50_001, seed=seed,
+                              chunk=7_000)[n_copies]
         expected = _reference_sweep_tables(kind, n_copies, grid, 50_001,
                                            seed, 7_000)
         assert [p.q for p in points] == list(grid)
@@ -619,46 +709,48 @@ class TestStderrScaling:
 
 class TestSweepCurve:
     def test_zero_threshold_full_efficiency(self):
-        pts = sweep_curve("bell", 2, [0.0, 0.3, 0.6], 20_000, seed=17)
+        pts = sweep_curves("bell", [2], [0.0, 0.3, 0.6], 20_000, seed=17)[2]
         assert pts[0].eta == 1.0
         assert [p.q for p in pts] == [0.0, 0.3, 0.6]
 
     def test_eta_monotone_via_shared_draws(self):
-        pts = sweep_curve("bell", 1, [0.0, 0.2, 0.4, 0.8], 20_000, seed=19)
+        pts = sweep_curves("bell", [1], [0.0, 0.2, 0.4, 0.8], 20_000,
+                           seed=19)[1]
         etas = [p.eta for p in pts]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
 
     def test_degenerate_points_are_nan(self):
-        pts = sweep_curve("bell", math.inf, [0.0, 0.95], 20_000, seed=23)
+        pts = sweep_curves("bell", [math.inf], [0.0, 0.95], 20_000,
+                           seed=23)[math.inf]
         assert math.isnan(pts[1].value)
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
-            sweep_curve("bell", 1, [0.0, 1.0], 20_000)
+            sweep_curves("bell", [1], [0.0, 1.0], 20_000)
 
     def test_nan_grid_rejected(self):
         with pytest.raises(ValueError, match="q_grid"):
-            sweep_curve("bell", 1, [0.0, math.nan], 20_000)
+            sweep_curves("bell", [1], [0.0, math.nan], 20_000)
 
     def test_two_dimensional_grid_rejected(self):
         with pytest.raises(ValueError, match="q_grid"):
-            sweep_curve("bell", 1, [[0.0, 0.3], [0.6, 0.9]], 20_000)
+            sweep_curves("bell", [1], [[0.0, 0.3], [0.6, 0.9]], 20_000)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="q_grid"):
-            sweep_curve("bell", 1, [], 20_000)
+            sweep_curves("bell", [1], [], 20_000)
 
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_bad_chunk_rejected(self, chunk):
         with pytest.raises(ValueError, match="chunk"):
-            sweep_curve("bell", 1, [0.0, 0.3], 20_000, chunk=chunk)
+            sweep_curves("bell", [1], [0.0, 0.3], 20_000, chunk=chunk)
 
     def test_no_alice_detection_point_is_nan_without_warning(self):
         # Just below q = 1 no reading pair has an Alice detection.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pts = sweep_curve("bell", 1, [0.0, np.nextafter(1, 0)], 50_001,
-                              seed=1)
+            pts = sweep_curves("bell", [1], [0.0, np.nextafter(1, 0)],
+                               50_001, seed=1)[1]
         assert pts[0].eta == 1.0
         assert math.isnan(pts[1].eta) and math.isnan(pts[1].value)
 

@@ -8,8 +8,7 @@ import pytest
 from lrpovm import causality, quantum
 from lrpovm.estimators import enumerate_exact, estimate
 from lrpovm.models import (LEVEL_BINS, ModelConfig, enumerate_unanimity,
-                           preselection_weight, qubit_copies_joint,
-                           sample_batch, threshold_levels, threshold_readout,
+                           preselection_weight, sample_batch, threshold_levels, threshold_readout,
                            tomography_config)
 from lrpovm.sphere import RngStream
 
@@ -368,22 +367,6 @@ class TestTomography:
         assert preselection_weight(100_000) == 0.0
         config = tomography_config("bell", 100_000)
         assert config.metadata["preselection_weight"] == 0.0
-
-
-class TestQubitCopies:
-    def test_special_times(self):
-        p = qubit_copies_joint(math.pi / 2, math.pi, 1.0, 2)
-        assert p[:, 1].sum() == pytest.approx(0.0, abs=1e-12)
-
-    def test_requires_enough_copies(self):
-        with pytest.raises(ValueError, match="[Ii]nsufficient|at least"):
-            qubit_copies_joint(0.1, 0.2, 1.0, 1)
-
-    def test_zero_time_start(self):
-        p = qubit_copies_joint(0.0, 1.3, 1.0, 2)
-        assert p[1, :].sum() == pytest.approx(1.0, abs=1e-12)
-        assert p[1, 1] == pytest.approx(
-            quantum.qubit_probability_plus(1.3), abs=1e-12)
 
 
 class TestNoSignaling:

@@ -198,8 +198,14 @@ class TestCopiesReadout:
             assert np.allclose(p, expected, atol=1e-12)
 
     def test_insufficient_copies(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least two copies"):
             copies_joint_probability(0.1, 0.2, 1.0, 1)
+
+    def test_zero_time_start(self):
+        p = copies_joint_probability(0.0, 1.3, 1.0, 2)
+        assert p[1, :].sum() == pytest.approx(1.0, abs=1e-12)
+        assert p[1, 1] == pytest.approx(qubit_probability_plus(1.3),
+                                        abs=1e-12)
 
 
 class TestTrustedKraus:
