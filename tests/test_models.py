@@ -369,6 +369,18 @@ class TestTomography:
         assert config.metadata["preselection_weight"] == 0.0
 
 
+class TestQubitCopies:
+    """The two-time readout served by distinct qubit copies."""
+
+    def test_special_times(self):
+        p = quantum.copies_joint_probability(math.pi / 2, math.pi, 1.0, 2)
+        assert p[:, 1].sum() == pytest.approx(0.0, abs=1e-12)
+
+    def test_requires_enough_copies(self):
+        with pytest.raises(ValueError, match="[Ii]nsufficient|at least"):
+            quantum.copies_joint_probability(0.1, 0.2, 1.0, 1)
+
+
 class TestNoSignaling:
     """Each party's marginal must not depend on the other party's choice."""
 
