@@ -27,8 +27,8 @@ from .quantum import (CHSH_ALICE, CHSH_BOB, STEERING_TRIPLE, chsh_value,
                       qubit_probability_plus, quantum_correlation,
                       quantum_steering_T, sequential_qubit_probability,
                       singlet_power)
-from .sphere import (RngStream, cap_overlap_quadrature, pair_density,
-                     sample_pair, sample_uniform_direction)
+from .sphere import RngStream, cap_overlap_quadrature, pair_density, \
+    sample_pair
 
 __version__ = "0.1.0"
 
@@ -43,5 +43,4 @@ __all__ = [
     "qubit_probability_plus", "quantum_correlation", "quantum_steering_T",
     "sequential_qubit_probability", "singlet_power", "RngStream",
     "cap_overlap_quadrature", "pair_density", "sample_pair",
-    "sample_uniform_direction",
 ]

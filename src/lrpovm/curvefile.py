@@ -37,10 +37,7 @@ def write_curve_csv(points, path) -> None:
         lines.append(",".join((
             _fmt_copies(p.n_copies), _fmt(p.q), _fmt(p.eta),
             _fmt(p.value), _fmt(p.stderr), str(p.samples))))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-    except OSError as exc:
-        raise OSError(f"cannot write curve CSV {path}: {exc}") from exc
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def read_curve_csv(path) -> list[CurvePoint]:

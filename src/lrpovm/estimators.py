@@ -14,8 +14,10 @@ projection gets a signed level (``models.threshold_levels``: the number
 of thresholds below |p|, read from a 1024-bin table of the grid and exact
 by comparison with the few thresholds that share |p|'s bin), one
 bincount per reading pair histograms the joint levels, and 2-D prefix
-sums of it give the table of every threshold.  A fixed-q estimate is the
-one-level case, whose level is the trit itself.
+sums of it give the table of every threshold.  There is one chunk path:
+a chunk counts a tuple of copy counts on a sorted q grid, and a point
+estimate (``estimate``) is the one-N, one-q case, whose level is the trit
+itself, read back as element [0, 0] of the (N, q) tables.
 
 A sweep over several copy counts N is one pass.  Chunk i draws from
 ``RngStream(seed, i)`` whatever N is, and a single N draws A (normal rows
@@ -33,10 +35,10 @@ sweep starts at most one process pool.  A chunk allocates almost nothing:
 each thread (so each pool worker) keeps one ``sphere.Workspace`` that
 every chunk of every model config reuses.  The chunk's draws go straight
 into it, and its projections, levels, trits and codes are computed in
-cache-sized blocks of its buffers, the blocks outside and the copy counts
-inside, so a sweep needs one extra level array per copy count.  The
-workspace grows to the largest chunk seen, so it holds the largest single
-config's need, not their sum.  Only ``Generator.integers``, which has no
+cache-sized blocks of its buffers, in one explicit block loop with the
+copy counts inside, so a sweep needs one extra level array per copy
+count.  The workspace grows to the largest chunk seen, so it holds the
+largest single config's need, not their sum.  Only ``Generator.integers``, which has no
 ``out=``, still allocates (the picks and the copies' signs).
 """
 from __future__ import annotations
@@ -102,6 +104,10 @@ class RunStatistics:
             raise ValueError("weights must have shape (Ma, Mb, 3, 3)")
         if np.any(self.weights < 0):
             raise ValueError("negative weights")
+        ma, mb = self.weights.shape[:2]
+        if self.kind == "steering" and ma != mb:
+            raise ValueError(f"steering needs matching choice counts, got "
+                             f"{ma} for Alice and {mb} for Bob")
 
     # -- per-pair quantities ------------------------------------------------
 
@@ -173,7 +179,7 @@ class RunStatistics:
         """Pairs read: every (i, j) for Bell, matched (j, j) for steering."""
         ma, mb = self.weights.shape[:2]
         if self.kind == "steering":
-            return [(j, j) for j in range(min(ma, mb))]
+            return [(j, j) for j in range(ma)]
         return [(i, j) for i in range(ma) for j in range(mb)]
 
     # -- Bell ----------------------------------------------------------------
@@ -205,13 +211,13 @@ class RunStatistics:
         are conditioned on Bob registering (his trit nonzero); Alice's
         zero outcomes keep their own conditional-mean terms.
         """
-        pairs = self._matched_pairs()
+        pairs = self.reading_pairs()
         m = len(pairs)
         total = 0.0
         var = 0.0
         empty_bins = False
-        for j in pairs:
-            w = self.weights[j, j]
+        for i, j in pairs:
+            w = self.weights[i, j]
             registered = w[:, (0, 2)]
             w_reg = registered.sum()
             if w_reg <= 0.0:
@@ -231,12 +237,6 @@ class RunStatistics:
                     var += ((mean_b ** 2 / m) ** 2 * var_p
                             + (2.0 * p_s * mean_b / m) ** 2 * var_m)
         return total, math.sqrt(var), empty_bins
-
-    def _matched_pairs(self) -> list[int]:
-        ma, mb = self.weights.shape[:2]
-        if ma != mb:
-            raise ValueError("steering needs matching choice counts")
-        return list(range(ma))
 
     def value(self) -> tuple[float, float, bool]:
         """The run's test statistic: (|S| or T, stderr, degenerate flag)."""
@@ -293,11 +293,13 @@ _CHUNK_WORKSPACE = _ThreadWorkspace()
 def _count_chunk(task) -> np.ndarray:
     """Tables of one chunk, every work array taken from the thread's workspace.
 
-    The unanimity family is counted from its pick-cell histogram, which
-    ``models.pick_tables`` turns into reading-pair tables; the tomography
-    family from its levels on the q grid, or its trits at the model's q.
-    A sweep chunk counts every copy count of ``n_copies`` from one draw and
-    returns (K, L, Ma, Mb, 3, 3) for K copy counts and L thresholds.
+    Returns (K, L, Ma, Mb, 3, 3) for the K copy counts of ``n_copies`` and
+    the L thresholds of ``q_sorted``.  The tomography family counts every
+    copy count from one draw, from its levels on the grid; a point
+    estimate is the 1 x 1 case.  The unanimity family, whose config fixes
+    N and reads no threshold, is counted from its pick-cell histogram,
+    which ``models.pick_tables`` turns into reading-pair tables, and comes
+    back as the 1 x 1 case too.
     """
     config, n_copies, q_sorted, seed, index, size = task
     gen = RngStream(seed, index).generator
@@ -307,20 +309,18 @@ def _count_chunk(task) -> np.ndarray:
         ma, mb = len(config.alice_directions), len(config.bob_directions)
         cell = models.unanimity_cell_batch(config, gen, size, ws)
         return models.pick_tables(np.bincount(cell, minlength=ma * mb * 9)
-                                  .reshape(ma, mb, 3, 3))
-    grid = (config.q,) if q_sorted is None else q_sorted
-    levels_a, levels_b = models.tomography_level_batch(config, gen, size,
-                                                       grid, ws, n_copies)
+                                  .reshape(ma, mb, 3, 3))[None, None]
+    levels_a, levels_b = models.tomography_level_batch(
+        config, gen, size, q_sorted, ws, n_copies)
     code = ws.take(size, np.intp)
-    tables = np.stack([_count_levels(levels_a, levels, len(grid), code)
-                       for levels in levels_b])
-    return tables[0, 0] if q_sorted is None else tables
+    return np.stack([_count_levels(levels_a, levels, len(q_sorted), code)
+                     for levels in levels_b])
 
 
 def _count_chunks(head: tuple, samples: int, chunk: int,
                   workers: int) -> np.ndarray:
-    """Sum the chunk tables of ``head`` = (config, copy counts or None,
-    q grid or None, seed), all chunks in one map over at most one pool."""
+    """Sum the chunk tables of ``head`` = (config, copy counts, sorted q
+    grid, seed), all chunks in one map over at most one pool."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if chunk < 1:
@@ -351,9 +351,9 @@ def estimate(config: ModelConfig, samples: int, *, seed: int | None = None,
     tomography configs, steering otherwise.
     """
     seed = config.seed if seed is None else seed
-    counts = _count_chunks((config, None, None, seed), samples, chunk,
-                           workers)
-    return RunStatistics(kind=_run_kind(config), weights=counts,
+    counts = _count_chunks((config, (config.n_copies,), (config.q,), seed),
+                           samples, chunk, workers)
+    return RunStatistics(kind=_run_kind(config), weights=counts[0, 0],
                          samples=samples,
                          metadata=dict(config.metadata, model=config.kind,
                                        seed=seed))

@@ -27,15 +27,17 @@ with one trit per (run, choice) for every kind.  It wraps the two kernels
 that counting calls, one per model family.  ``unanimity_cell_batch``
 folds each run's two picks and the trit read at each, which are the whole
 unanimity readout, into one pick-cell index.  ``tomography_level_batch``
-gives the threshold levels of the sampled projections on a q grid, for
-one copy count or several; on the one-point grid (q,) they are the trits.
-Several copy counts share one draw: A, the opening and azimuth uniforms
-and Alice's levels do not depend on N, so they are made once, and each N
-adds only Bob's directions, projections and levels.  Each N's levels are
-bit-identical to a draw of that N alone, because the single-N stream
-draws the same numbers in the same order and every elementwise operation
-keeps its order.  Both kernels take a ``sphere.Workspace`` and return
-views of it; ``sample_batch`` gives each call a fresh one.  One table map
+gives the threshold levels of the sampled projections on a q grid, for a
+tuple of copy counts; a point estimate is the one-N, one-q case, whose
+levels on the grid (q,) are the trits.  It is one explicit loop over
+blocks of samples, with no generator layers: A, the opening and azimuth
+uniforms and Alice's levels do not depend on N, so each block makes them
+once, then loops over the copy counts, adding only Bob's directions,
+projections and levels.  Each N's levels are bit-identical to a draw of
+that N alone, because the single-N stream draws the same numbers in the
+same order and every elementwise operation keeps its order.  Both
+kernels take a ``sphere.Workspace`` and return views of it;
+``sample_batch`` gives each call a fresh one.  One table map
 (``pick_tables``) turns per-pick-pair outcomes into reading-pair tables,
 for the exact enumerator (``enumerate_unanimity``) and for Monte Carlo
 pick counts alike.
@@ -121,6 +123,10 @@ class ModelConfig:
         if self.kind in ("trusted-steering", "ncopy-steering"):
             if len(self.bob_directions) != self.m_choices:
                 raise ValueError("m_choices must match the direction set")
+            if len(self.alice_directions) != self.m_choices:
+                raise ValueError(
+                    f"alice_directions must have one row per choice "
+                    f"({self.m_choices}), got {len(self.alice_directions)}")
         if self.kind == "chaotic-ball":
             self.n_copies = math.inf
         elif self.kind in ("simple-bell", "trusted-steering"):
@@ -342,60 +348,46 @@ def unanimity_cell_batch(config: ModelConfig, rng, n: int, ws: Workspace
     return cell
 
 
-def _projection_blocks(config: ModelConfig, n_copies, gen, n: int,
-                       ws: Workspace):
-    """Yield (rows, proj_a, projs_b) per block of n sampled direction pairs.
-
-    One ``PairSampler`` draw serves every copy count in ``n_copies``: for
-    finite N the pair (A, B) follows the N-copy tomography density, and the
-    chaotic-ball limit shares one axis exactly (B = A).  ``projs_b`` yields
-    Bob's projections for each N in turn; where B = A and both parties
-    have the same directions (steering) they are ``proj_a`` itself.  The
-    projections are block buffers of ``ws``, overwritten by the next block
-    (Bob's by the next N).
-    """
-    dirs_a = np.asarray(config.alice_directions).T
-    dirs_b = np.asarray(config.bob_directions).T
-    shared = np.array_equal(dirs_a, dirs_b)
-    proj_a = ws.take((BLOCK + 1, dirs_a.shape[1]))
-    proj_b = ws.take((BLOCK + 1, dirs_b.shape[1]))
-    for rows, a, partners in PairSampler(n_copies, gen, n, ws):
-        m = rows.stop - rows.start
-        pa = np.matmul(a, dirs_a, out=proj_a[:m])
-        yield rows, pa, (pa if shared and b is a
-                         else np.matmul(b, dirs_b, out=proj_b[:m])
-                         for b in partners)
-
-
 def tomography_level_batch(config: ModelConfig, rng, n: int, q_sorted,
-                           ws: Workspace, n_copies=None
+                           ws: Workspace, n_copies
                            ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Signed threshold levels of n sampled runs at several copy counts.
 
     Returns Alice's levels (n, Ma) and a list of Bob's (n, Mb), one per
-    copy count in ``n_copies`` (default: the config's own); the config
-    gives the direction sets.  Levels are read against the sorted grid
-    ``q_sorted`` as by ``threshold_levels``; on the one-point grid
-    (config.q,) they are the trits.  Every copy count shares one draw of
-    A, u and chi, so Alice's directions, projections and levels are made
-    once; each N's Bob levels equal those of a call with that N alone.
-    Where B = A and the direction sets are equal, Bob's levels are Alice's
-    array.  Sampling, projection and levels run block by block, N inside,
-    in work arrays of ``ws``, and the returned levels are views of it.
+    copy count in ``n_copies``; the config gives the direction sets.
+    Levels are read against the sorted grid ``q_sorted`` as by
+    ``threshold_levels``; a point estimate is the one-N, one-q case, whose
+    levels on the grid (config.q,) are the trits.  One ``PairSampler`` draw
+    serves every copy count: for finite N the pair (A, B) follows the
+    N-copy tomography density, and the chaotic-ball limit shares one axis
+    exactly (B = A).  Each block projects and levels Alice's directions
+    once, then loops over the copy counts, adding Bob's directions,
+    projections and levels; each N's levels equal those of a call with
+    that N alone.  Where B = A and the direction sets are equal, Bob's
+    levels are Alice's array and that N is skipped.  Every work array is
+    taken from ``ws``, and the returned levels are views of it.
     """
-    n_copies = (config.n_copies,) if n_copies is None else tuple(n_copies)
-    ma, mb = len(config.alice_directions), len(config.bob_directions)
+    dirs_a = np.asarray(config.alice_directions).T
+    dirs_b = np.asarray(config.bob_directions).T
+    ma, mb = dirs_a.shape[1], dirs_b.shape[1]
     grid = _LevelGrid(q_sorted, (BLOCK + 1) * max(ma, mb), ws)
     levels_a = ws.take((n, ma), grid.dtype)
-    shared = np.array_equal(config.alice_directions, config.bob_directions)
+    shared = np.array_equal(dirs_a, dirs_b)
     levels_b = [levels_a if shared and k == math.inf
                 else ws.take((n, mb), grid.dtype) for k in n_copies]
-    for rows, proj_a, projs_b in _projection_blocks(
-            config, n_copies, as_generator(rng), n, ws):
-        grid.levels_into(proj_a, levels_a[rows])
-        for levels, proj_b in zip(levels_b, projs_b):
+    proj_a = ws.take((BLOCK + 1, ma))
+    proj_b = ws.take((BLOCK + 1, mb))
+    pairs = PairSampler(n_copies, as_generator(rng), n, ws)
+    for rows in blocks(n):
+        m = rows.stop - rows.start
+        a = pairs.block(rows)
+        grid.levels_into(np.matmul(a, dirs_a, out=proj_a[:m]),
+                         levels_a[rows])
+        for k, levels in zip(n_copies, levels_b):
             if levels is not levels_a:
-                grid.levels_into(proj_b, levels[rows])
+                b = pairs.partner(k, a, rows)
+                grid.levels_into(np.matmul(b, dirs_b, out=proj_b[:m]),
+                                 levels[rows])
     return levels_a, levels_b
 
 
@@ -409,8 +401,8 @@ def sample_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
     family reads every choice, thresholded at ``config.q``.
     """
     if config.is_tomography:
-        alice, (bob,) = tomography_level_batch(config, rng, n, (config.q,),
-                                               Workspace())
+        alice, (bob,) = tomography_level_batch(
+            config, rng, n, (config.q,), Workspace(), (config.n_copies,))
         # A shared-axis steering batch reads Alice's levels for Bob's.
         return ReadoutBatch(alice=alice,
                             bob=bob.copy() if bob is alice else bob)

@@ -229,12 +229,11 @@ def sequential_qubit_probability(t_a: float, t_b: float, omega: float
 
 
 def copies_joint_probability(t_a: float, t_b: float, omega: float,
-                             n_copies: int, copy_a: int = 0, copy_b: int = 1
-                             ) -> np.ndarray:
+                             n_copies: int) -> np.ndarray:
     """Joint readout table when the two checks hit two different qubit copies.
 
     All copies start in the initial state and evolve identically; the
-    operator projects copy_a at t_a and copy_b at t_b.  Computed by brute
+    operator projects copy 0 at t_a and copy 1 at t_b.  Computed by brute
     force on the 2^n register; the result factorizes into the undisturbed
     single-check probabilities.
     """
@@ -243,8 +242,6 @@ def copies_joint_probability(t_a: float, t_b: float, omega: float,
         raise ValueError("need at least two copies for two readout times")
     if n > 12:
         raise ValueError("brute-force register capped at 12 copies")
-    if copy_a == copy_b:
-        raise ValueError("the two readouts must use distinct copies")
     plus = np.array([1.0, 0.0], dtype=complex)
     psi0 = reduce(np.kron, [plus] * n)
     p_plus = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -258,9 +255,9 @@ def copies_joint_probability(t_a: float, t_b: float, omega: float,
 
     out = np.empty((2, 2))
     for beta in (0, 1):
-        pa = site_heisenberg(t_a, beta, copy_a)
+        pa = site_heisenberg(t_a, beta, 0)
         for gamma in (0, 1):
-            pb = site_heisenberg(t_b, gamma, copy_b)
+            pb = site_heisenberg(t_b, gamma, 1)
             amp = (pb @ (pa @ psi0))
             out[beta, gamma] = float(np.real(np.conj(amp) @ amp))
     return out

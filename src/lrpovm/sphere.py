@@ -1,7 +1,8 @@
-"""Sampling, circle arcs and Gauss-Legendre rules on the unit sphere.
+"""Sampling, circle arcs and the Gauss-Legendre rule on the unit sphere.
 
-Random directions, correlated direction pairs for the tomography models,
-the circle-arc fraction of the exact chaotic-ball tables, and the
+Correlated direction pairs for the tomography models (``sample_pair``,
+whose A is a uniform direction and whose N = 0 pair is two independent
+ones), the circle-arc fraction of the exact chaotic-ball tables, and the
 Gauss-Legendre rule of the pair-density normalisation check.
 
 Sampling writes into a ``Workspace``, one byte arena reused round after
@@ -16,15 +17,15 @@ are new arrays.  Blocking changes no bit of any result.
 ``PairSampler`` serves several copy counts N from one draw.  A, the
 opening uniforms u and the azimuth uniforms chi are drawn once, in the
 order a single N draws them, so each N sees the very numbers it would
-draw alone; the azimuth vector is built once per block, and each N only
-adds its own opening angle.  Every elementwise operation keeps the order
-of the single-N code, so each N's pairs are bit-identical to its own run.
+draw alone.  Its caller walks the blocks itself: ``block`` normalises a
+block of A and builds its azimuth vector once, and ``partner`` adds one
+N's opening angle.  Every elementwise operation keeps the order of the
+single-N code, so each N's pairs are bit-identical to its own run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -180,18 +181,6 @@ def _draw_directions(gen: np.random.Generator, n: int, ws: Workspace
         v[bad] = gen.standard_normal((int(bad.sum()), 3))
 
 
-def sample_uniform_direction(rng, size: int | None = None) -> np.ndarray:
-    """Uniform direction(s) on the unit sphere.
-
-    Returns shape (3,) when size is None, else (size, 3).
-    """
-    n = 1 if size is None else int(size)
-    v, norms = _draw_directions(as_generator(rng), n, Workspace())
-    for rows in blocks(n):
-        v[rows] /= norms[rows, None]
-    return v[0] if size is None else v
-
-
 class PairSampler:
     """Direction pairs (A, B) of the N-copy tomography density, by blocks,
     for several copy counts N at once.
@@ -202,19 +191,18 @@ class PairSampler:
     the stream of each single N is this one, cut short after A when N is
     inf: every N gets exactly the A, u and chi it would draw alone.
 
-    Iterating yields (rows, A, partners) per block of ``blocks(n)``.  A is
-    that block of the drawn rows, normalised in place.  ``partners`` yields
-    B for each N in turn, in one reused block buffer, or A itself when N is
-    inf (the shared axis of the chaotic-ball limit).  The azimuth vector
-    cos(chi) e1 + sin(chi) e2 does not depend on N either, and is built
-    once per block; each finite N adds only its opening cosine and sine.
+    ``block(rows)`` gives A for one block of ``blocks(n)``: those drawn
+    rows, normalised in place.  It also builds the block's azimuth vector
+    cos(chi) e1 + sin(chi) e2, which does not depend on N either.
+    ``partner(N, A, rows)`` then gives that block's B for one N, in one
+    reused block buffer, adding only N's opening cosine and sine, or A
+    itself when N is inf (the shared axis of the chaotic-ball limit).
     """
 
     def __init__(self, n_copies, gen: np.random.Generator, n: int,
                  ws: Workspace) -> None:
-        self.n, self.n_copies = n, tuple(n_copies)
         self.a, self.norms = _draw_directions(gen, n, ws)
-        self.finite = any(k != math.inf for k in self.n_copies)
+        self.finite = any(k != math.inf for k in n_copies)
         if not self.finite:
             return
         self.u = ws.take(n)
@@ -226,14 +214,14 @@ class PairSampler:
         self.work = ws.take((7, BLOCK + 1))
         self.use_y = ws.take((2, BLOCK + 1), bool)
 
-    def __iter__(self):
-        for rows in blocks(self.n):
-            a = self.a[rows]
-            a /= self.norms[rows, None]
-            if self.finite:
-                self._azimuth(a, self.chi[rows])
-            yield rows, a, (self._partner(k, a, rows)
-                            for k in self.n_copies)
+    def block(self, rows: slice) -> np.ndarray:
+        """A of one block, normalised in place; its azimuth vector too if
+        some N is finite."""
+        a = self.a[rows]
+        a /= self.norms[rows, None]
+        if self.finite:
+            self._azimuth(a, self.chi[rows])
+        return a
 
     def _azimuth(self, a, chi) -> None:
         """cos(chi) e1 + sin(chi) e2 of one block (see ``sample_pair``),
@@ -268,9 +256,9 @@ class PairSampler:
             np.multiply(cos_chi, e1[c], out=self.azimuth[c, :m])
             self.azimuth[c, :m] += e2_c
 
-    def _partner(self, n_copies, a, rows) -> np.ndarray:
-        """B of one block for n_copies: cos_t A + sin_t (the azimuth
-        vector), with cos_t = 1 - 2 u^(1/(N+1)); A itself at inf."""
+    def partner(self, n_copies, a, rows: slice) -> np.ndarray:
+        """B of the block A = ``block(rows)`` for n_copies: cos_t A + sin_t
+        (the azimuth vector), with cos_t = 1 - 2 u^(1/(N+1)); A at inf."""
         if n_copies == math.inf:
             return a
         m = len(a)
@@ -298,7 +286,8 @@ def sample_pair(n_copies: int, rng, size: int | None = None
     density (N+1) u^N on [0, 1], sampled exactly by inverse CDF as
     u = U^(1/(N+1)); B is uniform in azimuth about A.  For large N this
     concentrates B antipodally to A.  n_copies = 0 is the degenerate
-    extension with B uniform and independent of A, used by oracle tests.
+    extension with B uniform and independent of A: two independent uniform
+    directions, as the oracle tests use.
 
     The azimuth is measured in the frame e1 = A x h / |A x h|, e2 = A x e1,
     with helper h = x-hat unless |A_x| >= 0.9, then y-hat.  Components are
@@ -311,8 +300,8 @@ def sample_pair(n_copies: int, rng, size: int | None = None
     n = 1 if size is None else int(size)
     pairs = PairSampler((n_copies,), as_generator(rng), n, Workspace())
     b = np.empty((n, 3))
-    for rows, _, (b_rows,) in pairs:
-        b[rows] = b_rows
+    for rows in blocks(n):
+        b[rows] = pairs.partner(n_copies, pairs.block(rows), rows)
     if size is None:
         return pairs.a[0], b[0]
     return pairs.a, b
@@ -337,28 +326,15 @@ def pair_density(n_copies: int, cos_angle) -> np.ndarray | float:
     return float(val) if np.isscalar(cos_angle) else val
 
 
-@lru_cache(maxsize=64)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
-
-
-def gauss_legendre(nodes: int, lo: float = -1.0, hi: float = 1.0
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [lo, hi]."""
-    if nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    x, w = _leggauss(int(nodes))
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
-
-
 def cap_overlap_quadrature(f, nodes: int = 64) -> float:
     """Gauss-Legendre estimate of the integral of f over cos(theta) in [-1, 1].
 
     f must accept an ndarray of abscissas; scalar-valued constants are
     broadcast.  Used for polar-cap overlap integrands, hence the name.
     """
-    x, w = gauss_legendre(nodes)
+    if nodes < 2:
+        raise ValueError(f"nodes must be at least 2, got {nodes}")
+    x, w = np.polynomial.legendre.leggauss(int(nodes))
     y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
     return float(np.dot(w, y))
 

@@ -111,7 +111,4 @@ def write_curve_svg(curves: dict[float, list[CurvePoint]], path,
                      f'y="{_fmt(sy(min(last.value, vmax)))}" font-size="10" '
                      f'fill="{colour}">{_label(n)}</text>')
     parts.append("</svg>")
-    try:
-        Path(path).write_text("\n".join(parts) + "\n", encoding="ascii")
-    except OSError as exc:
-        raise OSError(f"cannot write SVG {path}: {exc}") from exc
+    Path(path).write_text("\n".join(parts) + "\n", encoding="ascii")

@@ -204,6 +204,20 @@ class TestCurvesCommand:
         assert code == 1
         assert err.startswith("error:") and "--svg" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_write_failure_names_path_once(self, capsys, tmp_path, flag):
+        """A dangling symlink fails the write; the error names the flag
+        and the path once, with the system's reason."""
+        link = tmp_path / "L"
+        link.symlink_to(tmp_path / "missing" / "target")
+        paths = {"--out": tmp_path / "c.csv", "--svg": tmp_path / "c.svg",
+                 flag: link}
+        code, _, err = run(capsys, "curves", "--samples", "2000",
+                           *(str(x) for item in paths.items() for x in item))
+        assert code == 1
+        assert err.startswith(f"error: {flag}: cannot write {link}: ")
+        assert err.count(str(link)) == 1
+
     def test_round_trip(self, capsys, tmp_path):
         out = tmp_path / "r.csv"
         run(capsys, "curves", "--kind", "bell", "--n-copies", "1,inf",

@@ -1,4 +1,4 @@
-"""Every lrpovm name the demos and the README quick start import exists.
+"""Every lrpovm name the demos, the README and ``__all__`` use exists.
 
 Nothing runs the demos in the test suite, so a renamed or deleted public
 name would otherwise break them silently.
@@ -38,3 +38,9 @@ def test_lrpovm_imports_resolve(name):
                     missing.append(f"{node.module}.{alias.name}")
     assert imported > 0
     assert not missing
+
+
+def test_all_exports_exist():
+    """``from lrpovm import *`` needs every name of ``__all__`` to exist."""
+    lrpovm = importlib.import_module("lrpovm")
+    assert [n for n in lrpovm.__all__ if not hasattr(lrpovm, n)] == []

@@ -14,8 +14,7 @@ from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                min_copies, sweep_curves)
 from lrpovm.models import ModelConfig, sample_batch, tomography_config, \
     unanimity_cell_batch
-from lrpovm.sphere import RngStream, Workspace, gauss_legendre, \
-    sample_pair, sample_uniform_direction
+from lrpovm.sphere import RngStream, Workspace, sample_pair
 
 
 class TestRunStatistics:
@@ -30,6 +29,15 @@ class TestRunStatistics:
         w = -np.ones((2, 2, 3, 3))
         with pytest.raises(ValueError):
             RunStatistics(kind="bell", weights=w, samples=0)
+
+    def test_steering_rejects_unmatched_choice_counts(self):
+        """Steering reads matched pairs (j, j), so Ma must equal Mb; Bell
+        reads every pair and takes any shape."""
+        w = np.ones((2, 3, 3, 3))
+        with pytest.raises(ValueError, match="matching choice counts"):
+            RunStatistics(kind="steering", weights=w, samples=0)
+        assert len(RunStatistics(kind="bell", weights=w, samples=0)
+                   .reading_pairs()) == 6
 
     def test_degenerate_pair_flagged(self):
         w = np.zeros((2, 2, 3, 3))
@@ -138,7 +146,9 @@ def band_nodes(axis, lo, hi, n_copies):
     exactly: Gauss-Legendre in the polar cosine x (floor(N/2) + 2 nodes)
     times an (N+2)-point trapezoid in the azimuth.  All weights are >= 0.
     """
-    xs, wxs = gauss_legendre(n_copies // 2 + 2, lo, hi)
+    x, wx = np.polynomial.legendre.leggauss(n_copies // 2 + 2)
+    half = 0.5 * (hi - lo)
+    xs, wxs = lo + half * (x + 1.0), half * wx
     phis = 2.0 * math.pi * np.arange(n_copies + 2) / (n_copies + 2)
     helper = np.eye(3)[0] if abs(axis[0]) < 0.9 else np.eye(3)[1]
     e1 = np.cross(axis, helper)
@@ -398,9 +408,9 @@ class TestParallelDeterminism:
 
 
 def _reference_pairs(n_copies, gen, size):
-    """The chunk's direction pairs from the public sphere samplers."""
+    """The chunk's direction pairs from the public sphere sampler."""
     if n_copies == math.inf:
-        a = sample_uniform_direction(gen, size)
+        a = sample_pair(0, gen, size)[0]
         return a, a
     return sample_pair(n_copies, gen, size)
 
@@ -551,8 +561,9 @@ class TestPickCountOracle:
     def test_tables_match_level_kernel(self, name, seed):
         config = ModelConfig(**UNANIMITY_CONFIGS[name])
         for size in (1, 7, 99_999, 131_072):
-            got = estimators._count_chunk((config, None, None, seed, 3,
-                                           size))
+            got = estimators._count_chunk(
+                (config, (config.n_copies,), (config.q,), seed, 3,
+                 size))[0, 0]
             batch = sample_batch(config, RngStream(seed, 3).generator, size)
             want = estimators._count_levels(batch.alice, batch.bob, 1,
                                             np.empty(size, np.intp))[0]
@@ -571,12 +582,15 @@ def fresh_workspace(monkeypatch):
 def chunk_peak(config, q_sorted=None, n_copies=None) -> int:
     """Peak bytes of one DEFAULT_CHUNK-sample chunk, workspace included.
 
-    The first call sizes the chunk workspace; the second is traced, and
-    the workspace's bytes held before it are added to its tracemalloc peak.
-    Start from a fresh workspace (the ``fresh_workspace`` fixture) so that
-    it holds this config's need alone.
+    The grid and copy counts default to the config's own q and N, the
+    point estimate's.  The first call sizes the chunk workspace; the
+    second is traced, and the workspace's bytes held before it are added
+    to its tracemalloc peak.  Start from a fresh workspace (the
+    ``fresh_workspace`` fixture) so that it holds this config's need alone.
     """
-    task = (config, n_copies, q_sorted, 5, 0, estimators.DEFAULT_CHUNK)
+    task = (config, (config.n_copies,) if n_copies is None else n_copies,
+            (config.q,) if q_sorted is None else q_sorted, 5, 0,
+            estimators.DEFAULT_CHUNK)
     estimators._count_chunk(task)
     held = estimators._CHUNK_WORKSPACE.workspace.nbytes
     tracemalloc.start()
@@ -643,7 +657,8 @@ class TestChunkMemory:
         """The five point configs in turn leave one workspace, no larger
         than the largest single config's need."""
         def run(config):
-            estimators._count_chunk((config, None, None, 5, 0,
+            estimators._count_chunk((config, (config.n_copies,),
+                                     (config.q,), 5, 0,
                                      estimators.DEFAULT_CHUNK))
 
         single = {}

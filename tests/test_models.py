@@ -145,6 +145,12 @@ class TestSimpleBell:
 
 
 class TestTrustedSteering:
+    @pytest.mark.parametrize("kind", ["trusted-steering", "ncopy-steering"])
+    def test_rejects_unmatched_alice_directions(self, kind):
+        with pytest.raises(ValueError, match="alice_directions"):
+            ModelConfig(kind=kind, m_choices=3,
+                        alice_directions=np.eye(3)[:2])
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_one_over_m_suppression(self, m):
         config = ModelConfig(kind="trusted-steering", m_choices=m)

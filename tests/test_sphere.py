@@ -4,36 +4,41 @@ import numpy as np
 import pytest
 
 from lrpovm import models
-from lrpovm.sphere import (BLOCK, RngStream, Workspace, blocks,
+from lrpovm.sphere import (BLOCK, PairSampler, RngStream, Workspace, blocks,
                            cap_overlap_quadrature, circle_arc_fraction,
-                           pair_density, sample_pair, sample_uniform_direction)
+                           pair_density, sample_pair)
 
 
 def three_sigma(var, n):
     return 3.0 * math.sqrt(var / n)
 
 
+def uniform_directions(rng, size=None):
+    """A of ``sample_pair``: the uniform direction(s) it draws first."""
+    return sample_pair(0, rng, size)[0]
+
+
 class TestUniformDirection:
     def test_unit_norm(self):
-        v = sample_uniform_direction(RngStream(1), size=5000)
+        v = uniform_directions(RngStream(1), size=5000)
         assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
 
     def test_mean_is_zero(self):
         n = 1_000_000
-        v = sample_uniform_direction(RngStream(2), size=n)
+        v = uniform_directions(RngStream(2), size=n)
         # each component has variance 1/3
         tol = three_sigma(1.0 / 3.0, n)
         assert np.max(np.abs(v.mean(axis=0))) < tol
 
     def test_second_moment(self):
         n = 1_000_000
-        v = sample_uniform_direction(RngStream(3), size=n)
+        v = uniform_directions(RngStream(3), size=n)
         # Var(z^2) = E[z^4] - 1/9 = 1/5 - 1/9
         tol = three_sigma(1.0 / 5.0 - 1.0 / 9.0, n)
         assert np.max(np.abs((v ** 2).mean(axis=0) - 1.0 / 3.0)) < tol
 
     def test_scalar_shape(self):
-        v = sample_uniform_direction(RngStream(4))
+        v = uniform_directions(RngStream(4))
         assert v.shape == (3,)
 
 
@@ -177,7 +182,7 @@ class TestZeroNormResample:
     """A zero-norm draw is redrawn in the reference's draw order."""
 
     def test_uniform_direction(self):
-        got = sample_uniform_direction(
+        got = uniform_directions(
             ZeroRowGenerator(11, ZERO_ROWS), ZERO_ROW_SIZE)
         gen = ZeroRowGenerator(11, ZERO_ROWS)
         want = resampling_directions(gen, ZERO_ROW_SIZE)
@@ -187,7 +192,7 @@ class TestZeroNormResample:
         assert np.allclose(np.linalg.norm(got[ZERO_ROWS], axis=1), 1.0)
 
     def test_single_direction(self):
-        got = sample_uniform_direction(ZeroRowGenerator(12, [0]))
+        got = uniform_directions(ZeroRowGenerator(12, [0]))
         want = resampling_directions(ZeroRowGenerator(12, [0]), 1)[0]
         assert np.array_equal(got, want)
 
@@ -215,7 +220,7 @@ class TestZeroNormResample:
         want_b = models.threshold_levels(b @ config.bob_directions.T, (0.3,))
         got_a, (got_b,) = models.tomography_level_batch(
             config, ZeroRowGenerator(14, ZERO_ROWS), ZERO_ROW_SIZE, (0.3,),
-            Workspace())
+            Workspace(), (n_copies,))
         assert np.array_equal(got_a, want_a)
         assert np.array_equal(got_b, want_b)
 
@@ -258,17 +263,21 @@ class TestBlocks:
         """Blocked projections equal one whole-array product bit for bit."""
         config = models.tomography_config("bell", n_copies)
         if n_copies == math.inf:
-            a = b = sample_uniform_direction(RngStream(21), n)
+            a = b = uniform_directions(RngStream(21), n)
         else:
             a, b = sample_pair(n_copies, RngStream(21), n)
         want_a = a @ config.alice_directions.T
         want_b = b @ config.bob_directions.T
+        pairs = PairSampler((n_copies,), RngStream(21).generator, n,
+                            Workspace())
         covered = 0
-        for rows, got_a, (got_b,) in models._projection_blocks(
-                config, (n_copies,), RngStream(21).generator, n,
-                Workspace()):
-            assert np.array_equal(got_a, want_a[rows])
-            assert np.array_equal(got_b, want_b[rows])
+        for rows in blocks(n):
+            block_a = pairs.block(rows)
+            block_b = pairs.partner(n_copies, block_a, rows)
+            assert np.array_equal(block_a @ config.alice_directions.T,
+                                  want_a[rows])
+            assert np.array_equal(block_b @ config.bob_directions.T,
+                                  want_b[rows])
             covered += rows.stop - rows.start
         assert covered == n
 
@@ -312,8 +321,7 @@ class TestPairDensity:
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(0)
-        a = sample_uniform_direction(rng)
-        b = sample_uniform_direction(rng)
+        a, b = sample_pair(0, rng)
         # random rotation via QR
         m, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         ra, rb = m @ a, m @ b
@@ -339,7 +347,7 @@ class TestQuadrature:
         assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_node_minimum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nodes"):
             cap_overlap_quadrature(lambda c: c, 1)
 
 
