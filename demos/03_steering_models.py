@@ -27,8 +27,8 @@ print(f"trusted pick model (M=3):      T = {t:.4f} "
       f"(full correlation = {trusted.full_correlation(0, 0):.4f} = 1/M)")
 
 for n in (1, 3, 6):
-    config = ModelConfig(kind="ncopy-steering", n_copies=n, seed=2)
-    stats = estimate(config, 300_000)
+    config = ModelConfig(kind="ncopy-steering", n_copies=n)
+    stats = estimate(config, 300_000, seed=2)
     t, se, _ = stats.steering()
     w = stats.weights[0, 0]
     rate = w[:, (0, 2)].sum() / w.sum()
@@ -40,8 +40,7 @@ for n in (1, 3, 6):
 print()
 print("thresholded tomography, q = 0 (full detection):")
 for n in (1, 3, 6, 10):
-    stats = estimate(tomography_config("steering", n, 0.0, seed=3),
-                     300_000)
+    stats = estimate(tomography_config("steering", n, 0.0), 300_000, seed=3)
     t, se, _ = stats.steering()
     flag = "  <- already above 1/3" if t > 1 / 3 else ""
     print(f"  N={n:>2}: T = {t:.4f} +/- {se:.4f}{flag}")

@@ -25,7 +25,7 @@ s, _, _ = simple.chsh()
 print(f"pick model: efficiency = {simple.efficiency('alice'):.3f}, "
       f"coincidence S = {s:.4f} (the quantum value)")
 
-mc = estimate(ModelConfig(kind="simple-bell", seed=1), 200_000)
+mc = estimate(ModelConfig(kind="simple-bell"), 200_000, seed=1)
 s, se, _ = mc.chsh()
 print(f"  Monte Carlo check: S = {s:.4f} +/- {se:.4f}")
 print()

@@ -52,12 +52,6 @@ class ReadoutSignature:
     influences: dict[str, tuple[str, ...]]
     variables: dict[str, tuple[str, ...]]
 
-    def variable_list(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for names in self.variables.values():
-            out.extend(names)
-        return tuple(out)
-
 
 def in_future_lightcone(source: Event, target: Event) -> bool:
     """True iff target lies in the closed future lightcone of source.

@@ -106,7 +106,8 @@ def _writing(flag, path):
 
 
 def _add_run_flags(p, samples_default=1_000_000):
-    p.add_argument("--samples", type=int, default=samples_default,
+    p.add_argument("--samples", default=samples_default,
+                   type=_integer("--samples", estimators.MIN_SAMPLES),
                    help=f"Monte Carlo draws (default {samples_default})")
     p.add_argument("--seed", type=_integer("--seed", 0), default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
@@ -173,23 +174,18 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _validate_samples(samples: int) -> None:
-    if samples < estimators.MIN_SAMPLES:
-        raise CliError(f"--samples must be at least {estimators.MIN_SAMPLES}")
-
-
 def _model_config(args, steering: bool) -> ModelConfig:
     kind = args.model
     if kind in ("ncopy-tomography", "chaotic-ball"):
         n = math.inf if kind == "chaotic-ball" else args.n_copies
         return models.tomography_config(
             "steering" if steering else "bell",
-            n_copies=n, q=args.q, seed=args.seed)
+            n_copies=n, q=args.q)
     if kind == "simple-bell":
-        return ModelConfig(kind="simple-bell", seed=args.seed)
+        return ModelConfig(kind="simple-bell")
     try:
         return ModelConfig(kind=kind, n_copies=args.n_copies,
-                           m_choices=args.m_choices, seed=args.seed)
+                           m_choices=args.m_choices)
     except ValueError as exc:
         # ModelConfig names the field; report the flag that set it.
         raise CliError(str(exc).replace("n_copies", "--n-copies")
@@ -222,9 +218,9 @@ def _write_pair_csv(stats: estimators.RunStatistics, path: str) -> None:
 
 
 def _cmd_bell(args) -> int:
-    _validate_samples(args.samples)
     config = _model_config(args, steering=False)
-    stats = estimate(config, args.samples, workers=args.workers)
+    stats = estimate(config, args.samples, seed=args.seed,
+                     workers=args.workers)
     print(f"model: {config.kind}  n_copies: {config.n_copies}  "
           f"q: {config.q:g}  samples: {args.samples}  seed: {args.seed}")
     for line in _pair_lines(stats):
@@ -240,16 +236,16 @@ def _cmd_bell(args) -> int:
     print(f"S = {s:+.6f} +/- {se:.6f}   |S| = {abs(s):.6f}")
     print(f"efficiency: alice-conditioned {stats.efficiency('alice'):.6f}  "
           f"bob-conditioned {stats.efficiency('bob'):.6f}")
-    w = config.metadata.get("preselection_weight")
+    w = config.preselection_weight
     if w is not None:
         print(f"preselection weight: {w:.9g}")
     return 0
 
 
 def _cmd_steer(args) -> int:
-    _validate_samples(args.samples)
     config = _model_config(args, steering=True)
-    stats = estimate(config, args.samples, workers=args.workers)
+    stats = estimate(config, args.samples, seed=args.seed,
+                     workers=args.workers)
     print(f"model: {config.kind}  n_copies: {config.n_copies}  "
           f"q: {config.q:g}  m_choices: {len(config.bob_directions)}  "
           f"samples: {args.samples}  seed: {args.seed}")
@@ -300,7 +296,6 @@ def _cmd_qubit(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    _validate_samples(args.samples)
     if not args.n_copies:
         raise CliError("--n-copies expects at least one copy count")
     n_copies = [math.inf] if args.model == "chaotic-ball" else args.n_copies

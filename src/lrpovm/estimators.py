@@ -334,29 +334,23 @@ def _count_chunks(head: tuple, samples: int, chunk: int,
         return sum(pool.map(_count_chunk, tasks))
 
 
-def _run_kind(config: ModelConfig) -> str:
-    if config.kind in ("trusted-steering", "ncopy-steering"):
-        return "steering"
-    if config.kind == "simple-bell":
-        return "bell"
-    # Tomography models serve either test; infer from the axis count.
-    return "bell" if len(config.alice_directions) == 2 else "steering"
-
-
-def estimate(config: ModelConfig, samples: int, *, seed: int | None = None,
-             workers: int = 1, chunk: int = DEFAULT_CHUNK) -> RunStatistics:
+def estimate(config: ModelConfig, samples: int, *,
+             seed: int = models.DEFAULT_SEED, workers: int = 1,
+             chunk: int = DEFAULT_CHUNK) -> RunStatistics:
     """Monte Carlo CHSH or steering statistics of a model.
 
-    The test follows the model: Bell for simple-bell and two-axis
-    tomography configs, steering otherwise.
+    The test follows the model (``config.run_kind``): Bell for simple-bell
+    and two-axis tomography configs, steering otherwise.  Chunk i draws
+    from ``RngStream(seed, i)``, so a (seed, chunk) pair fixes the result
+    for any worker count.  The metadata records the model kind, the seed
+    and the preselection weight (None outside the tomography kinds).
     """
-    seed = config.seed if seed is None else seed
     counts = _count_chunks((config, (config.n_copies,), (config.q,), seed),
                            samples, chunk, workers)
-    return RunStatistics(kind=_run_kind(config), weights=counts[0, 0],
-                         samples=samples,
-                         metadata=dict(config.metadata, model=config.kind,
-                                       seed=seed))
+    return RunStatistics(
+        kind=config.run_kind, weights=counts[0, 0], samples=samples,
+        metadata={"preselection_weight": config.preselection_weight,
+                  "model": config.kind, "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +468,10 @@ def enumerate_exact(config: ModelConfig) -> RunStatistics:
         raise ValueError("unanimity enumeration capped at 10 copies")
     else:
         probs = models.enumerate_unanimity(config)
-    return RunStatistics(kind=_run_kind(config), weights=probs, samples=0,
-                         exact=True,
-                         metadata=dict(config.metadata, model=config.kind))
+    return RunStatistics(
+        kind=config.run_kind, weights=probs, samples=0, exact=True,
+        metadata={"preselection_weight": config.preselection_weight,
+                  "model": config.kind})
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +496,7 @@ class CurvePoint:
 
 def sweep_curves(kind: str, n_copies, q_grid=None,
                  samples: int = DEFAULT_SWEEP_SAMPLES, *,
-                 seed: int | None = None, workers: int = 1,
+                 seed: int = models.DEFAULT_SEED, workers: int = 1,
                  chunk: int = DEFAULT_CHUNK
                  ) -> dict[float, list[CurvePoint]]:
     """Sweep the dead-zone threshold for several copy counts.
@@ -522,9 +517,8 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
                          f"shape {q_grid.shape}")
     if not np.all((q_grid >= 0) & (q_grid < 1)):
         raise ValueError("q_grid must lie in [0, 1) with no NaN")
-    seed = models.DEFAULT_SEED if seed is None else seed
     n_copies = list(dict.fromkeys(n_copies))
-    configs = [tomography_config(kind, n, seed=seed) for n in n_copies]
+    configs = [tomography_config(kind, n) for n in n_copies]
     if not configs:
         return {}
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)
@@ -569,8 +563,9 @@ def frontier_value(points: list[CurvePoint], eta: float) -> float | None:
 
 def min_copies(observed_value: float, observed_eta: float, kind: str,
                n_max: int, *, curves: dict[float, list[CurvePoint]] | None = None,
-               samples: int = 200_000, q_grid=None, seed: int | None = None,
-               workers: int = 1) -> int | None:
+               samples: int = 200_000, q_grid=None,
+               seed: int = models.DEFAULT_SEED, workers: int = 1
+               ) -> int | None:
     """Smallest copy count whose swept frontier dominates an observation.
 
     An observation at or below the ideal local-realistic bound needs no

@@ -22,6 +22,9 @@ chaotic-ball      the N -> infinity limit: both parties threshold
 
 The two pick kinds are the unanimity model at N = 1, since a single copy
 is always unanimous, and ``ModelConfig`` pins ``n_copies = 1`` for them.
+A ``ModelConfig`` is the model alone: its ``run_kind`` names the test a
+run of it feeds and its ``preselection_weight`` is derived from N, while
+the seed belongs to each run and the samplers take a generator.
 ``sample_batch`` is the one public sampler: it returns a ``ReadoutBatch``
 with one trit per (run, choice) for every kind.  It wraps the two kernels
 that counting calls, one per model family.  ``unanimity_cell_batch``
@@ -45,7 +48,7 @@ pick counts alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +61,9 @@ DEFAULT_SEED = 12345
 KINDS = ("simple-bell", "trusted-steering", "ncopy-steering",
          "ncopy-tomography", "chaotic-ball")
 
-# Preselection weight of the N-copy tomography construction, reported as
-# metadata and never folded into the detection efficiency.
+# Preselection weight (N+1)/2^N of the N-copy tomography construction: a
+# property of the config, copied into a run's metadata and never folded
+# into the detection efficiency.
 def preselection_weight(n_copies) -> float:
     if n_copies == math.inf:
         return 0.0
@@ -69,13 +73,16 @@ def preselection_weight(n_copies) -> float:
 
 @dataclass
 class ModelConfig:
-    """Immutable-by-convention model configuration.
+    """Immutable-by-convention model: the fixed local joint readout only.
 
-    ``n_copies`` may be ``math.inf`` for the chaotic-ball limit; the pick
-    kinds always hold ``n_copies = 1``.  The direction sets are (M, 3)
-    arrays of unit rows; steering models default to the orthogonal triple
-    for Bob and its antipodes for Alice, which is the perfectly correlated
-    matched arrangement.
+    A run's randomness is not part of the model; the seed is an argument
+    of the estimator that draws from it.  ``n_copies`` may be ``math.inf``
+    for the chaotic-ball limit; the pick kinds always hold
+    ``n_copies = 1``.  The direction sets are (M, 3) arrays of unit rows;
+    steering models default to the orthogonal triple for Bob and its
+    antipodes for Alice, which is the perfectly correlated matched
+    arrangement.  A steering run reads matched pairs, so it needs one
+    Alice direction per Bob direction.
     """
 
     kind: str
@@ -84,8 +91,6 @@ class ModelConfig:
     m_choices: int = 3
     alice_directions: np.ndarray | None = None
     bob_directions: np.ndarray | None = None
-    seed: int = DEFAULT_SEED
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -120,29 +125,46 @@ class ModelConfig:
             np.atleast_2d(self.alice_directions), "alice_directions")
         self.bob_directions = check_unit(
             np.atleast_2d(self.bob_directions), "bob_directions")
-        if self.kind in ("trusted-steering", "ncopy-steering"):
-            if len(self.bob_directions) != self.m_choices:
-                raise ValueError("m_choices must match the direction set")
-            if len(self.alice_directions) != self.m_choices:
-                raise ValueError(
-                    f"alice_directions must have one row per choice "
-                    f"({self.m_choices}), got {len(self.alice_directions)}")
+        if self.kind in ("trusted-steering", "ncopy-steering") \
+                and len(self.bob_directions) != self.m_choices:
+            raise ValueError("m_choices must match the direction set")
+        if self.run_kind == "steering" \
+                and len(self.alice_directions) != len(self.bob_directions):
+            raise ValueError(
+                f"alice_directions must have one row per Bob direction "
+                f"({len(self.bob_directions)}) in a steering run, got "
+                f"{len(self.alice_directions)}")
         if self.kind == "chaotic-ball":
             self.n_copies = math.inf
         elif self.kind in ("simple-bell", "trusted-steering"):
             self.n_copies = 1
-        self.metadata.setdefault(
-            "preselection_weight",
-            preselection_weight(self.n_copies)
-            if self.kind in ("ncopy-tomography", "chaotic-ball") else None)
 
     @property
     def is_tomography(self) -> bool:
         return self.kind in ("ncopy-tomography", "chaotic-ball")
 
+    @property
+    def run_kind(self) -> str:
+        """The test a run of this model feeds: 'bell' or 'steering'.
+
+        The pick and unanimity kinds fix it; a tomography model serves
+        either test and is read as Bell with two Alice directions.
+        """
+        if self.kind in ("trusted-steering", "ncopy-steering"):
+            return "steering"
+        if self.kind == "simple-bell" or len(self.alice_directions) == 2:
+            return "bell"
+        return "steering"
+
+    @property
+    def preselection_weight(self) -> float | None:
+        """(N+1)/2^N for the tomography kinds, None for the others."""
+        return preselection_weight(self.n_copies) if self.is_tomography \
+            else None
+
 
 def tomography_config(kind: str = "bell", n_copies: float = 1,
-                      q: float = 0.0, seed: int = DEFAULT_SEED) -> ModelConfig:
+                      q: float = 0.0) -> ModelConfig:
     """Tomography model preset for a Bell (CHSH angles) or steering (triple) run."""
     if kind == "bell":
         alice, bob = quantum.CHSH_ALICE, quantum.CHSH_BOB
@@ -151,7 +173,7 @@ def tomography_config(kind: str = "bell", n_copies: float = 1,
     else:
         raise ValueError(f"kind must be 'bell' or 'steering', got {kind!r}")
     model = "chaotic-ball" if n_copies == math.inf else "ncopy-tomography"
-    return ModelConfig(kind=model, n_copies=n_copies, q=q, seed=seed,
+    return ModelConfig(kind=model, n_copies=n_copies, q=q,
                        alice_directions=alice, bob_directions=bob)
 
 
@@ -161,9 +183,6 @@ class ReadoutBatch:
 
     alice: np.ndarray  # (n, M_alice) int8
     bob: np.ndarray    # (n, M_bob) int8
-
-    def __len__(self) -> int:
-        return self.alice.shape[0]
 
 
 def threshold_readout(projection: float, q: float) -> int:

@@ -200,6 +200,18 @@ def quantum_steering_T() -> float:
         singlet_power(1), -STEERING_TRIPLE, STEERING_TRIPLE)
 
 
+_PLUS = np.array([1.0, 0.0], dtype=complex)
+_PROJECTOR_PLUS = np.array([[1, 0], [0, 0]], dtype=complex)
+
+
+def _heisenberg_projector(omega_t: float, outcome: int) -> np.ndarray:
+    """u^dagger |+><+| u at phase omega_t for outcome 1, its complement
+    for outcome 0."""
+    u = evolution_operator(omega_t)
+    p = u.conj().T @ _PROJECTOR_PLUS @ u
+    return p if outcome == 1 else IDENTITY_2 - p
+
+
 def sequential_qubit_probability(t_a: float, t_b: float, omega: float
                                  ) -> np.ndarray:
     """Joint readout table for two sequential projective checks on one qubit.
@@ -211,19 +223,12 @@ def sequential_qubit_probability(t_a: float, t_b: float, omega: float
     """
     if t_a > t_b:
         raise ValueError("requires t_a <= t_b")
-    plus = np.array([1.0, 0.0], dtype=complex)
-    p_plus = np.array([[1, 0], [0, 0]], dtype=complex)
-
-    def heisenberg(t: float, outcome: int) -> np.ndarray:
-        u = evolution_operator(omega * t)
-        p = u.conj().T @ p_plus @ u
-        return p if outcome == 1 else IDENTITY_2 - p
-
     out = np.empty((2, 2))
     for beta in (0, 1):
         for gamma in (0, 1):
-            k = heisenberg(t_b, gamma) @ heisenberg(t_a, beta)
-            amp = k @ plus
+            k = _heisenberg_projector(omega * t_b, gamma) \
+                @ _heisenberg_projector(omega * t_a, beta)
+            amp = k @ _PLUS
             out[beta, gamma] = float(np.real(np.conj(amp) @ amp))
     return out
 
@@ -242,22 +247,12 @@ def copies_joint_probability(t_a: float, t_b: float, omega: float,
         raise ValueError("need at least two copies for two readout times")
     if n > 12:
         raise ValueError("brute-force register capped at 12 copies")
-    plus = np.array([1.0, 0.0], dtype=complex)
-    psi0 = reduce(np.kron, [plus] * n)
-    p_plus = np.array([[1, 0], [0, 0]], dtype=complex)
-
-    def site_heisenberg(t: float, outcome: int, site: int) -> np.ndarray:
-        u = evolution_operator(omega * t)
-        p = u.conj().T @ p_plus @ u
-        if outcome == 0:
-            p = IDENTITY_2 - p
-        return site_operator(p, site, n)
-
+    psi0 = reduce(np.kron, [_PLUS] * n)
     out = np.empty((2, 2))
     for beta in (0, 1):
-        pa = site_heisenberg(t_a, beta, 0)
+        pa = site_operator(_heisenberg_projector(omega * t_a, beta), 0, n)
         for gamma in (0, 1):
-            pb = site_heisenberg(t_b, gamma, 1)
+            pb = site_operator(_heisenberg_projector(omega * t_b, gamma), 1, n)
             amp = (pb @ (pa @ psi0))
             out[beta, gamma] = float(np.real(np.conj(amp) @ amp))
     return out

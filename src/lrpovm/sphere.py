@@ -68,14 +68,6 @@ def as_generator(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / n
-
-
 def check_unit(v, name: str = "direction") -> np.ndarray:
     """v as a float array; a vector, or each row of a matrix, must be unit."""
     v = np.asarray(v, dtype=float)
@@ -342,21 +334,17 @@ def cap_overlap_quadrature(f, nodes: int = 64) -> float:
 def circle_arc_fraction(mean, amplitude, threshold) -> np.ndarray:
     """Fraction of the circle where mean + amplitude*cos(phi) > threshold.
 
-    Computed analytically; all arguments broadcast.  Amplitude must be
-    non-negative; a zero amplitude degenerates to the plain indicator.
+    Computed analytically; all arguments broadcast, and every amplitude
+    must be > 0.
     """
     mean = np.asarray(mean, dtype=float)
     amplitude = np.asarray(amplitude, dtype=float)
     threshold = np.asarray(threshold, dtype=float)
     out = np.empty(np.broadcast_shapes(
         mean.shape, amplitude.shape, threshold.shape))
-    live = amplitude > 0.0
-    all_live = bool(live.all())
     np.subtract(threshold, mean, out=out)
-    out /= amplitude if all_live else np.where(live, amplitude, 1.0)
+    out /= amplitude
     np.clip(out, -1.0, 1.0, out=out)
     np.arccos(out, out=out)
     out /= math.pi
-    if not all_live:
-        np.copyto(out, mean > threshold, where=~live)
     return out

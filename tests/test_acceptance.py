@@ -133,11 +133,11 @@ def test_c02_oracle_equivalence():
 
 def test_c03_simple_bell_model():
     failures = []
-    config = ModelConfig(kind="simple-bell", seed=SEED)
+    config = ModelConfig(kind="simple-bell")
     exact = enumerate_exact(config)
     if exact.efficiency("alice") != 0.5:
         failures.append(f"enumerated eta = {exact.efficiency('alice')!r}")
-    stats = estimate(config, SAMPLES, workers=WORKERS)
+    stats = estimate(config, SAMPLES, seed=SEED, workers=WORKERS)
     for i in range(2):
         for j in range(2):
             pair = stats.pair(i, j)
@@ -161,14 +161,14 @@ def test_c04_steering_models():
         for j in range(m):
             if abs(exact.full_correlation(j, j) - 1.0 / m) > 1e-12:
                 failures.append(f"M={m} pair {j} correlation != 1/M")
-    mc = estimate(ModelConfig(kind="trusted-steering", seed=SEED),
-                  SAMPLES, workers=WORKERS)
+    mc = estimate(ModelConfig(kind="trusted-steering"),
+                  SAMPLES, seed=SEED, workers=WORKERS)
     t, se, _ = mc.steering()
     if t > 1.0 / 3.0 + 3 * se:
         failures.append(f"trusted T = {t:.5f} above bound")
     for n in range(1, 7):
-        config = ModelConfig(kind="ncopy-steering", n_copies=n, seed=SEED)
-        stats = estimate(config, SAMPLES, workers=WORKERS)
+        config = ModelConfig(kind="ncopy-steering", n_copies=n)
+        stats = estimate(config, SAMPLES, seed=SEED, workers=WORKERS)
         expected_rate = 2.0 ** (1 - n) / 3.0  # pick match times unanimity
         for j in range(3):
             pair = stats.pair(j, j)

@@ -139,6 +139,14 @@ class TestBellCommand:
         assert code == 1
         assert err.startswith("error:") and "--out" in err
 
+    def test_tomography_preselection_weight(self, capsys):
+        # (N + 1) / 2^N at N = 3, read from the config.
+        code, out, _ = run(capsys, "bell", "--model", "ncopy-tomography",
+                           "--n-copies", "3", "--q", "0.2",
+                           "--samples", "20000", "--seed", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == "preselection weight: 0.5"
+
 
 class TestSteerCommand:
     def test_trusted_block(self, capsys):
@@ -147,6 +155,26 @@ class TestSteerCommand:
         assert code == 0
         assert "T = " in out and "1/3" in out
         assert out == (GOLDEN / "steer_trusted.expected").read_text()
+
+    def test_pair_csv(self, capsys, tmp_path):
+        # Every (i, j) pair of the three choices, not only the matched ones.
+        out_file = tmp_path / "pairs.csv"
+        code, out, _ = run(capsys, "steer", "--samples", "5000",
+                           "--out", str(out_file))
+        assert code == 0
+        assert f"wrote {out_file}" in out
+        lines = out_file.read_text().splitlines()
+        assert lines[0].startswith("pair_alice,pair_bob,")
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [
+            [str(i), str(j)] for i in (1, 2, 3) for j in (1, 2, 3)]
+
+    def test_empty_bins_exit(self, capsys):
+        code, out, err = run(capsys, "steer", "--model", "chaotic-ball",
+                             "--q", "0.999", "--samples", "1000",
+                             "--seed", "1")
+        assert code == 2
+        assert "empty conditional bins" in err
+        assert "T = " not in out
 
 
 class TestQubitCommand:

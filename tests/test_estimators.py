@@ -12,14 +12,14 @@ from lrpovm import estimators, quantum
 from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                enumerate_exact, estimate, frontier_value,
                                min_copies, sweep_curves)
-from lrpovm.models import ModelConfig, sample_batch, tomography_config, \
-    unanimity_cell_batch
+from lrpovm.models import DEFAULT_SEED, ModelConfig, sample_batch, \
+    tomography_config, unanimity_cell_batch
 from lrpovm.sphere import RngStream, Workspace, sample_pair
 
 
 class TestRunStatistics:
     def test_probabilities_normalized(self):
-        stats = estimate(ModelConfig(kind="simple-bell", seed=1), 20_000)
+        stats = estimate(ModelConfig(kind="simple-bell"), 20_000, seed=1)
         for i in range(2):
             for j in range(2):
                 assert stats.pair_probabilities(i, j).sum() == \
@@ -75,25 +75,48 @@ class TestEstimateBell:
             estimate(ModelConfig(kind="simple-bell"), 20_000, chunk=chunk)
 
     def test_simple_bell_quantum_value(self):
-        stats = estimate(ModelConfig(kind="simple-bell", seed=3), 400_000)
+        stats = estimate(ModelConfig(kind="simple-bell"), 400_000, seed=3)
         s, se, degenerate = stats.chsh()
         assert not degenerate
         assert abs(abs(s) - 2 * math.sqrt(2)) < 3 * se
 
     def test_chaotic_ball_zero_threshold(self):
-        stats = estimate(tomography_config("bell", math.inf, seed=5),
-                         100_000)
+        stats = estimate(tomography_config("bell", math.inf), 100_000,
+                         seed=5)
         s, se, _ = stats.chsh()
         assert abs(abs(s) - 2.0) <= 3 * se + 1e-12
 
     def test_exact_agrees_with_mc(self):
-        config = tomography_config("bell", 3, q=0.3, seed=7)
-        mc = estimate(config, 200_000)
+        config = tomography_config("bell", 3, q=0.3)
+        mc = estimate(config, 200_000, seed=7)
         exact = enumerate_exact(config)
         s_mc, se, _ = mc.chsh()
         s_ex, se_ex, _ = exact.chsh()
         assert se_ex == 0.0
         assert abs(s_mc - s_ex) < 3 * se
+
+
+class TestRunMetadata:
+    def test_estimate_records_model_seed_and_weight(self):
+        stats = estimate(tomography_config("bell", 4, q=0.1), 2_000, seed=7)
+        assert list(stats.metadata.items()) == [
+            ("preselection_weight", 0.3125), ("model", "ncopy-tomography"),
+            ("seed", 7)]
+
+    def test_exact_records_model_and_weight(self):
+        stats = enumerate_exact(ModelConfig(kind="ncopy-steering", n_copies=2))
+        assert list(stats.metadata.items()) == [
+            ("preselection_weight", None), ("model", "ncopy-steering")]
+
+    def test_default_seed(self):
+        config = tomography_config("steering", 2, q=0.3)
+        default = estimate(config, 2_000)
+        assert default.metadata["seed"] == DEFAULT_SEED
+        assert np.array_equal(
+            default.weights,
+            estimate(config, 2_000, seed=DEFAULT_SEED).weights)
+        assert sweep_curves("bell", [2], [0.0, 0.3], 2_000) == \
+            sweep_curves("bell", [2], [0.0, 0.3], 2_000, seed=DEFAULT_SEED)
 
 
 class TestEstimateSteering:
@@ -107,8 +130,8 @@ class TestEstimateSteering:
         assert (t, se) == (pytest.approx(1 / 3, abs=1e-12), 0.0)
 
     def test_mc_agrees_with_enumeration(self):
-        config = ModelConfig(kind="ncopy-steering", n_copies=2, seed=9)
-        mc = estimate(config, 200_000)
+        config = ModelConfig(kind="ncopy-steering", n_copies=2)
+        mc = estimate(config, 200_000, seed=9)
         exact = enumerate_exact(config)
         t_mc, se, _ = mc.steering()
         t_ex, _, _ = exact.steering()
@@ -382,9 +405,9 @@ class TestChaoticBallTables:
 
 class TestParallelDeterminism:
     def test_worker_count_invariance(self):
-        config = ModelConfig(kind="simple-bell", seed=11)
-        one = estimate(config, 50_000, workers=1)
-        three = estimate(config, 50_000, workers=3)
+        config = ModelConfig(kind="simple-bell")
+        one = estimate(config, 50_000, seed=11, workers=1)
+        three = estimate(config, 50_000, seed=11, workers=3)
         assert np.array_equal(one.weights, three.weights)
 
     def test_sweep_reproducible(self):
@@ -393,9 +416,9 @@ class TestParallelDeterminism:
         assert a == b
 
     def test_uneven_tail_estimate(self):
-        config = tomography_config("steering", 3, q=0.2, seed=41)
-        one = estimate(config, 50_001, workers=1, chunk=7_000)
-        two = estimate(config, 50_001, workers=2, chunk=7_000)
+        config = tomography_config("steering", 3, q=0.2)
+        one = estimate(config, 50_001, seed=41, workers=1, chunk=7_000)
+        two = estimate(config, 50_001, seed=41, workers=2, chunk=7_000)
         assert np.array_equal(one.weights, two.weights)
         assert np.all(one.weights.sum(axis=(2, 3)) == 50_001)
 
@@ -421,7 +444,7 @@ def _reference_sweep_tables(kind, n_copies, q_grid, samples, seed, chunk):
 
     Memoised: the single-N and the several-N oracle tests read the same
     references."""
-    config = tomography_config(kind, n_copies, seed=seed)
+    config = tomography_config(kind, n_copies)
     sizes = [chunk] * (samples // chunk) + (
         [samples % chunk] if samples % chunk else [])
     draws = [_reference_pairs(n_copies, RngStream(seed, index).generator,
@@ -710,7 +733,7 @@ class TestThreadWorkspaces:
 
 class TestStderrScaling:
     def test_inverse_sqrt_samples(self):
-        config = ModelConfig(kind="simple-bell", seed=15)
+        config = ModelConfig(kind="simple-bell")
         exact = 2 * math.sqrt(2)
         prev_se = None
         for k, samples in enumerate([25_000, 100_000, 400_000]):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -111,6 +112,36 @@ class TestThresholdLevels:
                                   searchsorted_levels(values, q_sorted))
 
 
+class TestModelConfig:
+    def test_fields_are_the_model(self):
+        # The seed belongs to the run, and the preselection weight is
+        # derived from n_copies.
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "kind", "n_copies", "q", "m_choices", "alice_directions",
+            "bob_directions"]
+
+    @pytest.mark.parametrize("config,run_kind", [
+        (ModelConfig(kind="simple-bell"), "bell"),
+        (ModelConfig(kind="trusted-steering", m_choices=2,
+                     alice_directions=quantum.CHSH_ALICE,
+                     bob_directions=quantum.CHSH_BOB), "steering"),
+        (ModelConfig(kind="ncopy-steering", n_copies=2), "steering"),
+        (ModelConfig(kind="chaotic-ball"), "bell"),
+        (tomography_config("bell", 3), "bell"),
+        (tomography_config("steering", math.inf), "steering"),
+    ])
+    def test_run_kind(self, config, run_kind):
+        assert config.run_kind == run_kind
+
+    def test_tomography_steering_counts_must_match(self):
+        # Three Alice directions make a steering run, which reads matched
+        # pairs; the mismatch fails before anything is drawn.
+        with pytest.raises(ValueError, match="alice_directions"):
+            ModelConfig(kind="ncopy-tomography", n_copies=2,
+                        alice_directions=np.eye(3),
+                        bob_directions=np.eye(3)[:2])
+
+
 class TestSimpleBell:
     def test_efficiency_exact_half(self):
         stats = enumerate_exact(ModelConfig(kind="simple-bell"))
@@ -128,8 +159,8 @@ class TestSimpleBell:
                     pytest.approx(expected, abs=1e-12)
 
     def test_mc_coincidence_correlations(self):
-        config = ModelConfig(kind="simple-bell", seed=21)
-        stats = estimate(config, 200_000)
+        config = ModelConfig(kind="simple-bell")
+        stats = estimate(config, 200_000, seed=21)
         for i in range(2):
             for j in range(2):
                 p = stats.pair(i, j)
@@ -181,7 +212,7 @@ class TestTrustedSteering:
 
     def test_mc_T_within_bound(self):
         stats = estimate(
-            ModelConfig(kind="trusted-steering", seed=23), 200_000)
+            ModelConfig(kind="trusted-steering"), 200_000, seed=23)
         t, se, _ = stats.steering()
         assert t <= 1.0 / 3.0 + 3 * se
 
@@ -200,8 +231,8 @@ class TestNcopySteering:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_unanimity_rate(self, n):
-        config = ModelConfig(kind="ncopy-steering", n_copies=n, seed=29)
-        stats = estimate(config, 100_000)
+        config = ModelConfig(kind="ncopy-steering", n_copies=n)
+        stats = estimate(config, 100_000, seed=29)
         # Bob's registration rate per matched pair: pick match (1/3) times
         # unanimity (2^(1-n)).
         expected = 2.0 ** (1 - n) / 3.0
@@ -212,15 +243,15 @@ class TestNcopySteering:
             assert abs(rate - expected) < 3 * sigma + 1e-12
 
     def test_matched_coincidence_perfect(self):
-        config = ModelConfig(kind="ncopy-steering", n_copies=4, seed=31)
-        stats = estimate(config, 100_000)
+        config = ModelConfig(kind="ncopy-steering", n_copies=4)
+        stats = estimate(config, 100_000, seed=31)
         p = stats.pair(1, 1)
         assert p.correlation == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_matches_mc(self):
-        config = ModelConfig(kind="ncopy-steering", n_copies=3, seed=37)
+        config = ModelConfig(kind="ncopy-steering", n_copies=3)
         exact = enumerate_exact(config)
-        mc = estimate(config, 200_000)
+        mc = estimate(config, 200_000, seed=37)
         t_exact, _, _ = exact.steering()
         t_mc, se, _ = mc.steering()
         assert abs(t_mc - t_exact) < 3 * se + 1e-9
@@ -231,10 +262,10 @@ class TestNcopySteering:
         # reading pair is checked, not only the matched ones.
         config = ModelConfig(kind="ncopy-steering", n_copies=3, m_choices=2,
                              alice_directions=quantum.CHSH_ALICE,
-                             bob_directions=quantum.CHSH_BOB, seed=61)
+                             bob_directions=quantum.CHSH_BOB)
         samples = 200_000
         exact = enumerate_exact(config).weights
-        freq = estimate(config, samples).weights / samples
+        freq = estimate(config, samples, seed=61).weights / samples
         bound = 5.0 * np.sqrt(exact * (1.0 - exact) / samples) + 1e-12
         assert np.all(np.abs(freq - exact) <= bound)
 
@@ -307,14 +338,14 @@ class TestUnanimityEnumeration:
 
 class TestTomography:
     def test_full_efficiency_at_zero_threshold(self):
-        config = tomography_config("bell", 3, q=0.0, seed=41)
+        config = tomography_config("bell", 3, q=0.0)
         batch = sample_batch(config, RngStream(41), 50_000)
         assert np.all(batch.alice != 0)
         assert np.all(batch.bob != 0)
 
     def test_deadzone_swallows_everything(self):
-        config = tomography_config("bell", 1, q=0.95, seed=43)
-        stats = estimate(config, 50_000)
+        config = tomography_config("bell", 1, q=0.95)
+        stats = estimate(config, 50_000, seed=43)
         assert stats.efficiency("alice") < 0.1
 
     def test_mc_matches_quadrature_matched_axes(self):
@@ -325,7 +356,7 @@ class TestTomography:
         direction = np.array([[0.0, 0.0, 1.0]])
         config = ModelConfig(kind="ncopy-tomography", n_copies=n, q=0.0,
                              alice_directions=direction,
-                             bob_directions=direction, seed=47)
+                             bob_directions=direction)
         batch = sample_batch(config, RngStream(47), 400_000)
         mc = float(np.mean(batch.alice[:, 0] * batch.bob[:, 0]))
         rho = lambda c: ((n + 1) / 2.0) * ((1 - c) / 2.0) ** n
@@ -339,16 +370,16 @@ class TestTomography:
         assert quad == pytest.approx(-0.25, abs=1e-5)
 
     def test_mc_matches_quadrature_full_table(self):
-        config = tomography_config("bell", 2, q=0.4, seed=53)
+        config = tomography_config("bell", 2, q=0.4)
         exact = enumerate_exact(config)
-        mc = estimate(config, 200_000)
+        mc = estimate(config, 200_000, seed=53)
         s_mc, se, _ = mc.chsh()
         s_ex, _, _ = exact.chsh()
         assert abs(s_mc - s_ex) < 3 * se
 
     def test_chaotic_ball_signed_endpoint(self):
-        config = tomography_config("bell", math.inf, q=0.0, seed=59)
-        stats = estimate(config, 200_000)
+        config = tomography_config("bell", math.inf, q=0.0)
+        stats = estimate(config, 200_000, seed=59)
         s, se, _ = stats.chsh()
         assert abs(s - (-2.0)) < 3 * se + 1e-9
 
@@ -359,7 +390,7 @@ class TestTomography:
 
     def test_preselection_metadata(self):
         config = tomography_config("bell", 4, q=0.1)
-        assert config.metadata["preselection_weight"] == \
+        assert config.preselection_weight == \
             pytest.approx(5.0 / 16.0)
 
     @pytest.mark.parametrize("n", [1, 4, 10, 1023])
@@ -372,7 +403,7 @@ class TestTomography:
         assert preselection_weight(1024) == 1025 * 2.0 ** -1024 > 0.0
         assert preselection_weight(100_000) == 0.0
         config = tomography_config("bell", 100_000)
-        assert config.metadata["preselection_weight"] == 0.0
+        assert config.preselection_weight == 0.0
 
 
 class TestQubitCopies:
@@ -409,8 +440,8 @@ class TestNoSignaling:
                                    atol=1e-12)
 
     def test_tomography_marginals_mc(self):
-        config = tomography_config("bell", 2, q=0.3, seed=61)
-        stats = estimate(config, 200_000)
+        config = tomography_config("bell", 2, q=0.3)
+        stats = estimate(config, 200_000, seed=61)
         for i in range(2):
             m0 = stats.alice_marginal(i, 0)
             m1 = stats.alice_marginal(i, 1)
@@ -429,8 +460,8 @@ class TestLocalRealisticBounds:
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_bell_bound_full_detection(self, n):
-        config = tomography_config("bell", n, q=0.0, seed=67)
-        stats = estimate(config, 100_000)
+        config = tomography_config("bell", n, q=0.0)
+        stats = estimate(config, 100_000, seed=67)
         s, se, _ = stats.chsh()
         assert abs(s) <= 2.0 + 3 * se
 
@@ -439,7 +470,7 @@ class TestLocalRealisticBounds:
                                         ("ncopy-steering", 5)])
     def test_steering_bound_trusted_models(self, kind, n):
         stats = estimate(
-            ModelConfig(kind=kind, n_copies=n, seed=71), 100_000)
+            ModelConfig(kind=kind, n_copies=n), 100_000, seed=71)
         t, se, _ = stats.steering()
         assert t <= 1.0 / 3.0 + 3 * se
 
@@ -447,8 +478,8 @@ class TestLocalRealisticBounds:
     def test_tomography_zero_threshold_value(self, n):
         c_n = (2.0 / math.pi) * math.gamma(n + 1.5) * math.gamma(0.5) \
             / math.gamma(n + 2.0) - 1.0
-        config = tomography_config("steering", n, q=0.0, seed=73)
-        stats = estimate(config, 200_000)
+        config = tomography_config("steering", n, q=0.0)
+        stats = estimate(config, 200_000, seed=73)
         t, se, _ = stats.steering()
         assert t == pytest.approx(c_n ** 2, abs=4 * se + 1e-4)
 
