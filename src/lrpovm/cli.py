@@ -2,8 +2,9 @@
 
 Subcommands: bell, steer, qubit, curves, causality, oracle-check.
 Exit status 0 on success, 1 on flag or input validation failure (the
-message names the offending flag), 2 on degenerate statistics such as a
-setting pair without coincidences.  Runs are reproducible by default: the
+message names the offending flag, including a model flag that the chosen
+--model does not read), 2 on degenerate statistics such as a setting pair
+without coincidences.  Runs are reproducible by default: the
 seed defaults to the fixed constant 12345 and randomness is opt-in via
 --seed.
 """
@@ -105,6 +106,31 @@ def _writing(flag, path):
                        f"{exc.strerror or exc}") from exc
 
 
+class _ModelFlag(argparse.Action):
+    """Store a model flag's value and record that the flag was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.model_flags = (*getattr(namespace, "model_flags", ()),
+                                 self.option_strings[0])
+
+
+# The model flags each --model reads; giving it any other is an error.
+_MODEL_READS = {
+    "simple-bell": (),
+    "trusted-steering": ("--m-choices",),
+    "ncopy-steering": ("--n-copies", "--m-choices"),
+    "ncopy-tomography": ("--n-copies", "--q"),
+    "chaotic-ball": ("--q",),
+}
+
+
+def _reject_unread_flags(args) -> None:
+    for flag in getattr(args, "model_flags", ()):
+        if flag not in _MODEL_READS[args.model]:
+            raise CliError(f"{flag} is not read by --model {args.model}")
+
+
 def _add_run_flags(p, samples_default=1_000_000):
     p.add_argument("--samples", default=samples_default,
                    type=_integer("--samples", estimators.MIN_SAMPLES),
@@ -124,8 +150,8 @@ def build_parser() -> _Parser:
                        help="CHSH statistics of a local realistic model")
     p.add_argument("--model", default="simple-bell",
                    choices=["simple-bell", "ncopy-tomography", "chaotic-ball"])
-    p.add_argument("--n-copies", type=_copies, default=1)
-    p.add_argument("--q", type=_fraction_q, default=0.0)
+    p.add_argument("--n-copies", type=_copies, default=1, action=_ModelFlag)
+    p.add_argument("--q", type=_fraction_q, default=0.0, action=_ModelFlag)
     _add_run_flags(p)
     p.add_argument("--out", type=_output_file("--out"),
                    help="optional CSV with per-pair statistics")
@@ -135,9 +161,10 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default="trusted-steering",
                    choices=["trusted-steering", "ncopy-steering",
                             "ncopy-tomography", "chaotic-ball"])
-    p.add_argument("--n-copies", type=_copies, default=1)
-    p.add_argument("--q", type=_fraction_q, default=0.0)
-    p.add_argument("--m-choices", type=_integer("--m-choices"), default=3)
+    p.add_argument("--n-copies", type=_copies, default=1, action=_ModelFlag)
+    p.add_argument("--q", type=_fraction_q, default=0.0, action=_ModelFlag)
+    p.add_argument("--m-choices", type=_integer("--m-choices"), default=3,
+                   action=_ModelFlag)
     _add_run_flags(p)
     p.add_argument("--out", type=_output_file("--out"),
                    help="optional CSV with per-pair statistics")
@@ -155,6 +182,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default="ncopy-tomography",
                    choices=["ncopy-tomography", "chaotic-ball"])
     p.add_argument("--n-copies", type=_copies_list, default=[1],
+                   action=_ModelFlag,
                    help="comma-separated copy counts, e.g. 1,2,3,inf")
     _add_run_flags(p)
     p.add_argument("--out", type=_output_file("--out"), required=True,
@@ -423,6 +451,7 @@ def main(argv=None) -> int:
         if not args.command:
             raise CliError("missing command (bell, steer, qubit, curves, "
                            "causality, oracle-check)")
+        _reject_unread_flags(args)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

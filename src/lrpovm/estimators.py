@@ -13,8 +13,12 @@ counted from threshold levels, for sweeps and point estimates alike: each
 projection gets a signed level (``models.threshold_levels``: the number
 of thresholds below |p|, read from a 1024-bin table of the grid and exact
 by comparison with the few thresholds that share |p|'s bin), one
-bincount per reading pair histograms the joint levels, and 2-D prefix
-sums of it give the table of every threshold.  There is one chunk path:
+bincount per counted reading pair histograms the joint levels, and 2-D
+prefix sums of it give the table of every threshold.  A sweep counts only
+the pairs its statistic reads (the matched pairs (j, j) of a steering
+run; every pair of a Bell run) and leaves the other tables zero, while a
+point estimate counts every pair, since ``lrpovm steer --out`` writes all
+of them.  There is one chunk path:
 a chunk counts a tuple of copy counts on a sorted q grid, and a point
 estimate (``estimate``) is the one-N, one-q case, whose level is the trit
 itself, read back as element [0, 0] of the (N, q) tables.
@@ -62,6 +66,13 @@ LR_BOUND = {"bell": 2.0, "steering": 1.0 / 3.0}
 
 # Coincidence cells of a 3x3 table; trit axes are ordered (-1, 0, +1).
 _COINC = np.ix_((0, 2), (0, 2))
+
+
+def _reading_pairs(kind: str, ma: int, mb: int) -> list[tuple[int, int]]:
+    """Pairs a run reads: every (i, j) for Bell, matched (j, j) for steering."""
+    if kind == "steering":
+        return [(j, j) for j in range(ma)]
+    return [(i, j) for i in range(ma) for j in range(mb)]
 
 
 def default_q_grid() -> np.ndarray:
@@ -177,10 +188,7 @@ class RunStatistics:
 
     def reading_pairs(self) -> list[tuple[int, int]]:
         """Pairs read: every (i, j) for Bell, matched (j, j) for steering."""
-        ma, mb = self.weights.shape[:2]
-        if self.kind == "steering":
-            return [(j, j) for j in range(ma)]
-        return [(i, j) for i in range(ma) for j in range(mb)]
+        return _reading_pairs(self.kind, *self.weights.shape[:2])
 
     # -- Bell ----------------------------------------------------------------
 
@@ -251,23 +259,28 @@ class RunStatistics:
 # ---------------------------------------------------------------------------
 
 def _count_levels(levels_a: np.ndarray, levels_b: np.ndarray,
-                  n_levels: int, code: np.ndarray) -> np.ndarray:
+                  n_levels: int, code: np.ndarray,
+                  pairs=None) -> np.ndarray:
     """Trit tables (L, Ma, Mb, 3, 3) from signed levels v in [-L, L].
 
     Threshold k reads v <= -(k+1) as -1, |v| <= k as 0, v >= k+1 as +1.
-    Each reading pair's joint level code (v_a + L)(2L + 1) + v_b + L is
-    written into ``code`` (n intp work array) and histogrammed by one
-    bincount.
+    Each counted reading pair's joint level code
+    (v_a + L)(2L + 1) + v_b + L is written into ``code`` (n intp work
+    array) and histogrammed by one bincount.  ``pairs`` lists the (i, j)
+    pairs to count, every pair when None; the other tables are zero.  A
+    sweep passes the pairs its statistic reads (a steering run's matched
+    pairs), ``estimate`` None.
     """
     width = 2 * n_levels + 1
     ma, mb = levels_a.shape[1], levels_b.shape[1]
-    hist = np.empty((ma, mb, width * width), dtype=np.int64)
-    for i in range(ma):
-        for j in range(mb):
-            np.multiply(levels_a[:, i], width, out=code, dtype=np.intp)
-            code += levels_b[:, j]
-            code += n_levels * (width + 1)
-            hist[i, j] = np.bincount(code, minlength=width * width)
+    if pairs is None:
+        pairs = np.ndindex(ma, mb)
+    hist = np.zeros((ma, mb, width * width), dtype=np.int64)
+    for i, j in pairs:
+        np.multiply(levels_a[:, i], width, out=code, dtype=np.intp)
+        code += levels_b[:, j]
+        code += n_levels * (width + 1)
+        hist[i, j] = np.bincount(code, minlength=width * width)
     cum = np.zeros((ma, mb, width + 1, width + 1), dtype=np.int64)
     cum[:, :, 1:, 1:] = hist.reshape(ma, mb, width, width).cumsum(2).cumsum(3)
     k = np.arange(n_levels)
@@ -295,13 +308,14 @@ def _count_chunk(task) -> np.ndarray:
 
     Returns (K, L, Ma, Mb, 3, 3) for the K copy counts of ``n_copies`` and
     the L thresholds of ``q_sorted``.  The tomography family counts every
-    copy count from one draw, from its levels on the grid; a point
+    copy count from one draw, from its levels on the grid, and histograms
+    the reading pairs of ``pairs`` (every pair when None); a point
     estimate is the 1 x 1 case.  The unanimity family, whose config fixes
     N and reads no threshold, is counted from its pick-cell histogram,
-    which ``models.pick_tables`` turns into reading-pair tables, and comes
-    back as the 1 x 1 case too.
+    which ``models.pick_tables`` turns into every reading pair's table,
+    and comes back as the 1 x 1 case too.
     """
-    config, n_copies, q_sorted, seed, index, size = task
+    config, n_copies, q_sorted, pairs, seed, index, size = task
     gen = RngStream(seed, index).generator
     ws = _CHUNK_WORKSPACE.workspace
     ws.reset()
@@ -313,22 +327,30 @@ def _count_chunk(task) -> np.ndarray:
     levels_a, levels_b = models.tomography_level_batch(
         config, gen, size, q_sorted, ws, n_copies)
     code = ws.take(size, np.intp)
-    return np.stack([_count_levels(levels_a, levels, len(q_sorted), code)
+    return np.stack([_count_levels(levels_a, levels, len(q_sorted), code,
+                                   pairs)
                      for levels in levels_b])
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _count_chunks(head: tuple, samples: int, chunk: int,
                   workers: int) -> np.ndarray:
     """Sum the chunk tables of ``head`` = (config, copy counts, sorted q
-    grid, seed), all chunks in one map over at most one pool."""
+    grid, reading pairs, seed), all chunks in one map over at most one
+    pool."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    _check_workers(workers)
     full, rest = divmod(samples, chunk)
     sizes = [chunk] * full + ([rest] if rest else [])
     tasks = [head + (index, size) for index, size in enumerate(sizes)]
-    if workers <= 1:
+    if workers == 1:
         return sum(map(_count_chunk, tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_count_chunk, tasks))
@@ -342,11 +364,13 @@ def estimate(config: ModelConfig, samples: int, *,
     The test follows the model (``config.run_kind``): Bell for simple-bell
     and two-axis tomography configs, steering otherwise.  Chunk i draws
     from ``RngStream(seed, i)``, so a (seed, chunk) pair fixes the result
-    for any worker count.  The metadata records the model kind, the seed
-    and the preselection weight (None outside the tomography kinds).
+    for any worker count.  Every (i, j) reading pair is counted, the ones
+    the test does not read too.  The metadata records the model kind, the
+    seed and the preselection weight (None outside the tomography kinds).
     """
-    counts = _count_chunks((config, (config.n_copies,), (config.q,), seed),
-                           samples, chunk, workers)
+    counts = _count_chunks(
+        (config, (config.n_copies,), (config.q,), None, seed),
+        samples, chunk, workers)
     return RunStatistics(
         kind=config.run_kind, weights=counts[0, 0], samples=samples,
         metadata={"preselection_weight": config.preselection_weight,
@@ -504,7 +528,9 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     Keys are the ``n_copies`` values, in order.  All thresholds and all
     copy counts are evaluated in one pass over one chunk schedule, in one
     map over at most one process pool; each curve is bit-identical to a
-    sweep of its N alone (see the module docstring).  Shared draws make
+    sweep of its N alone (see the module docstring).  Only the reading
+    pairs the statistic reads are counted: the matched pairs of a
+    steering sweep, every pair of a Bell sweep.  Shared draws make
     the efficiency exactly non-increasing along the grid and keep reruns
     byte-for-byte reproducible.  Degenerate points (no coincidences in
     some setting pair) carry NaN value and stderr.
@@ -524,8 +550,11 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)
     # Every copy count has the same direction sets, so the first config
     # serves them all.
+    config = configs[0]
+    pairs = _reading_pairs(kind, len(config.alice_directions),
+                           len(config.bob_directions))
     counts = _count_chunks(
-        (configs[0], tuple(c.n_copies for c in configs), q_sorted, seed),
+        (config, tuple(c.n_copies for c in configs), q_sorted, pairs, seed),
         samples, chunk, workers)
     curves = {}
     for n, tables in zip(n_copies, counts):
@@ -572,6 +601,11 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
     copies at all and returns 1.  Returns None when no curve with up to
     n_max copies reaches the observed value at the observed efficiency.
     """
+    if kind not in LR_BOUND:
+        raise ValueError(f"kind must be 'bell' or 'steering': {kind!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_workers(workers)
     if not math.isfinite(observed_value):
         raise ValueError("observed_value must be finite")
     if not 0.0 < observed_eta <= 1.0:

@@ -244,9 +244,13 @@ class _LevelGrid:
             np.take(self.q_pad, level, out=near, mode="clip")
             np.greater(mag, near, out=above)
             level += above
-        np.less(p, 0.0, out=below)
-        np.negative(level, out=level, where=below)
         np.copyto(out, level, casting="unsafe")
+        # The sign 1 - 2 (p < 0) is built in the bytes of ``below``: a
+        # plain multiply costs a small fraction of a masked negative.
+        sign = np.less(p, 0.0, out=below).view(np.int8)
+        np.multiply(sign, -2, out=sign)
+        sign += 1
+        out *= sign
         return out
 
 

@@ -48,6 +48,25 @@ class TestValidation:
         assert flag in err
 
     @pytest.mark.parametrize("argv,flag", [
+        (("steer", "--model", "ncopy-tomography", "--m-choices", "2"),
+         "--m-choices"),
+        (("bell", "--model", "simple-bell", "--n-copies", "5", "--q", "0.5"),
+         "--n-copies"),
+        (("bell", "--model", "simple-bell", "--q", "0.5"), "--q"),
+        (("steer", "--model", "ncopy-steering", "--q", "0.2"), "--q"),
+        (("steer", "--model", "trusted-steering", "--n-copies", "2"),
+         "--n-copies"),
+        (("curves", "--model", "chaotic-ball", "--n-copies", "2",
+          "--out", "x.csv"), "--n-copies")])
+    def test_unread_model_flag_rejected(self, capsys, argv, flag):
+        """A flag the chosen --model does not read fails before any run,
+        naming the flag, instead of being silently ignored."""
+        code, out, err = run(capsys, *argv, "--samples", "1000")
+        assert code == 1
+        assert err.startswith(f"error: {flag} is not read by --model ")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,flag", [
         (("qubit", "--n-copies", "1"), "--n-copies"),
         (("qubit", "--n-copies", "13"), "--n-copies"),
         (("curves", "--n-copies", ",", "--out", "x.csv"), "--n-copies"),

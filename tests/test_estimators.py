@@ -74,6 +74,12 @@ class TestEstimateBell:
         with pytest.raises(ValueError, match="chunk"):
             estimate(ModelConfig(kind="simple-bell"), 20_000, chunk=chunk)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            estimate(ModelConfig(kind="simple-bell"), 20_000,
+                     workers=workers)
+
     def test_simple_bell_quantum_value(self):
         stats = estimate(ModelConfig(kind="simple-bell"), 400_000, seed=3)
         s, se, degenerate = stats.chsh()
@@ -474,8 +480,20 @@ ORACLE_GRID_IDS = ["sorted", "unsorted", "default", "adversarial"]
 MULTI_N = [1, 2, 5, math.inf]
 
 
+def assert_read_pairs_match(kind, got, want):
+    """A sweep's table equals the reference on every reading pair its
+    statistic reads, bit for bit, and is exactly zero on the others: a
+    steering sweep counts only the matched pairs (j, j)."""
+    ma, mb = got.shape[:2]
+    read = np.eye(ma, mb, dtype=bool) if kind == "steering" \
+        else np.ones((ma, mb), dtype=bool)
+    assert np.array_equal(got[read], want[read])
+    assert not np.any(got[~read])
+
+
 class TestSweepKernelOracle:
-    """Sweep count tables equal a per-threshold reference count."""
+    """Sweep count tables equal a per-threshold reference count on the
+    pairs the sweep reads."""
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
     @pytest.mark.parametrize("seed", [12345, 7, 1])
@@ -498,7 +516,7 @@ class TestSweepKernelOracle:
         assert [p.q for p in points] == list(grid)
         assert len(seen) == len(grid)
         for got, want in zip(seen, expected):
-            assert np.array_equal(got, want)
+            assert_read_pairs_match(kind, got, want)
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
     @pytest.mark.parametrize("seed", [12345, 7, 1])
@@ -525,7 +543,7 @@ class TestSweepKernelOracle:
                                                7_000)
             got = seen[k * len(grid):(k + 1) * len(grid)]
             for table, want in zip(got, expected):
-                assert np.array_equal(table, want), n
+                assert_read_pairs_match(kind, table, want)
 
     @pytest.mark.parametrize("kind", ["bell", "steering"])
     def test_copy_counts_worker_invariance(self, kind):
@@ -534,6 +552,27 @@ class TestSweepKernelOracle:
         two = sweep_curves(kind, MULTI_N, grid, 50_001, seed=43, chunk=7_000,
                            workers=2)
         assert one == two
+
+
+class TestEstimateCountsEveryPair:
+    def test_steering_estimate_tables_match_sample_batch(self):
+        """A steering estimate counts all nine (i, j) pairs, which
+        ``lrpovm steer --out`` writes, not only the matched pairs a sweep
+        reads: every table equals the count of ``sample_batch``'s trits
+        drawn from the same chunk streams."""
+        config = tomography_config("steering", math.inf, q=0.3)
+        stats = estimate(config, 50_001, seed=17, chunk=7_000)
+        batches = [sample_batch(config, RngStream(17, index).generator, size)
+                   for index, size in enumerate([7_000] * 7 + [1_001])]
+        alice = np.concatenate([b.alice for b in batches]) + 1
+        bob = np.concatenate([b.bob for b in batches]) + 1
+        want = np.zeros((3, 3, 3, 3), dtype=np.int64)
+        for i in range(3):
+            for j in range(3):
+                np.add.at(want[i, j], (alice[:, i], bob[:, j]), 1)
+        off = ~np.eye(3, dtype=bool)
+        assert np.all(want[off].sum(axis=(1, 2)) == 50_001)
+        assert np.array_equal(stats.weights, want)
 
 
 UNANIMITY_CONFIGS = {
@@ -585,7 +624,7 @@ class TestPickCountOracle:
         config = ModelConfig(**UNANIMITY_CONFIGS[name])
         for size in (1, 7, 99_999, 131_072):
             got = estimators._count_chunk(
-                (config, (config.n_copies,), (config.q,), seed, 3,
+                (config, (config.n_copies,), (config.q,), None, seed, 3,
                  size))[0, 0]
             batch = sample_batch(config, RngStream(seed, 3).generator, size)
             want = estimators._count_levels(batch.alice, batch.bob, 1,
@@ -612,7 +651,7 @@ def chunk_peak(config, q_sorted=None, n_copies=None) -> int:
     ``fresh_workspace`` fixture) so that it holds this config's need alone.
     """
     task = (config, (config.n_copies,) if n_copies is None else n_copies,
-            (config.q,) if q_sorted is None else q_sorted, 5, 0,
+            (config.q,) if q_sorted is None else q_sorted, None, 5, 0,
             estimators.DEFAULT_CHUNK)
     estimators._count_chunk(task)
     held = estimators._CHUNK_WORKSPACE.workspace.nbytes
@@ -681,7 +720,7 @@ class TestChunkMemory:
         than the largest single config's need."""
         def run(config):
             estimators._count_chunk((config, (config.n_copies,),
-                                     (config.q,), 5, 0,
+                                     (config.q,), None, 5, 0,
                                      estimators.DEFAULT_CHUNK))
 
         single = {}
@@ -783,6 +822,11 @@ class TestSweepCurve:
         with pytest.raises(ValueError, match="chunk"):
             sweep_curves("bell", [1], [0.0, 0.3], 20_000, chunk=chunk)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_curves("bell", [1], [0.0, 0.3], 20_000, workers=workers)
+
     def test_no_alice_detection_point_is_nan_without_warning(self):
         # Just below q = 1 no reading pair has an Alice detection.
         with warnings.catch_warnings():
@@ -855,3 +899,13 @@ class TestMinCopies:
         with pytest.raises(ValueError, match="q_grid"):
             min_copies(0.5, 0.5, "steering", 2, q_grid=[math.nan],
                        samples=20_000)
+        # Checked before the early return below the bound, too.
+        with pytest.raises(ValueError, match="kind"):
+            min_copies(0.30, 0.50, "foo", 5, curves={})
+        for n_max in (0, -3):
+            with pytest.raises(ValueError, match="n_max"):
+                min_copies(0.30, 0.50, "steering", n_max, curves={})
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                min_copies(0.30, 0.50, "steering", 5, curves={},
+                           workers=workers)
