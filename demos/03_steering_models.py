@@ -14,8 +14,7 @@ realistic constructions achieve:
   1/3 once the dead zone bites (it is not bound by 1/3 because its
   readouts are not qubit measurements).
 """
-from lrpovm.estimators import (enumerate_exact, estimate, min_copies,
-                               sweep_curves)
+from lrpovm.estimators import enumerate_exact, estimate, min_copies
 from lrpovm.models import ModelConfig, tomography_config
 from lrpovm.quantum import quantum_steering_T
 
@@ -47,8 +46,7 @@ for n in (1, 3, 6, 10):
 
 print()
 print("how many copies must a faker hold to reach an observed point?")
-curves = sweep_curves("steering", range(1, 9), samples=200_000, seed=4)
 for observed_t, observed_eta in ((0.34, 0.85), (0.40, 0.70), (0.50, 0.45)):
-    n = min_copies(observed_t, observed_eta, "steering", 8, curves=curves)
+    n = min_copies(observed_t, observed_eta, "steering", 8)
     print(f"  T = {observed_t:.2f} at efficiency {observed_eta:.2f}: "
           f"needs N >= {n}")

@@ -332,21 +332,19 @@ def _count_chunk(task) -> np.ndarray:
                      for levels in levels_b])
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _count_chunks(head: tuple, samples: int, chunk: int,
                   workers: int) -> np.ndarray:
     """Sum the chunk tables of ``head`` = (config, copy counts, sorted q
     grid, reading pairs, seed), all chunks in one map over at most one
-    pool."""
+    pool; a head with no copy counts is checked, then counts nothing."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    _check_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not head[1]:
+        return []
     full, rest = divmod(samples, chunk)
     sizes = [chunk] * full + ([rest] if rest else [])
     tasks = [head + (index, size) for index, size in enumerate(sizes)]
@@ -481,17 +479,13 @@ def enumerate_exact(config: ModelConfig) -> RunStatistics:
     """Exact statistics with no Monte Carlo error.
 
     The unanimity family (simple-bell, trusted-steering, and
-    ncopy-steering up to 10 copies) is enumerated in closed form.
-    Tomography tables are a closed-form Legendre sum for finite N and
-    two-cap lens areas for N = inf, both exact to rounding away from
-    degenerate geometry (see ``tomography_pair_table``).
+    ncopy-steering at any N) is enumerated in closed form.  Tomography
+    tables are a closed-form Legendre sum for finite N and two-cap lens
+    areas for N = inf, both exact to rounding away from degenerate
+    geometry (see ``tomography_pair_table``).
     """
-    if config.is_tomography:
-        probs = _tomography_tables(config)
-    elif config.n_copies > 10:
-        raise ValueError("unanimity enumeration capped at 10 copies")
-    else:
-        probs = models.enumerate_unanimity(config)
+    probs = (_tomography_tables(config) if config.is_tomography
+             else models.enumerate_unanimity(config))
     return RunStatistics(
         kind=config.run_kind, weights=probs, samples=0, exact=True,
         metadata={"preselection_weight": config.preselection_weight,
@@ -518,6 +512,26 @@ class CurvePoint:
             raise ValueError(f"eta outside [0, 1]: {self.eta}")
 
 
+def _q_grid(q_grid) -> np.ndarray:
+    """``q_grid`` (the default when None), checked: 1-D, non-empty, [0, 1)."""
+    q_grid = default_q_grid() if q_grid is None else np.asarray(q_grid, float)
+    if q_grid.ndim != 1 or q_grid.size == 0:
+        raise ValueError(f"q_grid must be a non-empty 1-D sequence, got "
+                         f"shape {q_grid.shape}")
+    if not np.all((q_grid >= 0) & (q_grid < 1)):
+        raise ValueError("q_grid must lie in [0, 1) with no NaN")
+    return q_grid
+
+
+def _curve_point(n, q: float, stats: RunStatistics) -> CurvePoint:
+    """The (N, q) point of ``stats``; NaN value and stderr if degenerate."""
+    value, stderr, degenerate = stats.value()
+    return CurvePoint(n_copies=n, q=float(q), eta=stats.efficiency("alice"),
+                      value=math.nan if degenerate else value,
+                      stderr=math.nan if degenerate else stderr,
+                      samples=stats.samples)
+
+
 def sweep_curves(kind: str, n_copies, q_grid=None,
                  samples: int = DEFAULT_SWEEP_SAMPLES, *,
                  seed: int = models.DEFAULT_SEED, workers: int = 1,
@@ -535,41 +549,22 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     byte-for-byte reproducible.  Degenerate points (no coincidences in
     some setting pair) carry NaN value and stderr.
     """
-    if kind not in ("bell", "steering"):
-        raise ValueError(f"kind must be 'bell' or 'steering': {kind!r}")
-    q_grid = default_q_grid() if q_grid is None else np.asarray(q_grid, float)
-    if q_grid.ndim != 1 or q_grid.size == 0:
-        raise ValueError(f"q_grid must be a non-empty 1-D sequence, got "
-                         f"shape {q_grid.shape}")
-    if not np.all((q_grid >= 0) & (q_grid < 1)):
-        raise ValueError("q_grid must lie in [0, 1) with no NaN")
+    # Every copy count has the same direction sets, so one config serves
+    # them all; it also checks ``kind``.
+    config = tomography_config(kind)
+    q_grid = _q_grid(q_grid)
     n_copies = list(dict.fromkeys(n_copies))
     configs = [tomography_config(kind, n) for n in n_copies]
-    if not configs:
-        return {}
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)
-    # Every copy count has the same direction sets, so the first config
-    # serves them all.
-    config = configs[0]
     pairs = _reading_pairs(kind, len(config.alice_directions),
                            len(config.bob_directions))
     counts = _count_chunks(
         (config, tuple(c.n_copies for c in configs), q_sorted, pairs, seed),
         samples, chunk, workers)
-    curves = {}
-    for n, tables in zip(n_copies, counts):
-        curves[n] = []
-        for q, k in zip(q_grid, sorted_index):
-            stats = RunStatistics(kind=kind, weights=tables[k],
-                                  samples=samples)
-            value, stderr, degenerate = stats.value()
-            curves[n].append(CurvePoint(
-                n_copies=n, q=float(q),
-                eta=stats.efficiency("alice"),
-                value=math.nan if degenerate else value,
-                stderr=math.nan if degenerate else stderr,
-                samples=samples))
-    return curves
+    return {n: [_curve_point(n, q, RunStatistics(
+                    kind=kind, weights=tables[k], samples=samples))
+                for q, k in zip(q_grid, sorted_index)]
+            for n, tables in zip(n_copies, counts)}
 
 
 def frontier_value(points: list[CurvePoint], eta: float) -> float | None:
@@ -592,20 +587,20 @@ def frontier_value(points: list[CurvePoint], eta: float) -> float | None:
 
 def min_copies(observed_value: float, observed_eta: float, kind: str,
                n_max: int, *, curves: dict[float, list[CurvePoint]] | None = None,
-               samples: int = 200_000, q_grid=None,
-               seed: int = models.DEFAULT_SEED, workers: int = 1
-               ) -> int | None:
-    """Smallest copy count whose swept frontier dominates an observation.
+               q_grid=None) -> int | None:
+    """Smallest copy count whose frontier dominates an observation.
 
-    An observation at or below the ideal local-realistic bound needs no
-    copies at all and returns 1.  Returns None when no curve with up to
-    n_max copies reaches the observed value at the observed efficiency.
+    The frontiers are the given ``curves`` (keyed by N; N = inf and N >
+    n_max are ignored), or else exact: ``enumerate_exact`` of the
+    tomography model at N = 1..n_max on ``q_grid`` (default grid when
+    None), with nothing drawn.  An observation at or below the ideal
+    local-realistic bound returns 1; None when no curve with up to n_max
+    copies reaches the observed value at the observed efficiency.
     """
     if kind not in LR_BOUND:
         raise ValueError(f"kind must be 'bell' or 'steering': {kind!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_workers(workers)
     if not math.isfinite(observed_value):
         raise ValueError("observed_value must be finite")
     if not 0.0 < observed_eta <= 1.0:
@@ -613,8 +608,10 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
     if observed_value <= LR_BOUND[kind]:
         return 1
     if curves is None:
-        curves = sweep_curves(kind, range(1, n_max + 1), q_grid, samples,
-                              seed=seed, workers=workers)
+        q_grid = _q_grid(q_grid)
+        curves = {n: [_curve_point(n, q, enumerate_exact(
+                          tomography_config(kind, n, q))) for q in q_grid]
+                  for n in range(1, n_max + 1)}
     for n in sorted(k for k in curves if k != math.inf and k <= n_max):
         best = frontier_value(curves[n], observed_eta)
         if best is not None and best >= observed_value:

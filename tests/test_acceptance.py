@@ -394,6 +394,10 @@ def test_c11_min_copies(steering_curves):
     if n != GOLDEN_MIN_COPIES:
         failures.append(f"golden value drifted: {n!r} != "
                         f"{GOLDEN_MIN_COPIES}")
+    exact = min_copies(0.34, 0.85, "steering", 10)
+    if exact != GOLDEN_MIN_COPIES:
+        failures.append(f"exact frontier gives {exact!r}, not "
+                        f"{GOLDEN_MIN_COPIES}")
     report(11, "copy-count lower bound for T just above 1/3 at high "
                "efficiency", failures)
 

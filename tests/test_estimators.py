@@ -160,9 +160,18 @@ class TestEnumerateExact:
         assert np.all(stats.weights[:, :, :, 1] == 0.0)
         assert np.allclose(stats.weights.sum(axis=(2, 3)), 1.0, atol=1e-12)
 
-    def test_ncopy_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_exact(ModelConfig(kind="ncopy-steering", n_copies=11))
+    @pytest.mark.parametrize("n", [11, 20])
+    def test_unanimity_beyond_ten_copies(self, n):
+        # Closed form at any N: a distribution per pair, and every cell
+        # within 6 sigma of a 2M-sample Monte Carlo frequency.
+        config = ModelConfig(kind="ncopy-steering", n_copies=n)
+        p = enumerate_exact(config).weights
+        assert np.all(p >= 0.0)
+        assert np.allclose(p.sum(axis=(2, 3)), 1.0, atol=1e-12)
+        counts = estimate(config, 2_000_000, seed=43).weights
+        total = counts.sum(axis=(2, 3), keepdims=True)
+        assert np.all(np.abs(counts / total - p)
+                      <= 6.0 * np.sqrt(p * (1.0 - p) / total))
 
     def test_simple_bell_efficiency(self):
         stats = enumerate_exact(ModelConfig(kind="simple-bell"))
@@ -827,6 +836,14 @@ class TestSweepCurve:
         with pytest.raises(ValueError, match="workers"):
             sweep_curves("bell", [1], [0.0, 0.3], 20_000, workers=workers)
 
+    @pytest.mark.parametrize("arg", ["samples", "chunk", "workers"])
+    def test_empty_copy_counts_checked(self, arg):
+        # The run arguments are checked before an empty sweep returns {}.
+        good = {"samples": 20_000, "chunk": 1_000, "workers": 1}
+        assert sweep_curves("bell", [], **good) == {}
+        with pytest.raises(ValueError, match=arg):
+            sweep_curves("bell", [], **{**good, arg: 0})
+
     def test_no_alice_detection_point_is_nan_without_warning(self):
         # Just below q = 1 no reading pair has an Alice detection.
         with warnings.catch_warnings():
@@ -897,15 +914,21 @@ class TestMinCopies:
         with pytest.raises(ValueError):
             min_copies(math.inf, 0.5, "steering", 5, curves={})
         with pytest.raises(ValueError, match="q_grid"):
-            min_copies(0.5, 0.5, "steering", 2, q_grid=[math.nan],
-                       samples=20_000)
+            min_copies(0.5, 0.5, "steering", 2, q_grid=[math.nan])
         # Checked before the early return below the bound, too.
         with pytest.raises(ValueError, match="kind"):
             min_copies(0.30, 0.50, "foo", 5, curves={})
         for n_max in (0, -3):
             with pytest.raises(ValueError, match="n_max"):
                 min_copies(0.30, 0.50, "steering", n_max, curves={})
-        for workers in (0, -1):
-            with pytest.raises(ValueError, match="workers"):
-                min_copies(0.30, 0.50, "steering", 5, curves={},
-                           workers=workers)
+
+    @pytest.mark.parametrize("kind,value,eta,expected", [
+        ("steering", 0.34, 0.85, 4), ("steering", 0.40, 0.70, 3),
+        ("steering", 0.50, 0.45, 4), ("bell", 2.5, 0.6, 4),
+        ("bell", 2.2, 0.8, 6), ("bell", 2.9, 0.5, 4), ("bell", 3.0, 0.4, 3)])
+    def test_exact_default(self, monkeypatch, kind, value, eta, expected):
+        # Without curves the frontiers are exact: nothing is drawn.
+        def no_draw(*args):
+            raise AssertionError("min_copies drew Monte Carlo samples")
+        monkeypatch.setattr(estimators, "_count_chunks", no_draw)
+        assert min_copies(value, eta, kind, 10) == expected
