@@ -34,22 +34,31 @@ therefore bit-identical to a sweep of that N alone.
 
 Parallelism is a map over fixed-size sample chunks, one independent
 stream per chunk, merged by integer addition; results are identical for
-any worker count at a fixed (seed, chunk schedule), and one estimate or
-sweep starts at most one process pool.  A chunk allocates almost nothing:
-each thread (so each pool worker) keeps one ``sphere.Workspace`` that
-every chunk of every model config reuses.  The chunk's draws go straight
+any worker count at a fixed (seed, chunk schedule).  A process keeps one
+pool: the first call with ``workers > 1`` builds it and later calls reuse
+it, so its workers stay warm (forked, heap faulted in) across calls.  A
+call with another worker count, after a breakage (a call whose reused
+pool broke retries once on a fresh one) or in a forked child builds a new
+one; a child never shuts down its parent's pool, and
+``concurrent.futures`` joins the pool at interpreter exit.  A one-shot
+``lrpovm`` command makes one call, so it gains nothing.  A chunk
+allocates almost nothing: each thread (so each pool worker) keeps one
+``sphere.Workspace`` that every chunk of every model config reuses.  The chunk's draws go straight
 into it, and its projections, levels, trits and codes are computed in
 cache-sized blocks of its buffers, in one explicit block loop with the
 copy counts inside, so a sweep needs one extra level array per copy
 count.  The workspace grows to the largest chunk seen, so it holds the
-largest single config's need, not their sum.  Only ``Generator.integers``, which has no
-``out=``, still allocates (the picks and the copies' signs).
+largest single config's need, not their sum.  ``Generator.integers``
+has no ``out=``, so the picks and the copies' signs are drawn block by
+block into block-sized arrays that the allocator reuses, and copied in.
 """
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,11 +341,38 @@ def _count_chunk(task) -> np.ndarray:
                      for levels in levels_b])
 
 
+# The process's one pool, kept warm across calls, and its key
+# (pid, workers): a forked child sees another pid and does not use, or shut
+# down, the pool of its parent.  concurrent.futures joins it at exit.
+_POOL_LOCK = threading.Lock()
+_POOL_KEY = None
+_POOL = None
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The cached pool of ``workers`` processes, built if it does not match."""
+    global _POOL_KEY, _POOL
+    key = (os.getpid(), workers)
+    if _POOL_KEY != key:
+        _drop_pool()
+        _POOL_KEY, _POOL = key, ProcessPoolExecutor(max_workers=workers)
+    return _POOL
+
+
+def _drop_pool() -> None:
+    """Forget the cached pool, shutting it down (waiting) if it is ours."""
+    global _POOL_KEY, _POOL
+    if _POOL is not None and _POOL_KEY[0] == os.getpid():
+        _POOL.shutdown()
+    _POOL_KEY, _POOL = None, None
+
+
 def _count_chunks(head: tuple, samples: int, chunk: int,
                   workers: int) -> np.ndarray:
     """Sum the chunk tables of ``head`` = (config, copy counts, sorted q
-    grid, reading pairs, seed), all chunks in one map over at most one
-    pool; a head with no copy counts is checked, then counts nothing."""
+    grid, reading pairs, seed), all chunks in one map, in this process at
+    one worker and over the process's cached pool otherwise; a head with no
+    copy counts is checked, then counts nothing."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if chunk < 1:
@@ -350,8 +386,16 @@ def _count_chunks(head: tuple, samples: int, chunk: int,
     tasks = [head + (index, size) for index, size in enumerate(sizes)]
     if workers == 1:
         return sum(map(_count_chunk, tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_chunk, tasks))
+    with _POOL_LOCK:
+        # A pool reused from an earlier call may have broken while idle; such
+        # a call gets one more try on a fresh pool.
+        for reused in (_POOL_KEY == (os.getpid(), workers), False):
+            try:
+                return sum(_pool(workers).map(_count_chunk, tasks))
+            except BrokenProcessPool:
+                _drop_pool()
+                if not reused:
+                    raise
 
 
 def estimate(config: ModelConfig, samples: int, *,
@@ -592,8 +636,9 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
 
     The frontiers are the given ``curves`` (keyed by N; N = inf and N >
     n_max are ignored), or else exact: ``enumerate_exact`` of the
-    tomography model at N = 1..n_max on ``q_grid`` (default grid when
-    None), with nothing drawn.  An observation at or below the ideal
+    tomography model at N = 1, 2, ... on ``q_grid`` (default grid when
+    None), with nothing drawn, each N built only once the smaller ones
+    fall short.  An observation at or below the ideal
     local-realistic bound returns 1; None when no curve with up to n_max
     copies reaches the observed value at the observed efficiency.
     """
@@ -609,11 +654,14 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
         return 1
     if curves is None:
         q_grid = _q_grid(q_grid)
-        curves = {n: [_curve_point(n, q, enumerate_exact(
-                          tomography_config(kind, n, q))) for q in q_grid]
-                  for n in range(1, n_max + 1)}
-    for n in sorted(k for k in curves if k != math.inf and k <= n_max):
-        best = frontier_value(curves[n], observed_eta)
+        found = ((n, [_curve_point(n, q, enumerate_exact(
+                     tomography_config(kind, n, q))) for q in q_grid])
+                 for n in range(1, n_max + 1))
+    else:
+        found = ((n, curves[n]) for n in sorted(curves)
+                 if n != math.inf and n <= n_max)
+    for n, points in found:
+        best = frontier_value(points, observed_eta)
         if best is not None and best >= observed_value:
             return int(n)
     return None

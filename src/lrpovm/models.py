@@ -301,21 +301,26 @@ def _unanimity_readout(config: ModelConfig, gen, n: int, ws: Workspace
     each party's uniformly picked choice, and the trit each reads there,
     +-1 when all N copies agree (exact singlet statistics per copy) and 0
     otherwise.  The draws are pick_a, pick_b, each copy's sign xi and each
-    copy's match; the trits are written into ``ws``.  ``pick`` is pick_a's
-    own array, and the match uniforms reuse xi's.
+    copy's match, in that order; every array, ``pick`` too, is a view of
+    ``ws``.  ``integers`` has no ``out=``, so its draws are made block by
+    block and copied in: for int64 with a range below 2**32 it keeps no
+    state between calls, so the blocks draw the numbers of one call.
     """
     table = _correlation_table(config.alice_directions, config.bob_directions)
     p_same = ((1.0 + table) / 2.0).ravel()
-    mb = table.shape[1]
+    ma, mb = table.shape
     ncopies = int(config.n_copies)
-    pick = gen.integers(0, table.shape[0], n)
+    pick = ws.take(n, np.int64)
+    for rows in blocks(n):
+        pick[rows] = gen.integers(0, ma, rows.stop - rows.start)
     pick *= mb
-    pick += gen.integers(0, mb, n)
-    draws = gen.integers(0, 2, (n, ncopies))
+    for rows in blocks(n):
+        pick[rows] += gen.integers(0, mb, rows.stop - rows.start)
     xi = ws.take((n, ncopies), bool)
-    np.not_equal(draws, 0, out=xi)
-    match = draws.view(float)
-    gen.random(out=match)
+    for rows in blocks(n):
+        np.not_equal(gen.integers(0, 2, (rows.stop - rows.start, ncopies)),
+                     0, out=xi[rows])
+    match = gen.random(out=ws.take((n, ncopies)))
     same = ws.take((n, ncopies), bool)
     a_val, b_val = ws.take((2, n), np.int8)
     work = ws.take(BLOCK + 1)

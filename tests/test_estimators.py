@@ -1,8 +1,12 @@
 import functools
 import math
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -443,6 +447,93 @@ class TestParallelDeterminism:
         b = sweep_curves("bell", [2], [0.6, 0.0, 0.3], 50_001, seed=43,
                          workers=2, chunk=7_000)
         assert a == b
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool the estimators build in the test, with no cached pool
+    before or after it."""
+    built = []
+
+    class Counted(estimators.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with estimators._POOL_LOCK:
+        estimators._drop_pool()
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", Counted)
+    yield built
+    with estimators._POOL_LOCK:
+        estimators._drop_pool()
+    for pool in built:
+        pool.shutdown()
+
+
+class TestProcessPool:
+    """One pool per process, reused across calls; outputs never depend on
+    which pool, or whether a pool, counted them."""
+
+    CONFIG = tomography_config("steering", 3, q=0.2)
+
+    def _tables(self, workers):
+        return estimate(self.CONFIG, 50_001, seed=47, workers=workers,
+                        chunk=7_000).weights
+
+    def test_reused_across_calls(self, pools):
+        serial = self._tables(1)
+        assert not pools
+        first = self._tables(2)
+        curves = sweep_curves("bell", [2, math.inf], [0.0, 0.3], 20_000,
+                              seed=13, workers=2)
+        second = self._tables(2)
+        assert len(pools) == 1
+        assert serial.tobytes() == first.tobytes() == second.tobytes()
+        assert curves == sweep_curves("bell", [2, math.inf], [0.0, 0.3],
+                                      20_000, seed=13)
+
+    def test_worker_count_change_replaces_pool(self, pools):
+        serial = self._tables(1)
+        assert self._tables(2).tobytes() == serial.tobytes()
+        assert self._tables(3).tobytes() == serial.tobytes()
+        assert len(pools) == 2
+        # The replaced pool was shut down before the new one was built.
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pools[0].submit(int)
+
+    def test_killed_worker_rebuilds_pool(self, pools):
+        serial = self._tables(1)
+        assert self._tables(2).tobytes() == serial.tobytes()
+        victim = pools[0].submit(os.getpid).result()
+        os.kill(victim, signal.SIGKILL)
+        # The pool reaps the worker once it has marked itself broken.
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                os.kill(victim, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "killed worker not reaped"
+            time.sleep(0.01)
+        assert self._tables(2).tobytes() == serial.tobytes()
+        assert len(pools) == 2
+        assert self._tables(2).tobytes() == serial.tobytes()
+        assert len(pools) == 2
+
+    def test_other_pid_rebuilds_pool(self, pools, monkeypatch):
+        serial = self._tables(1)
+        assert self._tables(2).tobytes() == serial.tobytes()
+        # A forked child sees its parent's pool under another pid: it builds
+        # its own and leaves the parent's running.  Only the estimators see
+        # the other pid, not multiprocessing; unlike in a real child, the
+        # first pool's thread is alive at the fork (Python >= 3.12 warns).
+        child_os = types.SimpleNamespace(getpid=lambda: os.getpid() + 1)
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            m.setattr(estimators, "os", child_os)
+            assert self._tables(2).tobytes() == serial.tobytes()
+        assert len(pools) == 2
+        assert pools[0].submit(int).result() == 0
 
 
 def _reference_pairs(n_copies, gen, size):
@@ -932,3 +1023,16 @@ class TestMinCopies:
             raise AssertionError("min_copies drew Monte Carlo samples")
         monkeypatch.setattr(estimators, "_count_chunks", no_draw)
         assert min_copies(value, eta, kind, 10) == expected
+
+    def test_exact_search_stops_at_answer(self, monkeypatch):
+        # Each N's curve is built only once the smaller N fall short, so a
+        # large n_max costs nothing past the answer.
+        calls = []
+
+        def counted(config):
+            calls.append(config.n_copies)
+            return enumerate_exact(config)
+        monkeypatch.setattr(estimators, "enumerate_exact", counted)
+        assert min_copies(0.34, 0.85, "steering", 40) == 4
+        assert sorted(set(calls)) == [1, 2, 3, 4]
+        assert len(calls) == 4 * len(default_q_grid())
