@@ -36,12 +36,14 @@ Parallelism is a map over fixed-size sample chunks, one independent
 stream per chunk, merged by integer addition; results are identical for
 any worker count at a fixed (seed, chunk schedule).  A process keeps one
 pool: the first call with ``workers > 1`` builds it and later calls reuse
-it, so its workers stay warm (forked, heap faulted in) across calls.  A
-call with another worker count, after a breakage (a call whose reused
-pool broke retries once on a fresh one) or in a forked child builds a new
-one; a child never shuts down its parent's pool, and
-``concurrent.futures`` joins the pool at interpreter exit.  A one-shot
-``lrpovm`` command makes one call, so it gains nothing.  A chunk
+it, so its workers stay warm (forked, heap faulted in) across calls, and
+stay alive, with their memory, until the process exits.  Calls from
+several threads share it one call at a time.  A call with another worker
+count, after a breakage (a call whose reused pool broke retries once on
+a fresh one) or in a forked child builds a new one; a child never shuts
+down its parent's pool, and ``concurrent.futures`` joins the pool at
+interpreter exit.  A one-shot ``lrpovm`` command makes one call, so it
+gains nothing.  A chunk
 allocates almost nothing: each thread (so each pool worker) keeps one
 ``sphere.Workspace`` that every chunk of every model config reuses.  The chunk's draws go straight
 into it, and its projections, levels, trits and codes are computed in
@@ -341,30 +343,39 @@ def _count_chunk(task) -> np.ndarray:
                      for levels in levels_b])
 
 
-# The process's one pool, kept warm across calls, and its key
-# (pid, workers): a forked child sees another pid and does not use, or shut
-# down, the pool of its parent.  concurrent.futures joins it at exit.
+# The process's one pool, kept warm across calls, and its worker count.  A
+# forked child starts with no pool and a fresh lock: the parent's pool is
+# not the child's, and the parent may have held the lock at the fork.
+# concurrent.futures joins the pool at exit.
 _POOL_LOCK = threading.Lock()
-_POOL_KEY = None
+_POOL_WORKERS = 0
 _POOL = None
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
-    """The cached pool of ``workers`` processes, built if it does not match."""
-    global _POOL_KEY, _POOL
-    key = (os.getpid(), workers)
-    if _POOL_KEY != key:
+    """The cached pool, replaced by one of ``workers`` processes if its
+    count differs."""
+    global _POOL_WORKERS, _POOL
+    if _POOL_WORKERS != workers:
         _drop_pool()
-        _POOL_KEY, _POOL = key, ProcessPoolExecutor(max_workers=workers)
+        _POOL_WORKERS, _POOL = workers, ProcessPoolExecutor(max_workers=workers)
     return _POOL
 
 
 def _drop_pool() -> None:
-    """Forget the cached pool, shutting it down (waiting) if it is ours."""
-    global _POOL_KEY, _POOL
-    if _POOL is not None and _POOL_KEY[0] == os.getpid():
+    """Shut the cached pool down (waiting) and forget it."""
+    global _POOL_WORKERS, _POOL
+    if _POOL is not None:
         _POOL.shutdown()
-    _POOL_KEY, _POOL = None, None
+    _POOL_WORKERS, _POOL = 0, None
+
+
+def _forget_pool_in_child() -> None:
+    global _POOL_LOCK, _POOL_WORKERS, _POOL
+    _POOL_LOCK, _POOL_WORKERS, _POOL = threading.Lock(), 0, None
+
+
+os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def _count_chunks(head: tuple, samples: int, chunk: int,
@@ -389,7 +400,7 @@ def _count_chunks(head: tuple, samples: int, chunk: int,
     with _POOL_LOCK:
         # A pool reused from an earlier call may have broken while idle; such
         # a call gets one more try on a fresh pool.
-        for reused in (_POOL_KEY == (os.getpid(), workers), False):
+        for reused in (_POOL_WORKERS == workers, False):
             try:
                 return sum(_pool(workers).map(_count_chunk, tasks))
             except BrokenProcessPool:

@@ -304,7 +304,9 @@ def _unanimity_readout(config: ModelConfig, gen, n: int, ws: Workspace
     copy's match, in that order; every array, ``pick`` too, is a view of
     ``ws``.  ``integers`` has no ``out=``, so its draws are made block by
     block and copied in: for int64 with a range below 2**32 it keeps no
-    state between calls, so the blocks draw the numbers of one call.
+    state between calls, so the blocks draw the numbers of one call.  The
+    match uniforms, drawn last and read once, are drawn block by block
+    into one block-sized buffer.
     """
     table = _correlation_table(config.alice_directions, config.bob_directions)
     p_same = ((1.0 + table) / 2.0).ravel()
@@ -320,26 +322,27 @@ def _unanimity_readout(config: ModelConfig, gen, n: int, ws: Workspace
     for rows in blocks(n):
         np.not_equal(gen.integers(0, 2, (rows.stop - rows.start, ncopies)),
                      0, out=xi[rows])
-    match = gen.random(out=ws.take((n, ncopies)))
-    same = ws.take((n, ncopies), bool)
     a_val, b_val = ws.take((2, n), np.int8)
+    match = ws.take((BLOCK, ncopies))
+    same = ws.take((BLOCK, ncopies), bool)
     work = ws.take(BLOCK + 1)
     alice_all, bob_all, agree, flag = ws.take((4, BLOCK + 1), bool)
     for rows in blocks(n):
         m = rows.stop - rows.start
         p = np.take(p_same, pick[rows], out=work[:m], mode="clip")
-        np.less(match[rows], p[:, None], out=same[rows])
+        s = same[:m]
+        np.less(gen.random(out=match[:m]), p[:, None], out=s)
         # Bob's copy k reads xi_k when same_k and -xi_k otherwise, so his
         # copies agree with copy 0 exactly when
         # (xi_k == xi_0) == (same_k == same_0).
-        xi_0, same_0 = xi[rows, 0], same[rows, 0]
+        xi_0, same_0 = xi[rows, 0], s[:, 0]
         a_all, b_all, eq, fl = alice_all[:m], bob_all[:m], agree[:m], flag[:m]
         a_all[:] = True
         b_all[:] = True
         for k in range(1, ncopies):
             np.equal(xi[rows, k], xi_0, out=eq)
             a_all &= eq
-            np.equal(same[rows, k], same_0, out=fl)
+            np.equal(s[:, k], same_0, out=fl)
             np.equal(eq, fl, out=fl)
             b_all &= fl
         # Copy 0 reads +1 for Alice when xi_0, and for Bob when

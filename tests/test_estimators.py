@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -520,20 +519,55 @@ class TestProcessPool:
         assert self._tables(2).tobytes() == serial.tobytes()
         assert len(pools) == 2
 
-    def test_other_pid_rebuilds_pool(self, pools, monkeypatch):
+    def test_forked_child_builds_own_pool(self, pools):
         serial = self._tables(1)
         assert self._tables(2).tobytes() == serial.tobytes()
-        # A forked child sees its parent's pool under another pid: it builds
-        # its own and leaves the parent's running.  Only the estimators see
-        # the other pid, not multiprocessing; unlike in a real child, the
-        # first pool's thread is alive at the fork (Python >= 3.12 warns).
-        child_os = types.SimpleNamespace(getpid=lambda: os.getpid() + 1)
-        with monkeypatch.context() as m, warnings.catch_warnings():
+        # Fork while this thread holds the pool lock, as a thread inside
+        # another call would: the child must get a fresh lock and no pool,
+        # build its own and leave the parent's running.  The parent's pool
+        # thread is alive at the fork (Python >= 3.12 warns).
+        with estimators._POOL_LOCK, warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
-            m.setattr(estimators, "os", child_os)
-            assert self._tables(2).tobytes() == serial.tobytes()
-        assert len(pools) == 2
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    fresh = estimators._POOL is None
+                    same = self._tables(2).tobytes() == serial.tobytes()
+                    code = 0 if fresh and same and len(pools) == 2 else 1
+                finally:
+                    try:  # reap the child's own workers
+                        with estimators._POOL_LOCK:
+                            estimators._drop_pool()
+                    finally:
+                        os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child blocked")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert len(pools) == 1
         assert pools[0].submit(int).result() == 0
+        assert self._tables(2).tobytes() == serial.tobytes()
+        assert len(pools) == 1
+
+    def test_concurrent_threads_share_pool(self, pools):
+        # Calls from two threads at once run one at a time on one pool.
+        serial = self._tables(1)
+        results = [None, None]
+
+        def run(i):
+            results[i] = self._tables(2)
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [r.tobytes() for r in results] == [serial.tobytes()] * 2
+        assert len(pools) == 1
 
 
 def _reference_pairs(n_copies, gen, size):
@@ -785,9 +819,9 @@ class TestChunkMemory:
     binary-search level code's peaks: 16 124 192 B for a chaotic-ball
     steering point chunk and 20 249 472 B for a steering N = 2 chunk on
     the default grid.  A chunk's peak counts the chunk workspace it keeps
-    (see ``chunk_peak``); the current code peaks at 9.17 MB, 10.20 MB,
-    5.41 MB, 6 739 528 B and 11 595 289 B, of which the workspace is
-    9.09, 9.62, 1.15, 6.67 and 10.29 MB.
+    (see ``chunk_peak``); the current code peaks at 9.30 MB, 10.33 MB,
+    2.22 MB, 6 345 672 B and 11 727 417 B, of which the workspace is
+    9.22, 9.75, 2.02, 6.28 and 10.42 MB.
     """
 
     def test_tomography_bell_point(self):
