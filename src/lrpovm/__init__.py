@@ -27,7 +27,7 @@ from .quantum import (CHSH_ALICE, CHSH_BOB, STEERING_TRIPLE, chsh_value,
                       qubit_probability_plus, quantum_correlation,
                       quantum_steering_T, sequential_qubit_probability,
                       singlet_power)
-from .sphere import RngStream, cap_overlap_quadrature, pair_density, \
+from .sphere import cap_overlap_quadrature, pair_density, rng_stream, \
     sample_pair
 
 __version__ = "0.1.0"
@@ -41,6 +41,6 @@ __all__ = [
     "threshold_readout", "tomography_config", "CHSH_ALICE", "CHSH_BOB",
     "STEERING_TRIPLE", "chsh_value", "coherent_state", "oracle_pair_density",
     "qubit_probability_plus", "quantum_correlation", "quantum_steering_T",
-    "sequential_qubit_probability", "singlet_power", "RngStream",
-    "cap_overlap_quadrature", "pair_density", "sample_pair",
+    "sequential_qubit_probability", "singlet_power",
+    "cap_overlap_quadrature", "pair_density", "rng_stream", "sample_pair",
 ]

@@ -146,28 +146,26 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
 
-    p = sub.add_parser("bell",
-                       help="CHSH statistics of a local realistic model")
-    p.add_argument("--model", default="simple-bell",
-                   choices=["simple-bell", "ncopy-tomography", "chaotic-ball"])
-    p.add_argument("--n-copies", type=_copies, default=1, action=_ModelFlag)
-    p.add_argument("--q", type=_fraction_q, default=0.0, action=_ModelFlag)
-    _add_run_flags(p)
-    p.add_argument("--out", type=_output_file("--out"),
-                   help="optional CSV with per-pair statistics")
-
-    p = sub.add_parser("steer",
-                       help="steering statistics of a local realistic model")
-    p.add_argument("--model", default="trusted-steering",
-                   choices=["trusted-steering", "ncopy-steering",
-                            "ncopy-tomography", "chaotic-ball"])
-    p.add_argument("--n-copies", type=_copies, default=1, action=_ModelFlag)
-    p.add_argument("--q", type=_fraction_q, default=0.0, action=_ModelFlag)
-    p.add_argument("--m-choices", type=_integer("--m-choices"), default=3,
-                   action=_ModelFlag)
-    _add_run_flags(p)
-    p.add_argument("--out", type=_output_file("--out"),
-                   help="optional CSV with per-pair statistics")
+    for command, kind, test, choices in (
+            ("bell", "bell", "CHSH",
+             ("simple-bell", "ncopy-tomography", "chaotic-ball")),
+            ("steer", "steering", "steering",
+             ("trusted-steering", "ncopy-steering", "ncopy-tomography",
+              "chaotic-ball"))):
+        p = sub.add_parser(
+            command, help=f"{test} statistics of a local realistic model")
+        p.set_defaults(run_kind=kind)
+        p.add_argument("--model", default=choices[0], choices=choices)
+        p.add_argument("--n-copies", type=_copies, default=1,
+                       action=_ModelFlag)
+        p.add_argument("--q", type=_fraction_q, default=0.0,
+                       action=_ModelFlag)
+        if kind == "steering":
+            p.add_argument("--m-choices", type=_integer("--m-choices"),
+                           default=3, action=_ModelFlag)
+        _add_run_flags(p)
+        p.add_argument("--out", type=_output_file("--out"),
+                       help="optional CSV with per-pair statistics")
 
     p = sub.add_parser("qubit",
                        help="sequential versus copy-served two-time readout")
@@ -202,13 +200,11 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _model_config(args, steering: bool) -> ModelConfig:
+def _model_config(args) -> ModelConfig:
     kind = args.model
     if kind in ("ncopy-tomography", "chaotic-ball"):
         n = math.inf if kind == "chaotic-ball" else args.n_copies
-        return models.tomography_config(
-            "steering" if steering else "bell",
-            n_copies=n, q=args.q)
+        return models.tomography_config(args.run_kind, n_copies=n, q=args.q)
     if kind == "simple-bell":
         return ModelConfig(kind="simple-bell")
     try:
@@ -245,51 +241,43 @@ def _write_pair_csv(stats: estimators.RunStatistics, path: str) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 
 
-def _cmd_bell(args) -> int:
-    config = _model_config(args, steering=False)
+# What a bell and a steer run print differently, keyed by the run kind:
+# the header's m_choices field, the RunStatistics method of the test and
+# its line (formatted with value, stderr, |value|), the message when the
+# test is undefined, and whether the preselection weight is printed.
+_RUN_OUTPUT = {
+    "bell": ("", "chsh", "S = {0:+.6f} +/- {1:.6f}   |S| = {2:.6f}",
+             "CHSH undefined: a setting pair has no coincidences", True),
+    "steering": ("m_choices: {0}  ", "steering",
+                 "T = {0:.6f} +/- {1:.6f}   (trusted LR bound 1/3)",
+                 "steering statistics have empty conditional bins", False),
+}
+
+
+def _cmd_run(args) -> int:
+    header, test, line, degenerate_message, preselection = \
+        _RUN_OUTPUT[args.run_kind]
+    config = _model_config(args)
     stats = estimate(config, args.samples, seed=args.seed,
                      workers=args.workers)
     print(f"model: {config.kind}  n_copies: {config.n_copies}  "
-          f"q: {config.q:g}  samples: {args.samples}  seed: {args.seed}")
-    for line in _pair_lines(stats):
-        print(line)
-    s, se, degenerate = stats.chsh()
+          f"q: {config.q:g}  {header.format(len(config.bob_directions))}"
+          f"samples: {args.samples}  seed: {args.seed}")
+    for pair_line in _pair_lines(stats):
+        print(pair_line)
+    value, se, degenerate = getattr(stats, test)()
     if args.out:
         with _writing("--out", args.out):
             _write_pair_csv(stats, args.out)
         print(f"wrote {args.out}")
     if degenerate:
-        raise DegenerateError("CHSH undefined: a setting pair has no "
-                              "coincidences")
-    print(f"S = {s:+.6f} +/- {se:.6f}   |S| = {abs(s):.6f}")
+        raise DegenerateError(degenerate_message)
+    print(line.format(value, se, abs(value)))
     print(f"efficiency: alice-conditioned {stats.efficiency('alice'):.6f}  "
           f"bob-conditioned {stats.efficiency('bob'):.6f}")
     w = config.preselection_weight
-    if w is not None:
+    if preselection and w is not None:
         print(f"preselection weight: {w:.9g}")
-    return 0
-
-
-def _cmd_steer(args) -> int:
-    config = _model_config(args, steering=True)
-    stats = estimate(config, args.samples, seed=args.seed,
-                     workers=args.workers)
-    print(f"model: {config.kind}  n_copies: {config.n_copies}  "
-          f"q: {config.q:g}  m_choices: {len(config.bob_directions)}  "
-          f"samples: {args.samples}  seed: {args.seed}")
-    for line in _pair_lines(stats):
-        print(line)
-    t, se, empty = stats.steering()
-    if args.out:
-        with _writing("--out", args.out):
-            _write_pair_csv(stats, args.out)
-        print(f"wrote {args.out}")
-    if empty:
-        raise DegenerateError("steering statistics have empty conditional "
-                              "bins")
-    print(f"T = {t:.6f} +/- {se:.6f}   (trusted LR bound 1/3)")
-    print(f"efficiency: alice-conditioned {stats.efficiency('alice'):.6f}  "
-          f"bob-conditioned {stats.efficiency('bob'):.6f}")
     return 0
 
 
@@ -435,8 +423,8 @@ def _cmd_oracle_check(_args) -> int:
 
 
 _COMMANDS = {
-    "bell": _cmd_bell,
-    "steer": _cmd_steer,
+    "bell": _cmd_run,
+    "steer": _cmd_run,
     "qubit": _cmd_qubit,
     "curves": _cmd_curves,
     "causality": _cmd_causality,

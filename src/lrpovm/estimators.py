@@ -24,7 +24,7 @@ estimate (``estimate``) is the one-N, one-q case, whose level is the trit
 itself, read back as element [0, 0] of the (N, q) tables.
 
 A sweep over several copy counts N is one pass.  Chunk i draws from
-``RngStream(seed, i)`` whatever N is, and a single N draws A (normal rows
+``rng_stream(seed, i)`` whatever N is, and a single N draws A (normal rows
 plus zero-norm redraws), then the opening and azimuth uniforms u and chi
 if N is finite: the same numbers for every N.  So each chunk draws them
 once, projects A on Alice's directions and takes her levels once, and
@@ -61,13 +61,13 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import RngStream, Workspace, circle_arc_fraction
+from .sphere import Workspace, circle_arc_fraction, rng_stream
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SWEEP_SAMPLES = 1_000_000
@@ -116,7 +116,6 @@ class RunStatistics:
     weights: np.ndarray
     samples: int
     exact: bool = False
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ("bell", "steering"):
@@ -327,7 +326,7 @@ def _count_chunk(task) -> np.ndarray:
     and comes back as the 1 x 1 case too.
     """
     config, n_copies, q_sorted, pairs, seed, index, size = task
-    gen = RngStream(seed, index).generator
+    gen = rng_stream(seed, index)
     ws = _CHUNK_WORKSPACE.workspace
     ws.reset()
     if not config.is_tomography:
@@ -416,18 +415,15 @@ def estimate(config: ModelConfig, samples: int, *,
 
     The test follows the model (``config.run_kind``): Bell for simple-bell
     and two-axis tomography configs, steering otherwise.  Chunk i draws
-    from ``RngStream(seed, i)``, so a (seed, chunk) pair fixes the result
+    from ``rng_stream(seed, i)``, so a (seed, chunk) pair fixes the result
     for any worker count.  Every (i, j) reading pair is counted, the ones
-    the test does not read too.  The metadata records the model kind, the
-    seed and the preselection weight (None outside the tomography kinds).
+    the test does not read too.
     """
     counts = _count_chunks(
         (config, (config.n_copies,), (config.q,), None, seed),
         samples, chunk, workers)
     return RunStatistics(
-        kind=config.run_kind, weights=counts[0, 0], samples=samples,
-        metadata={"preselection_weight": config.preselection_weight,
-                  "model": config.kind, "seed": seed})
+        kind=config.run_kind, weights=counts[0, 0], samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +538,7 @@ def enumerate_exact(config: ModelConfig) -> RunStatistics:
     probs = (_tomography_tables(config) if config.is_tomography
              else models.enumerate_unanimity(config))
     return RunStatistics(
-        kind=config.run_kind, weights=probs, samples=0, exact=True,
-        metadata={"preselection_weight": config.preselection_weight,
-                  "model": config.kind})
+        kind=config.run_kind, weights=probs, samples=0, exact=True)
 
 
 # ---------------------------------------------------------------------------

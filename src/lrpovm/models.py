@@ -53,8 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .sphere import BLOCK, PairSampler, Workspace, as_generator, blocks, \
-    check_unit
+from .sphere import BLOCK, PairSampler, Workspace, blocks, check_unit
 
 DEFAULT_SEED = 12345
 
@@ -62,8 +61,8 @@ KINDS = ("simple-bell", "trusted-steering", "ncopy-steering",
          "ncopy-tomography", "chaotic-ball")
 
 # Preselection weight (N+1)/2^N of the N-copy tomography construction: a
-# property of the config, copied into a run's metadata and never folded
-# into the detection efficiency.
+# property of the config, printed by ``lrpovm bell`` and never folded into
+# the detection efficiency.
 def preselection_weight(n_copies) -> float:
     if n_copies == math.inf:
         return 0.0
@@ -360,15 +359,15 @@ def _sign_into(positive, live, out) -> None:
     out *= live
 
 
-def unanimity_cell_batch(config: ModelConfig, rng, n: int, ws: Workspace
-                         ) -> np.ndarray:
+def unanimity_cell_batch(config: ModelConfig, rng: np.random.Generator,
+                         n: int, ws: Workspace) -> np.ndarray:
     """Pick-cell index of n unanimity runs, the readout's whole content.
 
     The index ((pick_a Mb + pick_b) 3 + a + 1) 3 + b + 1 numbers the cells
     of the (Ma, Mb, 3, 3) table that ``pick_tables`` reads.  It is built
     in place on the pick array; the other work arrays come from ``ws``.
     """
-    cell, a_val, b_val = _unanimity_readout(config, as_generator(rng), n, ws)
+    cell, a_val, b_val = _unanimity_readout(config, rng, n, ws)
     for rows in blocks(n):
         c = cell[rows]
         c *= 3
@@ -379,8 +378,8 @@ def unanimity_cell_batch(config: ModelConfig, rng, n: int, ws: Workspace
     return cell
 
 
-def tomography_level_batch(config: ModelConfig, rng, n: int, q_sorted,
-                           ws: Workspace, n_copies
+def tomography_level_batch(config: ModelConfig, rng: np.random.Generator,
+                           n: int, q_sorted, ws: Workspace, n_copies
                            ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Signed threshold levels of n sampled runs at several copy counts.
 
@@ -408,7 +407,7 @@ def tomography_level_batch(config: ModelConfig, rng, n: int, q_sorted,
                 else ws.take((n, mb), grid.dtype) for k in n_copies]
     proj_a = ws.take((BLOCK + 1, ma))
     proj_b = ws.take((BLOCK + 1, mb))
-    pairs = PairSampler(n_copies, as_generator(rng), n, ws)
+    pairs = PairSampler(n_copies, rng, n, ws)
     for rows in blocks(n):
         m = rows.stop - rows.start
         a = pairs.block(rows)
@@ -422,7 +421,8 @@ def tomography_level_batch(config: ModelConfig, rng, n: int, q_sorted,
     return levels_a, levels_b
 
 
-def sample_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
+def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
+                 ) -> ReadoutBatch:
     """Draw n joint readouts from the configured model.
 
     The unanimity family reads one trit at each party's picked choice and
@@ -437,8 +437,7 @@ def sample_batch(config: ModelConfig, rng, n: int) -> ReadoutBatch:
         # A shared-axis steering batch reads Alice's levels for Bob's.
         return ReadoutBatch(alice=alice,
                             bob=bob.copy() if bob is alice else bob)
-    pick, a_val, b_val = _unanimity_readout(config, as_generator(rng), n,
-                                            Workspace())
+    pick, a_val, b_val = _unanimity_readout(config, rng, n, Workspace())
     pick_a, pick_b = np.divmod(pick, len(config.bob_directions))
     return ReadoutBatch(
         alice=_scatter(n, len(config.alice_directions), pick_a, a_val),

@@ -1,6 +1,7 @@
 """Sampling, circle arcs and the Gauss-Legendre rule on the unit sphere.
 
-Correlated direction pairs for the tomography models (``sample_pair``,
+The seeded streams that every sampler draws from (``rng_stream``),
+correlated direction pairs for the tomography models (``sample_pair``,
 whose A is a uniform direction and whose N = 0 pair is two independent
 ones), the circle-arc fraction of the exact chaotic-ball tables, and the
 Gauss-Legendre rule of the pair-density normalisation check.
@@ -25,47 +26,22 @@ single-N code, so each N's pairs are bit-identical to its own run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass
-class RngStream:
-    """Reproducible random stream identified by (seed, stream index).
+def rng_stream(seed: int, *stream: int) -> np.random.Generator:
+    """A fresh generator of the reproducible stream (seed, *stream).
 
-    Equal (seed, stream) always produces the identical sample sequence.
-    Distinct stream indices give statistically independent streams, which
-    is what the parallel estimators hand to their workers.  The stream
-    index is a tuple (an int i stands for (i,)), the spawn key of numpy's
-    ``SeedSequence``, so (2, 1), (2,) and (1, 2) are distinct streams.
+    Equal arguments always give the identical sample sequence, and each
+    call starts it afresh.  Distinct stream indices give statistically
+    independent streams, which is what the parallel estimators hand to
+    their chunks.  The indices are the spawn key of numpy's
+    ``SeedSequence``, so (2, 1), (2,) and (1, 2) are distinct streams, and
+    ``rng_stream(seed)`` is ``numpy.random.default_rng(seed)``.
     """
-
-    seed: int
-    stream: tuple[int, ...] = ()
-    _gen: np.random.Generator | None = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if isinstance(self.stream, int):
-            self.stream = (self.stream,)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            seq = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=tuple(self.stream))
-            self._gen = np.random.default_rng(seq)
-        return self._gen
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept an RngStream, a numpy Generator, an int seed, or None."""
-    if isinstance(rng, RngStream):
-        return rng.generator
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=stream))
 
 
 def check_unit(v, name: str = "direction") -> np.ndarray:
@@ -270,8 +246,8 @@ class PairSampler:
         return b
 
 
-def sample_pair(n_copies: int, rng, size: int | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+def sample_pair(n_copies: int, rng: np.random.Generator,
+                size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sample correlated direction pairs (A, B) for the N-copy tomography model.
 
     A is uniform on the sphere.  The opening variable u = (1 - A.B)/2 has
@@ -290,7 +266,7 @@ def sample_pair(n_copies: int, rng, size: int | None = None
     if n_copies < 0:
         raise ValueError(f"n_copies must be >= 0, got {n_copies}")
     n = 1 if size is None else int(size)
-    pairs = PairSampler((n_copies,), as_generator(rng), n, Workspace())
+    pairs = PairSampler((n_copies,), rng, n, Workspace())
     b = np.empty((n, 3))
     for rows in blocks(n):
         b[rows] = pairs.partner(n_copies, pairs.block(rows), rows)

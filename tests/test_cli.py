@@ -166,6 +166,13 @@ class TestBellCommand:
         assert code == 0
         assert out.splitlines()[-1] == "preselection weight: 0.5"
 
+    def test_tomography_golden_output(self, capsys):
+        code, out, _ = run(capsys, "bell", "--model", "ncopy-tomography",
+                           "--n-copies", "3", "--q", "0.2",
+                           "--samples", "20000", "--seed", "3")
+        assert code == 0
+        assert out == (GOLDEN / "bell_tomography.expected").read_text()
+
 
 class TestSteerCommand:
     def test_trusted_block(self, capsys):
@@ -174,6 +181,14 @@ class TestSteerCommand:
         assert code == 0
         assert "T = " in out and "1/3" in out
         assert out == (GOLDEN / "steer_trusted.expected").read_text()
+
+    def test_tomography_golden_output(self, capsys):
+        # m_choices in the header, and no preselection line.
+        code, out, _ = run(capsys, "steer", "--model", "ncopy-tomography",
+                           "--n-copies", "2", "--q", "0.3",
+                           "--samples", "20000", "--seed", "5")
+        assert code == 0
+        assert out == (GOLDEN / "steer_tomography.expected").read_text()
 
     def test_pair_csv(self, capsys, tmp_path):
         # Every (i, j) pair of the three choices, not only the matched ones.

@@ -1,14 +1,18 @@
-"""Every lrpovm name the demos, the README and ``__all__`` use exists.
+"""Every lrpovm name the demos, the README and ``__all__`` use exists,
+and every command line the README shows parses.
 
 Nothing runs the demos in the test suite, so a renamed or deleted public
-name would otherwise break them silently.
+name or flag would otherwise break them silently.
 """
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from lrpovm import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +48,17 @@ def test_all_exports_exist():
     """``from lrpovm import *`` needs every name of ``__all__`` to exist."""
     lrpovm = importlib.import_module("lrpovm")
     assert [n for n in lrpovm.__all__ if not hasattr(lrpovm, n)] == []
+
+
+COMMAND_LINES = [line for line in (ROOT / "README.md").read_text().splitlines()
+                 if line.startswith("lrpovm ")]
+
+
+def test_readme_has_command_lines():
+    assert len(COMMAND_LINES) >= 6
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES)
+def test_readme_command_line_parses(line):
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    cli._reject_unread_flags(args)

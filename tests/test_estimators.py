@@ -17,7 +17,7 @@ from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                min_copies, sweep_curves)
 from lrpovm.models import DEFAULT_SEED, ModelConfig, sample_batch, \
     tomography_config, unanimity_cell_batch
-from lrpovm.sphere import RngStream, Workspace, sample_pair
+from lrpovm.sphere import Workspace, rng_stream, sample_pair
 
 
 class TestRunStatistics:
@@ -106,21 +106,9 @@ class TestEstimateBell:
 
 
 class TestRunMetadata:
-    def test_estimate_records_model_seed_and_weight(self):
-        stats = estimate(tomography_config("bell", 4, q=0.1), 2_000, seed=7)
-        assert list(stats.metadata.items()) == [
-            ("preselection_weight", 0.3125), ("model", "ncopy-tomography"),
-            ("seed", 7)]
-
-    def test_exact_records_model_and_weight(self):
-        stats = enumerate_exact(ModelConfig(kind="ncopy-steering", n_copies=2))
-        assert list(stats.metadata.items()) == [
-            ("preselection_weight", None), ("model", "ncopy-steering")]
-
     def test_default_seed(self):
         config = tomography_config("steering", 2, q=0.3)
         default = estimate(config, 2_000)
-        assert default.metadata["seed"] == DEFAULT_SEED
         assert np.array_equal(
             default.weights,
             estimate(config, 2_000, seed=DEFAULT_SEED).weights)
@@ -587,8 +575,7 @@ def _reference_sweep_tables(kind, n_copies, q_grid, samples, seed, chunk):
     config = tomography_config(kind, n_copies)
     sizes = [chunk] * (samples // chunk) + (
         [samples % chunk] if samples % chunk else [])
-    draws = [_reference_pairs(n_copies, RngStream(seed, index).generator,
-                              size)
+    draws = [_reference_pairs(n_copies, rng_stream(seed, index), size)
              for index, size in enumerate(sizes)]
     proj_a = np.concatenate([a for a, _ in draws]) @ config.alice_directions.T
     proj_b = np.concatenate([b for _, b in draws]) @ config.bob_directions.T
@@ -696,7 +683,7 @@ class TestEstimateCountsEveryPair:
         drawn from the same chunk streams."""
         config = tomography_config("steering", math.inf, q=0.3)
         stats = estimate(config, 50_001, seed=17, chunk=7_000)
-        batches = [sample_batch(config, RngStream(17, index).generator, size)
+        batches = [sample_batch(config, rng_stream(17, index), size)
                    for index, size in enumerate([7_000] * 7 + [1_001])]
         alice = np.concatenate([b.alice for b in batches]) + 1
         bob = np.concatenate([b.bob for b in batches]) + 1
@@ -746,10 +733,9 @@ class TestPickCountOracle:
     def test_picks_match_copywise_reference(self, name, seed):
         config = ModelConfig(**UNANIMITY_CONFIGS[name])
         for size in (1, 7, 99_999, 131_072):
-            got = unanimity_cell_batch(config, RngStream(seed, 3).generator,
+            got = unanimity_cell_batch(config, rng_stream(seed, 3),
                                        size, Workspace())
-            want = copywise_cell_batch(config, RngStream(seed, 3).generator,
-                                       size)
+            want = copywise_cell_batch(config, rng_stream(seed, 3), size)
             assert np.array_equal(got, want), size
 
     @pytest.mark.parametrize("seed", [12345, 7, 1])
@@ -760,7 +746,7 @@ class TestPickCountOracle:
             got = estimators._count_chunk(
                 (config, (config.n_copies,), (config.q,), None, seed, 3,
                  size))[0, 0]
-            batch = sample_batch(config, RngStream(seed, 3).generator, size)
+            batch = sample_batch(config, rng_stream(seed, 3), size)
             want = estimators._count_levels(batch.alice, batch.bob, 1,
                                             np.empty(size, np.intp))[0]
             assert got.dtype == want.dtype

@@ -11,7 +11,7 @@ from lrpovm.estimators import enumerate_exact, estimate
 from lrpovm.models import (LEVEL_BINS, ModelConfig, enumerate_unanimity,
                            preselection_weight, sample_batch, threshold_levels, threshold_readout,
                            tomography_config)
-from lrpovm.sphere import RngStream
+from lrpovm.sphere import rng_stream
 
 
 class TestThresholdReadout:
@@ -169,7 +169,7 @@ class TestSimpleBell:
                 assert abs(p.correlation - expected) < 3 * p.stderr
 
     def test_single_readout_shape(self):
-        r = sample_batch(ModelConfig(kind="simple-bell"), RngStream(1), 1)
+        r = sample_batch(ModelConfig(kind="simple-bell"), rng_stream(1), 1)
         assert r.alice.shape == r.bob.shape == (1, 2)
         assert np.count_nonzero(r.alice) == 1
         assert np.count_nonzero(r.bob) == 1
@@ -219,7 +219,7 @@ class TestTrustedSteering:
     def test_sample_shape(self):
         config = ModelConfig(kind="trusted-steering", m_choices=3,
                              bob_directions=quantum.STEERING_TRIPLE)
-        r = sample_batch(config, RngStream(2), 1)
+        r = sample_batch(config, rng_stream(2), 1)
         assert r.alice.shape == r.bob.shape == (1, 3)
 
 
@@ -274,7 +274,7 @@ class TestNcopySteering:
         # five copies disagree, with probability 1 - 2^(1-5).
         n = 20_000
         config = ModelConfig(kind="ncopy-steering", n_copies=5)
-        r = sample_batch(config, RngStream(3), n)
+        r = sample_batch(config, rng_stream(3), n)
         assert np.all(np.count_nonzero(r.alice, axis=1) <= 1)
         assert np.all(np.count_nonzero(r.bob, axis=1) <= 1)
         discarded = np.mean(~r.bob.any(axis=1))
@@ -328,8 +328,8 @@ class TestUnanimityEnumeration:
         pinned = ModelConfig(kind="trusted-steering", n_copies=3)
         single = ModelConfig(kind="trusted-steering")
         assert pinned.n_copies == 1
-        a = sample_batch(pinned, RngStream(8), 5_000)
-        b = sample_batch(single, RngStream(8), 5_000)
+        a = sample_batch(pinned, rng_stream(8), 5_000)
+        b = sample_batch(single, rng_stream(8), 5_000)
         assert np.array_equal(a.alice, b.alice)
         assert np.array_equal(a.bob, b.bob)
         assert np.array_equal(enumerate_exact(pinned).weights,
@@ -339,7 +339,7 @@ class TestUnanimityEnumeration:
 class TestTomography:
     def test_full_efficiency_at_zero_threshold(self):
         config = tomography_config("bell", 3, q=0.0)
-        batch = sample_batch(config, RngStream(41), 50_000)
+        batch = sample_batch(config, rng_stream(41), 50_000)
         assert np.all(batch.alice != 0)
         assert np.all(batch.bob != 0)
 
@@ -357,7 +357,7 @@ class TestTomography:
         config = ModelConfig(kind="ncopy-tomography", n_copies=n, q=0.0,
                              alice_directions=direction,
                              bob_directions=direction)
-        batch = sample_batch(config, RngStream(47), 400_000)
+        batch = sample_batch(config, rng_stream(47), 400_000)
         mc = float(np.mean(batch.alice[:, 0] * batch.bob[:, 0]))
         rho = lambda c: ((n + 1) / 2.0) * ((1 - c) / 2.0) ** n
         quad = cap_overlap_quadrature(
@@ -385,7 +385,7 @@ class TestTomography:
 
     def test_sample_helper_infinite(self):
         r = sample_batch(ModelConfig(kind="chaotic-ball", q=0.0),
-                         RngStream(5), 1)
+                         rng_stream(5), 1)
         assert r.alice.shape == (1, 2) and np.all(r.alice != 0)
 
     def test_preselection_metadata(self):
@@ -499,7 +499,7 @@ class TestChoiceConditionedCompleteness:
         assert sig.influences["alpha"] == ("a",)
         assert sig.influences["beta"] == ("b",)
         config = ModelConfig(kind="simple-bell")
-        batch = sample_batch(config, RngStream(6), 16)
+        batch = sample_batch(config, rng_stream(6), 16)
         # one conditioned trit per option of the party's own choice
         assert batch.alice.shape[1] == len(config.alice_directions)
         assert batch.bob.shape[1] == len(config.bob_directions)

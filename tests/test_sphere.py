@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lrpovm import models
-from lrpovm.sphere import (BLOCK, PairSampler, RngStream, Workspace, blocks,
+from lrpovm.sphere import (BLOCK, PairSampler, Workspace, blocks,
                            cap_overlap_quadrature, circle_arc_fraction,
-                           pair_density, sample_pair)
+                           pair_density, rng_stream, sample_pair)
 
 
 def three_sigma(var, n):
@@ -20,25 +20,25 @@ def uniform_directions(rng, size=None):
 
 class TestUniformDirection:
     def test_unit_norm(self):
-        v = uniform_directions(RngStream(1), size=5000)
+        v = uniform_directions(rng_stream(1), size=5000)
         assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
 
     def test_mean_is_zero(self):
         n = 1_000_000
-        v = uniform_directions(RngStream(2), size=n)
+        v = uniform_directions(rng_stream(2), size=n)
         # each component has variance 1/3
         tol = three_sigma(1.0 / 3.0, n)
         assert np.max(np.abs(v.mean(axis=0))) < tol
 
     def test_second_moment(self):
         n = 1_000_000
-        v = uniform_directions(RngStream(3), size=n)
+        v = uniform_directions(rng_stream(3), size=n)
         # Var(z^2) = E[z^4] - 1/9 = 1/5 - 1/9
         tol = three_sigma(1.0 / 5.0 - 1.0 / 9.0, n)
         assert np.max(np.abs((v ** 2).mean(axis=0) - 1.0 / 3.0)) < tol
 
     def test_scalar_shape(self):
-        v = uniform_directions(RngStream(4))
+        v = uniform_directions(rng_stream(4))
         assert v.shape == (3,)
 
 
@@ -47,7 +47,7 @@ class TestSamplePair:
                                                    (10, 11.0 / 12.0)])
     def test_mean_opening_variable(self, n_copies, expected):
         n = 1_000_000
-        a, b = sample_pair(n_copies, RngStream(5), size=n)
+        a, b = sample_pair(n_copies, rng_stream(5), size=n)
         u = (1.0 - np.sum(a * b, axis=1)) / 2.0
         var = (n_copies + 1) / (n_copies + 3) - expected ** 2
         assert abs(u.mean() - expected) < three_sigma(var, n)
@@ -55,7 +55,7 @@ class TestSamplePair:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_u_moments(self, m):
         n_copies, n = 4, 400_000
-        a, b = sample_pair(n_copies, RngStream(6), size=n)
+        a, b = sample_pair(n_copies, rng_stream(6), size=n)
         u = (1.0 - np.sum(a * b, axis=1)) / 2.0
         expected = (n_copies + 1) / (n_copies + 1 + m)
         second = (n_copies + 1) / (n_copies + 1 + 2 * m)
@@ -64,12 +64,12 @@ class TestSamplePair:
 
     def test_marginal_of_a_uniform(self):
         n = 400_000
-        a, _ = sample_pair(3, RngStream(7), size=n)
+        a, _ = sample_pair(3, rng_stream(7), size=n)
         assert np.max(np.abs(a.mean(axis=0))) < three_sigma(1 / 3, n)
 
     def test_zero_copies_independent(self):
         n = 400_000
-        a, b = sample_pair(0, RngStream(8), size=n)
+        a, b = sample_pair(0, rng_stream(8), size=n)
         # B uniform and independent: E[A.B] = 0, Var(A.B) = 1/3
         dot = np.sum(a * b, axis=1)
         assert abs(dot.mean()) < three_sigma(1 / 3, n)
@@ -77,17 +77,16 @@ class TestSamplePair:
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            sample_pair(-1, RngStream(9))
+            sample_pair(-1, rng_stream(9))
 
 
-def cross_sample_pair(n_copies, rng, size):
+def cross_sample_pair(n_copies, gen, size):
     """Reference sampler: the same draws, framed with ``np.cross``.
 
     A is normalised with ``np.linalg.norm``; the frame is the broadcast
     helper axis, two ``np.cross`` calls and a second norm, and B is formed
     from whole (n, 3) arrays.
     """
-    gen = rng.generator
     a = gen.standard_normal((size, 3))
     norms = np.linalg.norm(a, axis=1, keepdims=True)
     assert np.all(norms >= 1e-12)
@@ -113,16 +112,16 @@ class TestSamplePairOracle:
     @pytest.mark.parametrize("seed", [1, 12345, 2024])
     @pytest.mark.parametrize("n_copies", [0, 1, 2, 4, 7])
     def test_matches_cross_reference(self, n_copies, seed):
-        a, b = sample_pair(n_copies, RngStream(seed), size=50_001)
-        ref_a, ref_b = cross_sample_pair(n_copies, RngStream(seed), 50_001)
+        a, b = sample_pair(n_copies, rng_stream(seed), size=50_001)
+        ref_a, ref_b = cross_sample_pair(n_copies, rng_stream(seed), 50_001)
         assert np.array_equal(a, ref_a)
         assert np.array_equal(b, ref_b)
         # both helper axes are exercised
         assert 0 < np.sum(np.abs(a[:, 0]) >= 0.9) < len(a)
 
     def test_single_draw_matches(self):
-        a, b = sample_pair(3, RngStream(5))
-        ref_a, ref_b = cross_sample_pair(3, RngStream(5), 1)
+        a, b = sample_pair(3, rng_stream(5))
+        ref_a, ref_b = cross_sample_pair(3, rng_stream(5), 1)
         assert np.array_equal(a, ref_a[0]) and np.array_equal(b, ref_b[0])
 
 
@@ -263,12 +262,12 @@ class TestBlocks:
         """Blocked projections equal one whole-array product bit for bit."""
         config = models.tomography_config("bell", n_copies)
         if n_copies == math.inf:
-            a = b = uniform_directions(RngStream(21), n)
+            a = b = uniform_directions(rng_stream(21), n)
         else:
-            a, b = sample_pair(n_copies, RngStream(21), n)
+            a, b = sample_pair(n_copies, rng_stream(21), n)
         want_a = a @ config.alice_directions.T
         want_b = b @ config.bob_directions.T
-        pairs = PairSampler((n_copies,), RngStream(21).generator, n,
+        pairs = PairSampler((n_copies,), rng_stream(21), n,
                             Workspace())
         covered = 0
         for rows in blocks(n):
@@ -353,21 +352,28 @@ class TestQuadrature:
 
 class TestRngStream:
     def test_deterministic_sequences(self):
-        a = RngStream(42, 3).generator.random(100)
-        b = RngStream(42, 3).generator.random(100)
+        a = rng_stream(42, 3).random(100)
+        b = rng_stream(42, 3).random(100)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = RngStream(42, 0).generator.random(100)
-        b = RngStream(42, 1).generator.random(100)
+        a = rng_stream(42, 0).random(100)
+        b = rng_stream(42, 1).random(100)
         assert not np.array_equal(a, b)
 
     def test_tuple_streams(self):
-        draw = RngStream(7, (2, 1)).generator.random(10)
-        assert np.array_equal(draw, RngStream(7, (2, 1)).generator.random(10))
+        draw = rng_stream(7, 2, 1).random(10)
+        assert np.array_equal(draw, rng_stream(7, 2, 1).random(10))
         for other in ((2,), (1, 2)):
             assert not np.array_equal(
-                draw, RngStream(7, other).generator.random(10))
+                draw, rng_stream(7, *other).random(10))
+
+    def test_each_call_starts_afresh(self):
+        first, second = rng_stream(5, 1), rng_stream(5, 1)
+        assert first is not second
+        draw = first.random(10)
+        assert np.array_equal(draw, second.random(10))
+        assert not np.array_equal(draw, first.random(10))
 
 
 class TestArcFraction:
