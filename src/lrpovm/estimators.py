@@ -1,27 +1,32 @@
 """Monte Carlo and exact estimation of efficiency, CHSH S, and steering T.
 
 Every estimator reduces a model to a per-setting-pair table of trit
-counts, and every derived statistic is a function of that table; the
-exact paths fill the same layout with probabilities: closed-form
-enumeration for the unanimity family, a closed-form Legendre sum for
-finite-N tomography tables and two-cap lens areas at N = inf.  Each
-model family has one counting kernel.  The unanimity family is counted
-from its picks: one bincount over (pick pair, Alice trit, Bob trit)
-codes, and ``models.pick_tables`` maps the pick-pair cells to reading
-pairs, as it does for the exact enumeration.  The tomography family is
-counted from threshold levels, for sweeps and point estimates alike: each
-projection gets a signed level (``models.threshold_levels``: the number
-of thresholds below |p|, read from a 1024-bin table of the grid and exact
-by comparison with the few thresholds that share |p|'s bin), one
-bincount per counted reading pair histograms the joint levels, and 2-D
-prefix sums of it give the table of every threshold.  A sweep counts only
-the pairs its statistic reads (the matched pairs (j, j) of a steering
-run; every pair of a Bell run) and leaves the other tables zero, while a
-point estimate counts every pair, since ``lrpovm steer --out`` writes all
-of them.  There is one chunk path:
-a chunk counts a tuple of copy counts on a sorted q grid, and a point
-estimate (``estimate``) is the one-N, one-q case, whose level is the trit
-itself, read back as element [0, 0] of the (N, q) tables.
+counts, and every derived statistic is a function of that table.  There
+is one table source, ``_tables``: the (K, L, Ma, Mb, 3, 3) tables of K
+copy counts on a sorted grid of L thresholds, Monte Carlo counts when
+given ``samples`` and exact probabilities when not.  ``estimate`` (one N,
+one q, counted), ``enumerate_exact`` (one N, one q, exact) and
+``sweep_curves`` (several N on a grid, either) are reductions of them, and
+``min_copies`` searches exact ``sweep_curves`` frontiers.  The exact
+tables are closed-form enumeration for the unanimity family, a
+closed-form Legendre sum for finite-N tomography tables and two-cap lens
+areas at N = inf, for every reading pair.
+
+Each model family has one counting kernel.  The unanimity family is
+counted from its picks: one bincount over (pick pair, Alice trit, Bob
+trit) codes, and ``models.pick_tables`` maps the pick-pair cells to
+reading pairs, as it does for the exact enumeration.  The tomography
+family is counted from threshold levels, for sweeps and point estimates
+alike: each projection gets a signed level (``models.threshold_levels``:
+the number of thresholds below |p|, read from a 1024-bin table of the
+grid and exact by comparison with the few thresholds that share |p|'s
+bin), one bincount per counted reading pair histograms the joint levels,
+and 2-D prefix sums of it give the table of every threshold.  A sweep
+counts only the pairs its statistic reads (the matched pairs (j, j) of a
+steering run; every pair of a Bell run) and leaves the other tables zero,
+while a point estimate counts every pair, since ``lrpovm steer --out``
+writes all of them.  A point estimate is the one-N, one-q case, whose
+level is the trit itself, read back as element [0, 0] of the tables.
 
 A sweep over several copy counts N is one pass.  Chunk i draws from
 ``rng_stream(seed, i)`` whatever N is, and a single N draws A (normal rows
@@ -57,6 +62,7 @@ block into block-sized arrays that the allocator reuses, and copied in.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -377,58 +383,10 @@ def _forget_pool_in_child() -> None:
 os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def _count_chunks(head: tuple, samples: int, chunk: int,
-                  workers: int) -> np.ndarray:
-    """Sum the chunk tables of ``head`` = (config, copy counts, sorted q
-    grid, reading pairs, seed), all chunks in one map, in this process at
-    one worker and over the process's cached pool otherwise; a head with no
-    copy counts is checked, then counts nothing."""
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if not head[1]:
-        return []
-    full, rest = divmod(samples, chunk)
-    sizes = [chunk] * full + ([rest] if rest else [])
-    tasks = [head + (index, size) for index, size in enumerate(sizes)]
-    if workers == 1:
-        return sum(map(_count_chunk, tasks))
-    with _POOL_LOCK:
-        # A pool reused from an earlier call may have broken while idle; such
-        # a call gets one more try on a fresh pool.
-        for reused in (_POOL_WORKERS == workers, False):
-            try:
-                return sum(_pool(workers).map(_count_chunk, tasks))
-            except BrokenProcessPool:
-                _drop_pool()
-                if not reused:
-                    raise
-
-
-def estimate(config: ModelConfig, samples: int, *,
-             seed: int = models.DEFAULT_SEED, workers: int = 1,
-             chunk: int = DEFAULT_CHUNK) -> RunStatistics:
-    """Monte Carlo CHSH or steering statistics of a model.
-
-    The test follows the model (``config.run_kind``): Bell for simple-bell
-    and two-axis tomography configs, steering otherwise.  Chunk i draws
-    from ``rng_stream(seed, i)``, so a (seed, chunk) pair fixes the result
-    for any worker count.  Every (i, j) reading pair is counted, the ones
-    the test does not read too.
-    """
-    counts = _count_chunks(
-        (config, (config.n_copies,), (config.q,), None, seed),
-        samples, chunk, workers)
-    return RunStatistics(
-        kind=config.run_kind, weights=counts[0, 0], samples=samples)
-
-
 # ---------------------------------------------------------------------------
-# Exact paths: enumeration for the discrete models, a closed-form Legendre
-# sum for finite-N tomography tables, and two-cap lens areas for N = inf.
+# Exact tomography tables: a closed-form Legendre sum for finite N and
+# two-cap lens areas for N = inf (``models.enumerate_unanimity`` is the
+# unanimity family's closed form).
 # ---------------------------------------------------------------------------
 
 def _legendre_table(n: int, q: float, ct: float) -> np.ndarray:
@@ -505,8 +463,9 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
     return _lens_table(q, ct)
 
 
-def _tomography_tables(config: ModelConfig) -> np.ndarray:
-    """Exact tables of every reading pair, one per distinct |a.b|.
+def _tomography_tables(config: ModelConfig, n_copies, q: float) -> np.ndarray:
+    """Exact tables of every reading pair of ``config``'s directions at
+    (``n_copies``, ``q``), one per distinct |a.b|.
 
     A pair's table depends only on (N, q, a.b), and a pair with a.b < 0 is
     the |a.b| table with Bob's trits reversed (b -> -b), so each distinct
@@ -521,13 +480,89 @@ def _tomography_tables(config: ModelConfig) -> np.ndarray:
             ct = float(np.dot(a, b))
             if abs(ct) not in tables:
                 tables[abs(ct)] = tomography_pair_table(
-                    config.n_copies, config.q, a, -b if ct < 0 else b)
+                    n_copies, q, a, -b if ct < 0 else b)
             out[i, j] = tables[abs(ct)][:, ::-1] if ct < 0 else tables[abs(ct)]
     return out
 
 
+# ---------------------------------------------------------------------------
+# The one table source, and its one-N, one-q reductions.
+# ---------------------------------------------------------------------------
+
+def _at_least(name: str, value, minimum: int) -> int:
+    """``value`` as an int, checked >= ``minimum``; errors name ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
+            pairs=None, seed: int = models.DEFAULT_SEED, workers: int = 1,
+            chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    """The (K, L, Ma, Mb, 3, 3) tables of ``config`` at the K copy counts
+    of ``n_copies`` and the L thresholds of ``q_sorted``; a unanimity
+    config fixes N and reads no threshold, so it is the 1 x 1 case.
+
+    With ``samples``, Monte Carlo counts: every chunk in one map, in this
+    process at one worker and over the process's cached pool otherwise,
+    counting the reading pairs of ``pairs`` (every pair when None).
+    Without, exact probabilities of every pair.  The run arguments are
+    checked either way, and then no copy counts give ``[]``.
+    """
+    if samples is not None:
+        samples = _at_least("samples", samples, MIN_SAMPLES)
+    chunk = _at_least("chunk", chunk, 1)
+    workers = _at_least("workers", workers, 1)
+    if not n_copies:
+        return []
+    if samples is None:
+        if not config.is_tomography:
+            return models.enumerate_unanimity(config)[None, None]
+        return np.array([[_tomography_tables(config, n, q) for q in q_sorted]
+                         for n in n_copies])
+    full, rest = divmod(samples, chunk)
+    sizes = [chunk] * full + ([rest] if rest else [])
+    tasks = [(config, n_copies, q_sorted, pairs, seed, index, size)
+             for index, size in enumerate(sizes)]
+    if workers == 1:
+        return sum(map(_count_chunk, tasks))
+    with _POOL_LOCK:
+        # A pool reused from an earlier call may have broken while idle; such
+        # a call gets one more try on a fresh pool.
+        for reused in (_POOL_WORKERS == workers, False):
+            try:
+                return sum(_pool(workers).map(_count_chunk, tasks))
+            except BrokenProcessPool:
+                _drop_pool()
+                if not reused:
+                    raise
+
+
+def estimate(config: ModelConfig, samples: int, *,
+             seed: int = models.DEFAULT_SEED, workers: int = 1,
+             chunk: int = DEFAULT_CHUNK) -> RunStatistics:
+    """Monte Carlo CHSH or steering statistics of a model.
+
+    The test follows the model (``config.run_kind``): Bell for simple-bell
+    and two-axis tomography configs, steering otherwise.  Chunk i draws
+    from ``rng_stream(seed, i)``, so a (seed, chunk) pair fixes the result
+    for any worker count.  Every (i, j) reading pair is counted, the ones
+    the test does not read too.  ``enumerate_exact`` is the exact twin.
+    """
+    samples = _at_least("samples", samples, MIN_SAMPLES)
+    counts = _tables(config, (config.n_copies,), (config.q,), samples,
+                     seed=seed, workers=workers, chunk=chunk)
+    return RunStatistics(
+        kind=config.run_kind, weights=counts[0, 0], samples=samples)
+
+
 def enumerate_exact(config: ModelConfig) -> RunStatistics:
-    """Exact statistics with no Monte Carlo error.
+    """Exact statistics with no Monte Carlo error: the one-N, one-q case
+    of the exact tables, the twin of ``estimate``.
 
     The unanimity family (simple-bell, trusted-steering, and
     ncopy-steering at any N) is enumerated in closed form.  Tomography
@@ -535,8 +570,7 @@ def enumerate_exact(config: ModelConfig) -> RunStatistics:
     areas for N = inf, both exact to rounding away from degenerate
     geometry (see ``tomography_pair_table``).
     """
-    probs = (_tomography_tables(config) if config.is_tomography
-             else models.enumerate_unanimity(config))
+    probs = _tables(config, (config.n_copies,), (config.q,))[0, 0]
     return RunStatistics(
         kind=config.run_kind, weights=probs, samples=0, exact=True)
 
@@ -561,17 +595,6 @@ class CurvePoint:
             raise ValueError(f"eta outside [0, 1]: {self.eta}")
 
 
-def _q_grid(q_grid) -> np.ndarray:
-    """``q_grid`` (the default when None), checked: 1-D, non-empty, [0, 1)."""
-    q_grid = default_q_grid() if q_grid is None else np.asarray(q_grid, float)
-    if q_grid.ndim != 1 or q_grid.size == 0:
-        raise ValueError(f"q_grid must be a non-empty 1-D sequence, got "
-                         f"shape {q_grid.shape}")
-    if not np.all((q_grid >= 0) & (q_grid < 1)):
-        raise ValueError("q_grid must lie in [0, 1) with no NaN")
-    return q_grid
-
-
 def _curve_point(n, q: float, stats: RunStatistics) -> CurvePoint:
     """The (N, q) point of ``stats``; NaN value and stderr if degenerate."""
     value, stderr, degenerate = stats.value()
@@ -582,38 +605,48 @@ def _curve_point(n, q: float, stats: RunStatistics) -> CurvePoint:
 
 
 def sweep_curves(kind: str, n_copies, q_grid=None,
-                 samples: int = DEFAULT_SWEEP_SAMPLES, *,
+                 samples: int | None = DEFAULT_SWEEP_SAMPLES, *,
                  seed: int = models.DEFAULT_SEED, workers: int = 1,
                  chunk: int = DEFAULT_CHUNK
                  ) -> dict[float, list[CurvePoint]]:
     """Sweep the dead-zone threshold for several copy counts.
 
-    Keys are the ``n_copies`` values, in order.  All thresholds and all
-    copy counts are evaluated in one pass over one chunk schedule, in one
-    map over at most one process pool; each curve is bit-identical to a
-    sweep of its N alone (see the module docstring).  Only the reading
-    pairs the statistic reads are counted: the matched pairs of a
-    steering sweep, every pair of a Bell sweep.  Shared draws make
-    the efficiency exactly non-increasing along the grid and keep reruns
-    byte-for-byte reproducible.  Degenerate points (no coincidences in
-    some setting pair) carry NaN value and stderr.
+    Keys are the ``n_copies`` values, in order; ``q_grid`` is the default
+    grid when None.  With ``samples`` the curves are Monte Carlo: all
+    thresholds and all copy counts are evaluated in one pass over one
+    chunk schedule, in one map over at most one process pool; each curve
+    is bit-identical to a sweep of its N alone (see the module
+    docstring).  Only the reading pairs the statistic reads are counted:
+    the matched pairs of a steering sweep, every pair of a Bell sweep.
+    Shared draws make the efficiency exactly non-increasing along the grid
+    and keep reruns byte-for-byte reproducible.  With ``samples=None``
+    the curves are exact (``samples`` 0, stderr 0) and nothing is drawn;
+    each point equals that of ``enumerate_exact`` at its (N, q).
+    Degenerate points (no coincidences in some setting pair) carry NaN
+    value and stderr.
     """
     # Every copy count has the same direction sets, so one config serves
     # them all; it also checks ``kind``.
     config = tomography_config(kind)
-    q_grid = _q_grid(q_grid)
+    q_grid = default_q_grid() if q_grid is None else np.asarray(q_grid, float)
+    if q_grid.ndim != 1 or q_grid.size == 0:
+        raise ValueError(f"q_grid must be a non-empty 1-D sequence, got "
+                         f"shape {q_grid.shape}")
+    if not np.all((q_grid >= 0) & (q_grid < 1)):
+        raise ValueError("q_grid must lie in [0, 1) with no NaN")
     n_copies = list(dict.fromkeys(n_copies))
     configs = [tomography_config(kind, n) for n in n_copies]
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)
     pairs = _reading_pairs(kind, len(config.alice_directions),
                            len(config.bob_directions))
-    counts = _count_chunks(
-        (config, tuple(c.n_copies for c in configs), q_sorted, pairs, seed),
-        samples, chunk, workers)
+    tables = _tables(config, tuple(c.n_copies for c in configs), q_sorted,
+                     samples, pairs=pairs, seed=seed, workers=workers,
+                     chunk=chunk)
     return {n: [_curve_point(n, q, RunStatistics(
-                    kind=kind, weights=tables[k], samples=samples))
+                    kind=kind, weights=per_n[k], samples=samples or 0,
+                    exact=samples is None))
                 for q, k in zip(q_grid, sorted_index)]
-            for n, tables in zip(n_copies, counts)}
+            for n, per_n in zip(n_copies, tables)}
 
 
 def frontier_value(points: list[CurvePoint], eta: float) -> float | None:
@@ -640,17 +673,16 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
     """Smallest copy count whose frontier dominates an observation.
 
     The frontiers are the given ``curves`` (keyed by N; N = inf and N >
-    n_max are ignored), or else exact: ``enumerate_exact`` of the
-    tomography model at N = 1, 2, ... on ``q_grid`` (default grid when
-    None), with nothing drawn, each N built only once the smaller ones
-    fall short.  An observation at or below the ideal
-    local-realistic bound returns 1; None when no curve with up to n_max
-    copies reaches the observed value at the observed efficiency.
+    n_max are ignored), or else the exact curves of
+    ``sweep_curves(kind, [N], q_grid, samples=None)`` at N = 1, 2, ...,
+    with nothing drawn, each N built only once the smaller ones fall
+    short.  An observation at or below the ideal local-realistic bound
+    returns 1; None when no curve with up to n_max copies reaches the
+    observed value at the observed efficiency.
     """
     if kind not in LR_BOUND:
         raise ValueError(f"kind must be 'bell' or 'steering': {kind!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _at_least("n_max", n_max, 1)
     if not math.isfinite(observed_value):
         raise ValueError("observed_value must be finite")
     if not 0.0 < observed_eta <= 1.0:
@@ -658,9 +690,7 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
     if observed_value <= LR_BOUND[kind]:
         return 1
     if curves is None:
-        q_grid = _q_grid(q_grid)
-        found = ((n, [_curve_point(n, q, enumerate_exact(
-                     tomography_config(kind, n, q))) for q in q_grid])
+        found = ((n, sweep_curves(kind, [n], q_grid, None)[n])
                  for n in range(1, n_max + 1))
     else:
         found = ((n, curves[n]) for n in sorted(curves)

@@ -112,6 +112,11 @@ class ModelConfig:
             if self.m_choices < 2:
                 raise ValueError("m_choices must be at least 2 for steering")
             if self.bob_directions is None:
+                if self.m_choices > len(quantum.STEERING_TRIPLE):
+                    raise ValueError(
+                        f"m_choices must be at most "
+                        f"{len(quantum.STEERING_TRIPLE)} with the default "
+                        f"directions, got {self.m_choices}")
                 self.bob_directions = quantum.STEERING_TRIPLE[:self.m_choices]
             if self.alice_directions is None:
                 self.alice_directions = -np.asarray(self.bob_directions)

@@ -41,7 +41,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("argv,flag", [
         (("--model", "ncopy-steering", "--n-copies", "inf"), "--n-copies"),
-        (("--m-choices", "1"), "--m-choices")])
+        (("--m-choices", "1"), "--m-choices"),
+        # The default directions are the orthogonal triple.
+        (("--m-choices", "4"), "--m-choices must be at most 3")])
     def test_bad_model_flag_named(self, capsys, argv, flag):
         code, _, err = run(capsys, "steer", *argv, "--samples", "1000")
         assert code == 1
@@ -279,6 +281,19 @@ class TestCurvesCommand:
         assert code == 1
         assert err.startswith(f"error: {flag}: cannot write {link}: ")
         assert err.count(str(link)) == 1
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_golden_csv(self, capsys, tmp_path, kind, workers):
+        """The one-pass sweep of three copy counts, byte for byte."""
+        out = tmp_path / "g.csv"
+        code, _, _ = run(capsys, "curves", "--kind", kind,
+                         "--n-copies", "1,2,inf", "--samples", "20000",
+                         "--seed", "99", "--workers", workers,
+                         "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == \
+            (GOLDEN / f"curves_{kind}.expected").read_bytes()
 
     def test_round_trip(self, capsys, tmp_path):
         out = tmp_path / "r.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -69,17 +70,22 @@ class TestRunStatistics:
 
 class TestEstimateBell:
     def test_minimum_samples(self):
-        with pytest.raises(ValueError):
-            estimate(ModelConfig(kind="simple-bell"), 100)
+        # A float or None is named too; enumerate_exact is the exact twin.
+        for samples, error in ((100, ValueError), (1e5, TypeError),
+                               (None, TypeError)):
+            with pytest.raises(error, match="samples"):
+                estimate(ModelConfig(kind="simple-bell"), samples)
 
-    @pytest.mark.parametrize("chunk", [0, -5])
+    @pytest.mark.parametrize("chunk", [0, -5, 1e4])
     def test_bad_chunk_rejected(self, chunk):
-        with pytest.raises(ValueError, match="chunk"):
+        with pytest.raises(TypeError if isinstance(chunk, float)
+                           else ValueError, match="chunk"):
             estimate(ModelConfig(kind="simple-bell"), 20_000, chunk=chunk)
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 2.0])
     def test_bad_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(TypeError if isinstance(workers, float)
+                           else ValueError, match="workers"):
             estimate(ModelConfig(kind="simple-bell"), 20_000,
                      workers=workers)
 
@@ -937,23 +943,56 @@ class TestSweepCurve:
         with pytest.raises(ValueError, match="q_grid"):
             sweep_curves("bell", [1], [], 20_000)
 
-    @pytest.mark.parametrize("chunk", [0, -5])
+    @pytest.mark.parametrize("chunk", [0, -5, 1e4])
     def test_bad_chunk_rejected(self, chunk):
-        with pytest.raises(ValueError, match="chunk"):
+        with pytest.raises(TypeError if isinstance(chunk, float)
+                           else ValueError, match="chunk"):
             sweep_curves("bell", [1], [0.0, 0.3], 20_000, chunk=chunk)
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 2.0])
     def test_bad_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(TypeError if isinstance(workers, float)
+                           else ValueError, match="workers"):
             sweep_curves("bell", [1], [0.0, 0.3], 20_000, workers=workers)
 
     @pytest.mark.parametrize("arg", ["samples", "chunk", "workers"])
     def test_empty_copy_counts_checked(self, arg):
-        # The run arguments are checked before an empty sweep returns {}.
+        # The run arguments are checked before an empty sweep returns {},
+        # a float is named too, and an exact sweep checks chunk and workers.
         good = {"samples": 20_000, "chunk": 1_000, "workers": 1}
         assert sweep_curves("bell", [], **good) == {}
         with pytest.raises(ValueError, match=arg):
             sweep_curves("bell", [], **{**good, arg: 0})
+        with pytest.raises(TypeError, match=arg):
+            sweep_curves("bell", [1], [0.0, 0.3],
+                         **{**good, arg: float(good[arg])})
+        if arg != "samples":
+            with pytest.raises(ValueError, match=arg):
+                sweep_curves("bell", [], **{**good, "samples": None, arg: 0})
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    def test_exact_sweep_is_enumerate_exact(self, monkeypatch, kind):
+        # samples=None draws nothing, and every point is that of
+        # enumerate_exact at its (N, q), bit for bit (NaN included).
+        def no_draw(task):
+            raise AssertionError("an exact sweep drew Monte Carlo samples")
+        monkeypatch.setattr(estimators, "_count_chunk", no_draw)
+
+        def as_bytes(points):
+            return np.array([dataclasses.astuple(p) for p in points],
+                            dtype=float).tobytes()
+        ns, grid = [1, 2, 10, math.inf], default_q_grid()
+        curves = sweep_curves(kind, ns, grid, None)
+        assert list(curves) == ns
+        for n in ns:
+            assert as_bytes(curves[n]) == as_bytes(
+                [estimators._curve_point(n, q, enumerate_exact(
+                    tomography_config(kind, n, q))) for q in grid])
+        with pytest.raises(ValueError, match="samples"):
+            sweep_curves(kind, ns, grid, 0)
+        assert sweep_curves(kind, [], samples=None) == {}
+        with pytest.raises(ValueError, match="q_grid"):
+            sweep_curves(kind, [], [math.nan], samples=None)
 
     def test_no_alice_detection_point_is_nan_without_warning(self):
         # Just below q = 1 no reading pair has an Alice detection.
@@ -1029,8 +1068,9 @@ class TestMinCopies:
         # Checked before the early return below the bound, too.
         with pytest.raises(ValueError, match="kind"):
             min_copies(0.30, 0.50, "foo", 5, curves={})
-        for n_max in (0, -3):
-            with pytest.raises(ValueError, match="n_max"):
+        for n_max, error in ((0, ValueError), (-3, ValueError),
+                             (3.5, TypeError)):
+            with pytest.raises(error, match="n_max"):
                 min_copies(0.30, 0.50, "steering", n_max, curves={})
 
     @pytest.mark.parametrize("kind,value,eta,expected", [
@@ -1038,21 +1078,25 @@ class TestMinCopies:
         ("steering", 0.50, 0.45, 4), ("bell", 2.5, 0.6, 4),
         ("bell", 2.2, 0.8, 6), ("bell", 2.9, 0.5, 4), ("bell", 3.0, 0.4, 3)])
     def test_exact_default(self, monkeypatch, kind, value, eta, expected):
-        # Without curves the frontiers are exact: nothing is drawn.
-        def no_draw(*args):
+        # Without curves the frontiers are exact: nothing is drawn.  Exact
+        # curves passed in give the same answers.
+        def no_draw(task):
             raise AssertionError("min_copies drew Monte Carlo samples")
-        monkeypatch.setattr(estimators, "_count_chunks", no_draw)
+        monkeypatch.setattr(estimators, "_count_chunk", no_draw)
         assert min_copies(value, eta, kind, 10) == expected
+        curves = sweep_curves(kind, range(1, 11), samples=None)
+        assert min_copies(value, eta, kind, 10, curves=curves) == expected
 
     def test_exact_search_stops_at_answer(self, monkeypatch):
         # Each N's curve is built only once the smaller N fall short, so a
         # large n_max costs nothing past the answer.
         calls = []
+        tables = estimators._tomography_tables
 
-        def counted(config):
-            calls.append(config.n_copies)
-            return enumerate_exact(config)
-        monkeypatch.setattr(estimators, "enumerate_exact", counted)
+        def counted(config, n_copies, q):
+            calls.append(n_copies)
+            return tables(config, n_copies, q)
+        monkeypatch.setattr(estimators, "_tomography_tables", counted)
         assert min_copies(0.34, 0.85, "steering", 40) == 4
         assert sorted(set(calls)) == [1, 2, 3, 4]
         assert len(calls) == 4 * len(default_q_grid())

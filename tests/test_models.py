@@ -133,6 +133,13 @@ class TestModelConfig:
     def test_run_kind(self, config, run_kind):
         assert config.run_kind == run_kind
 
+    @pytest.mark.parametrize("kind", ["trusted-steering", "ncopy-steering"])
+    def test_default_directions_cap_m_choices(self, kind):
+        # The default directions are the orthogonal triple.
+        with pytest.raises(ValueError, match="m_choices must be at most 3 "
+                           "with the default directions, got 4"):
+            ModelConfig(kind=kind, m_choices=4)
+
     def test_tomography_steering_counts_must_match(self):
         # Three Alice directions make a steering run, which reads matched
         # pairs; the mismatch fails before anything is drawn.
