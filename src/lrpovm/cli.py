@@ -131,10 +131,11 @@ def _reject_unread_flags(args) -> None:
             raise CliError(f"{flag} is not read by --model {args.model}")
 
 
-def _add_run_flags(p, samples_default=1_000_000):
-    p.add_argument("--samples", default=samples_default,
+def _add_run_flags(p):
+    p.add_argument("--samples", default=estimators.DEFAULT_SAMPLES,
                    type=_integer("--samples", estimators.MIN_SAMPLES),
-                   help=f"Monte Carlo draws (default {samples_default})")
+                   help=f"Monte Carlo draws "
+                        f"(default {estimators.DEFAULT_SAMPLES})")
     p.add_argument("--seed", type=_integer("--seed", 0), default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--workers", type=_integer("--workers"), default=1,
@@ -330,11 +331,15 @@ def _cmd_curves(args) -> int:
 
 def _cmd_causality(args) -> int:
     path = Path(args.scenario)
-    if not path.exists():
-        raise CliError(f"scenario file not found: {path}")
     try:
         scenario = causality.parse_scenario(path.read_text(encoding="utf-8"))
         sig = causality.readout_signature(scenario)
+    except FileNotFoundError:
+        raise CliError(f"scenario file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        # Before ValueError, which UnicodeDecodeError subclasses.
+        raise CliError(f"cannot read scenario file {path}: "
+                       f"{getattr(exc, 'strerror', None) or exc}")
     except ValueError as exc:
         raise CliError(str(exc))
     print(causality.format_signature(sig))

@@ -37,27 +37,28 @@ adds per N only Bob's directions, levels and counts, with every
 elementwise operation in its single-N order.  Each N's tables are
 therefore bit-identical to a sweep of that N alone.
 
-Parallelism is a map over fixed-size sample chunks, one independent
-stream per chunk, merged by integer addition; results are identical for
-any worker count at a fixed (seed, chunk schedule).  A process keeps one
-pool: the first call with ``workers > 1`` builds it and later calls reuse
-it, so its workers stay warm (forked, heap faulted in) across calls, and
-stay alive, with their memory, until the process exits.  Calls from
-several threads share it one call at a time.  A call with another worker
-count, after a breakage (a call whose reused pool broke retries once on
-a fresh one) or in a forked child builds a new one; a child never shuts
-down its parent's pool, and ``concurrent.futures`` joins the pool at
-interpreter exit.  A one-shot ``lrpovm`` command makes one call, so it
-gains nothing.  A chunk
-allocates almost nothing: each thread (so each pool worker) keeps one
-``sphere.Workspace`` that every chunk of every model config reuses.  The chunk's draws go straight
-into it, and its projections, levels, trits and codes are computed in
-cache-sized blocks of its buffers, in one explicit block loop with the
-copy counts inside, so a sweep needs one extra level array per copy
-count.  The workspace grows to the largest chunk seen, so it holds the
-largest single config's need, not their sum.  ``Generator.integers``
-has no ``out=``, so the picks and the copies' signs are drawn block by
-block into block-sized arrays that the allocator reuses, and copied in.
+Parallelism is a map over sample chunks of ``DEFAULT_CHUNK`` samples
+(the last one shorter), one independent stream per chunk, merged by
+integer addition, so a Monte Carlo result is fixed by (model, samples,
+seed) and ``workers`` never changes it.  A process keeps one pool: the
+first call with ``workers > 1`` builds it and later calls reuse it, so
+its workers stay warm (forked, heap faulted in) across calls, and stay
+alive, with their memory, until the process exits.  Calls from several
+threads share it one call at a time.  A call with another worker count,
+after a breakage (a call whose reused pool broke retries once on a fresh
+one) or in a forked child builds a new one; a child never shuts down its
+parent's pool, and ``concurrent.futures`` joins the pool at interpreter
+exit.  A one-shot ``lrpovm`` command makes one call, so it gains
+nothing.  A chunk allocates almost nothing: each thread (so each pool
+worker) keeps one ``sphere.Workspace`` that every chunk of every model
+config reuses.  The chunk's draws go straight into it, and its
+projections, levels, trits and codes are computed in cache-sized blocks
+of its buffers, in one explicit block loop with the copy counts inside,
+so a sweep needs one extra level array per copy count.  The workspace
+grows to the largest chunk seen, so it holds the largest single config's
+need, not their sum.  ``Generator.integers`` has no ``out=``, so the
+picks and the copies' signs are drawn block by block into block-sized
+arrays that the allocator reuses, and copied in.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ from .models import ModelConfig, tomography_config
 from .sphere import Workspace, circle_arc_fraction, rng_stream
 
 DEFAULT_CHUNK = 1 << 17
-DEFAULT_SWEEP_SAMPLES = 1_000_000
+DEFAULT_SAMPLES = 1_000_000
 MIN_SAMPLES = 1_000
 
 LR_BOUND = {"bell": 2.0, "steering": 1.0 / 3.0}
@@ -501,21 +502,21 @@ def _at_least(name: str, value, minimum: int) -> int:
 
 
 def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
-            pairs=None, seed: int = models.DEFAULT_SEED, workers: int = 1,
-            chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+            pairs=None, seed: int = models.DEFAULT_SEED,
+            workers: int = 1) -> np.ndarray:
     """The (K, L, Ma, Mb, 3, 3) tables of ``config`` at the K copy counts
     of ``n_copies`` and the L thresholds of ``q_sorted``; a unanimity
     config fixes N and reads no threshold, so it is the 1 x 1 case.
 
-    With ``samples``, Monte Carlo counts: every chunk in one map, in this
-    process at one worker and over the process's cached pool otherwise,
-    counting the reading pairs of ``pairs`` (every pair when None).
+    With ``samples``, Monte Carlo counts: ``samples`` split into chunks of
+    ``DEFAULT_CHUNK``, every chunk in one map, in this process at one
+    worker and over the process's cached pool otherwise, counting the
+    reading pairs of ``pairs`` (every pair when None).
     Without, exact probabilities of every pair.  The run arguments are
     checked either way, and then no copy counts give ``[]``.
     """
     if samples is not None:
         samples = _at_least("samples", samples, MIN_SAMPLES)
-    chunk = _at_least("chunk", chunk, 1)
     workers = _at_least("workers", workers, 1)
     if not n_copies:
         return []
@@ -524,8 +525,8 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
             return models.enumerate_unanimity(config)[None, None]
         return np.array([[_tomography_tables(config, n, q) for q in q_sorted]
                          for n in n_copies])
-    full, rest = divmod(samples, chunk)
-    sizes = [chunk] * full + ([rest] if rest else [])
+    full, rest = divmod(samples, DEFAULT_CHUNK)
+    sizes = [DEFAULT_CHUNK] * full + ([rest] if rest else [])
     tasks = [(config, n_copies, q_sorted, pairs, seed, index, size)
              for index, size in enumerate(sizes)]
     if workers == 1:
@@ -543,19 +544,20 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
 
 
 def estimate(config: ModelConfig, samples: int, *,
-             seed: int = models.DEFAULT_SEED, workers: int = 1,
-             chunk: int = DEFAULT_CHUNK) -> RunStatistics:
+             seed: int = models.DEFAULT_SEED,
+             workers: int = 1) -> RunStatistics:
     """Monte Carlo CHSH or steering statistics of a model.
 
     The test follows the model (``config.run_kind``): Bell for simple-bell
     and two-axis tomography configs, steering otherwise.  Chunk i draws
-    from ``rng_stream(seed, i)``, so a (seed, chunk) pair fixes the result
-    for any worker count.  Every (i, j) reading pair is counted, the ones
-    the test does not read too.  ``enumerate_exact`` is the exact twin.
+    from ``rng_stream(seed, i)``, so (config, samples, seed) fixes the
+    result, whatever ``workers`` is.  Every (i, j) reading pair is counted,
+    the ones the test does not read too.  ``enumerate_exact`` is the exact
+    twin.
     """
     samples = _at_least("samples", samples, MIN_SAMPLES)
     counts = _tables(config, (config.n_copies,), (config.q,), samples,
-                     seed=seed, workers=workers, chunk=chunk)
+                     seed=seed, workers=workers)
     return RunStatistics(
         kind=config.run_kind, weights=counts[0, 0], samples=samples)
 
@@ -605,21 +607,21 @@ def _curve_point(n, q: float, stats: RunStatistics) -> CurvePoint:
 
 
 def sweep_curves(kind: str, n_copies, q_grid=None,
-                 samples: int | None = DEFAULT_SWEEP_SAMPLES, *,
-                 seed: int = models.DEFAULT_SEED, workers: int = 1,
-                 chunk: int = DEFAULT_CHUNK
+                 samples: int | None = DEFAULT_SAMPLES, *,
+                 seed: int = models.DEFAULT_SEED, workers: int = 1
                  ) -> dict[float, list[CurvePoint]]:
     """Sweep the dead-zone threshold for several copy counts.
 
     Keys are the ``n_copies`` values, in order; ``q_grid`` is the default
     grid when None.  With ``samples`` the curves are Monte Carlo: all
-    thresholds and all copy counts are evaluated in one pass over one
-    chunk schedule, in one map over at most one process pool; each curve
+    thresholds and all copy counts are evaluated in one pass over the
+    samples' chunks, in one map over at most one process pool; each curve
     is bit-identical to a sweep of its N alone (see the module
     docstring).  Only the reading pairs the statistic reads are counted:
     the matched pairs of a steering sweep, every pair of a Bell sweep.
-    Shared draws make the efficiency exactly non-increasing along the grid
-    and keep reruns byte-for-byte reproducible.  With ``samples=None``
+    Shared draws make the efficiency exactly non-increasing along the grid,
+    and (kind, n_copies, q_grid, samples, seed) fix the curves byte for
+    byte, whatever ``workers`` is.  With ``samples=None``
     the curves are exact (``samples`` 0, stderr 0) and nothing is drawn;
     each point equals that of ``enumerate_exact`` at its (N, q).
     Degenerate points (no coincidences in some setting pair) carry NaN
@@ -640,8 +642,7 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     pairs = _reading_pairs(kind, len(config.alice_directions),
                            len(config.bob_directions))
     tables = _tables(config, tuple(c.n_copies for c in configs), q_sorted,
-                     samples, pairs=pairs, seed=seed, workers=workers,
-                     chunk=chunk)
+                     samples, pairs=pairs, seed=seed, workers=workers)
     return {n: [_curve_point(n, q, RunStatistics(
                     kind=kind, weights=per_n[k], samples=samples or 0,
                     exact=samples is None))
@@ -656,6 +657,8 @@ def frontier_value(points: list[CurvePoint], eta: float) -> float | None:
     maximum over the qualifying part of the curve, so non-monotone curves
     are handled conservatively.  None when the curve never reaches eta.
     """
+    if math.isnan(eta):
+        raise ValueError("eta must be a number, got nan")
     pts = sorted((p.eta, p.value) for p in points
                  if not math.isnan(p.value) and not math.isnan(p.eta))
     if not pts or pts[-1][0] < eta:

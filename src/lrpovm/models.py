@@ -97,18 +97,13 @@ class ModelConfig:
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
         if self.n_copies != math.inf:
-            if self.n_copies < 1 or int(self.n_copies) != self.n_copies:
+            if not self.n_copies >= 1 or int(self.n_copies) != self.n_copies:
                 raise ValueError(f"n_copies must be a positive integer or "
                                  f"inf, got {self.n_copies}")
             self.n_copies = int(self.n_copies)
         elif self.kind == "ncopy-steering":
             raise ValueError("n_copies must be finite for ncopy-steering")
-        if self.kind == "simple-bell":
-            if self.alice_directions is None:
-                self.alice_directions = quantum.CHSH_ALICE
-            if self.bob_directions is None:
-                self.bob_directions = quantum.CHSH_BOB
-        elif self.kind in ("trusted-steering", "ncopy-steering"):
+        if self.kind in ("trusted-steering", "ncopy-steering"):
             if self.m_choices < 2:
                 raise ValueError("m_choices must be at least 2 for steering")
             if self.bob_directions is None:
@@ -120,7 +115,7 @@ class ModelConfig:
                 self.bob_directions = quantum.STEERING_TRIPLE[:self.m_choices]
             if self.alice_directions is None:
                 self.alice_directions = -np.asarray(self.bob_directions)
-        elif self.kind in ("ncopy-tomography", "chaotic-ball"):
+        else:  # simple-bell and tomography default to the CHSH settings
             if self.alice_directions is None:
                 self.alice_directions = quantum.CHSH_ALICE
             if self.bob_directions is None:

@@ -286,19 +286,18 @@ def trusted_steering_kraus(m_choices: int, alice_dirs, bob_dirs
     return terms
 
 
-def trusted_reduction_deviation(m_choices: int = 3,
-                                alice_dirs=None, bob_dirs=None) -> float:
+def trusted_reduction_deviation(m_choices: int = 3) -> float:
     """Max deviation of the marginalized joint POVM from the trusted product.
 
-    Sums K^dag K over every readout variable except (a_1, b_1) and compares
-    against (K^dag K)_A(a_1) x (K^dag K)_B(b_1), where the single-party
-    elements carry the pick weights: (1/M) P(+-a_1) for a_1 = +-1 and
-    (1 - 1/M) I for the retained zero / unregistered outcome.
+    The directions are the defaults: Bob's first M axes of the orthogonal
+    triple, Alice's their antipodes.  Sums K^dag K over every readout
+    variable except (a_1, b_1) and compares against
+    (K^dag K)_A(a_1) x (K^dag K)_B(b_1), where the single-party elements
+    carry the pick weights: (1/M) P(+-a_1) for a_1 = +-1 and (1 - 1/M) I
+    for the retained zero / unregistered outcome.
     """
-    if bob_dirs is None:
-        bob_dirs = STEERING_TRIPLE[:m_choices]
-    if alice_dirs is None:
-        alice_dirs = -np.asarray(bob_dirs)
+    bob_dirs = STEERING_TRIPLE[:m_choices]
+    alice_dirs = -bob_dirs
     m = int(m_choices)
     terms = trusted_steering_kraus(m, alice_dirs, bob_dirs)
 

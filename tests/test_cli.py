@@ -125,6 +125,16 @@ class TestCausalityCommand:
         assert code == 1
         assert "line 1" in err
 
+    def test_unreadable_scenario_named(self, capsys, tmp_path):
+        # A directory or a file that is not UTF-8 fails with exit 1 and a
+        # message naming the path, not a traceback or a bare codec error.
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe choice a 0 0 0\n")
+        for path in (tmp_path, binary):
+            code, out, err = run(capsys, "causality", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: cannot read scenario file {path}")
+
 
 class TestBellCommand:
     def test_simple_bell_block(self, capsys):

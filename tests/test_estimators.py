@@ -76,12 +76,6 @@ class TestEstimateBell:
             with pytest.raises(error, match="samples"):
                 estimate(ModelConfig(kind="simple-bell"), samples)
 
-    @pytest.mark.parametrize("chunk", [0, -5, 1e4])
-    def test_bad_chunk_rejected(self, chunk):
-        with pytest.raises(TypeError if isinstance(chunk, float)
-                           else ValueError, match="chunk"):
-            estimate(ModelConfig(kind="simple-bell"), 20_000, chunk=chunk)
-
     @pytest.mark.parametrize("workers", [0, -2, 2.0])
     def test_bad_workers_rejected(self, workers):
         with pytest.raises(TypeError if isinstance(workers, float)
@@ -415,6 +409,16 @@ class TestChaoticBallTables:
             assert np.max(np.abs(t - ref)) <= 1e-8, (q, ct)
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 7 000 samples, so that 50 001 samples make seven chunks
+    and an uneven 1 001-sample tail; calling it sets another size."""
+    def resize(size):
+        monkeypatch.setattr(estimators, "DEFAULT_CHUNK", size)
+    resize(7_000)
+    return resize
+
+
 class TestParallelDeterminism:
     def test_worker_count_invariance(self):
         config = ModelConfig(kind="simple-bell")
@@ -427,18 +431,17 @@ class TestParallelDeterminism:
         b = sweep_curves("bell", [2], [0.0, 0.3], 20_000, seed=13, workers=2)
         assert a == b
 
-    def test_uneven_tail_estimate(self):
+    def test_uneven_tail_estimate(self, small_chunks):
         config = tomography_config("steering", 3, q=0.2)
-        one = estimate(config, 50_001, seed=41, workers=1, chunk=7_000)
-        two = estimate(config, 50_001, seed=41, workers=2, chunk=7_000)
+        one = estimate(config, 50_001, seed=41, workers=1)
+        two = estimate(config, 50_001, seed=41, workers=2)
         assert np.array_equal(one.weights, two.weights)
         assert np.all(one.weights.sum(axis=(2, 3)) == 50_001)
 
-    def test_uneven_tail_sweep(self):
-        a = sweep_curves("bell", [2], [0.6, 0.0, 0.3], 50_001, seed=43,
-                         chunk=7_000)
+    def test_uneven_tail_sweep(self, small_chunks):
+        a = sweep_curves("bell", [2], [0.6, 0.0, 0.3], 50_001, seed=43)
         b = sweep_curves("bell", [2], [0.6, 0.0, 0.3], 50_001, seed=43,
-                         workers=2, chunk=7_000)
+                         workers=2)
         assert a == b
 
 
@@ -463,6 +466,7 @@ def pools(monkeypatch):
         pool.shutdown()
 
 
+@pytest.mark.usefixtures("small_chunks")
 class TestProcessPool:
     """One pool per process, reused across calls; outputs never depend on
     which pool, or whether a pool, counted them."""
@@ -470,8 +474,8 @@ class TestProcessPool:
     CONFIG = tomography_config("steering", 3, q=0.2)
 
     def _tables(self, workers):
-        return estimate(self.CONFIG, 50_001, seed=47, workers=workers,
-                        chunk=7_000).weights
+        return estimate(self.CONFIG, 50_001, seed=47,
+                        workers=workers).weights
 
     def test_reused_across_calls(self, pools):
         serial = self._tables(1)
@@ -626,8 +630,8 @@ class TestSweepKernelOracle:
     @pytest.mark.parametrize("seed", [12345, 7, 1])
     @pytest.mark.parametrize("n_copies", [1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["bell", "steering"])
-    def test_tables_match_reference(self, monkeypatch, kind, n_copies,
-                                    seed, grid):
+    def test_tables_match_reference(self, monkeypatch, small_chunks, kind,
+                                    n_copies, seed, grid):
         seen = []
 
         class Recording(RunStatistics):
@@ -636,8 +640,8 @@ class TestSweepKernelOracle:
                 seen.append(self.weights)
 
         monkeypatch.setattr(estimators, "RunStatistics", Recording)
-        points = sweep_curves(kind, [n_copies], grid, 50_001, seed=seed,
-                              chunk=7_000)[n_copies]
+        points = sweep_curves(kind, [n_copies], grid, 50_001,
+                              seed=seed)[n_copies]
         expected = _reference_sweep_tables(kind, n_copies, grid, 50_001,
                                            seed, 7_000)
         assert [p.q for p in points] == list(grid)
@@ -648,7 +652,8 @@ class TestSweepKernelOracle:
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
     @pytest.mark.parametrize("seed", [12345, 7, 1])
     @pytest.mark.parametrize("kind", ["bell", "steering"])
-    def test_copy_counts_in_one_pass(self, monkeypatch, kind, seed, grid):
+    def test_copy_counts_in_one_pass(self, monkeypatch, small_chunks, kind,
+                                     seed, grid):
         """One sweep over several copy counts gives each N the tables of
         the reference count of that N alone."""
         seen = []
@@ -659,8 +664,7 @@ class TestSweepKernelOracle:
                 seen.append(self.weights)
 
         monkeypatch.setattr(estimators, "RunStatistics", Recording)
-        curves = sweep_curves(kind, MULTI_N, grid, 50_001, seed=seed,
-                              chunk=7_000)
+        curves = sweep_curves(kind, MULTI_N, grid, 50_001, seed=seed)
         assert list(curves) == MULTI_N
         assert len(seen) == len(MULTI_N) * len(grid)
         for k, n in enumerate(MULTI_N):
@@ -673,22 +677,21 @@ class TestSweepKernelOracle:
                 assert_read_pairs_match(kind, table, want)
 
     @pytest.mark.parametrize("kind", ["bell", "steering"])
-    def test_copy_counts_worker_invariance(self, kind):
+    def test_copy_counts_worker_invariance(self, small_chunks, kind):
         grid = (0.6, 0.0, 0.3, 0.3, 0.95)
-        one = sweep_curves(kind, MULTI_N, grid, 50_001, seed=43, chunk=7_000)
-        two = sweep_curves(kind, MULTI_N, grid, 50_001, seed=43, chunk=7_000,
-                           workers=2)
+        one = sweep_curves(kind, MULTI_N, grid, 50_001, seed=43)
+        two = sweep_curves(kind, MULTI_N, grid, 50_001, seed=43, workers=2)
         assert one == two
 
 
 class TestEstimateCountsEveryPair:
-    def test_steering_estimate_tables_match_sample_batch(self):
+    def test_steering_estimate_tables_match_sample_batch(self, small_chunks):
         """A steering estimate counts all nine (i, j) pairs, which
         ``lrpovm steer --out`` writes, not only the matched pairs a sweep
         reads: every table equals the count of ``sample_batch``'s trits
         drawn from the same chunk streams."""
         config = tomography_config("steering", math.inf, q=0.3)
-        stats = estimate(config, 50_001, seed=17, chunk=7_000)
+        stats = estimate(config, 50_001, seed=17)
         batches = [sample_batch(config, rng_stream(17, index), size)
                    for index, size in enumerate([7_000] * 7 + [1_001])]
         alice = np.concatenate([b.alice for b in batches]) + 1
@@ -866,17 +869,16 @@ class TestChunkMemory:
 
 
 class TestThreadWorkspaces:
-    def test_concurrent_threads_match_serial(self):
+    def test_concurrent_threads_match_serial(self, small_chunks):
         """Each thread counts in its own workspace, so estimates run on
         more threads than cores equal the serial ones."""
+        small_chunks(4_000)
         configs = [make() for make in POINT_CONFIGS.values()] * 2
-        serial = [estimate(c, 30_001, seed=9, chunk=4_000).weights
-                  for c in configs]
+        serial = [estimate(c, 30_001, seed=9).weights for c in configs]
         threaded = [None] * len(configs)
 
         def run(k):
-            threaded[k] = estimate(configs[k], 30_001, seed=9,
-                                   chunk=4_000).weights
+            threaded[k] = estimate(configs[k], 30_001, seed=9).weights
 
         # Daemon threads, so that a thread stuck on a corrupted workspace
         # fails the test instead of hanging it.
@@ -943,23 +945,17 @@ class TestSweepCurve:
         with pytest.raises(ValueError, match="q_grid"):
             sweep_curves("bell", [1], [], 20_000)
 
-    @pytest.mark.parametrize("chunk", [0, -5, 1e4])
-    def test_bad_chunk_rejected(self, chunk):
-        with pytest.raises(TypeError if isinstance(chunk, float)
-                           else ValueError, match="chunk"):
-            sweep_curves("bell", [1], [0.0, 0.3], 20_000, chunk=chunk)
-
     @pytest.mark.parametrize("workers", [0, -2, 2.0])
     def test_bad_workers_rejected(self, workers):
         with pytest.raises(TypeError if isinstance(workers, float)
                            else ValueError, match="workers"):
             sweep_curves("bell", [1], [0.0, 0.3], 20_000, workers=workers)
 
-    @pytest.mark.parametrize("arg", ["samples", "chunk", "workers"])
+    @pytest.mark.parametrize("arg", ["samples", "workers"])
     def test_empty_copy_counts_checked(self, arg):
         # The run arguments are checked before an empty sweep returns {},
-        # a float is named too, and an exact sweep checks chunk and workers.
-        good = {"samples": 20_000, "chunk": 1_000, "workers": 1}
+        # a float is named too, and an exact sweep checks workers.
+        good = {"samples": 20_000, "workers": 1}
         assert sweep_curves("bell", [], **good) == {}
         with pytest.raises(ValueError, match=arg):
             sweep_curves("bell", [], **{**good, arg: 0})
@@ -1039,6 +1035,10 @@ class TestFrontier:
     def test_unreachable_eta(self):
         curve = self._toy_curve()[1:]
         assert frontier_value(curve, 0.9) is None
+
+    def test_nan_eta_named(self):
+        with pytest.raises(ValueError, match="eta"):
+            frontier_value(self._toy_curve(), math.nan)
 
 
 class TestMinCopies:

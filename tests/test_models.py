@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lrpovm import causality, quantum
-from lrpovm.estimators import enumerate_exact, estimate
+from lrpovm.estimators import enumerate_exact, estimate, sweep_curves
 from lrpovm.models import (LEVEL_BINS, ModelConfig, enumerate_unanimity,
                            preselection_weight, sample_batch, threshold_levels, threshold_readout,
                            tomography_config)
@@ -139,6 +139,15 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="m_choices must be at most 3 "
                            "with the default directions, got 4"):
             ModelConfig(kind=kind, m_choices=4)
+
+    def test_bad_copy_count_named(self):
+        # NaN fails the same check as 0 and 1.5, also in a sweep.
+        message = "n_copies must be a positive integer or inf"
+        for n in (0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=message):
+                ModelConfig(kind="ncopy-tomography", n_copies=n)
+            with pytest.raises(ValueError, match=message):
+                sweep_curves("bell", [n], [0.0], None)
 
     def test_tomography_steering_counts_must_match(self):
         # Three Alice directions make a steering run, which reads matched
