@@ -1,67 +1,44 @@
 """Monte Carlo and exact estimation of efficiency, CHSH S, and steering T.
 
-Every estimator reduces a model to a per-setting-pair table of trit
-counts, and every derived statistic is a function of that table.  There
-is one table source, ``_tables``: the (K, L, Ma, Mb, 3, 3) tables of K
-copy counts on a sorted grid of L thresholds, Monte Carlo counts when
-given ``samples`` and exact probabilities when not.  ``estimate`` (one N,
-one q, counted), ``enumerate_exact`` (one N, one q, exact) and
-``sweep_curves`` (several N on a grid, either) are reductions of them, and
-``min_copies`` searches exact ``sweep_curves`` frontiers.  The exact
-tables are closed-form enumeration for the unanimity family, a
-closed-form Legendre sum for finite-N tomography tables and two-cap lens
-areas at N = inf, for every reading pair.
+There is one table source, ``_tables``: the (K, L, Ma, Mb, 3, 3) trit
+tables of every reading pair at K copy counts and a sorted grid of L
+thresholds, Monte Carlo counts when given ``samples`` and exact
+probabilities when not.  ``RunStatistics`` reduces any stack of tables
+at once, adding terms in a fixed left-to-right order, so a table's
+statistics have the same bits alone or in a stack.  ``estimate`` and
+``enumerate_exact`` reduce the one-N, one-q case (counted, exact),
+``sweep_curves`` reduces a whole grid at once, and ``min_copies``
+searches exact ``sweep_curves`` frontiers.  Exact tables are closed-form
+enumeration for the unanimity family, and for the tomography family a
+closed-form Legendre sum at finite N or two-cap lens areas at N = inf,
+made for every q and every distinct |a.b| in one call per N.
 
 Each model family has one counting kernel.  The unanimity family is
 counted from its picks: one bincount over (pick pair, Alice trit, Bob
-trit) codes, and ``models.pick_tables`` maps the pick-pair cells to
-reading pairs, as it does for the exact enumeration.  The tomography
-family is counted from threshold levels, for sweeps and point estimates
-alike: each projection gets a signed level (``models.threshold_levels``:
-the number of thresholds below |p|, read from a 1024-bin table of the
-grid and exact by comparison with the few thresholds that share |p|'s
-bin), one bincount per counted reading pair histograms the joint levels,
-and 2-D prefix sums of it give the table of every threshold.  A sweep
-counts only the pairs its statistic reads (the matched pairs (j, j) of a
-steering run; every pair of a Bell run) and leaves the other tables zero,
-while a point estimate counts every pair, since ``lrpovm steer --out``
-writes all of them.  A point estimate is the one-N, one-q case, whose
-level is the trit itself, read back as element [0, 0] of the tables.
+trit) codes, mapped to reading pairs by ``models.pick_tables``, as the
+exact enumeration is.  The tomography family is counted from signed
+threshold levels (``models.threshold_levels``: the number of thresholds
+below |p|, exact): one bincount per counted reading pair histograms the
+joint levels, and 2-D prefix sums give the table of every threshold.  A
+sweep counts only the pairs its statistic reads (a steering run's
+matched pairs (j, j)) and leaves the other tables zero; a point estimate
+counts every pair, since ``lrpovm steer --out`` writes all of them.  A
+sweep over several N is one pass: chunk i draws from
+``rng_stream(seed, i)`` the same numbers whatever N is, so Alice's
+levels are taken once per chunk and each N adds only Bob's, in its
+single-N order; each N's tables are bit-identical to a sweep of it alone.
 
-A sweep over several copy counts N is one pass.  Chunk i draws from
-``rng_stream(seed, i)`` whatever N is, and a single N draws A (normal rows
-plus zero-norm redraws), then the opening and azimuth uniforms u and chi
-if N is finite: the same numbers for every N.  So each chunk draws them
-once, projects A on Alice's directions and takes her levels once, and
-adds per N only Bob's directions, levels and counts, with every
-elementwise operation in its single-N order.  Each N's tables are
-therefore bit-identical to a sweep of that N alone.
-
-Parallelism is a map over sample chunks of ``DEFAULT_CHUNK`` samples
-(the last one shorter), one independent stream per chunk, merged by
-integer addition, so a Monte Carlo result is fixed by (model, samples,
-seed) and ``workers`` never changes it.  A process keeps one pool: the
-first call with ``workers > 1`` builds it and later calls reuse it, so
-its workers stay warm (forked, heap faulted in) across calls, and stay
-alive, with their memory, until the process exits.  Calls from several
-threads share it one call at a time.  A call with another worker count,
-after a breakage (a call whose reused pool broke retries once on a fresh
-one) or in a forked child builds a new one; a child never shuts down its
-parent's pool, and ``concurrent.futures`` joins the pool at interpreter
-exit.  A one-shot ``lrpovm`` command makes one call, so it gains
-nothing.  A chunk allocates almost nothing: each thread (so each pool
-worker) keeps one ``sphere.Workspace`` that every chunk of every model
-config reuses.  The chunk's draws go straight into it, and its
-projections, levels, trits and codes are computed in cache-sized blocks
-of its buffers, in one explicit block loop with the copy counts inside,
-so a sweep needs one extra level array per copy count.  The workspace
-grows to the largest chunk seen, so it holds the largest single config's
-need, not their sum.  ``Generator.integers`` has no ``out=``, so the
-picks and the copies' signs are drawn block by block into block-sized
-arrays that the allocator reuses, and copied in.
+Parallelism is a map over chunks of ``DEFAULT_CHUNK`` samples, one
+stream per chunk, merged by integer addition, so a Monte Carlo result is
+fixed by (model, samples, seed) whatever ``workers`` is.  A process
+keeps one warm pool until exit (rebuilt for a new worker count, a broken
+pool or a forked child); threads share it one call at a time.  Each
+thread's chunks reuse one ``sphere.Workspace``, computing in cache-sized
+blocks of its buffers.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -69,6 +46,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,9 +59,7 @@ DEFAULT_SAMPLES = 1_000_000
 MIN_SAMPLES = 1_000
 
 LR_BOUND = {"bell": 2.0, "steering": 1.0 / 3.0}
-
-# Coincidence cells of a 3x3 table; trit axes are ordered (-1, 0, +1).
-_COINC = np.ix_((0, 2), (0, 2))
+_EPS = np.finfo(float).eps
 
 
 def _reading_pairs(kind: str, ma: int, mb: int) -> list[tuple[int, int]]:
@@ -98,8 +74,51 @@ def default_q_grid() -> np.ndarray:
     return np.round(np.arange(33) * 0.03, 10)
 
 
-@dataclass
-class PairSummary:
+# Sums over the flat cells 3 a + b of a 3x3 table (trit indices a, b for
+# -1, 0, +1), added in the order that fixes the statistics' last bits:
+# coincidences, Alice's detections, Bob's (down his columns), and equal-
+# minus opposite-sign coincidences; _SIGNS negates and zeroes the padding.
+_SUMS = np.array([[0, 2, 6, 8, 0, 0], [0, 1, 2, 6, 7, 8],
+                  [0, 3, 6, 2, 5, 8], [0, 8, 2, 6, 0, 0]])
+_SIGNS = np.array([[1.0, 1, 1, 1, 0, 0], [1.0] * 6, [1.0] * 6,
+                   [1.0, 1, -1, -1, 0, 0]])
+
+
+def _sums(w: np.ndarray) -> np.ndarray:
+    """The four ``_SUMS`` of every 3x3 table of ``w``, on a last axis."""
+    cells = w.reshape(*w.shape[:-2], 9).take(_SUMS, axis=-1)
+    cells *= _SIGNS
+    return np.add.accumulate(cells, axis=-1, out=cells)[..., -1]
+
+
+def _added(terms: np.ndarray) -> np.ndarray:
+    """Sum of terms >= 0 over the last axis, left to right; NaNs skipped."""
+    return np.add.accumulate(np.fmax(terms, 0.0), axis=-1)[..., -1]
+
+
+def _square(x) -> np.ndarray:
+    """x ** 2 by the C pow, as a Python float squares; pow rounds unlike
+    x * x for ~0.1% of values, and the recorded digits come from it."""
+    return np.asarray(np.power(np.asarray(x, dtype=object), 2), dtype=float)
+
+
+def _listed(x: np.ndarray) -> list:
+    """``x.tolist()`` of a 1-D array; NaN is ``math.nan``, which == matches."""
+    return [math.nan if v != v else v for v in x.tolist()]
+
+
+def _scalar(x):
+    """A result of one table as a Python scalar, a batch's as its array."""
+    x = np.asarray(x)
+    if x.ndim:
+        return x
+    x = x.item()
+    return math.nan if x != x else x
+
+
+class PairSummary(NamedTuple):
+    """Per-pair quantities: arrays over (..., Ma, Mb), or one pair's scalars."""
+
     correlation: float
     stderr: float
     n_coincidence: float
@@ -112,11 +131,13 @@ class PairSummary:
 class RunStatistics:
     """Per-setting-pair trit tables plus the derived test statistics.
 
-    ``weights[i, j]`` is the 3x3 table over (Alice trit, Bob trit) for the
-    reading pair (choice i, choice j); entries are Monte Carlo counts, or
-    exact probabilities when ``exact`` is set.  Bob's zeros count as
-    non-detections for Bell runs and as unregistered events for steering
-    runs; Alice's zeros always stay in her statistics.
+    ``weights[..., i, j]`` is the 3x3 table over (Alice trit, Bob trit) of
+    the reading pair (choice i, choice j): Monte Carlo counts, or exact
+    probabilities when ``exact`` is set.  Leading axes are a batch of runs
+    (a sweep's (N, q) grid, say), reduced at once: methods return arrays
+    of the batch shape, or Python scalars for one (Ma, Mb, 3, 3) run.
+    Bob's zeros count as non-detections for Bell runs and as unregistered
+    events for steering runs; Alice's zeros always stay in her statistics.
     """
 
     kind: str
@@ -128,146 +149,115 @@ class RunStatistics:
         if self.kind not in ("bell", "steering"):
             raise ValueError(f"kind must be 'bell' or 'steering': {self.kind!r}")
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 4 or self.weights.shape[2:] != (3, 3):
-            raise ValueError("weights must have shape (Ma, Mb, 3, 3)")
-        if np.any(self.weights < 0):
+        if self.weights.ndim < 4 or self.weights.shape[-2:] != (3, 3):
+            raise ValueError("weights must have shape (..., Ma, Mb, 3, 3)")
+        if (self.weights < 0).any():
             raise ValueError("negative weights")
-        ma, mb = self.weights.shape[:2]
+        ma, mb = self.weights.shape[-4:-2]
         if self.kind == "steering" and ma != mb:
             raise ValueError(f"steering needs matching choice counts, got "
                              f"{ma} for Alice and {mb} for Bob")
 
-    # -- per-pair quantities ------------------------------------------------
+    @functools.cached_property
+    def _pairs(self) -> PairSummary:
+        """Every pair's quantities, as (..., Ma, Mb) arrays."""
+        sums = _sums(self.weights)
+        n_c = sums[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = sums[..., 3] / n_c
+            se = (corr - corr if self.exact  # exact: 0, NaN if degenerate
+                  else np.sqrt(np.maximum(0.0, 1.0 - corr * corr) / n_c))
+            return PairSummary(corr, se, n_c, n_c / sums[..., 1],
+                               n_c / sums[..., 2], n_c <= 0.0)
 
     def pair(self, i: int, j: int) -> PairSummary:
-        w = self.weights[i, j]
-        coinc = w[_COINC]
-        n_c = coinc.sum()
-        a_det = w[(0, 2), :].sum()
-        b_det = w[:, (0, 2)].sum()
-        degenerate = n_c <= 0.0
-        if degenerate:
-            corr, se = math.nan, math.nan
-        else:
-            corr = (coinc[0, 0] + coinc[1, 1] - coinc[0, 1] - coinc[1, 0]) / n_c
-            se = 0.0 if self.exact else math.sqrt(
-                max(0.0, 1.0 - corr * corr) / n_c)
-        return PairSummary(
-            correlation=corr, stderr=se, n_coincidence=n_c,
-            eta_alice=n_c / a_det if a_det > 0 else math.nan,
-            eta_bob=n_c / b_det if b_det > 0 else math.nan,
-            degenerate=degenerate)
+        return PairSummary._make(_scalar(x[..., i, j]) for x in self._pairs)
 
     def pair_probabilities(self, i: int, j: int) -> np.ndarray:
-        w = self.weights[i, j]
-        return w / w.sum()
+        w = self.weights[..., i, j, :, :]
+        return w / w.sum(axis=(-2, -1), keepdims=True)
 
-    def full_correlation(self, i: int, j: int) -> float:
+    def full_correlation(self, i: int, j: int):
         """<ab> with Alice's zero outcomes kept in the average.
 
         The denominator is the events where Bob registered (his trit
         nonzero), the accounting in which the trusted pick model shows the
         1/M suppression.
         """
-        w = self.weights[i, j]
-        coinc = w[_COINC]
-        num = coinc[0, 0] + coinc[1, 1] - coinc[0, 1] - coinc[1, 0]
-        den = w[:, (0, 2)].sum()
-        return num / den if den > 0 else math.nan
+        sums = _sums(self.weights[..., i, j, :, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _scalar(sums[..., 3] / sums[..., 2])
 
-    def alice_marginal(self, i: int, j: int) -> np.ndarray:
-        """Distribution of Alice's trit for choice i when read with Bob's j."""
-        return self.pair_probabilities(i, j).sum(axis=1)
+    def reading_pairs(self) -> list[tuple[int, int]]:
+        """Pairs read: every (i, j) for Bell, matched (j, j) for steering."""
+        return _reading_pairs(self.kind, *self.weights.shape[-4:-2])
 
-    def bob_marginal(self, i: int, j: int) -> np.ndarray:
-        return self.pair_probabilities(i, j).sum(axis=0)
-
-    # -- efficiency ----------------------------------------------------------
-
-    def efficiency(self, variant: str = "alice") -> float:
+    def efficiency(self, variant: str = "alice"):
         """Coincidence rate conditioned on one party's detection.
 
         For Bell runs this averages the four setting pairs; steering runs
         average the matched pairs.  ``variant`` picks the conditioning
-        side: 'alice' for p(a2=b2=1)/p(a2=1), or 'bob'.  NaN when no pair
-        has a detection on that side.
+        side: 'alice' for p(a2=b2=1)/p(a2=1), or 'bob'.  Pairs with no
+        detection on that side are left out; NaN when no pair has one.
         """
         if variant not in ("alice", "bob"):
             raise ValueError(
                 f"variant must be 'alice' or 'bob', got {variant!r}")
-        vals = []
-        for i, j in self.reading_pairs():
-            p = self.pair(i, j)
-            vals.append(p.eta_alice if variant == "alice" else p.eta_bob)
-        if all(math.isnan(v) for v in vals):
-            return math.nan
-        return float(np.nanmean(vals))
+        eta = self._pairs.eta_alice if variant == "alice" \
+            else self._pairs.eta_bob
+        eta = (eta.diagonal(axis1=-2, axis2=-1) if self.kind == "steering"
+               else eta.reshape(*eta.shape[:-2], -1))  # the read pairs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _scalar(_added(eta) / np.add.reduce(eta == eta, axis=-1))
 
-    def reading_pairs(self) -> list[tuple[int, int]]:
-        """Pairs read: every (i, j) for Bell, matched (j, j) for steering."""
-        return _reading_pairs(self.kind, *self.weights.shape[:2])
-
-    # -- Bell ----------------------------------------------------------------
-
-    def chsh(self) -> tuple[float, float, bool]:
+    def chsh(self):
         """S, its standard error, and a degenerate flag.
 
         S combines the four coincidence-conditioned correlations as
         E(1,1) + E(1,2) + E(2,1) - E(2,2); any empty pair makes the
-        combination undefined and sets the flag.
+        combination undefined (NaN) and sets the flag.
         """
-        if self.weights.shape[0] < 2 or self.weights.shape[1] < 2:
+        if self.weights.shape[-4] < 2 or self.weights.shape[-3] < 2:
             raise ValueError("CHSH needs two choices per party")
-        ps = [self.pair(i, j) for i in (0, 1) for j in (0, 1)]
-        if any(p.degenerate for p in ps):
-            return math.nan, math.nan, True
-        s = ps[0].correlation + ps[1].correlation \
-            + ps[2].correlation - ps[3].correlation
-        se = math.sqrt(sum(p.stderr ** 2 for p in ps))
-        return s, se, False
+        e = self._pairs.correlation
+        s = e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] - e[..., 1, 1]
+        v = _square(self._pairs.stderr)
+        se = np.sqrt(v[..., 0, 0] + v[..., 0, 1] + v[..., 1, 0] + v[..., 1, 1])
+        return _scalar(s), _scalar(se), _scalar(s != s)
 
-    # -- steering ------------------------------------------------------------
-
-    def steering(self) -> tuple[float, float, bool]:
+    def steering(self):
         """T, its standard error, and a flag for empty conditional bins.
 
         T = sum_j sum_a p(a_j) <b_j>^2_{a_j} over matched settings, with
         the uniform choice weight 1/M folded into p(a_j).  Probabilities
         are conditioned on Bob registering (his trit nonzero); Alice's
-        zero outcomes keep their own conditional-mean terms.
+        zero outcomes keep their own conditional-mean terms.  An empty bin
+        adds nothing and sets the flag unless a = 0; terms add in (j, a)
+        order.
         """
-        pairs = self.reading_pairs()
-        m = len(pairs)
-        total = 0.0
-        var = 0.0
-        empty_bins = False
-        for i, j in pairs:
-            w = self.weights[i, j]
-            registered = w[:, (0, 2)]
-            w_reg = registered.sum()
-            if w_reg <= 0.0:
-                empty_bins = True
-                continue
-            for s in range(3):
-                n_s = registered[s].sum()
-                if n_s <= 0.0:
-                    empty_bins = empty_bins or s != 1
-                    continue
-                mean_b = (registered[s, 1] - registered[s, 0]) / n_s
-                p_s = n_s / w_reg
-                total += (1.0 / m) * p_s * mean_b ** 2
-                if not self.exact:
-                    var_p = p_s * (1.0 - p_s) / w_reg
-                    var_m = max(0.0, 1.0 - mean_b ** 2) / n_s
-                    var += ((mean_b ** 2 / m) ** 2 * var_p
-                            + (2.0 * p_s * mean_b / m) ** 2 * var_m)
-        return total, math.sqrt(var), empty_bins
+        j = np.arange(self.weights.shape[-3])
+        w = self.weights[..., j, j, :, :]          # (..., M, 3, 3)
+        m = len(j)
+        w_reg = _sums(w)[..., 2:3]                  # (..., M, 1)
+        n_a = w[..., 0] + w[..., 2]                 # (..., M, 3), over a
+        flat = (*n_a.shape[:-2], -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean_b = (w[..., 2] - w[..., 0]) / n_a  # NaN in empty bins
+            p_a = n_a / w_reg
+            mean_sq = _square(mean_b)
+            total = _added(((1.0 / m) * p_a * mean_sq).reshape(flat))
+            se = total * 0.0 if self.exact else np.sqrt(_added((
+                _square(mean_sq / m) * (p_a * (1.0 - p_a) / w_reg)
+                + _square(2.0 * p_a * mean_b / m)
+                * (np.maximum(0.0, 1.0 - mean_sq) / n_a)).reshape(flat)))
+        empty_bins = (n_a[..., ::2] <= 0.0).reshape(flat).any(axis=-1)
+        return _scalar(total), _scalar(se), _scalar(empty_bins)
 
-    def value(self) -> tuple[float, float, bool]:
+    def value(self):
         """The run's test statistic: (|S| or T, stderr, degenerate flag)."""
         if self.kind == "bell":
             s, se, bad = self.chsh()
-            return (abs(s) if not bad else math.nan), se, bad
+            return _scalar(np.abs(s)), se, bad
         return self.steering()
 
 
@@ -321,16 +311,14 @@ _CHUNK_WORKSPACE = _ThreadWorkspace()
 
 
 def _count_chunk(task) -> np.ndarray:
-    """Tables of one chunk, every work array taken from the thread's workspace.
-
-    Returns (K, L, Ma, Mb, 3, 3) for the K copy counts of ``n_copies`` and
-    the L thresholds of ``q_sorted``.  The tomography family counts every
-    copy count from one draw, from its levels on the grid, and histograms
-    the reading pairs of ``pairs`` (every pair when None); a point
-    estimate is the 1 x 1 case.  The unanimity family, whose config fixes
-    N and reads no threshold, is counted from its pick-cell histogram,
-    which ``models.pick_tables`` turns into every reading pair's table,
-    and comes back as the 1 x 1 case too.
+    """Tables (K, L, Ma, Mb, 3, 3) of one chunk at the K copy counts of
+    ``n_copies`` and the L thresholds of ``q_sorted``, every work array
+    taken from the thread's workspace.  The tomography family counts
+    every copy count from one draw, from its levels on the grid, and
+    histograms the reading pairs of ``pairs`` (every pair when None).  The
+    unanimity family, whose config fixes N and reads no threshold, is
+    counted from its pick-cell histogram (``models.pick_tables``) as the
+    1 x 1 case.
     """
     config, n_copies, q_sorted, pairs, seed, index, size = task
     gen = rng_stream(seed, index)
@@ -386,39 +374,62 @@ os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 # ---------------------------------------------------------------------------
 # Exact tomography tables: a closed-form Legendre sum for finite N and
-# two-cap lens areas for N = inf (``models.enumerate_unanimity`` is the
-# unanimity family's closed form).
+# two-cap lens areas for N = inf, each made for every threshold and every
+# a.b >= 0 in one call (``models.enumerate_unanimity`` is the unanimity
+# family's closed form).
 # ---------------------------------------------------------------------------
 
-def _legendre_table(n: int, q: float, ct: float) -> np.ndarray:
-    """Finite-N 3x3 trit table at a.b = ct, in closed form.
+def _legendre_tables(n: int, q, ct) -> np.ndarray:
+    """Finite-N 3x3 trit tables (L, C, 3, 3) at the L thresholds of ``q``
+    and the C values a.b of ``ct``, in closed form.
 
     The pair density ((1 - A.B)/2)^N is sum_l a_l P_l(A.B) with
     a_l = (-1)^l (2l+1) N!^2 / ((N-l)! (N+l+1)!).  By the Funk-Hecke
     formula the cell of Alice's band I and Bob's band J is
     ((N+1)/4) sum_l a_l F_l(I) F_l(J) P_l(a.b), where F_l(I) is the
     integral of P_l over I: the difference of (P_{l+1} - P_{l-1})/(2l+1)
-    at I's ends, and I's length for l = 0.  Rounding leaves cells whose
-    true value is ~0 slightly negative; those within 4(N+1) eps of 0 are
-    set to 0, and anything below is left for ``RunStatistics`` to reject.
+    at I's ends, and I's length for l = 0: one Legendre recurrence over
+    every band edge and every a.b, then one stacked matmul.  Cells whose
+    true value is ~0 and that round below 0 by at most 4(N+1) eps are set
+    to 0; anything below is left for ``RunStatistics`` to reject.
     """
-    edges = np.array([-1.0, -q, q, 1.0])
-    legendre = np.polynomial.legendre.legvander(np.append(edges, ct), n + 1)
-    deg = np.arange(1, n + 1)
-    antideriv = np.empty((4, n + 1))
-    antideriv[:, 0] = edges
-    antideriv[:, 1:] = (legendre[:4, 2:] - legendre[:4, :-2]) / (2 * deg + 1)
-    bands = np.diff(antideriv, axis=0)  # F_l of the (-1, 0, +1) bands
-    # (N+1) a_l, by the ratio a_l / a_{l-1}.
-    coef = np.cumprod(np.append(1.0, -(2 * deg + 1) * (n - deg + 1)
-                                / ((2 * deg - 1) * (n + deg + 1.0))))
-    table = 0.25 * (bands * (coef * legendre[4, :n + 1])) @ bands.T
-    table[(table < 0.0) & (table >= -4 * (n + 1) * np.finfo(float).eps)] = 0.0
+    q = np.asarray(q, dtype=float)
+    edges = np.empty((len(q), 4))
+    edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3] = -1.0, -q, q, 1.0
+    # P_l, l <= N + 1: legvander's recurrence, without its set-up cost.
+    x = np.concatenate([edges.ravel(), ct]) + 0.0
+    legendre = np.empty((n + 2, x.size))
+    legendre[0], legendre[1] = 1.0, x
+    for l in range(2, n + 2):
+        legendre[l] = (legendre[l - 1] * x * (2 * l - 1)
+                       - legendre[l - 2] * (l - 1)) / l
+    legendre = np.ascontiguousarray(legendre.T)
+    at_edges = legendre[:edges.size].reshape(len(q), 4, n + 2)
+    antideriv = np.empty((len(q), 4, n + 1))
+    antideriv[..., 0] = edges
+    coef, odd = _legendre_coef(n)
+    antideriv[..., 1:] = (at_edges[..., 2:] - at_edges[..., :-2]) / odd
+    bands = antideriv[:, 1:] - antideriv[:, :-1]  # F_l of the 3 bands
+    pair = coef * legendre[edges.size:, :n + 1]
+    table = (0.25 * (bands[:, None] * pair[:, None])
+             @ bands.swapaxes(1, 2)[:, None])
+    table[(table < 0.0) & (table >= -4 * (n + 1) * _EPS)] = 0.0
     return table
 
 
-def _lens_table(q: float, ct: float) -> np.ndarray:
-    """Chaotic-ball (B = A) 3x3 trit table at a.b = ct, in closed form.
+@functools.lru_cache(maxsize=None)
+def _legendre_coef(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N+1) a_l for l = 0..N, by the ratio a_l / a_{l-1}, and 2l + 1
+    for l = 1..N."""
+    deg = np.arange(1, n + 1)
+    odd = 2 * deg + 1
+    return np.cumprod(np.append(1.0, -odd * (n - deg + 1)
+                                / ((2 * deg - 1) * (n + deg + 1.0)))), odd
+
+
+def _lens_tables(q, ct) -> np.ndarray:
+    """Chaotic-ball (B = A) 3x3 trit tables (L, C, 3, 3) at the L
+    thresholds of ``q`` and the C values a.b >= 0 of ``ct``, in closed form.
 
     G(s, t) = P(a.A > s, b.A > t), a lens of two caps over 4 pi, is by
     Gauss-Bonnet 2G = f(ct, r_s r_t, s t) - s f(ct s, d r_s, t)
@@ -426,64 +437,56 @@ def _lens_table(q: float, ct: float) -> np.ndarray:
     and r_s = sqrt(1 - s^2); f's clipping covers disjoint, nested and
     complementary caps.  With the marginals (1 - s)/2, G at s, t = +-q is
     the joint survival function at the band edges, whose mixed second
-    difference is the table.  Inverting A makes the -1 row the +1 row
-    reversed, and b -> -b reverses Bob's trits.  At b = a, f's strict
-    indicator splits the tie of coincident caps, so that table is written
-    out.  An arccos argument within rounding of +-1 loses half its digits:
-    errors reach ~1e-10 within 1e-6 rad of a = +-b and ~5e-9 where cap
-    edges touch; cells this leaves below 0 by at most sqrt(eps) become 0.
+    difference is the table; inverting A makes the -1 row the +1 row
+    reversed.  At b = a (d = 0) f's strict indicator splits the tie of
+    coincident caps, so that table is written out.  An arccos argument
+    within rounding of +-1 loses half its digits: errors reach ~1e-10
+    within 1e-6 rad of a = +-b and ~5e-9 where cap edges touch; cells
+    left below 0 by at most sqrt(eps) become 0.
     """
-    if ct < 0.0:
-        return _lens_table(q, -ct)[:, ::-1]
-    if ct == 1.0:
-        return np.diag([(1.0 - q) / 2.0, q, (1.0 - q) / 2.0])
-    d = math.sqrt(1.0 - ct * ct)
-    s = np.array([[-q], [q]])
+    q = np.asarray(q, dtype=float)
+    ct = np.asarray(ct, dtype=float)
+    parallel = ct == 1.0
+    c = (ct * ~parallel)[:, None, None]  # (C, 1, 1); f needs b != a
+    s = np.multiply.outer(q, [-1.0, 1.0])[:, None, :, None]  # (L, 1, 2, 1)
     r = np.sqrt(1.0 - s * s)
-    survival = np.zeros((4, 4))
-    survival[0, :3] = survival[:3, 0] = (1.0 + np.array([1.0, q, -q])) / 2.0
-    survival[1:3, 1:3] = 0.5 * (
-        circle_arc_fraction(ct, r * r.T, s * s.T)
-        - s * circle_arc_fraction(ct * s, d * r, s.T)
-        - s.T * circle_arc_fraction(ct * s.T, d * r.T, s))
-    table = np.diff(np.diff(survival, axis=0), axis=1)
-    table[0] = table[2, ::-1]
-    table[(table < 0.0) & (table >= -math.sqrt(np.finfo(float).eps))] = 0.0
+    s_t, r_t = s.swapaxes(2, 3), r.swapaxes(2, 3)
+    # f(ct t, d r_t, s) is f(ct s, d r_s, t) transposed.
+    f = circle_arc_fraction(c * s, np.sqrt(1.0 - c * c) * r, s_t)
+    survival = np.zeros((len(q), len(c), 4, 4))
+    marginal = (1.0 - s[..., 0]) / 2.0                   # (L, 1, 2)
+    survival[..., 0, 0] = 1.0
+    survival[..., 0, 1:3] = survival[..., 1:3, 0] = marginal
+    survival[..., 1:3, 1:3] = 0.5 * (circle_arc_fraction(c, r * r_t, s * s_t)
+                                     - s * f - s_t * f.swapaxes(2, 3))
+    rows = survival[:, :, 1:] - survival[:, :, :-1]
+    table = rows[..., 1:] - rows[..., :-1]
+    table[..., 0, :] = table[..., 2, ::-1]
+    table[(table < 0.0) & (table >= -math.sqrt(_EPS))] = 0.0
+    if parallel.any():
+        diag = np.zeros((len(q), 3, 3))
+        diag[:, 0, 0] = diag[:, 2, 2] = marginal[:, 0, 1]
+        diag[:, 1, 1] = q
+        table[:, parallel] = diag[:, None]
     return table
 
 
+def _exact_tables(n_copies, q, ct) -> np.ndarray:
+    """(L, C, 3, 3) tables at a.b >= 0 from ``n_copies``'s family."""
+    if n_copies == math.inf:
+        return _lens_tables(q, ct)
+    return _legendre_tables(int(n_copies), q, ct)
+
+
 def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
-    """Exact 3x3 trit table for one tomography setting pair: a Legendre
-    sum at finite N, cap lens areas at N = inf.  It depends on the
-    directions only through a.b, and b -> -b flips Bob's trit, which
-    ``_tomography_tables`` uses.
+    """Exact 3x3 trit table for one tomography setting pair: the one-q,
+    one-a.b case of ``_legendre_tables`` (finite N) or ``_lens_tables``
+    (N = inf).  It depends on the directions only through a.b, and
+    b -> -b reverses Bob's trits.
     """
-    ct = float(np.clip(np.dot(dir_a, dir_b), -1.0, 1.0))
-    if n_copies != math.inf:
-        return _legendre_table(int(n_copies), q, ct)
-    return _lens_table(q, ct)
-
-
-def _tomography_tables(config: ModelConfig, n_copies, q: float) -> np.ndarray:
-    """Exact tables of every reading pair of ``config``'s directions at
-    (``n_copies``, ``q``), one per distinct |a.b|.
-
-    A pair's table depends only on (N, q, a.b), and a pair with a.b < 0 is
-    the |a.b| table with Bob's trits reversed (b -> -b), so each distinct
-    |a.b| is computed once.
-    """
-    ma = len(config.alice_directions)
-    mb = len(config.bob_directions)
-    out = np.zeros((ma, mb, 3, 3))
-    tables = {}
-    for i, a in enumerate(config.alice_directions):
-        for j, b in enumerate(config.bob_directions):
-            ct = float(np.dot(a, b))
-            if abs(ct) not in tables:
-                tables[abs(ct)] = tomography_pair_table(
-                    n_copies, q, a, -b if ct < 0 else b)
-            out[i, j] = tables[abs(ct)][:, ::-1] if ct < 0 else tables[abs(ct)]
-    return out
+    ct = min(max(float(np.dot(dir_a, dir_b)), -1.0), 1.0)
+    table = _exact_tables(n_copies, [q], [abs(ct)])[0, 0]
+    return table[:, ::-1] if ct < 0 else table
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +511,9 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
     of ``n_copies`` and the L thresholds of ``q_sorted``; a unanimity
     config fixes N and reads no threshold, so it is the 1 x 1 case.
 
-    With ``samples``, Monte Carlo counts: ``samples`` split into chunks of
-    ``DEFAULT_CHUNK``, every chunk in one map, in this process at one
-    worker and over the process's cached pool otherwise, counting the
-    reading pairs of ``pairs`` (every pair when None).
+    With ``samples``, Monte Carlo counts of the reading pairs of ``pairs``
+    (every pair when None): chunks of ``DEFAULT_CHUNK`` in one map, in
+    this process at one worker and over the cached pool otherwise.
     Without, exact probabilities of every pair.  The run arguments are
     checked either way, and then no copy counts give ``[]``.
     """
@@ -523,8 +525,18 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
     if samples is None:
         if not config.is_tomography:
             return models.enumerate_unanimity(config)[None, None]
-        return np.array([[_tomography_tables(config, n, q) for q in q_sorted]
-                         for n in n_copies])
+        # A pair's table depends only on (N, q, a.b), and one at a.b < 0 is
+        # the |a.b| table with Bob's trits reversed (b -> -b), so one call
+        # per N makes the tables of every q and every distinct |a.b|.
+        dots = np.array([[np.dot(a, b) for b in config.bob_directions]
+                         for a in config.alice_directions])
+        cts = np.minimum(np.abs(dots), 1.0).tolist()
+        distinct = list(dict.fromkeys(sum(cts, [])))
+        index = [[distinct.index(ct) for ct in row] for row in cts]
+        flip = (dots < 0.0)[..., None, None]
+        tables = [_exact_tables(n, q_sorted, distinct)[:, index]
+                  for n in n_copies]
+        return np.array([np.where(flip, t[..., ::-1], t) for t in tables])
     full, rest = divmod(samples, DEFAULT_CHUNK)
     sizes = [DEFAULT_CHUNK] * full + ([rest] if rest else [])
     tasks = [(config, n_copies, q_sorted, pairs, seed, index, size)
@@ -564,13 +576,9 @@ def estimate(config: ModelConfig, samples: int, *,
 
 def enumerate_exact(config: ModelConfig) -> RunStatistics:
     """Exact statistics with no Monte Carlo error: the one-N, one-q case
-    of the exact tables, the twin of ``estimate``.
-
-    The unanimity family (simple-bell, trusted-steering, and
-    ncopy-steering at any N) is enumerated in closed form.  Tomography
-    tables are a closed-form Legendre sum for finite N and two-cap lens
-    areas for N = inf, both exact to rounding away from degenerate
-    geometry (see ``tomography_pair_table``).
+    of the exact tables, the twin of ``estimate``.  The unanimity family
+    is enumerated in closed form; tomography tables are exact to rounding
+    away from degenerate geometry (``_legendre_tables``, ``_lens_tables``).
     """
     probs = _tables(config, (config.n_copies,), (config.q,))[0, 0]
     return RunStatistics(
@@ -597,15 +605,6 @@ class CurvePoint:
             raise ValueError(f"eta outside [0, 1]: {self.eta}")
 
 
-def _curve_point(n, q: float, stats: RunStatistics) -> CurvePoint:
-    """The (N, q) point of ``stats``; NaN value and stderr if degenerate."""
-    value, stderr, degenerate = stats.value()
-    return CurvePoint(n_copies=n, q=float(q), eta=stats.efficiency("alice"),
-                      value=math.nan if degenerate else value,
-                      stderr=math.nan if degenerate else stderr,
-                      samples=stats.samples)
-
-
 def sweep_curves(kind: str, n_copies, q_grid=None,
                  samples: int | None = DEFAULT_SAMPLES, *,
                  seed: int = models.DEFAULT_SEED, workers: int = 1
@@ -613,17 +612,15 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     """Sweep the dead-zone threshold for several copy counts.
 
     Keys are the ``n_copies`` values, in order; ``q_grid`` is the default
-    grid when None.  With ``samples`` the curves are Monte Carlo: all
-    thresholds and all copy counts are evaluated in one pass over the
-    samples' chunks, in one map over at most one process pool; each curve
-    is bit-identical to a sweep of its N alone (see the module
-    docstring).  Only the reading pairs the statistic reads are counted:
-    the matched pairs of a steering sweep, every pair of a Bell sweep.
-    Shared draws make the efficiency exactly non-increasing along the grid,
-    and (kind, n_copies, q_grid, samples, seed) fix the curves byte for
-    byte, whatever ``workers`` is.  With ``samples=None``
-    the curves are exact (``samples`` 0, stderr 0) and nothing is drawn;
-    each point equals that of ``enumerate_exact`` at its (N, q).
+    grid when None.  With ``samples`` the curves are Monte Carlo: every
+    threshold and copy count in one pass over the samples' chunks, each
+    curve bit-identical to a sweep of its N alone, counting only the
+    reading pairs the statistic reads.  Shared draws make the efficiency
+    exactly non-increasing along the grid, and (kind, n_copies, q_grid,
+    samples, seed) fix the curves byte for byte, whatever ``workers`` is.
+    With ``samples=None`` the curves are exact (``samples`` 0, stderr 0),
+    nothing is drawn, and each point equals ``enumerate_exact``'s at its
+    (N, q).  The whole (N, q) stack is reduced in one ``RunStatistics``.
     Degenerate points (no coincidences in some setting pair) carry NaN
     value and stderr.
     """
@@ -643,11 +640,19 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
                            len(config.bob_directions))
     tables = _tables(config, tuple(c.n_copies for c in configs), q_sorted,
                      samples, pairs=pairs, seed=seed, workers=workers)
-    return {n: [_curve_point(n, q, RunStatistics(
-                    kind=kind, weights=per_n[k], samples=samples or 0,
-                    exact=samples is None))
-                for q, k in zip(q_grid, sorted_index)]
-            for n, per_n in zip(n_copies, tables)}
+    if not n_copies:
+        return {}
+    # One reduction of the whole (K, L, Ma, Mb, 3, 3) array.
+    stats = RunStatistics(kind=kind, weights=tables, samples=samples or 0,
+                          exact=samples is None)
+    value, stderr, degenerate = stats.value()
+    value, stderr = (np.where(degenerate, math.nan, x) for x in (value, stderr))
+    columns = (stats.efficiency("alice"), value, stderr)
+    return {n: [CurvePoint(n_copies=n, q=q, eta=eta, value=v, stderr=se,
+                           samples=stats.samples)
+                for q, eta, v, se in zip(q_grid.tolist(), *(
+                    _listed(x[k][sorted_index]) for x in columns))]
+            for k, n in enumerate(n_copies)}
 
 
 def frontier_value(points: list[CurvePoint], eta: float) -> float | None:

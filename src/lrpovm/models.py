@@ -322,8 +322,8 @@ def _unanimity_readout(config: ModelConfig, gen, n: int, ws: Workspace
         np.not_equal(gen.integers(0, 2, (rows.stop - rows.start, ncopies)),
                      0, out=xi[rows])
     a_val, b_val = ws.take((2, n), np.int8)
-    match = ws.take((BLOCK, ncopies))
-    same = ws.take((BLOCK, ncopies), bool)
+    match = ws.take((BLOCK + 1, ncopies))
+    same = ws.take((BLOCK + 1, ncopies), bool)
     work = ws.take(BLOCK + 1)
     alice_all, bob_all, agree, flag = ws.take((4, BLOCK + 1), bool)
     for rows in blocks(n):

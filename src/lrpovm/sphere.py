@@ -313,14 +313,9 @@ def circle_arc_fraction(mean, amplitude, threshold) -> np.ndarray:
     Computed analytically; all arguments broadcast, and every amplitude
     must be > 0.
     """
-    mean = np.asarray(mean, dtype=float)
-    amplitude = np.asarray(amplitude, dtype=float)
-    threshold = np.asarray(threshold, dtype=float)
-    out = np.empty(np.broadcast_shapes(
-        mean.shape, amplitude.shape, threshold.shape))
-    np.subtract(threshold, mean, out=out)
-    out /= amplitude
-    np.clip(out, -1.0, 1.0, out=out)
+    out = np.asarray(np.subtract(threshold, mean, dtype=float) / amplitude)
+    np.maximum(out, -1.0, out=out)
+    np.minimum(out, 1.0, out=out)
     np.arccos(out, out=out)
     out /= math.pi
     return out

@@ -68,6 +68,183 @@ class TestRunStatistics:
             stats.efficiency("Alice")
 
 
+# ---------------------------------------------------------------------------
+# The one-table formulas, kept here as the oracle of the array statistics:
+# each statistic of one (Ma, Mb, 3, 3) table, pair by pair, in Python
+# scalars and small numpy sums.  The array path must give the same bits.
+# ---------------------------------------------------------------------------
+
+def oracle_pair(w, exact):
+    """(correlation, stderr, coincidences, eta_alice, eta_bob, degenerate)."""
+    coinc = w[np.ix_((0, 2), (0, 2))]
+    n_c = coinc.sum()
+    a_det = w[(0, 2), :].sum()
+    b_det = w[:, (0, 2)].sum()
+    if n_c <= 0.0:
+        corr = se = math.nan
+    else:
+        corr = (coinc[0, 0] + coinc[1, 1] - coinc[0, 1] - coinc[1, 0]) / n_c
+        se = 0.0 if exact else math.sqrt(max(0.0, 1.0 - corr * corr) / n_c)
+    return (corr, se, n_c, n_c / a_det if a_det > 0 else math.nan,
+            n_c / b_det if b_det > 0 else math.nan, n_c <= 0.0)
+
+
+def oracle_steering(weights, exact):
+    m = weights.shape[0]
+    total = var = 0.0
+    empty_bins = False
+    for j in range(m):
+        registered = weights[j, j][:, (0, 2)]
+        w_reg = registered.sum()
+        if w_reg <= 0.0:
+            empty_bins = True
+            continue
+        for s in range(3):
+            n_s = registered[s].sum()
+            if n_s <= 0.0:
+                empty_bins = empty_bins or s != 1
+                continue
+            mean_b = (registered[s, 1] - registered[s, 0]) / n_s
+            p_s = n_s / w_reg
+            total += (1.0 / m) * p_s * mean_b ** 2
+            if not exact:
+                var_p = p_s * (1.0 - p_s) / w_reg
+                var_m = max(0.0, 1.0 - mean_b ** 2) / n_s
+                var += ((mean_b ** 2 / m) ** 2 * var_p
+                        + (2.0 * p_s * mean_b / m) ** 2 * var_m)
+    return total, math.sqrt(var), empty_bins
+
+
+def oracle_statistics(kind, weights, exact):
+    """(value, stderr, degenerate, eta_alice, eta_bob) of one table."""
+    ma, mb = weights.shape[:2]
+    pairs = ([(j, j) for j in range(ma)] if kind == "steering"
+             else [(i, j) for i in range(ma) for j in range(mb)])
+    etas = []
+    for col in (3, 4):
+        vals = [oracle_pair(weights[p], exact)[col] for p in pairs]
+        etas.append(math.nan if all(math.isnan(v) for v in vals)
+                    else float(np.nanmean(vals)))
+    if kind == "steering":
+        return (*oracle_steering(weights, exact), *etas)
+    ps = [oracle_pair(weights[i, j], exact) for i in (0, 1) for j in (0, 1)]
+    if any(p[5] for p in ps):
+        return (math.nan, math.nan, True, *etas)
+    s = ps[0][0] + ps[1][0] + ps[2][0] - ps[3][0]
+    return (abs(s), math.sqrt(sum(p[1] ** 2 for p in ps)), False, *etas)
+
+
+def oracle_tables(config, n_copies, q):
+    """Exact tables of one (N, q): one ``tomography_pair_table`` per
+    distinct |a.b|, Bob's trits reversed where a.b < 0."""
+    out = np.zeros((len(config.alice_directions),
+                    len(config.bob_directions), 3, 3))
+    tables = {}
+    for i, a in enumerate(config.alice_directions):
+        for j, b in enumerate(config.bob_directions):
+            ct = float(np.dot(a, b))
+            if abs(ct) not in tables:
+                tables[abs(ct)] = estimators.tomography_pair_table(
+                    n_copies, q, a, -b if ct < 0 else b)
+            out[i, j] = tables[abs(ct)][:, ::-1] if ct < 0 else tables[abs(ct)]
+    return out
+
+
+def same_bits(got, want):
+    """Equal bits, NaN (of any sign or payload) at the same positions."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    nan = np.isnan(got)
+    return np.array_equal(nan, np.isnan(want)) and \
+        got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestArrayStatisticsOracle:
+    """The array statistics equal the one-table formulas bit for bit, NaN
+    positions included."""
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    @pytest.mark.parametrize("grid", ["default", "0.01"])
+    def test_exact_curves(self, kind, grid):
+        q_grid = (default_q_grid() if grid == "default"
+                  else np.round(np.arange(100) * 0.01, 10))
+        ns = [*range(1, 11), math.inf]
+        curves = sweep_curves(kind, ns, q_grid, None)
+        for n in ns:
+            config = tomography_config(kind, n)
+            want = []
+            for q in q_grid:
+                value, se, bad, eta, _ = oracle_statistics(
+                    kind, oracle_tables(config, n, float(q)), True)
+                want.append((eta, math.nan if bad else value,
+                             math.nan if bad else se))
+            got = [(p.eta, p.value, p.stderr) for p in curves[n]]
+            assert same_bits(got, want), n
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    def test_monte_carlo_curves(self, kind):
+        grid = (0.6, 0.0, 0.3, 0.3, 0.95)
+        ns = [1, 2, math.inf]
+        curves = sweep_curves(kind, ns, grid, 20_001, seed=8)
+        q_sorted, index = np.unique(grid, return_inverse=True)
+        tables = estimators._tables(
+            tomography_config(kind), tuple(ns), q_sorted, 20_001,
+            pairs=estimators._reading_pairs(kind, 2 if kind == "bell" else 3,
+                                            2 if kind == "bell" else 3),
+            seed=8)
+        for k, n in enumerate(ns):
+            want = []
+            for l in index:
+                value, se, bad, eta, _ = oracle_statistics(
+                    kind, tables[k, l].astype(float), False)
+                want.append((eta, math.nan if bad else value,
+                             math.nan if bad else se))
+            got = [(p.eta, p.value, p.stderr) for p in curves[n]]
+            assert same_bits(got, want), n
+
+    @pytest.mark.parametrize("kind,shape", [("bell", (2, 2)), ("bell", (2, 3)),
+                                            ("steering", (3, 3))])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_random_tables(self, kind, shape, exact):
+        # Sparse tables, so that empty pairs and empty bins occur; counts,
+        # or probabilities when exact.
+        rng = np.random.default_rng(len(shape) + shape[1] + exact)
+        w = rng.integers(0, 6, (40, 7, *shape, 3, 3)) \
+            * (rng.random((40, 7, *shape, 3, 3)) < 0.4)
+        w = w / w.sum(axis=(-2, -1), keepdims=True).clip(1) if exact \
+            else w.astype(float)
+        batch = RunStatistics(kind=kind, weights=w, samples=100, exact=exact)
+        got = np.stack([*batch.value(), batch.efficiency("alice"),
+                        batch.efficiency("bob")], axis=-1)
+        assert got.shape == (40, 7, 5)
+        pairs = [batch.pair(i, j) for i, j in np.ndindex(shape)]
+        full = [batch.full_correlation(i, j) for i, j in np.ndindex(shape)]
+        for b in np.ndindex(40, 7):
+            want = oracle_statistics(kind, w[b], exact)
+            assert same_bits(got[b], want), b
+            for (i, j), p, f in zip(np.ndindex(shape), pairs, full):
+                table = w[b][i, j]
+                assert same_bits([x[b] for x in p],
+                                 oracle_pair(table, exact)), (b, i, j)
+                assert same_bits(f[b], _full_correlation(table))
+
+    def test_one_table_gives_python_scalars(self):
+        stats = enumerate_exact(tomography_config("steering", 2, 0.3))
+        values = [*stats.value(), stats.efficiency("alice"),
+                  stats.full_correlation(0, 0), *stats.pair(1, 1)]
+        assert all(type(v) in (float, bool) for v in values)
+        degenerate = RunStatistics(kind="bell", weights=np.zeros((2, 2, 3, 3)),
+                                   samples=0)
+        assert degenerate.chsh()[0] is math.nan
+        assert degenerate.efficiency() is math.nan
+
+
+def _full_correlation(w):
+    coinc = w[np.ix_((0, 2), (0, 2))]
+    num = coinc[0, 0] + coinc[1, 1] - coinc[0, 1] - coinc[1, 0]
+    den = w[:, (0, 2)].sum()
+    return num / den if den > 0 else math.nan
+
+
 class TestEstimateBell:
     def test_minimum_samples(self):
         # A float or None is named too; enumerate_exact is the exact twin.
@@ -622,6 +799,14 @@ def assert_read_pairs_match(kind, got, want):
     assert not np.any(got[~read])
 
 
+def point_tables(weights, grid):
+    """Each copy count's tables in ``grid`` order, from the one (K, L, Ma,
+    Mb, 3, 3) array a sweep reduces, whose L runs over the sorted distinct
+    thresholds."""
+    _, index = np.unique(np.asarray(grid, float), return_inverse=True)
+    return [[per_n[k] for k in index] for per_n in weights]
+
+
 class TestSweepKernelOracle:
     """Sweep count tables equal a per-threshold reference count on the
     pairs the sweep reads."""
@@ -645,9 +830,11 @@ class TestSweepKernelOracle:
         expected = _reference_sweep_tables(kind, n_copies, grid, 50_001,
                                            seed, 7_000)
         assert [p.q for p in points] == list(grid)
-        assert len(seen) == len(grid)
-        for got, want in zip(seen, expected):
-            assert_read_pairs_match(kind, got, want)
+        assert len(seen) == 1
+        (got,) = point_tables(seen[0], grid)
+        assert len(got) == len(grid)
+        for table, want in zip(got, expected):
+            assert_read_pairs_match(kind, table, want)
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
     @pytest.mark.parametrize("seed", [12345, 7, 1])
@@ -666,14 +853,15 @@ class TestSweepKernelOracle:
         monkeypatch.setattr(estimators, "RunStatistics", Recording)
         curves = sweep_curves(kind, MULTI_N, grid, 50_001, seed=seed)
         assert list(curves) == MULTI_N
-        assert len(seen) == len(MULTI_N) * len(grid)
+        assert len(seen) == 1
+        tables = point_tables(seen[0], grid)
+        assert len(tables) == len(MULTI_N)
         for k, n in enumerate(MULTI_N):
             assert [p.q for p in curves[n]] == list(grid)
             assert all(p.n_copies == n for p in curves[n])
             expected = _reference_sweep_tables(kind, n, grid, 50_001, seed,
                                                7_000)
-            got = seen[k * len(grid):(k + 1) * len(grid)]
-            for table, want in zip(got, expected):
+            for table, want in zip(tables[k], expected):
                 assert_read_pairs_match(kind, table, want)
 
     @pytest.mark.parametrize("kind", ["bell", "steering"])
@@ -977,13 +1165,19 @@ class TestSweepCurve:
         def as_bytes(points):
             return np.array([dataclasses.astuple(p) for p in points],
                             dtype=float).tobytes()
+        def enumerated(n, q):
+            stats = enumerate_exact(tomography_config(kind, n, q))
+            value, stderr, degenerate = stats.value()
+            if degenerate:
+                value = stderr = math.nan
+            return CurvePoint(n, q, stats.efficiency("alice"), value, stderr,
+                              0)
         ns, grid = [1, 2, 10, math.inf], default_q_grid()
         curves = sweep_curves(kind, ns, grid, None)
         assert list(curves) == ns
         for n in ns:
             assert as_bytes(curves[n]) == as_bytes(
-                [estimators._curve_point(n, q, enumerate_exact(
-                    tomography_config(kind, n, q))) for q in grid])
+                [enumerated(n, q) for q in grid])
         with pytest.raises(ValueError, match="samples"):
             sweep_curves(kind, ns, grid, 0)
         assert sweep_curves(kind, [], samples=None) == {}
@@ -1089,14 +1283,14 @@ class TestMinCopies:
 
     def test_exact_search_stops_at_answer(self, monkeypatch):
         # Each N's curve is built only once the smaller N fall short, so a
-        # large n_max costs nothing past the answer.
+        # large n_max costs nothing past the answer.  Each N's tables, over
+        # every q and |a.b|, take one call.
         calls = []
-        tables = estimators._tomography_tables
+        tables = estimators._exact_tables
 
-        def counted(config, n_copies, q):
-            calls.append(n_copies)
-            return tables(config, n_copies, q)
-        monkeypatch.setattr(estimators, "_tomography_tables", counted)
+        def counted(n_copies, q, ct):
+            calls.append((n_copies, len(q)))
+            return tables(n_copies, q, ct)
+        monkeypatch.setattr(estimators, "_exact_tables", counted)
         assert min_copies(0.34, 0.85, "steering", 40) == 4
-        assert sorted(set(calls)) == [1, 2, 3, 4]
-        assert len(calls) == 4 * len(default_q_grid())
+        assert calls == [(n, len(default_q_grid())) for n in (1, 2, 3, 4)]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lrpovm import causality, quantum
+from lrpovm import causality, models, quantum, sphere
 from lrpovm.estimators import enumerate_exact, estimate, sweep_curves
 from lrpovm.models import (LEVEL_BINS, ModelConfig, enumerate_unanimity,
                            preselection_weight, sample_batch, threshold_levels, threshold_readout,
@@ -444,23 +444,22 @@ class TestNoSignaling:
         config = ModelConfig(kind=kind, n_copies=n)
         stats = enumerate_exact(config)
         ma, mb = stats.weights.shape[:2]
+        p = stats.pair_probabilities
         for i in range(ma):
-            base = stats.alice_marginal(i, 0)
+            base = p(i, 0).sum(axis=1)
             for j in range(1, mb):
-                assert np.allclose(stats.alice_marginal(i, j), base,
-                                   atol=1e-12)
+                assert np.allclose(p(i, j).sum(axis=1), base, atol=1e-12)
         for j in range(mb):
-            base = stats.bob_marginal(0, j)
+            base = p(0, j).sum(axis=0)
             for i in range(1, ma):
-                assert np.allclose(stats.bob_marginal(i, j), base,
-                                   atol=1e-12)
+                assert np.allclose(p(i, j).sum(axis=0), base, atol=1e-12)
 
     def test_tomography_marginals_mc(self):
         config = tomography_config("bell", 2, q=0.3)
         stats = estimate(config, 200_000, seed=61)
         for i in range(2):
-            m0 = stats.alice_marginal(i, 0)
-            m1 = stats.alice_marginal(i, 1)
+            m0 = stats.pair_probabilities(i, 0).sum(axis=1)
+            m1 = stats.pair_probabilities(i, 1).sum(axis=1)
             assert np.allclose(m0, m1, atol=1e-12)  # same samples, exactly
 
 
@@ -519,3 +518,40 @@ class TestChoiceConditionedCompleteness:
         # one conditioned trit per option of the party's own choice
         assert batch.alice.shape[1] == len(config.alice_directions)
         assert batch.bob.shape[1] == len(config.bob_directions)
+
+
+UNANIMITY_CONFIGS = [ModelConfig(kind="simple-bell"),
+                     ModelConfig(kind="trusted-steering"),
+                     ModelConfig(kind="ncopy-steering", n_copies=3)]
+ALL_KIND_CONFIGS = UNANIMITY_CONFIGS + [
+    ModelConfig(kind="ncopy-tomography", n_copies=2, q=0.3),
+    ModelConfig(kind="chaotic-ball", q=0.3)]
+
+
+class TestBlocks:
+    """Samplers run in blocks of ``BLOCK`` rows, the last one up to
+    ``BLOCK + 1`` rows long (``sphere.blocks``)."""
+
+    @pytest.mark.parametrize("samples", [8193, 16385, 139265])
+    @pytest.mark.parametrize("config", UNANIMITY_CONFIGS,
+                             ids=lambda c: c.kind)
+    def test_unanimity_last_block_one_longer(self, config, samples):
+        # k * 8192 + 1 rows end in a block of 8193; 139265 is one full
+        # chunk of 131072 and a tail of 8193.
+        stats = estimate(config, samples, seed=3)
+        assert np.all(stats.weights.sum(axis=(2, 3)) == samples)
+        if samples < 100_000:
+            batch = sample_batch(config, rng_stream(3), samples)
+            assert len(batch.alice) == len(batch.bob) == samples
+
+    @pytest.mark.parametrize("config", ALL_KIND_CONFIGS, ids=lambda c: c.kind)
+    def test_block_size_changes_no_bit(self, monkeypatch, config):
+        def run():
+            batch = sample_batch(config, rng_stream(5), 20_001)
+            return (batch.alice.tobytes() + batch.bob.tobytes(),
+                    estimate(config, 150_001, seed=5).weights.tobytes())
+        want = run()
+        for block in (1000, 4097, 16384):
+            monkeypatch.setattr(sphere, "BLOCK", block)
+            monkeypatch.setattr(models, "BLOCK", block)
+            assert run() == want, block
