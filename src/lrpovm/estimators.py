@@ -52,7 +52,7 @@ import numpy as np
 
 from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import Workspace, circle_arc_fraction, rng_stream
+from .sphere import Workspace, check_unit, circle_arc_fraction, rng_stream
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
@@ -151,6 +151,8 @@ class RunStatistics:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim < 4 or self.weights.shape[-2:] != (3, 3):
             raise ValueError("weights must have shape (..., Ma, Mb, 3, 3)")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
         if (self.weights < 0).any():
             raise ValueError("negative weights")
         ma, mb = self.weights.shape[-4:-2]
@@ -175,7 +177,8 @@ class RunStatistics:
 
     def pair_probabilities(self, i: int, j: int) -> np.ndarray:
         w = self.weights[..., i, j, :, :]
-        return w / w.sum(axis=(-2, -1), keepdims=True)
+        with np.errstate(invalid="ignore"):  # a pair with no events: NaN
+            return w / w.sum(axis=(-2, -1), keepdims=True)
 
     def full_correlation(self, i: int, j: int):
         """<ab> with Alice's zero outcomes kept in the average.
@@ -482,8 +485,16 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
     """Exact 3x3 trit table for one tomography setting pair: the one-q,
     one-a.b case of ``_legendre_tables`` (finite N) or ``_lens_tables``
     (N = inf).  It depends on the directions only through a.b, and
-    b -> -b reverses Bob's trits.
+    b -> -b reverses Bob's trits.  N = 0 is the independent pair.
     """
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"q must lie in [0, 1), got {q}")
+    if n_copies != math.inf and not (n_copies >= 0
+                                     and int(n_copies) == n_copies):
+        raise ValueError(f"n_copies must be a non-negative integer or inf, "
+                         f"got {n_copies}")
+    check_unit(dir_a, "dir_a")
+    check_unit(dir_b, "dir_b")
     ct = min(max(float(np.dot(dir_a, dir_b)), -1.0), 1.0)
     table = _exact_tables(n_copies, [q], [abs(ct)])[0, 0]
     return table[:, ::-1] if ct < 0 else table
@@ -520,6 +531,7 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
     if samples is not None:
         samples = _at_least("samples", samples, MIN_SAMPLES)
     workers = _at_least("workers", workers, 1)
+    seed = _at_least("seed", seed, 0)
     if not n_copies:
         return []
     if samples is None:

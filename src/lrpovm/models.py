@@ -28,8 +28,9 @@ the seed belongs to each run and the samplers take a generator.
 ``sample_batch`` is the one public sampler: it returns a ``ReadoutBatch``
 with one trit per (run, choice) for every kind.  It wraps the two kernels
 that counting calls, one per model family.  ``unanimity_cell_batch``
-folds each run's two picks and the trit read at each, which are the whole
-unanimity readout, into one pick-cell index.  ``tomography_level_batch``
+gives each run's pick cell, one index of its two picks and the trit read
+at each, the whole unanimity readout; ``sample_batch`` decodes it with
+``divmod``.  ``tomography_level_batch``
 gives the threshold levels of the sampled projections on a q grid, for a
 tuple of copy counts; a point estimate is the one-N, one-q case, whose
 levels on the grid (q,) are the trits.  It is one explicit loop over
@@ -48,6 +49,7 @@ pick counts alike.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +96,11 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        try:
+            self.m_choices = operator.index(self.m_choices)
+        except TypeError:
+            raise ValueError(f"m_choices must be an integer, got "
+                             f"{self.m_choices!r}") from None
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
         if self.n_copies != math.inf:
@@ -282,7 +289,9 @@ def threshold_levels(projections, q_sorted) -> np.ndarray:
 
 
 def _correlation_table(alice_dirs, bob_dirs) -> np.ndarray:
-    return -np.asarray(alice_dirs) @ np.asarray(bob_dirs).T
+    # Clipped, as at a = +-b the product of unit rows may round past +-1.
+    # No draw changes: u < p reads the same at p = 1 + eps as at p = 1.
+    return np.clip(-np.asarray(alice_dirs) @ np.asarray(bob_dirs).T, -1.0, 1.0)
 
 
 def _scatter(n: int, m: int, picks: np.ndarray, values: np.ndarray
@@ -292,45 +301,47 @@ def _scatter(n: int, m: int, picks: np.ndarray, values: np.ndarray
     return out
 
 
-def _unanimity_readout(config: ModelConfig, gen, n: int, ws: Workspace
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unanimity model over N singlet copies; the pick models are N = 1.
+def unanimity_cell_batch(config: ModelConfig, rng: np.random.Generator,
+                         n: int, ws: Workspace) -> np.ndarray:
+    """Pick-cell index of n unanimity runs, the readout's whole content.
 
-    Returns (pick, a_val, b_val): the pick pair pick_a * Mb + pick_b of
-    each party's uniformly picked choice, and the trit each reads there,
-    +-1 when all N copies agree (exact singlet statistics per copy) and 0
-    otherwise.  The draws are pick_a, pick_b, each copy's sign xi and each
-    copy's match, in that order; every array, ``pick`` too, is a view of
-    ``ws``.  ``integers`` has no ``out=``, so its draws are made block by
-    block and copied in: for int64 with a range below 2**32 it keeps no
-    state between calls, so the blocks draw the numbers of one call.  The
-    match uniforms, drawn last and read once, are drawn block by block
-    into one block-sized buffer.
+    Over N singlet copies (the pick models are N = 1) each party reads its
+    uniformly picked choice: +-1 when all N copies agree (exact singlet
+    statistics per copy), 0 otherwise.  The cell
+    9 (pick_a Mb + pick_b) + 3 (a + 1) + b + 1 numbers the (Ma, Mb, 3, 3)
+    table that ``pick_tables`` reads.  The draws are pick_a, pick_b, each
+    copy's sign xi and each copy's match, in that order.  ``integers`` has
+    no ``out=``, so its draws are made block by block; the blocks draw the
+    numbers of one call, as a bounded draw below 2**32 uses 32-bit halves
+    of the output and PCG64 keeps an unused half (``has_uint32``,
+    ``uinteger``) for the next one, which ``random()`` leaves alone.  One
+    block loop then draws the match uniforms, decides unanimity and writes
+    the cell in place on the pick array.  Every array is a view of ``ws``.
     """
     table = _correlation_table(config.alice_directions, config.bob_directions)
     p_same = ((1.0 + table) / 2.0).ravel()
     ma, mb = table.shape
     ncopies = int(config.n_copies)
-    pick = ws.take(n, np.int64)
+    cell = ws.take(n, np.int64)
     for rows in blocks(n):
-        pick[rows] = gen.integers(0, ma, rows.stop - rows.start)
-    pick *= mb
+        cell[rows] = rng.integers(0, ma, rows.stop - rows.start)
+    cell *= mb
     for rows in blocks(n):
-        pick[rows] += gen.integers(0, mb, rows.stop - rows.start)
+        cell[rows] += rng.integers(0, mb, rows.stop - rows.start)
     xi = ws.take((n, ncopies), bool)
     for rows in blocks(n):
-        np.not_equal(gen.integers(0, 2, (rows.stop - rows.start, ncopies)),
+        np.not_equal(rng.integers(0, 2, (rows.stop - rows.start, ncopies)),
                      0, out=xi[rows])
-    a_val, b_val = ws.take((2, n), np.int8)
     match = ws.take((BLOCK + 1, ncopies))
     same = ws.take((BLOCK + 1, ncopies), bool)
     work = ws.take(BLOCK + 1)
     alice_all, bob_all, agree, flag = ws.take((4, BLOCK + 1), bool)
     for rows in blocks(n):
         m = rows.stop - rows.start
-        p = np.take(p_same, pick[rows], out=work[:m], mode="clip")
+        c = cell[rows]
+        p = np.take(p_same, c, out=work[:m], mode="clip")
         s = same[:m]
-        np.less(gen.random(out=match[:m]), p[:, None], out=s)
+        np.less(rng.random(out=match[:m]), p[:, None], out=s)
         # Bob's copy k reads xi_k when same_k and -xi_k otherwise, so his
         # copies agree with copy 0 exactly when
         # (xi_k == xi_0) == (same_k == same_0).
@@ -345,35 +356,15 @@ def _unanimity_readout(config: ModelConfig, gen, n: int, ws: Workspace
             np.equal(eq, fl, out=fl)
             b_all &= fl
         # Copy 0 reads +1 for Alice when xi_0, and for Bob when
-        # xi_0 == same_0.
-        _sign_into(xi_0, a_all, a_val[rows])
+        # xi_0 == same_0; a party reads that sign when unanimous, else 0.
         np.equal(xi_0, same_0, out=fl)
-        _sign_into(fl, b_all, b_val[rows])
-    return pick, a_val, b_val
-
-
-def _sign_into(positive, live, out) -> None:
-    """out = (2 positive - 1) * live, for boolean positive and live."""
-    np.multiply(positive.view(np.int8), 2, out=out)
-    out -= 1
-    out *= live
-
-
-def unanimity_cell_batch(config: ModelConfig, rng: np.random.Generator,
-                         n: int, ws: Workspace) -> np.ndarray:
-    """Pick-cell index of n unanimity runs, the readout's whole content.
-
-    The index ((pick_a Mb + pick_b) 3 + a + 1) 3 + b + 1 numbers the cells
-    of the (Ma, Mb, 3, 3) table that ``pick_tables`` reads.  It is built
-    in place on the pick array; the other work arrays come from ``ws``.
-    """
-    cell, a_val, b_val = _unanimity_readout(config, rng, n, ws)
-    for rows in blocks(n):
-        c = cell[rows]
-        c *= 3
-        c += a_val[rows]
-        c *= 3
-        c += b_val[rows]
+        trit = eq.view(np.int8)
+        for positive, unanimous in ((xi_0, a_all), (fl, b_all)):
+            np.multiply(positive.view(np.int8), 2, out=trit)
+            trit -= 1
+            trit *= unanimous.view(np.int8)
+            c *= 3
+            c += trit
         c += 4
     return cell
 
@@ -437,11 +428,12 @@ def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
         # A shared-axis steering batch reads Alice's levels for Bob's.
         return ReadoutBatch(alice=alice,
                             bob=bob.copy() if bob is alice else bob)
-    pick, a_val, b_val = _unanimity_readout(config, rng, n, Workspace())
-    pick_a, pick_b = np.divmod(pick, len(config.bob_directions))
-    return ReadoutBatch(
-        alice=_scatter(n, len(config.alice_directions), pick_a, a_val),
-        bob=_scatter(n, len(config.bob_directions), pick_b, b_val))
+    ma, mb = len(config.alice_directions), len(config.bob_directions)
+    cell = unanimity_cell_batch(config, rng, n, Workspace())
+    pick_a, pick_b = np.divmod(cell // 9, mb)
+    a, b = np.divmod(cell % 9, 3)
+    return ReadoutBatch(alice=_scatter(n, ma, pick_a, a - 1),
+                        bob=_scatter(n, mb, pick_b, b - 1))
 
 
 # Exact joint-readout distributions ----------------------------------------

@@ -45,9 +45,10 @@ def rng_stream(seed: int, *stream: int) -> np.random.Generator:
 
 
 def check_unit(v, name: str = "direction") -> np.ndarray:
-    """v as a float array; a vector, or each row of a matrix, must be unit."""
+    """v as a float array; a vector, or each row of a matrix, must be unit
+    (a NaN component fails)."""
     v = np.asarray(v, dtype=float)
-    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9):
+    if not np.all(np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= 1e-9):
         raise ValueError(f"{name} is not unit length: {v!r}")
     return v
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import os
+import resource
 import signal
 import sys
 import threading
@@ -31,8 +32,28 @@ class TestRunStatistics:
 
     def test_negative_weights_rejected(self):
         w = -np.ones((2, 2, 3, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative weights"):
             RunStatistics(kind="bell", weights=w, samples=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        w = np.ones((2, 2, 3, 3))
+        w[1, 0, 2, 2] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            RunStatistics(kind="bell", weights=w, samples=36)
+
+    def test_empty_pair_probabilities_are_nan(self):
+        # An empty pair divides 0 by 0 without a warning, as its correlation
+        # does: alone, and in a sweep-like stack whose off-diagonal
+        # steering pairs are never counted.
+        stats = RunStatistics("bell", np.zeros((2, 2, 3, 3)), 10)
+        assert np.isnan(stats.pair_probabilities(0, 0)).all()
+        assert math.isnan(stats.pair(0, 0).correlation)
+        w = np.zeros((4, 5, 3, 3, 3, 3))
+        w[..., range(3), range(3), :, :] = 1.0
+        stack = RunStatistics("steering", w, 9)
+        assert np.isnan(stack.pair_probabilities(0, 1)).all()
+        assert np.all(stack.pair_probabilities(1, 1) == 1.0 / 9.0)
 
     def test_steering_rejects_unmatched_choice_counts(self):
         """Steering reads matched pairs (j, j), so Ma must equal Mb; Bell
@@ -259,6 +280,14 @@ class TestEstimateBell:
                            else ValueError, match="workers"):
             estimate(ModelConfig(kind="simple-bell"), 20_000,
                      workers=workers)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        error = TypeError if isinstance(seed, float) else ValueError
+        with pytest.raises(error, match="seed"):
+            estimate(ModelConfig(kind="simple-bell"), 20_000, seed=seed)
+        with pytest.raises(error, match="seed"):
+            sweep_curves("bell", [1], [0.0, 0.3], 20_000, seed=seed)
 
     def test_simple_bell_quantum_value(self):
         stats = estimate(ModelConfig(kind="simple-bell"), 400_000, seed=3)
@@ -507,6 +536,25 @@ class TestClosedFormTables:
         # rounds them below 0 unless they are set to 0.
         stats = enumerate_exact(tomography_config("steering", n, q=0.99))
         assert np.all(stats.weights >= 0.0)
+
+    def test_pair_table_arguments_named(self):
+        z, x = np.eye(3)[2], np.eye(3)[0]
+        for q in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError, match="q must lie in"):
+                estimators.tomography_pair_table(2, q, z, x)
+        for n in (-1, 2.5, math.nan):
+            with pytest.raises(ValueError, match="n_copies"):
+                estimators.tomography_pair_table(n, 0.3, z, x)
+        for bad in (2 * x, np.full(3, math.nan)):
+            with pytest.raises(ValueError, match="dir_b"):
+                estimators.tomography_pair_table(2, 0.3, z, bad)
+            with pytest.raises(ValueError, match="dir_a"):
+                estimators.tomography_pair_table(2, 0.3, bad, z)
+        # N = 0 is the independent pair: every table is the product of the
+        # marginals ((1-q)/2, q, (1-q)/2).
+        m = np.array([0.35, 0.3, 0.35])
+        assert np.allclose(estimators.tomography_pair_table(0, 0.3, z, x),
+                           np.outer(m, m), atol=1e-14)
 
     @pytest.mark.parametrize("n", [60, 200, 1000])
     def test_large_n_tables_non_negative(self, n):
@@ -950,6 +998,118 @@ class TestPickCountOracle:
             assert np.array_equal(got, want), size
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X ~ chi^2(df): the regularised upper incomplete gamma
+    Q(df/2, x/2), from its series below a + 1 and its continued fraction
+    (modified Lentz) above.  Within 5e-15 of scipy's for df 1..8."""
+    a, x = df / 2.0, x / 2.0
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = a
+        while term > total * 1e-17:
+            k += 1.0
+            term *= x / k
+            total += term
+        return 1.0 - front * total
+    b = x + 1.0 - a
+    c, d = 1e300, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return front * h
+
+
+def g_test(counts: np.ndarray, probs: np.ndarray) -> float:
+    """p of the G-test of a table of counts against cell probabilities,
+    the cells of expected count below 5 pooled into one."""
+    expected = probs * counts.sum()
+    small = expected < 5.0
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    keep = expected > 0.0
+    observed, expected = observed[keep], expected[keep]
+    seen = observed > 0
+    g = 2.0 * float(np.sum(observed[seen]
+                           * np.log(observed[seen] / expected[seen])))
+    return chi2_sf(g, observed.size - 1)
+
+
+def ks_uniform_p(p_values) -> float:
+    """Asymptotic Kolmogorov-Smirnov p of p-values against U(0, 1)."""
+    p = np.sort(p_values)
+    n = p.size
+    k = np.arange(1, n + 1)
+    d = max(np.max(k / n - p), np.max(p - (k - 1) / n))
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+    return min(1.0, max(0.0, 2.0 * sum(
+        (-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
+        for j in range(1, 101))))
+
+
+def random_unanimity_configs(geometry_seed: int) -> list[ModelConfig]:
+    """Seven unanimity models at random unit directions, each also with
+    its first pair forced to a = b and to a = -b."""
+    rng = np.random.default_rng(geometry_seed)
+    configs = []
+    for kind, m, n in [("simple-bell", 2, 1), ("trusted-steering", 2, 1),
+                       ("trusted-steering", 3, 1), ("ncopy-steering", 2, 2),
+                       ("ncopy-steering", 3, 3), ("ncopy-steering", 2, 5),
+                       ("ncopy-steering", 3, 1)]:
+        dirs = rng.normal(size=(2, m, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        for force in (None, 1.0, -1.0):
+            alice, bob = dirs.copy()
+            if force is not None:
+                alice[0] = force * bob[0]
+            kwargs = {} if kind == "simple-bell" else {"m_choices": m}
+            configs.append(ModelConfig(kind=kind, n_copies=n, **kwargs,
+                                       alice_directions=alice,
+                                       bob_directions=bob))
+    return configs
+
+
+class TestUnanimityGoodnessOfFit:
+    """Monte Carlo counts against the exact tables at random geometry.
+
+    Gate, fixed before any run: over geometry seeds 1-4 there are 84
+    configs and 516 pair tables, each of 200 000 samples G-tested against
+    ``enumerate_exact``; the least p must reach the Bonferroni bound
+    0.01 / 516 of a family alpha of 0.01, and any count in a cell of
+    probability 0 fails.  The KS uniformity of the p-values is reported
+    in the message but not gated: the G-test's small-count asymptotics
+    bend it on an honest run.
+    """
+
+    SAMPLES = 200_000
+
+    def test_counts_fit_exact_tables(self):
+        p_values, zero_cell_counts = [], []
+        configs = [c for seed in range(1, 5)
+                   for c in random_unanimity_configs(seed)]
+        for index, config in enumerate(configs):
+            counts = estimate(config, self.SAMPLES, seed=index).weights
+            probs = enumerate_exact(config).weights
+            for i, j in np.ndindex(counts.shape[:2]):
+                if np.any(counts[i, j][probs[i, j] == 0.0] > 0):
+                    zero_cell_counts.append((index, i, j))
+                p_values.append(g_test(counts[i, j], probs[i, j]))
+        tests = len(p_values)
+        assert (len(configs), tests) == (84, 516)
+        report = (f"min p {min(p_values):.3g} over {tests} tests, KS "
+                  f"uniformity p {ks_uniform_p(p_values):.3g}")
+        assert not zero_cell_counts, report
+        assert min(p_values) >= 0.01 / tests, report
+
+
 @pytest.fixture
 def fresh_workspace(monkeypatch):
     """A new, empty chunk workspace for this thread, restored afterwards."""
@@ -1031,6 +1191,24 @@ class TestChunkMemory:
         bound: the extra memory is one n x Mb level array per finite N."""
         assert chunk_peak(tomography_config("steering", 1), default_q_grid(),
                           (*range(1, 11), math.inf)) <= 20_249_472
+
+    def test_repeated_chunk_reuses_workspace(self, fresh_workspace):
+        """A chunk run again takes its arrays from the kept arena, so it
+        makes no fresh pages: at most 16 minor faults a call, where
+        fresh arrays made about 1 600 per tomography sweep chunk."""
+        grid = default_q_grid()
+        tasks = [(tomography_config("bell"), (2, math.inf), grid,
+                  estimators._reading_pairs("bell", 2, 2), 5, 0,
+                  estimators.DEFAULT_CHUNK),
+                 (ModelConfig(kind="ncopy-steering", n_copies=3), (3,),
+                  (0.0,), None, 5, 0, estimators.DEFAULT_CHUNK)]
+        for task in tasks * 2:
+            estimators._count_chunk(task)
+        for task in tasks:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            estimators._count_chunk(task)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert faults - before <= 16, task[0].kind
 
     def test_workspace_shared_across_configs(self, monkeypatch):
         """The five point configs in turn leave one workspace, no larger

@@ -149,6 +149,17 @@ class TestModelConfig:
             with pytest.raises(ValueError, match=message):
                 sweep_curves("bell", [n], [0.0], None)
 
+    def test_bad_choice_count_named(self):
+        for m in (2.5, "2"):
+            with pytest.raises(ValueError, match="m_choices must be an "
+                               "integer"):
+                ModelConfig(kind="trusted-steering", m_choices=m)
+
+    def test_nan_direction_named(self):
+        bob = np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="bob_directions"):
+            ModelConfig(kind="simple-bell", bob_directions=bob)
+
     def test_tomography_steering_counts_must_match(self):
         # Three Alice directions make a steering run, which reads matched
         # pairs; the mismatch fails before anything is drawn.
@@ -338,6 +349,28 @@ class TestUnanimityEnumeration:
                              bob_directions=bob)
         probs = enumerate_unanimity(config)
         assert np.all(probs >= 0.0)
+        assert np.max(np.abs(probs - self.brute_force(config))) <= 1e-14
+
+    @pytest.mark.parametrize("kind,n", [("simple-bell", 1),
+                                        ("trusted-steering", 1),
+                                        ("ncopy-steering", 2),
+                                        ("ncopy-steering", 3)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_parallel_and_antiparallel_pairs(self, kind, n, sign):
+        # At a = b (sign -1 here) or a = -b the product of the unit rows
+        # rounds past +-1 (|-a.b| = 1.0000000000000002 for this a); the
+        # clipped correlation leaves the outcome pairs the singlet forbids
+        # at exactly 0, not at -1.4e-17 (N = 1), -4.3e-50 (N = 3) or
+        # 7.7e-34 (N = 2).
+        a = np.ones(3) / math.sqrt(3.0)
+        kwargs = {} if kind == "simple-bell" else {"m_choices": 2}
+        config = ModelConfig(kind=kind, n_copies=n, **kwargs,
+                             alice_directions=[-sign * a, [0.0, 0.0, 1.0]],
+                             bob_directions=[a, [0.0, 1.0, 0.0]])
+        probs = enumerate_exact(config).weights
+        assert np.all(probs >= 0.0)
+        forbidden = [(0, 2), (2, 0)] if sign == 1 else [(0, 0), (2, 2)]
+        assert all(probs[0, 0][cell] == 0.0 for cell in forbidden)
         assert np.max(np.abs(probs - self.brute_force(config))) <= 1e-14
 
     def test_pick_kinds_pin_one_copy(self):
