@@ -3,10 +3,11 @@
 Subcommands: bell, steer, qubit, curves, causality, oracle-check.
 Exit status 0 on success, 1 on flag or input validation failure (the
 message names the offending flag, including a model flag that the chosen
---model does not read), 2 on degenerate statistics such as a setting pair
-without coincidences.  Runs are reproducible by default: the
-seed defaults to the fixed constant 12345 and randomness is opt-in via
---seed.
+--model does not read, as ``models.READS`` says), 2 on degenerate
+statistics such as a setting pair without coincidences.  A model flag
+left out takes the model's own default.  Runs are reproducible by
+default: the seed defaults to the fixed constant 12345 and randomness is
+opt-in via --seed.
 """
 from __future__ import annotations
 
@@ -106,31 +107,6 @@ def _writing(flag, path):
                        f"{exc.strerror or exc}") from exc
 
 
-class _ModelFlag(argparse.Action):
-    """Store a model flag's value and record that the flag was given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.model_flags = (*getattr(namespace, "model_flags", ()),
-                                 self.option_strings[0])
-
-
-# The model flags each --model reads; giving it any other is an error.
-_MODEL_READS = {
-    "simple-bell": (),
-    "trusted-steering": ("--m-choices",),
-    "ncopy-steering": ("--n-copies", "--m-choices"),
-    "ncopy-tomography": ("--n-copies", "--q"),
-    "chaotic-ball": ("--q",),
-}
-
-
-def _reject_unread_flags(args) -> None:
-    for flag in getattr(args, "model_flags", ()):
-        if flag not in _MODEL_READS[args.model]:
-            raise CliError(f"{flag} is not read by --model {args.model}")
-
-
 def _add_run_flags(p):
     p.add_argument("--samples", default=estimators.DEFAULT_SAMPLES,
                    type=_integer("--samples", estimators.MIN_SAMPLES),
@@ -157,13 +133,11 @@ def build_parser() -> _Parser:
             command, help=f"{test} statistics of a local realistic model")
         p.set_defaults(run_kind=kind)
         p.add_argument("--model", default=choices[0], choices=choices)
-        p.add_argument("--n-copies", type=_copies, default=1,
-                       action=_ModelFlag)
-        p.add_argument("--q", type=_fraction_q, default=0.0,
-                       action=_ModelFlag)
+        # Left out, a model flag is None and the model's default holds.
+        p.add_argument("--n-copies", type=_copies)
+        p.add_argument("--q", type=_fraction_q)
         if kind == "steering":
-            p.add_argument("--m-choices", type=_integer("--m-choices"),
-                           default=3, action=_ModelFlag)
+            p.add_argument("--m-choices", type=_integer("--m-choices"))
         _add_run_flags(p)
         p.add_argument("--out", type=_output_file("--out"),
                        help="optional CSV with per-pair statistics")
@@ -173,15 +147,12 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=_number("--omega"), default=1.0)
     p.add_argument("--t-a", type=_number("--t-a"), default=math.pi / 2.0)
     p.add_argument("--t-b", type=_number("--t-b"), default=math.pi)
-    p.add_argument("--n-copies", type=_copies, default=2)
+    p.add_argument("--n-copies", type=_integer("--n-copies", 2), default=2)
 
     p = sub.add_parser("curves",
                        help="efficiency-versus-violation sweep to CSV/SVG")
     p.add_argument("--kind", default="bell", choices=["bell", "steering"])
-    p.add_argument("--model", default="ncopy-tomography",
-                   choices=["ncopy-tomography", "chaotic-ball"])
     p.add_argument("--n-copies", type=_copies_list, default=[1],
-                   action=_ModelFlag,
                    help="comma-separated copy counts, e.g. 1,2,3,inf")
     _add_run_flags(p)
     p.add_argument("--out", type=_output_file("--out"), required=True,
@@ -202,15 +173,18 @@ def build_parser() -> _Parser:
 
 
 def _model_config(args) -> ModelConfig:
-    kind = args.model
-    if kind in ("ncopy-tomography", "chaotic-ball"):
-        n = math.inf if kind == "chaotic-ball" else args.n_copies
-        return models.tomography_config(args.run_kind, n_copies=n, q=args.q)
-    if kind == "simple-bell":
-        return ModelConfig(kind="simple-bell")
+    given = {name: value for name in ("n_copies", "q", "m_choices")
+             if (value := getattr(args, name, None)) is not None}
+    for name in given:
+        if name not in models.READS[args.model]:
+            raise CliError(f"--{name.replace('_', '-')} is not read by "
+                           f"--model {args.model}")
     try:
-        return ModelConfig(kind=kind, n_copies=args.n_copies,
-                           m_choices=args.m_choices)
+        if args.model == "chaotic-ball":
+            return models.tomography_config(args.run_kind, math.inf, **given)
+        if args.model == "ncopy-tomography":
+            return models.tomography_config(args.run_kind, **given)
+        return ModelConfig(args.model, **given)
     except ValueError as exc:
         # ModelConfig names the field; report the flag that set it.
         raise CliError(str(exc).replace("n_copies", "--n-copies")
@@ -291,8 +265,7 @@ def _cmd_qubit(args) -> int:
         args.t_a, args.t_b, args.omega)
     try:
         copies = quantum.copies_joint_probability(
-            args.t_a, args.t_b, args.omega, args.n_copies
-            if args.n_copies != math.inf else 2)
+            args.t_a, args.t_b, args.omega, args.n_copies)
     except ValueError as exc:
         raise CliError(f"--n-copies: {exc}")
     p_a = quantum.qubit_probability_plus(args.omega * args.t_a)
@@ -315,8 +288,7 @@ def _cmd_qubit(args) -> int:
 def _cmd_curves(args) -> int:
     if not args.n_copies:
         raise CliError("--n-copies expects at least one copy count")
-    n_copies = [math.inf] if args.model == "chaotic-ball" else args.n_copies
-    curves = sweep_curves(args.kind, n_copies, samples=args.samples,
+    curves = sweep_curves(args.kind, args.n_copies, samples=args.samples,
                           seed=args.seed, workers=args.workers)
     points = [p for pts in curves.values() for p in pts]
     with _writing("--out", args.out):
@@ -444,7 +416,6 @@ def main(argv=None) -> int:
         if not args.command:
             raise CliError("missing command (bell, steer, qubit, curves, "
                            "causality, oracle-check)")
-        _reject_unread_flags(args)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -688,15 +688,15 @@ def frontier_value(points: list[CurvePoint], eta: float) -> float | None:
 
 
 def min_copies(observed_value: float, observed_eta: float, kind: str,
-               n_max: int, *, curves: dict[float, list[CurvePoint]] | None = None,
-               q_grid=None) -> int | None:
+               n_max: int, *, curves: dict[float, list[CurvePoint]] | None = None
+               ) -> int | None:
     """Smallest copy count whose frontier dominates an observation.
 
     The frontiers are the given ``curves`` (keyed by N; N = inf and N >
     n_max are ignored), or else the exact curves of
-    ``sweep_curves(kind, [N], q_grid, samples=None)`` at N = 1, 2, ...,
-    with nothing drawn, each N built only once the smaller ones fall
-    short.  An observation at or below the ideal local-realistic bound
+    ``sweep_curves(kind, [N], samples=None)`` on the default q grid at
+    N = 1, 2, ..., with nothing drawn, each N built only once the smaller
+    ones fall short.  An observation at or below the ideal local-realistic bound
     returns 1; None when no curve with up to n_max copies reaches the
     observed value at the observed efficiency.
     """
@@ -710,7 +710,7 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
     if observed_value <= LR_BOUND[kind]:
         return 1
     if curves is None:
-        found = ((n, sweep_curves(kind, [n], q_grid, None)[n])
+        found = ((n, sweep_curves(kind, [n], None, None)[n])
                  for n in range(1, n_max + 1))
     else:
         found = ((n, curves[n]) for n in sorted(curves)

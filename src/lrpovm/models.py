@@ -20,8 +20,10 @@ ncopy-tomography  thresholded projections of a correlated direction pair
 chaotic-ball      the N -> infinity limit: both parties threshold
                   projections of one shared uniformly random axis.
 
-The two pick kinds are the unanimity model at N = 1, since a single copy
-is always unanimous, and ``ModelConfig`` pins ``n_copies = 1`` for them.
+``READS`` names the parameters each kind reads, and is the one statement
+of that rule.  The two pick kinds are the unanimity model at N = 1, since
+a single copy is always unanimous, and ``ModelConfig`` pins
+``n_copies = 1`` for them.
 A ``ModelConfig`` is the model alone: its ``run_kind`` names the test a
 run of it feeds and its ``preselection_weight`` is derived from N, while
 the seed belongs to each run and the samplers take a generator.
@@ -59,8 +61,16 @@ from .sphere import BLOCK, PairSampler, Workspace, blocks, check_unit
 
 DEFAULT_SEED = 12345
 
-KINDS = ("simple-bell", "trusted-steering", "ncopy-steering",
-         "ncopy-tomography", "chaotic-ball")
+# The parameters each model kind reads; it ignores the others.  The kinds
+# that read m_choices are the steering ones, those that read q the
+# tomography ones; a kind that does not read n_copies pins it.
+READS = {
+    "simple-bell": (),
+    "trusted-steering": ("m_choices",),
+    "ncopy-steering": ("n_copies", "m_choices"),
+    "ncopy-tomography": ("n_copies", "q"),
+    "chaotic-ball": ("q",),
+}
 
 # Preselection weight (N+1)/2^N of the N-copy tomography construction: a
 # property of the config, printed by ``lrpovm bell`` and never folded into
@@ -94,8 +104,9 @@ class ModelConfig:
     bob_directions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in READS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        steering = "m_choices" in READS[self.kind]
         try:
             self.m_choices = operator.index(self.m_choices)
         except TypeError:
@@ -110,7 +121,7 @@ class ModelConfig:
             self.n_copies = int(self.n_copies)
         elif self.kind == "ncopy-steering":
             raise ValueError("n_copies must be finite for ncopy-steering")
-        if self.kind in ("trusted-steering", "ncopy-steering"):
+        if steering:
             if self.m_choices < 2:
                 raise ValueError("m_choices must be at least 2 for steering")
             if self.bob_directions is None:
@@ -131,8 +142,7 @@ class ModelConfig:
             np.atleast_2d(self.alice_directions), "alice_directions")
         self.bob_directions = check_unit(
             np.atleast_2d(self.bob_directions), "bob_directions")
-        if self.kind in ("trusted-steering", "ncopy-steering") \
-                and len(self.bob_directions) != self.m_choices:
+        if steering and len(self.bob_directions) != self.m_choices:
             raise ValueError("m_choices must match the direction set")
         if self.run_kind == "steering" \
                 and len(self.alice_directions) != len(self.bob_directions):
@@ -140,14 +150,12 @@ class ModelConfig:
                 f"alice_directions must have one row per Bob direction "
                 f"({len(self.bob_directions)}) in a steering run, got "
                 f"{len(self.alice_directions)}")
-        if self.kind == "chaotic-ball":
-            self.n_copies = math.inf
-        elif self.kind in ("simple-bell", "trusted-steering"):
-            self.n_copies = 1
+        if "n_copies" not in READS[self.kind]:
+            self.n_copies = math.inf if self.is_tomography else 1
 
     @property
     def is_tomography(self) -> bool:
-        return self.kind in ("ncopy-tomography", "chaotic-ball")
+        return "q" in READS[self.kind]
 
     @property
     def run_kind(self) -> str:
@@ -156,7 +164,7 @@ class ModelConfig:
         The pick and unanimity kinds fix it; a tomography model serves
         either test and is read as Bell with two Alice directions.
         """
-        if self.kind in ("trusted-steering", "ncopy-steering"):
+        if "m_choices" in READS[self.kind]:
             return "steering"
         if self.kind == "simple-bell" or len(self.alice_directions) == 2:
             return "bell"

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .sphere import check_unit
+from .sphere import check_count, check_unit
 
 # Basis convention: |+> is index 0, |-> is index 1, binary counting.
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,9 +67,7 @@ def evolution_operator(omega_t: float) -> np.ndarray:
 
 
 def _check_copy_cap(n_copies: int, cap: int) -> int:
-    n = int(n_copies)
-    if n < 1:
-        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
+    n = check_count(n_copies, minimum=1)
     if n > cap:
         raise ValueError(f"n_copies={n} exceeds the exact-engine cap {cap}")
     return n
@@ -242,7 +240,7 @@ def copies_joint_probability(t_a: float, t_b: float, omega: float,
     force on the 2^n register; the result factorizes into the undisturbed
     single-check probabilities.
     """
-    n = int(n_copies)
+    n = check_count(n_copies)
     if n < 2:
         raise ValueError("need at least two copies for two readout times")
     if n > 12:

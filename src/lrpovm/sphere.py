@@ -53,6 +53,20 @@ def check_unit(v, name: str = "direction") -> np.ndarray:
     return v
 
 
+def check_count(value, name: str = "n_copies", minimum: int = 0) -> int:
+    """value as an int of at least ``minimum``.  An integral float such as
+    2.0 passes; a non-integral, infinite or NaN value fails naming ``name``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+    return n
+
+
 # Rows per block of elementwise work: one float vector of a block is 64 KiB,
 # so a block's handful of work vectors stays in cache.
 BLOCK = 8192
@@ -263,9 +277,7 @@ def sample_pair(n_copies: int, rng: np.random.Generator,
     computed one at a time, with the same operations ``np.cross`` performs.
     ``PairSampler`` does the work, in blocks; see it for the draw order.
     """
-    n_copies = int(n_copies)
-    if n_copies < 0:
-        raise ValueError(f"n_copies must be >= 0, got {n_copies}")
+    n_copies = check_count(n_copies)
     n = 1 if size is None else int(size)
     pairs = PairSampler((n_copies,), rng, n, Workspace())
     b = np.empty((n, 3))
@@ -283,9 +295,7 @@ def pair_density(n_copies: int, cos_angle) -> np.ndarray | float:
     the product of the two spheres.  The associated preselection weight
     (N+1)/2^N is bookkept separately by the models.
     """
-    n_copies = int(n_copies)
-    if n_copies < 0:
-        raise ValueError(f"n_copies must be >= 0, got {n_copies}")
+    n_copies = check_count(n_copies)
     c = np.asarray(cos_angle, dtype=float)
     if np.any(np.abs(c) > 1.0 + 1e-12):
         raise ValueError("cos_angle outside [-1, 1]")
@@ -301,9 +311,7 @@ def cap_overlap_quadrature(f, nodes: int = 64) -> float:
     f must accept an ndarray of abscissas; scalar-valued constants are
     broadcast.  Used for polar-cap overlap integrands, hence the name.
     """
-    if nodes < 2:
-        raise ValueError(f"nodes must be at least 2, got {nodes}")
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
+    x, w = np.polynomial.legendre.leggauss(check_count(nodes, "nodes", 2))
     y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
     return float(np.dot(w, y))
 

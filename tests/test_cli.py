@@ -58,8 +58,9 @@ class TestValidation:
         (("steer", "--model", "ncopy-steering", "--q", "0.2"), "--q"),
         (("steer", "--model", "trusted-steering", "--n-copies", "2"),
          "--n-copies"),
-        (("curves", "--model", "chaotic-ball", "--n-copies", "2",
-          "--out", "x.csv"), "--n-copies")])
+        # Of several unread flags the first in parser order is named.
+        (("steer", "--model", "trusted-steering", "--q", "0.5",
+          "--n-copies", "5"), "--n-copies")])
     def test_unread_model_flag_rejected(self, capsys, argv, flag):
         """A flag the chosen --model does not read fails before any run,
         naming the flag, instead of being silently ignored."""
@@ -94,7 +95,8 @@ class TestValidation:
           "--svg", "/nonexistent/x.svg"), "--svg"),
         # passes the up-front check; the write itself fails (ENAMETOOLONG)
         (("curves", "--samples", "2000", "--out", "x" * 300 + ".csv"),
-         "--out")])
+         "--out"),
+        (("qubit", "--n-copies", "inf"), "--n-copies")])
     def test_bad_input_flag_named(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 1

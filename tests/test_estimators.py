@@ -1110,6 +1110,67 @@ class TestUnanimityGoodnessOfFit:
         assert min(p_values) >= 0.01 / tests, report
 
 
+def random_tomography_configs(geometry_seed: int) -> list[ModelConfig]:
+    """Thirty tomography models at random unit directions, alternately
+    2 x 2 (a Bell run) and 3 x 3 (a steering run), with N drawn from
+    {1, 2, 3, 5, 8, inf} and q from [0, 0.95).  In every sixth one the
+    first pair is forced, in turn, to a = b, to a = -b, or to caps whose
+    edges touch, q = cos(theta/2) for the angle theta between a and b."""
+    rng = np.random.default_rng(geometry_seed)
+    configs = []
+    for i in range(30):
+        m = 2 + i % 2
+        alice, bob = rng.normal(size=(2, m, 3))
+        alice /= np.linalg.norm(alice, axis=-1, keepdims=True)
+        bob /= np.linalg.norm(bob, axis=-1, keepdims=True)
+        n = [1, 2, 3, 5, 8, math.inf][rng.integers(6)]
+        q = rng.uniform(0.0, 0.95)
+        force = "none" if i % 6 else ("same", "opposite", "touch")[i // 6 % 3]
+        if force == "same":
+            alice[0] = bob[0]
+        elif force == "opposite":
+            alice[0] = -bob[0]
+        elif force == "touch":
+            q = math.cos(math.acos(np.clip(alice[0] @ bob[0], -1.0, 1.0)) / 2)
+        configs.append(ModelConfig(
+            kind="chaotic-ball" if n == math.inf else "ncopy-tomography",
+            n_copies=n, q=q, alice_directions=alice, bob_directions=bob))
+    return configs
+
+
+class TestTomographyGoodnessOfFit:
+    """Monte Carlo counts against the exact tables at random geometry.
+
+    Gate, fixed before any run: over geometry seeds 1-2 there are 60
+    configs and 390 pair tables, each of 200 000 samples G-tested against
+    ``enumerate_exact``; the least p must reach the Bonferroni bound
+    0.01 / 390 of a family alpha of 0.01, and any count in a cell of
+    probability 0 fails.  The KS uniformity of the p-values is reported
+    in the message but not gated.
+    """
+
+    SAMPLES = 200_000
+
+    def test_counts_fit_exact_tables(self):
+        p_values, zero_cell_counts = [], []
+        for geometry_seed in (1, 2):
+            for i, config in enumerate(
+                    random_tomography_configs(geometry_seed)):
+                counts = estimate(config, self.SAMPLES,
+                                  seed=1000 * geometry_seed + i).weights
+                probs = enumerate_exact(config).weights
+                for a, b in np.ndindex(counts.shape[:2]):
+                    if np.any(counts[a, b][probs[a, b] == 0.0] > 0):
+                        zero_cell_counts.append((geometry_seed, i, a, b))
+                    p_values.append(g_test(counts[a, b], probs[a, b]))
+        tests = len(p_values)
+        assert tests == 390
+        report = (f"min p {min(p_values):.3g} over {tests} tests, KS "
+                  f"uniformity p {ks_uniform_p(p_values):.3g}")
+        assert not zero_cell_counts, report
+        assert min(p_values) >= 0.01 / tests, report
+
+
 @pytest.fixture
 def fresh_workspace(monkeypatch):
     """A new, empty chunk workspace for this thread, restored afterwards."""
@@ -1435,8 +1496,6 @@ class TestMinCopies:
             min_copies(0.5, 0.0, "steering", 5, curves={})
         with pytest.raises(ValueError):
             min_copies(math.inf, 0.5, "steering", 5, curves={})
-        with pytest.raises(ValueError, match="q_grid"):
-            min_copies(0.5, 0.5, "steering", 2, q_grid=[math.nan])
         # Checked before the early return below the bound, too.
         with pytest.raises(ValueError, match="kind"):
             min_copies(0.30, 0.50, "foo", 5, curves={})

@@ -55,6 +55,15 @@ class TestSingletPower:
     def test_cap(self):
         with pytest.raises(ValueError):
             singlet_power(6)
+        # A copy count that is not an integer is named, never truncated.
+        z, y = np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+        for n in (2.5, math.inf, math.nan):
+            for call in (lambda: singlet_power(n),
+                         lambda: coherent_state(n, z),
+                         lambda: oracle_pair_density(n, z, y)):
+                with pytest.raises(ValueError, match="n_copies"):
+                    call()
+        assert np.array_equal(singlet_power(2.0), singlet_power(2))
 
 
 class TestCoherentState:
@@ -200,6 +209,11 @@ class TestCopiesReadout:
     def test_insufficient_copies(self):
         with pytest.raises(ValueError, match="at least two copies"):
             copies_joint_probability(0.1, 0.2, 1.0, 1)
+        for n in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="n_copies"):
+                copies_joint_probability(0.1, 0.2, 1.0, n)
+        assert np.array_equal(copies_joint_probability(0.1, 0.2, 1.0, 3.0),
+                              copies_joint_probability(0.1, 0.2, 1.0, 3))
 
     def test_zero_time_start(self):
         p = copies_joint_probability(0.0, 1.3, 1.0, 2)

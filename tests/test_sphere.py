@@ -78,6 +78,13 @@ class TestSamplePair:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sample_pair(-1, rng_stream(9))
+        # A copy count that is not an integer is named, never truncated.
+        for n in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="n_copies"):
+                sample_pair(n, rng_stream(9))
+        for got, want in zip(sample_pair(2.0, rng_stream(9), 5),
+                             sample_pair(2, rng_stream(9), 5)):
+            assert np.array_equal(got, want)
 
 
 def cross_sample_pair(n_copies, gen, size):
@@ -330,6 +337,10 @@ class TestPairDensity:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             pair_density(1, 1.5)
+        for n in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="n_copies"):
+                pair_density(n, 0.3)
+        assert pair_density(2.0, 0.3) == pair_density(2, 0.3)
 
 
 class TestQuadrature:
@@ -348,6 +359,11 @@ class TestQuadrature:
     def test_node_minimum(self):
         with pytest.raises(ValueError, match="nodes"):
             cap_overlap_quadrature(lambda c: c, 1)
+        for nodes in (3.7, math.inf, math.nan):
+            with pytest.raises(ValueError, match="nodes"):
+                cap_overlap_quadrature(lambda c: c, nodes)
+        assert cap_overlap_quadrature(lambda c: c ** 2, 16.0) == \
+            cap_overlap_quadrature(lambda c: c ** 2, 16)
 
 
 class TestRngStream:
