@@ -18,15 +18,17 @@ counted from its picks: one bincount over (pick pair, Alice trit, Bob
 trit) codes, mapped to reading pairs by ``models.pick_tables``, as the
 exact enumeration is.  The tomography family is counted from signed
 threshold levels (``models.threshold_levels``: the number of thresholds
-below |p|, exact): one bincount per counted reading pair histograms the
-joint levels, and 2-D prefix sums give the table of every threshold.  A
-sweep counts only the pairs its statistic reads (a steering run's
-matched pairs (j, j)) and leaves the other tables zero; a point estimate
-counts every pair, since ``lrpovm steer --out`` writes all of them.  A
-sweep over several N is one pass: chunk i draws from
-``rng_stream(seed, i)`` the same numbers whatever N is, so Alice's
-levels are taken once per chunk and each N adds only Bob's, in its
-single-N order; each N's tables are bit-identical to a sweep of it alone.
+below |p|, exact), block by block as the sampler levels them
+(``_LevelCounter``): per block, one ``np.add.at`` per copy count and
+counted reading pair histograms the joint levels, and at the chunk's end
+2-D prefix sums give the table of every threshold.  A sweep counts only
+the pairs its statistic reads (a steering run's matched pairs (j, j))
+and leaves the other tables zero; a point estimate counts every pair, since
+``lrpovm steer --out`` writes all of them.  A sweep over several N is
+one pass: chunk i draws from ``rng_stream(seed, i)`` the same numbers
+whatever N is, so Alice's levels and codes are made once per block and
+each N adds only Bob's, in its single-N order; each N's tables are
+bit-identical to a sweep of it alone.
 
 Parallelism is a map over chunks of ``DEFAULT_CHUNK`` samples, one
 stream per chunk, merged by integer addition, so a Monte Carlo result is
@@ -34,7 +36,9 @@ fixed by (model, samples, seed) whatever ``workers`` is.  A process
 keeps one warm pool until exit (rebuilt for a new worker count, a broken
 pool or a forked child); threads share it one call at a time.  Each
 thread's chunks reuse one ``sphere.Workspace``, computing in cache-sized
-blocks of its buffers.
+blocks of its buffers.  A tomography chunk holds A's normal rows and the
+opening uniforms at full size and nothing else n long, so its workspace
+does not grow with the number of copy counts.
 """
 from __future__ import annotations
 
@@ -50,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import models
+from . import models, sphere
 from .models import ModelConfig, tomography_config
 from .sphere import Workspace, check_unit, circle_arc_fraction, rng_stream
 
@@ -268,39 +272,64 @@ class RunStatistics:
 # Monte Carlo estimation.
 # ---------------------------------------------------------------------------
 
-def _count_levels(levels_a: np.ndarray, levels_b: np.ndarray,
-                  n_levels: int, code: np.ndarray,
-                  pairs=None) -> np.ndarray:
-    """Trit tables (L, Ma, Mb, 3, 3) from signed levels v in [-L, L].
+class _LevelCounter:
+    """Trit tables of signed levels v in [-L, L], counted block by block.
 
     Threshold k reads v <= -(k+1) as -1, |v| <= k as 0, v >= k+1 as +1.
-    Each counted reading pair's joint level code
-    (v_a + L)(2L + 1) + v_b + L is written into ``code`` (n intp work
-    array) and histogrammed by one bincount.  ``pairs`` lists the (i, j)
-    pairs to count, every pair when None; the other tables are zero.  A
-    sweep passes the pairs its statistic reads (a steering run's matched
-    pairs), ``estimate`` None.
+    Called with one block's levels, as ``models.tomography_level_batch``
+    hands them over, it writes the code (v_a + L)(2L + 1) + L of each
+    counted Alice direction once, then for every copy count and counted
+    reading pair adds v_b, giving the joint level code, and adds one to
+    that code's cell of ``hist``, one histogram per (copy count, counted
+    pair), by ``np.add.at``, which makes no histogram-sized array however
+    fine the grid.  ``pairs`` lists the (i, j) pairs to count, every pair
+    when None; the other tables are zero.  A sweep passes the pairs its statistic reads
+    (a steering run's matched pairs), ``estimate`` None.  The code arrays
+    are block buffers of ``ws``, whatever the number of copy counts.
     """
-    width = 2 * n_levels + 1
-    ma, mb = levels_a.shape[1], levels_b.shape[1]
-    if pairs is None:
-        pairs = np.ndindex(ma, mb)
-    hist = np.zeros((ma, mb, width * width), dtype=np.int64)
-    for i, j in pairs:
-        np.multiply(levels_a[:, i], width, out=code, dtype=np.intp)
-        code += levels_b[:, j]
-        code += n_levels * (width + 1)
-        hist[i, j] = np.bincount(code, minlength=width * width)
-    cum = np.zeros((ma, mb, width + 1, width + 1), dtype=np.int64)
-    cum[:, :, 1:, 1:] = hist.reshape(ma, mb, width, width).cumsum(2).cumsum(3)
-    k = np.arange(n_levels)
-    edges = np.stack([np.zeros_like(k), n_levels - k, n_levels + k + 1,
-                      np.full_like(k, width)], axis=1)
-    # corner[..., l, r, c] = cum at (edges[l, r], edges[l, c]).
-    corner = cum[:, :, edges[:, :, None], edges[:, None, :]]
-    tables = (corner[..., 1:, 1:] - corner[..., :-1, 1:]
-              - corner[..., 1:, :-1] + corner[..., :-1, :-1])
-    return np.moveaxis(tables, 2, 0)
+
+    def __init__(self, n_levels: int, n_copies, ma: int, mb: int, pairs,
+                 ws: Workspace) -> None:
+        self.n_levels, self.width = n_levels, 2 * n_levels + 1
+        self.shape = ma, mb
+        self.pairs = list(np.ndindex(ma, mb) if pairs is None else pairs)
+        self.alice = list(dict.fromkeys(i for i, _ in self.pairs))
+        self.index = [(self.alice.index(i), j) for i, j in self.pairs]
+        self.codes_a = ws.take((len(self.alice), sphere.BLOCK + 1), np.intp)
+        self.code = ws.take(sphere.BLOCK + 1, np.intp)
+        self.hist = np.zeros((len(n_copies), len(self.pairs),
+                              self.width * self.width), dtype=np.int64)
+
+    def __call__(self, rows, levels_a, levels_b) -> None:
+        m = len(levels_a)
+        codes_a, code = self.codes_a[:, :m], self.code[:m]
+        for codes, i in zip(codes_a, self.alice):
+            np.multiply(levels_a[:, i], self.width, out=codes, dtype=np.intp)
+            codes += self.n_levels * (self.width + 1)
+        for hist, levels in zip(self.hist, levels_b):
+            for counts, (r, j) in zip(hist, self.index):
+                np.add(codes_a[r], levels[:, j], out=code)
+                np.add.at(counts, code, 1)
+
+    def tables(self) -> np.ndarray:
+        """The tables (K, L, Ma, Mb, 3, 3) of the K copy counts: 2-D prefix
+        sums of each histogram, read at the band edges of every threshold."""
+        n_levels, width = self.n_levels, self.width
+        k = np.arange(n_levels)
+        edges = np.stack([np.zeros_like(k), n_levels - k, n_levels + k + 1,
+                          np.full_like(k, width)], axis=1)
+        i, j = zip(*self.pairs)
+        tables = np.zeros((len(self.hist), n_levels, *self.shape, 3, 3),
+                          dtype=np.int64)
+        cum = np.zeros((len(self.pairs), width + 1, width + 1), np.int64)
+        for hist, out in zip(self.hist, tables):
+            cum[:, 1:, 1:] = hist.reshape(-1, width, width).cumsum(1).cumsum(2)
+            # corner[p, l, r, c] = cum at (edges[l, r], edges[l, c]).
+            corner = cum[:, edges[:, :, None], edges[:, None, :]]
+            out[:, i, j] = (corner[..., 1:, 1:] - corner[..., :-1, 1:]
+                            - corner[..., 1:, :-1] + corner[..., :-1, :-1]
+                            ).swapaxes(0, 1)
+        return tables
 
 
 class _ThreadWorkspace(threading.local):
@@ -332,12 +361,12 @@ def _count_chunk(task) -> np.ndarray:
         cell = models.unanimity_cell_batch(config, gen, size, ws)
         return models.pick_tables(np.bincount(cell, minlength=ma * mb * 9)
                                   .reshape(ma, mb, 3, 3))[None, None]
-    levels_a, levels_b = models.tomography_level_batch(
-        config, gen, size, q_sorted, ws, n_copies)
-    code = ws.take(size, np.intp)
-    return np.stack([_count_levels(levels_a, levels, len(q_sorted), code,
-                                   pairs)
-                     for levels in levels_b])
+    counter = _LevelCounter(len(q_sorted), n_copies,
+                            len(config.alice_directions),
+                            len(config.bob_directions), pairs, ws)
+    models.tomography_level_batch(config, gen, size, q_sorted, ws, n_copies,
+                                  counter)
+    return counter.tables()
 
 
 # The process's one pool, kept warm across calls, and its worker count.  A

@@ -36,17 +36,21 @@ at each, the whole unanimity readout; ``sample_batch`` decodes it with
 gives the threshold levels of the sampled projections on a q grid, for a
 tuple of copy counts; a point estimate is the one-N, one-q case, whose
 levels on the grid (q,) are the trits.  It is one explicit loop over
-blocks of samples, with no generator layers: A, the opening and azimuth
-uniforms and Alice's levels do not depend on N, so each block makes them
-once, then loops over the copy counts, adding only Bob's directions,
-projections and levels.  Each N's levels are bit-identical to a draw of
-that N alone, because the single-N stream draws the same numbers in the
-same order and every elementwise operation keeps its order.  Both
-kernels take a ``sphere.Workspace`` and return views of it;
-``sample_batch`` gives each call a fresh one.  One table map
-(``pick_tables``) turns per-pick-pair outcomes into reading-pair tables,
-for the exact enumerator (``enumerate_unanimity``) and for Monte Carlo
-pick counts alike.
+blocks of samples: A, the opening and azimuth uniforms and Alice's
+levels do not depend on N, so each block makes them once, then loops
+over the copy counts, adding only Bob's directions, projections and
+levels.  Each N's levels are bit-identical to a draw of that N alone,
+because the single-N stream draws the same numbers in the same order and
+every elementwise operation keeps its order.  The loop hands each
+block's levels to its caller's function: ``sample_batch`` copies them
+into full arrays, and a Monte Carlo chunk counts them, so that a counted
+chunk holds only A's normal rows and the opening uniforms at full size,
+and a workspace that does not grow with the number of copy counts.  Both
+kernels take a ``sphere.Workspace``; ``unanimity_cell_batch`` returns a
+view of it, and ``sample_batch`` gives each call a fresh one.  One
+table map (``pick_tables``) turns per-pick-pair outcomes into
+reading-pair tables, for the exact enumerator (``enumerate_unanimity``)
+and for Monte Carlo pick counts alike.
 """
 from __future__ import annotations
 
@@ -252,7 +256,6 @@ class _LevelGrid:
         bins, level = self.bins[:m], self.level[:m]
         np.abs(p, out=mag)
         np.multiply(mag, LEVEL_BINS, out=bins, casting="unsafe")
-        np.minimum(bins, LEVEL_BINS, out=bins)
         np.take(self.first, bins, out=level, mode="clip")
         for _ in range(self.steps):
             np.take(self.q_pad, level, out=near, mode="clip")
@@ -378,12 +381,14 @@ def unanimity_cell_batch(config: ModelConfig, rng: np.random.Generator,
 
 
 def tomography_level_batch(config: ModelConfig, rng: np.random.Generator,
-                           n: int, q_sorted, ws: Workspace, n_copies
-                           ) -> tuple[np.ndarray, list[np.ndarray]]:
+                           n: int, q_sorted, ws: Workspace, n_copies,
+                           count) -> None:
     """Signed threshold levels of n sampled runs at several copy counts.
 
-    Returns Alice's levels (n, Ma) and a list of Bob's (n, Mb), one per
-    copy count in ``n_copies``; the config gives the direction sets.
+    Hands each block of runs to ``count(rows, levels_a, levels_b)``:
+    Alice's levels of the block (m, Ma) and an iterator of Bob's (m, Mb),
+    one per copy count in ``n_copies``, each levelled as it is taken into
+    one reused block buffer; the config gives the direction sets.
     Levels are read against the sorted grid ``q_sorted`` as by
     ``threshold_levels``; a point estimate is the one-N, one-q case, whose
     levels on the grid (config.q,) are the trits.  One ``PairSampler`` draw
@@ -393,31 +398,37 @@ def tomography_level_batch(config: ModelConfig, rng: np.random.Generator,
     once, then loops over the copy counts, adding Bob's directions,
     projections and levels; each N's levels equal those of a call with
     that N alone.  Where B = A and the direction sets are equal, Bob's
-    levels are Alice's array and that N is skipped.  Every work array is
-    taken from ``ws``, and the returned levels are views of it.
+    levels are Alice's block and that N is skipped.  Every work array is
+    taken from ``ws``.  No array of n levels is made, and the workspace
+    does not grow with the number of copy counts.
     """
     dirs_a = np.asarray(config.alice_directions).T
     dirs_b = np.asarray(config.bob_directions).T
     ma, mb = dirs_a.shape[1], dirs_b.shape[1]
     grid = _LevelGrid(q_sorted, (BLOCK + 1) * max(ma, mb), ws)
-    levels_a = ws.take((n, ma), grid.dtype)
     shared = np.array_equal(dirs_a, dirs_b)
-    levels_b = [levels_a if shared and k == math.inf
-                else ws.take((n, mb), grid.dtype) for k in n_copies]
+    block_a = ws.take((BLOCK + 1, ma), grid.dtype)
+    block_b = ws.take((BLOCK + 1, mb), grid.dtype)
     proj_a = ws.take((BLOCK + 1, ma))
     proj_b = ws.take((BLOCK + 1, mb))
     pairs = PairSampler(n_copies, rng, n, ws)
+
+    def bob(a, rows, levels_a):
+        m = len(a)
+        for k in n_copies:
+            if shared and k == math.inf:
+                yield levels_a
+            else:
+                b = pairs.partner(k, a, rows)
+                grid.levels_into(np.matmul(b, dirs_b, out=proj_b[:m]),
+                                 block_b[:m])
+                yield block_b[:m]
+
     for rows in blocks(n):
         m = rows.stop - rows.start
         a = pairs.block(rows)
-        grid.levels_into(np.matmul(a, dirs_a, out=proj_a[:m]),
-                         levels_a[rows])
-        for k, levels in zip(n_copies, levels_b):
-            if levels is not levels_a:
-                b = pairs.partner(k, a, rows)
-                grid.levels_into(np.matmul(b, dirs_b, out=proj_b[:m]),
-                                 levels[rows])
-    return levels_a, levels_b
+        grid.levels_into(np.matmul(a, dirs_a, out=proj_a[:m]), block_a[:m])
+        count(rows, block_a[:m], bob(a, rows, block_a[:m]))
 
 
 def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
@@ -430,13 +441,18 @@ def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
     correlation to 1/M while coincidences stay perfect.  The tomography
     family reads every choice, thresholded at ``config.q``.
     """
-    if config.is_tomography:
-        alice, (bob,) = tomography_level_batch(
-            config, rng, n, (config.q,), Workspace(), (config.n_copies,))
-        # A shared-axis steering batch reads Alice's levels for Bob's.
-        return ReadoutBatch(alice=alice,
-                            bob=bob.copy() if bob is alice else bob)
     ma, mb = len(config.alice_directions), len(config.bob_directions)
+    if config.is_tomography:
+        alice = np.empty((n, ma), np.int8)
+        bob = np.empty((n, mb), np.int8)
+
+        def keep(rows, levels_a, levels_b):
+            alice[rows] = levels_a
+            bob[rows] = next(levels_b)
+
+        tomography_level_batch(config, rng, n, (config.q,), Workspace(),
+                               (config.n_copies,), keep)
+        return ReadoutBatch(alice=alice, bob=bob)
     cell = unanimity_cell_batch(config, rng, n, Workspace())
     pick_a, pick_b = np.divmod(cell // 9, mb)
     a, b = np.divmod(cell % 9, 3)

@@ -7,19 +7,25 @@ ones), the circle-arc fraction of the exact chaotic-ball tables, and the
 Gauss-Legendre rule of the pair-density normalisation check.
 
 Sampling writes into a ``Workspace``, one byte arena reused round after
-round.  Every draw of n directions or pairs is made at full size, straight
-into the arena (``standard_normal(out=)``, ``random(out=)``), in a fixed
-order; the elementwise work that follows (norms, division, the pair
-frame) runs in blocks of ``BLOCK`` rows through reused block buffers.
-The Monte Carlo estimators keep one workspace per thread for all their
-chunks; the public samplers give each call a fresh one, so their results
-are new arrays.  Blocking changes no bit of any result.
+round.  Of a draw of n pairs, only the normal rows of A and the opening
+uniforms u are held at full size, straight in the arena
+(``standard_normal(out=)``, ``random(out=)``), because each is drawn whole
+before the next; the azimuth uniforms chi, drawn last, are drawn block by
+block into a reused block buffer as the blocks are reached.  The
+elementwise work (norms and division as A is drawn, the pair frame) runs
+in blocks of ``BLOCK`` rows through reused block buffers, so the
+workspace does not grow with the number of copy counts.  The Monte Carlo
+estimators keep one workspace per thread for all their chunks; the
+public samplers give each call a fresh one, so their results are new
+arrays.  Blocking changes no bit of any result, nor the generator's state
+once every block is drawn: a generator's ``random`` fills its output one
+number at a time, so blocks of it draw the numbers of one call.
 
 ``PairSampler`` serves several copy counts N from one draw.  A, the
 opening uniforms u and the azimuth uniforms chi are drawn once, in the
 order a single N draws them, so each N sees the very numbers it would
-draw alone.  Its caller walks the blocks itself: ``block`` normalises a
-block of A and builds its azimuth vector once, and ``partner`` adds one
+draw alone.  Its caller walks the blocks itself: ``block`` draws a
+block's chi and builds its azimuth vector once, and ``partner`` adds one
 N's opening angle.  Every elementwise operation keeps the order of the
 single-N code, so each N's pairs are bit-identical to its own run.
 """
@@ -143,40 +149,63 @@ def _norm3(x, y, z, out, work) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _draw_directions(gen: np.random.Generator, n: int, ws: Workspace
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Standard normal rows (n, 3) and their norms, drawn into ``ws``.
+def _normalise(v, norms, work, zero) -> bool:
+    """Divide the rows of v by their norms, in place, except the rows of
+    norm below 1e-12, which are marked in ``zero`` and left as drawn.
+    True if there is such a row."""
+    _norm3(*v.T, norms, work)
+    found = np.less(norms, 1e-12, out=zero).any()
+    if found:
+        np.copyto(norms, 1.0, where=zero)
+    v /= norms[:, None]
+    return found
 
-    Dividing a row by its norm gives a uniform direction; callers do it
-    block by block.  A zero norm has probability ~1e-900; such rows are
-    redrawn, all at once, before anything else is drawn.
+
+def _draw_directions(gen: np.random.Generator, n: int, ws: Workspace
+                    ) -> np.ndarray:
+    """n uniform directions (n, 3): standard normal rows drawn into ``ws``
+    and divided by their norms block by block, in place.
+
+    A zero norm has probability ~1e-900; such rows are redrawn, all at once
+    and in row order, before anything else is drawn, and only the redrawn
+    rows are normalised again.
     """
     v = ws.take((n, 3))
     gen.standard_normal(out=v)
-    norms = ws.take(n)
-    bad = ws.take(n, bool)
-    work = ws.take(BLOCK + 1)
-    while True:
-        for rows in blocks(n):
-            _norm3(*v[rows].T, norms[rows], work[:rows.stop - rows.start])
-        if not np.less(norms, 1e-12, out=bad).any():
-            return v, norms
-        v[bad] = gen.standard_normal((int(bad.sum()), 3))
+    norms, work = ws.take((2, BLOCK + 1))
+    zero = ws.take(BLOCK + 1, bool)
+    redraw = []
+    for rows in blocks(n):
+        m = rows.stop - rows.start
+        if _normalise(v[rows], norms[:m], work[:m], zero[:m]):
+            redraw.extend(rows.start + np.flatnonzero(zero[:m]))
+    redraw = np.array(redraw, np.intp)
+    while redraw.size:
+        drawn = gen.standard_normal((redraw.size, 3))
+        again = np.empty(redraw.size, bool)
+        _normalise(drawn, np.empty(redraw.size), np.empty(redraw.size), again)
+        v[redraw] = drawn
+        redraw = redraw[again]
+    return v
 
 
 class PairSampler:
     """Direction pairs (A, B) of the N-copy tomography density, by blocks,
     for several copy counts N at once.
 
-    The constructor makes every draw of n pairs, in this order: normal rows
-    for A (zero norms redrawn), then, if some N is finite, n uniforms for
-    the opening variable and n for the azimuth.  No draw depends on N, so
-    the stream of each single N is this one, cut short after A when N is
-    inf: every N gets exactly the A, u and chi it would draw alone.
+    The draws of n pairs come in this order: normal rows for A (zero norms
+    redrawn), then, if some N is finite, n uniforms for the opening
+    variable and n for the azimuth.  No draw depends on N, so the stream of
+    each single N is this one, cut short after A when N is inf: every N
+    gets exactly the A, u and chi it would draw alone.  The constructor
+    draws A and u, which are held at full size, as each is drawn whole
+    before the next; A is normalised as it is drawn.
 
     ``block(rows)`` gives A for one block of ``blocks(n)``: those drawn
-    rows, normalised in place.  It also builds the block's azimuth vector
-    cos(chi) e1 + sin(chi) e2, which does not depend on N either.
+    rows, a view.  It draws the block's azimuth uniforms chi into a reused
+    block buffer and builds its azimuth vector cos(chi) e1 + sin(chi) e2,
+    which does not depend on N either.  As chi is drawn as the blocks are
+    reached, ``block`` must be called once per block, in order.
     ``partner(N, A, rows)`` then gives that block's B for one N, in one
     reused block buffer, adding only N's opening cosine and sine, or A
     itself when N is inf (the shared axis of the chaotic-ball limit).
@@ -184,26 +213,25 @@ class PairSampler:
 
     def __init__(self, n_copies, gen: np.random.Generator, n: int,
                  ws: Workspace) -> None:
-        self.a, self.norms = _draw_directions(gen, n, ws)
+        self.a = _draw_directions(gen, n, ws)
         self.finite = any(k != math.inf for k in n_copies)
         if not self.finite:
             return
+        self.gen = gen
         self.u = ws.take(n)
         gen.random(out=self.u)
-        self.chi = ws.take(n)
-        gen.random(out=self.chi)
+        self.chi = ws.take(BLOCK + 1)
         self.b = ws.take((BLOCK + 1, 3))
         self.azimuth = ws.take((3, BLOCK + 1))
         self.work = ws.take((7, BLOCK + 1))
         self.use_y = ws.take((2, BLOCK + 1), bool)
 
     def block(self, rows: slice) -> np.ndarray:
-        """A of one block, normalised in place; its azimuth vector too if
-        some N is finite."""
+        """A of the next block; its azimuth vector too if some N is
+        finite."""
         a = self.a[rows]
-        a /= self.norms[rows, None]
         if self.finite:
-            self._azimuth(a, self.chi[rows])
+            self._azimuth(a, self.gen.random(out=self.chi[:len(a)]))
         return a
 
     def _azimuth(self, a, chi) -> None:
@@ -224,7 +252,8 @@ class PairSampler:
         np.greater_equal(work, 0.9, out=use_y)
         np.logical_not(use_y, out=use_x)
         e1[:2] = 0.0
-        np.negative(az, out=e1[0], where=use_y)
+        np.negative(az, out=work)
+        np.copyto(e1[0], work, where=use_y)
         np.copyto(e1[1], az, where=use_x)
         np.negative(ay, out=e1[2])
         np.copyto(e1[2], ax, where=use_y)

@@ -19,7 +19,7 @@ from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                min_copies, sweep_curves)
 from lrpovm.models import DEFAULT_SEED, ModelConfig, sample_batch, \
     tomography_config, unanimity_cell_batch
-from lrpovm.sphere import Workspace, rng_stream, sample_pair
+from lrpovm.sphere import Workspace, blocks, rng_stream, sample_pair
 
 
 class TestRunStatistics:
@@ -913,6 +913,28 @@ class TestSweepKernelOracle:
                 assert_read_pairs_match(kind, table, want)
 
     @pytest.mark.parametrize("kind", ["bell", "steering"])
+    def test_fine_grid(self, monkeypatch, small_chunks, kind):
+        """A grid of 60 thresholds, whose joint-level histograms have more
+        cells than a block has rows, is counted as the reference counts
+        it, block by block as on the default grid."""
+        seen = []
+
+        class Recording(RunStatistics):
+            def __post_init__(self):
+                super().__post_init__()
+                seen.append(self.weights)
+
+        monkeypatch.setattr(estimators, "RunStatistics", Recording)
+        grid = tuple(np.round(np.linspace(0.0, 0.98, 60), 10).tolist())
+        n_copies = [2, math.inf]
+        sweep_curves(kind, n_copies, grid, 50_001, seed=3)
+        for n, tables in zip(n_copies, point_tables(seen[0], grid)):
+            expected = _reference_sweep_tables(kind, n, grid, 50_001, 3,
+                                               7_000)
+            for table, want in zip(tables, expected):
+                assert_read_pairs_match(kind, table, want)
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
     def test_copy_counts_worker_invariance(self, small_chunks, kind):
         grid = (0.6, 0.0, 0.3, 0.3, 0.95)
         one = sweep_curves(kind, MULTI_N, grid, 50_001, seed=43)
@@ -992,8 +1014,12 @@ class TestPickCountOracle:
                 (config, (config.n_copies,), (config.q,), None, seed, 3,
                  size))[0, 0]
             batch = sample_batch(config, rng_stream(seed, 3), size)
-            want = estimators._count_levels(batch.alice, batch.bob, 1,
-                                            np.empty(size, np.intp))[0]
+            counter = estimators._LevelCounter(
+                1, (config.n_copies,), batch.alice.shape[1],
+                batch.bob.shape[1], None, Workspace())
+            for rows in blocks(size):
+                counter(rows, batch.alice[rows], iter([batch.bob[rows]]))
+            want = counter.tables()[0, 0]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), size
 
@@ -1212,46 +1238,66 @@ POINT_CONFIGS = {
                                                        q=0.3)}
 
 
+def chunk_workspace(monkeypatch, config, n_copies) -> int:
+    """Bytes of a fresh chunk workspace once it has served one default-grid
+    chunk of ``config`` at ``n_copies``."""
+    ws = Workspace()
+    monkeypatch.setattr(estimators._CHUNK_WORKSPACE, "workspace", ws)
+    chunk_peak(config, default_q_grid(), n_copies)
+    return ws.nbytes
+
+
 @pytest.mark.usefixtures("fresh_workspace")
 class TestChunkMemory:
-    """One chunk allocates no more than the code it replaced did.
+    """One chunk allocates no more than its measured peak, plus about 2%.
 
-    The first three bounds are the scatter-and-cross code's peaks, measured
-    the same way (second call, seed 5): 24.19 MB (23.07 MiB) for
-    tomography Bell N = 4, at q = 0.3 and on the default grid alike, and
-    8.19 MB (7.81 MiB) for ncopy-steering N = 3.  The last two are the
-    binary-search level code's peaks: 16 124 192 B for a chaotic-ball
-    steering point chunk and 20 249 472 B for a steering N = 2 chunk on
-    the default grid.  A chunk's peak counts the chunk workspace it keeps
-    (see ``chunk_peak``); the current code peaks at 9.30 MB, 10.33 MB,
-    2.22 MB, 6 345 672 B and 11 727 417 B, of which the workspace is
-    9.22, 9.75, 2.02, 6.28 and 10.42 MB.
+    The peaks, measured by ``chunk_peak`` (second call, seed 5), are
+    5 867 866 B for tomography Bell N = 4 at q = 0.3, 6 910 763 B for it
+    on the default grid, 1 960 580 B for ncopy-steering N = 3, 4 111 937 B
+    for a chaotic-ball steering point chunk, 8 137 939 B for a steering
+    N = 2 chunk on the default grid, and 11 623 231 B and 8 459 653 B for
+    steering and Bell chunks of N = 1..10 and inf on it.  Of these the
+    workspace is 5.79, 6.32, 1.76, 4.04, 6.81, 6.81 and 6.32 MB: a
+    tomography chunk holds A's normal rows and the opening uniforms u at
+    full size and everything else in blocks, so its workspace does not
+    grow with the number of copy counts; only the histograms, one per
+    counted (copy count, reading pair), do.
     """
 
     def test_tomography_bell_point(self):
-        assert chunk_peak(tomography_config("bell", 4, q=0.3)) <= 24_187_240
+        assert chunk_peak(tomography_config("bell", 4, q=0.3)) <= 6_000_000
 
     def test_tomography_bell_sweep(self):
         assert chunk_peak(tomography_config("bell", 4),
-                          default_q_grid()) <= 24_187_048
+                          default_q_grid()) <= 7_050_000
 
     def test_ncopy_steering(self):
         config = ModelConfig(kind="ncopy-steering", n_copies=3, m_choices=3)
-        assert chunk_peak(config) <= 8_194_832
+        assert chunk_peak(config) <= 2_000_000
 
     def test_chaotic_ball_steering_point(self):
         config = tomography_config("steering", math.inf, q=0.3)
-        assert chunk_peak(config) <= 16_124_192
+        assert chunk_peak(config) <= 4_200_000
 
     def test_tomography_steering_sweep(self):
         assert chunk_peak(tomography_config("steering", 2),
-                          default_q_grid()) <= 20_249_472
+                          default_q_grid()) <= 8_300_000
 
-    def test_steering_sweep_many_copy_counts(self):
-        """One chunk of N = 1..10 and inf stays within the single-curve
-        bound: the extra memory is one n x Mb level array per finite N."""
-        assert chunk_peak(tomography_config("steering", 1), default_q_grid(),
-                          (*range(1, 11), math.inf)) <= 20_249_472
+    def test_steering_sweep_many_copy_counts(self, monkeypatch):
+        """One chunk of N = 1..10 and inf holds the workspace of an N = 2
+        chunk; only its histograms grow with the copy counts."""
+        config = tomography_config("steering", 2)
+        many = (*range(1, 11), math.inf)
+        assert chunk_peak(config, default_q_grid(), many) <= 11_850_000
+        assert chunk_workspace(monkeypatch, config, many) \
+            == chunk_workspace(monkeypatch, config, (2,))
+
+    def test_bell_sweep_many_copy_counts(self, monkeypatch):
+        config = tomography_config("bell", 2)
+        many = (*range(1, 11), math.inf)
+        assert chunk_peak(config, default_q_grid(), many) <= 8_650_000
+        assert chunk_workspace(monkeypatch, config, many) \
+            == chunk_workspace(monkeypatch, config, (2,))
 
     def test_repeated_chunk_reuses_workspace(self, fresh_workspace):
         """A chunk run again takes its arrays from the kept arena, so it

@@ -184,6 +184,24 @@ ZERO_ROWS = [0, BLOCK + 3, 2 * BLOCK + 4]
 ZERO_ROW_SIZE = 2 * BLOCK + 5
 
 
+def kernel_levels(config, gen, n_copies):
+    """Alice's levels (n, Ma) and Bob's (n, Mb) at each copy count, at
+    q = 0.3 and ZERO_ROW_SIZE runs, copied out of the blocks that
+    ``models.tomography_level_batch`` hands over."""
+    alice = np.empty((ZERO_ROW_SIZE, len(config.alice_directions)), np.int8)
+    bob = np.empty((len(n_copies), ZERO_ROW_SIZE,
+                    len(config.bob_directions)), np.int8)
+
+    def keep(rows, levels_a, levels_b):
+        alice[rows] = levels_a
+        for full, levels in zip(bob, levels_b):
+            full[rows] = levels
+
+    models.tomography_level_batch(config, gen, ZERO_ROW_SIZE, (0.3,),
+                                  Workspace(), n_copies, keep)
+    return alice, list(bob)
+
+
 class TestZeroNormResample:
     """A zero-norm draw is redrawn in the reference's draw order."""
 
@@ -224,9 +242,8 @@ class TestZeroNormResample:
         want_a = models.threshold_levels(a @ config.alice_directions.T,
                                          (0.3,))
         want_b = models.threshold_levels(b @ config.bob_directions.T, (0.3,))
-        got_a, (got_b,) = models.tomography_level_batch(
-            config, ZeroRowGenerator(14, ZERO_ROWS), ZERO_ROW_SIZE, (0.3,),
-            Workspace(), (n_copies,))
+        got_a, (got_b,) = kernel_levels(
+            config, ZeroRowGenerator(14, ZERO_ROWS), (n_copies,))
         assert np.array_equal(got_a, want_a)
         assert np.array_equal(got_b, want_b)
 
@@ -235,9 +252,8 @@ class TestZeroNormResample:
         """One draw for several copy counts redraws like each one alone."""
         n_copies = (1, 4, math.inf, 2)
         config = models.tomography_config(kind, n_copies[0], q=0.3)
-        got_a, got_b = models.tomography_level_batch(
-            config, ZeroRowGenerator(15, ZERO_ROWS), ZERO_ROW_SIZE, (0.3,),
-            Workspace(), n_copies)
+        got_a, got_b = kernel_levels(
+            config, ZeroRowGenerator(15, ZERO_ROWS), n_copies)
         assert len(got_b) == len(n_copies)
         for n, got in zip(n_copies, got_b):
             gen = ZeroRowGenerator(15, ZERO_ROWS)
@@ -251,6 +267,51 @@ class TestZeroNormResample:
                                              (0.3,))
             assert np.array_equal(got_a, want_a)
             assert np.array_equal(got, want_b), n
+
+
+GENERATORS = {
+    "pcg64": lambda: rng_stream(3),
+    "mt19937": lambda: np.random.Generator(np.random.MT19937(3)),
+}
+
+
+def next_draws(gen):
+    """The generator's next random() and integers() draws."""
+    return gen.random(), gen.integers(0, 1 << 40)
+
+
+def reference_next_draws(gen, n, finite):
+    """``next_draws`` after drawing n pairs' numbers at full size, in the
+    sampler's order: normal rows for A, then, for a finite N, n opening
+    uniforms u and n azimuth uniforms chi."""
+    gen.standard_normal((n, 3))
+    if finite:
+        gen.random(n)
+        gen.random(n)
+    return next_draws(gen)
+
+
+class TestGeneratorEndState:
+    """Drawing chi block by block leaves the generator where one full-size
+    draw of each kind leaves it."""
+
+    @pytest.mark.parametrize("n", [1, BLOCK + 1, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("gen", sorted(GENERATORS))
+    def test_sample_pair(self, gen, n):
+        rng = GENERATORS[gen]()
+        sample_pair(2, rng, n)
+        assert next_draws(rng) == reference_next_draws(
+            GENERATORS[gen](), n, True)
+
+    @pytest.mark.parametrize("n", [1, BLOCK + 1, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("n_copies", [2, math.inf])
+    @pytest.mark.parametrize("gen", sorted(GENERATORS))
+    def test_tomography_batch(self, gen, n_copies, n):
+        rng = GENERATORS[gen]()
+        models.sample_batch(models.tomography_config("bell", n_copies, 0.3),
+                            rng, n)
+        assert next_draws(rng) == reference_next_draws(
+            GENERATORS[gen](), n, n_copies != math.inf)
 
 
 class TestBlocks:
