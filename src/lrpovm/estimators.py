@@ -13,22 +13,13 @@ enumeration for the unanimity family, and for the tomography family a
 closed-form Legendre sum at finite N or two-cap lens areas at N = inf,
 made for every q and every distinct |a.b| in one call per N.
 
-Each model family has one counting kernel.  The unanimity family is
-counted from its picks: one bincount over (pick pair, Alice trit, Bob
-trit) codes, mapped to reading pairs by ``models.pick_tables``, as the
-exact enumeration is.  The tomography family is counted from signed
-threshold levels (``models.threshold_levels``: the number of thresholds
-below |p|, exact), block by block as the sampler levels them
-(``_LevelCounter``): per block, one ``np.add.at`` per copy count and
-counted reading pair histograms the joint levels, and at the chunk's end
-2-D prefix sums give the table of every threshold.  A sweep counts only
-the pairs its statistic reads (a steering run's matched pairs (j, j))
-and leaves the other tables zero; a point estimate counts every pair, since
-``lrpovm steer --out`` writes all of them.  A sweep over several N is
-one pass: chunk i draws from ``rng_stream(seed, i)`` the same numbers
-whatever N is, so Alice's levels and codes are made once per block and
-each N adds only Bob's, in its single-N order; each N's tables are
-bit-identical to a sweep of it alone.
+Monte Carlo tables are counted by ``models.count_tables``, one chunk at
+a time.  A sweep counts only the pairs its statistic reads (a steering
+run's matched pairs (j, j)) and leaves the other tables zero; a point
+estimate counts every pair, since ``lrpovm steer --out`` writes all of
+them.  A sweep over several N is one pass: chunk i draws from
+``rng_stream(seed, i)`` the same numbers whatever N is, and each N's
+tables are bit-identical to a sweep of it alone.
 
 Parallelism is a map over chunks of ``DEFAULT_CHUNK`` samples, one
 stream per chunk, merged by integer addition, so a Monte Carlo result is
@@ -36,9 +27,7 @@ fixed by (model, samples, seed) whatever ``workers`` is.  A process
 keeps one warm pool until exit (rebuilt for a new worker count, a broken
 pool or a forked child); threads share it one call at a time.  Each
 thread's chunks reuse one ``sphere.Workspace``, computing in cache-sized
-blocks of its buffers.  A tomography chunk holds A's normal rows and the
-opening uniforms at full size and nothing else n long, so its workspace
-does not grow with the number of copy counts.
+blocks of its buffers.
 """
 from __future__ import annotations
 
@@ -54,9 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import models, sphere
+from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import Workspace, check_unit, circle_arc_fraction, rng_stream
+from .sphere import (Workspace, check_count, check_unit,
+                     circle_arc_fraction, rng_stream)
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
@@ -272,66 +262,6 @@ class RunStatistics:
 # Monte Carlo estimation.
 # ---------------------------------------------------------------------------
 
-class _LevelCounter:
-    """Trit tables of signed levels v in [-L, L], counted block by block.
-
-    Threshold k reads v <= -(k+1) as -1, |v| <= k as 0, v >= k+1 as +1.
-    Called with one block's levels, as ``models.tomography_level_batch``
-    hands them over, it writes the code (v_a + L)(2L + 1) + L of each
-    counted Alice direction once, then for every copy count and counted
-    reading pair adds v_b, giving the joint level code, and adds one to
-    that code's cell of ``hist``, one histogram per (copy count, counted
-    pair), by ``np.add.at``, which makes no histogram-sized array however
-    fine the grid.  ``pairs`` lists the (i, j) pairs to count, every pair
-    when None; the other tables are zero.  A sweep passes the pairs its statistic reads
-    (a steering run's matched pairs), ``estimate`` None.  The code arrays
-    are block buffers of ``ws``, whatever the number of copy counts.
-    """
-
-    def __init__(self, n_levels: int, n_copies, ma: int, mb: int, pairs,
-                 ws: Workspace) -> None:
-        self.n_levels, self.width = n_levels, 2 * n_levels + 1
-        self.shape = ma, mb
-        self.pairs = list(np.ndindex(ma, mb) if pairs is None else pairs)
-        self.alice = list(dict.fromkeys(i for i, _ in self.pairs))
-        self.index = [(self.alice.index(i), j) for i, j in self.pairs]
-        self.codes_a = ws.take((len(self.alice), sphere.BLOCK + 1), np.intp)
-        self.code = ws.take(sphere.BLOCK + 1, np.intp)
-        self.hist = np.zeros((len(n_copies), len(self.pairs),
-                              self.width * self.width), dtype=np.int64)
-
-    def __call__(self, rows, levels_a, levels_b) -> None:
-        m = len(levels_a)
-        codes_a, code = self.codes_a[:, :m], self.code[:m]
-        for codes, i in zip(codes_a, self.alice):
-            np.multiply(levels_a[:, i], self.width, out=codes, dtype=np.intp)
-            codes += self.n_levels * (self.width + 1)
-        for hist, levels in zip(self.hist, levels_b):
-            for counts, (r, j) in zip(hist, self.index):
-                np.add(codes_a[r], levels[:, j], out=code)
-                np.add.at(counts, code, 1)
-
-    def tables(self) -> np.ndarray:
-        """The tables (K, L, Ma, Mb, 3, 3) of the K copy counts: 2-D prefix
-        sums of each histogram, read at the band edges of every threshold."""
-        n_levels, width = self.n_levels, self.width
-        k = np.arange(n_levels)
-        edges = np.stack([np.zeros_like(k), n_levels - k, n_levels + k + 1,
-                          np.full_like(k, width)], axis=1)
-        i, j = zip(*self.pairs)
-        tables = np.zeros((len(self.hist), n_levels, *self.shape, 3, 3),
-                          dtype=np.int64)
-        cum = np.zeros((len(self.pairs), width + 1, width + 1), np.int64)
-        for hist, out in zip(self.hist, tables):
-            cum[:, 1:, 1:] = hist.reshape(-1, width, width).cumsum(1).cumsum(2)
-            # corner[p, l, r, c] = cum at (edges[l, r], edges[l, c]).
-            corner = cum[:, edges[:, :, None], edges[:, None, :]]
-            out[:, i, j] = (corner[..., 1:, 1:] - corner[..., :-1, 1:]
-                            - corner[..., 1:, :-1] + corner[..., :-1, :-1]
-                            ).swapaxes(0, 1)
-        return tables
-
-
 class _ThreadWorkspace(threading.local):
     """The chunk workspace of each thread, shared by every model config."""
 
@@ -343,30 +273,13 @@ _CHUNK_WORKSPACE = _ThreadWorkspace()
 
 
 def _count_chunk(task) -> np.ndarray:
-    """Tables (K, L, Ma, Mb, 3, 3) of one chunk at the K copy counts of
-    ``n_copies`` and the L thresholds of ``q_sorted``, every work array
-    taken from the thread's workspace.  The tomography family counts
-    every copy count from one draw, from its levels on the grid, and
-    histograms the reading pairs of ``pairs`` (every pair when None).  The
-    unanimity family, whose config fixes N and reads no threshold, is
-    counted from its pick-cell histogram (``models.pick_tables``) as the
-    1 x 1 case.
-    """
+    """``models.count_tables`` of one chunk, drawn from the chunk's own
+    stream with the thread's workspace."""
     config, n_copies, q_sorted, pairs, seed, index, size = task
-    gen = rng_stream(seed, index)
     ws = _CHUNK_WORKSPACE.workspace
     ws.reset()
-    if not config.is_tomography:
-        ma, mb = len(config.alice_directions), len(config.bob_directions)
-        cell = models.unanimity_cell_batch(config, gen, size, ws)
-        return models.pick_tables(np.bincount(cell, minlength=ma * mb * 9)
-                                  .reshape(ma, mb, 3, 3))[None, None]
-    counter = _LevelCounter(len(q_sorted), n_copies,
-                            len(config.alice_directions),
-                            len(config.bob_directions), pairs, ws)
-    models.tomography_level_batch(config, gen, size, q_sorted, ws, n_copies,
-                                  counter)
-    return counter.tables()
+    return models.count_tables(config, rng_stream(seed, index), size,
+                               q_sorted, n_copies, pairs, ws)
 
 
 # The process's one pool, kept warm across calls, and its worker count.  A
@@ -518,10 +431,8 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
-    if n_copies != math.inf and not (n_copies >= 0
-                                     and int(n_copies) == n_copies):
-        raise ValueError(f"n_copies must be a non-negative integer or inf, "
-                         f"got {n_copies}")
+    if n_copies != math.inf:
+        n_copies = check_count(n_copies)
     check_unit(dir_a, "dir_a")
     check_unit(dir_b, "dir_b")
     ct = min(max(float(np.dot(dir_a, dir_b)), -1.0), 1.0)

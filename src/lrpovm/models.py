@@ -28,29 +28,36 @@ A ``ModelConfig`` is the model alone: its ``run_kind`` names the test a
 run of it feeds and its ``preselection_weight`` is derived from N, while
 the seed belongs to each run and the samplers take a generator.
 ``sample_batch`` is the one public sampler: it returns a ``ReadoutBatch``
-with one trit per (run, choice) for every kind.  It wraps the two kernels
-that counting calls, one per model family.  ``unanimity_cell_batch``
-gives each run's pick cell, one index of its two picks and the trit read
-at each, the whole unanimity readout; ``sample_batch`` decodes it with
-``divmod``.  ``tomography_level_batch``
-gives the threshold levels of the sampled projections on a q grid, for a
-tuple of copy counts; a point estimate is the one-N, one-q case, whose
-levels on the grid (q,) are the trits.  It is one explicit loop over
-blocks of samples: A, the opening and azimuth uniforms and Alice's
+with one trit per (run, choice) for every kind.  It wraps one kernel per
+model family, and ``count_tables`` turns the same kernels' draws into
+the (K, L, Ma, Mb, 3, 3) trit tables of K copy counts and L thresholds,
+the unanimity family being the 1 x 1 case.
+
+``unanimity_cell_batch`` gives each run's pick cell, one index of its two
+picks and the trit read at each, the whole unanimity readout;
+``sample_batch`` decodes it with ``divmod``, and counting bincounts it
+and maps the pick-pair cells to reading pairs with ``pick_tables``, the
+map the exact enumerator (``enumerate_unanimity``) uses too.
+
+``tomography_level_batch`` gives the signed threshold levels
+(``threshold_levels``) of the sampled projections on a sorted q grid,
+for a tuple of copy counts; a point estimate is the one-N, one-q case,
+whose levels on the grid (q,) are the trits.  It is one explicit loop
+over blocks of samples: A, the opening and azimuth uniforms and Alice's
 levels do not depend on N, so each block makes them once, then loops
 over the copy counts, adding only Bob's directions, projections and
 levels.  Each N's levels are bit-identical to a draw of that N alone,
 because the single-N stream draws the same numbers in the same order and
 every elementwise operation keeps its order.  The loop hands each
 block's levels to its caller's function: ``sample_batch`` copies them
-into full arrays, and a Monte Carlo chunk counts them, so that a counted
-chunk holds only A's normal rows and the opening uniforms at full size,
-and a workspace that does not grow with the number of copy counts.  Both
-kernels take a ``sphere.Workspace``; ``unanimity_cell_batch`` returns a
-view of it, and ``sample_batch`` gives each call a fresh one.  One
-table map (``pick_tables``) turns per-pick-pair outcomes into
-reading-pair tables, for the exact enumerator (``enumerate_unanimity``)
-and for Monte Carlo pick counts alike.
+into full arrays, and counting (``_LevelCounter``) histograms the joint
+levels of each copy count and counted reading pair, then reads every
+threshold's table from the histogram's 2-D prefix sums.  A counted
+chunk therefore holds only A's normal rows and the opening uniforms at
+full size, and a workspace that does not grow with the number of copy
+counts.  Every kernel takes a ``sphere.Workspace``;
+``unanimity_cell_batch`` returns a view of it, and ``sample_batch`` gives
+each call a fresh one.
 """
 from __future__ import annotations
 
@@ -61,7 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .sphere import BLOCK, PairSampler, Workspace, blocks, check_unit
+from .sphere import (BLOCK, PairSampler, Workspace, blocks, check_count,
+                     check_unit)
 
 DEFAULT_SEED = 12345
 
@@ -119,10 +127,7 @@ class ModelConfig:
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
         if self.n_copies != math.inf:
-            if not self.n_copies >= 1 or int(self.n_copies) != self.n_copies:
-                raise ValueError(f"n_copies must be a positive integer or "
-                                 f"inf, got {self.n_copies}")
-            self.n_copies = int(self.n_copies)
+            self.n_copies = check_count(self.n_copies, minimum=1)
         elif self.kind == "ncopy-steering":
             raise ValueError("n_copies must be finite for ncopy-steering")
         if steering:
@@ -458,6 +463,79 @@ def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
     a, b = np.divmod(cell % 9, 3)
     return ReadoutBatch(alice=_scatter(n, ma, pick_a, a - 1),
                         bob=_scatter(n, mb, pick_b, b - 1))
+
+
+class _LevelCounter:
+    """Trit tables of signed levels v in [-L, L], counted block by block.
+
+    Called with one block's levels, as ``tomography_level_batch`` hands
+    them over, it writes the code (v_a + L)(2L + 1) + L of each Alice
+    direction once, then for every copy count and counted reading pair
+    (i, j) adds Bob's v_b at j to Alice's code at i, giving the joint level
+    code, and adds one to that code's cell of the pair's histogram by
+    ``np.add.at``, which makes no histogram-sized array however fine the
+    grid.  ``pairs`` lists the pairs to count, every pair when None; the
+    other tables are zero.  The code arrays are block buffers of ``ws``.
+    """
+
+    def __init__(self, n_levels: int, n_copies, ma: int, mb: int, pairs,
+                 ws: Workspace) -> None:
+        self.n_levels, self.width = n_levels, 2 * n_levels + 1
+        self.shape = ma, mb
+        self.pairs = list(np.ndindex(ma, mb) if pairs is None else pairs)
+        self.codes_a = ws.take((ma, BLOCK + 1), np.intp)
+        self.code = ws.take(BLOCK + 1, np.intp)
+        self.hist = np.zeros((len(n_copies), len(self.pairs),
+                              self.width * self.width), dtype=np.int64)
+
+    def __call__(self, rows, levels_a, levels_b) -> None:
+        m = len(levels_a)
+        codes_a, code = self.codes_a[:, :m], self.code[:m]
+        np.multiply(levels_a.T, self.width, out=codes_a, dtype=np.intp)
+        codes_a += self.n_levels * (self.width + 1)
+        for hist, levels in zip(self.hist, levels_b):
+            for counts, (i, j) in zip(hist, self.pairs):
+                np.add(codes_a[i], levels[:, j], out=code)
+                np.add.at(counts, code, 1)
+
+    def tables(self) -> np.ndarray:
+        """The tables (K, L, Ma, Mb, 3, 3) of the K copy counts: 2-D prefix
+        sums of each histogram, read at the edges of every threshold's
+        level bands (``threshold_levels``)."""
+        n_levels, width = self.n_levels, self.width
+        k = np.arange(n_levels)
+        edges = np.stack([np.zeros_like(k), n_levels - k, n_levels + k + 1,
+                          np.full_like(k, width)], axis=1)
+        i, j = zip(*self.pairs)
+        tables = np.zeros((len(self.hist), n_levels, *self.shape, 3, 3),
+                          dtype=np.int64)
+        cum = np.zeros((len(self.pairs), width + 1, width + 1), np.int64)
+        for hist, out in zip(self.hist, tables):
+            cum[:, 1:, 1:] = hist.reshape(-1, width, width).cumsum(1).cumsum(2)
+            # corner[p, l, r, c] = cum at (edges[l, r], edges[l, c]).
+            corner = cum[:, edges[:, :, None], edges[:, None, :]]
+            out[:, i, j] = (corner[..., 1:, 1:] - corner[..., :-1, 1:]
+                            - corner[..., 1:, :-1] + corner[..., :-1, :-1]
+                            ).swapaxes(0, 1)
+        return tables
+
+
+def count_tables(config: ModelConfig, rng: np.random.Generator, n: int,
+                 q_sorted, n_copies, pairs, ws: Workspace) -> np.ndarray:
+    """Count tables (K, L, Ma, Mb, 3, 3) of n runs at the K copy counts of
+    ``n_copies`` and the L thresholds of ``q_sorted``, counting the reading
+    pairs of ``pairs`` (every pair when None).  The unanimity family fixes
+    N, reads no threshold and counts every pair: the 1 x 1 case.  Every
+    work array is taken from ``ws``.
+    """
+    ma, mb = len(config.alice_directions), len(config.bob_directions)
+    if not config.is_tomography:
+        cell = unanimity_cell_batch(config, rng, n, ws)
+        return pick_tables(np.bincount(cell, minlength=ma * mb * 9)
+                           .reshape(ma, mb, 3, 3))[None, None]
+    counter = _LevelCounter(len(q_sorted), n_copies, ma, mb, pairs, ws)
+    tomography_level_batch(config, rng, n, q_sorted, ws, n_copies, counter)
+    return counter.tables()
 
 
 # Exact joint-readout distributions ----------------------------------------

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lrpovm import estimators, quantum
+from lrpovm import estimators, models, quantum
 from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                enumerate_exact, estimate, frontier_value,
                                min_copies, sweep_curves)
@@ -542,8 +542,11 @@ class TestClosedFormTables:
         for q in (-0.1, 1.0, math.nan):
             with pytest.raises(ValueError, match="q must lie in"):
                 estimators.tomography_pair_table(2, q, z, x)
-        for n in (-1, 2.5, math.nan):
-            with pytest.raises(ValueError, match="n_copies"):
+        for n, message in ((-1, "be >= 0, got -1"),
+                           (2.5, r"be an integer, got 2\.5"),
+                           (math.nan, "be an integer, got nan")):
+            message = f"^n_copies must {message}$"
+            with pytest.raises(ValueError, match=message):
                 estimators.tomography_pair_table(n, 0.3, z, x)
         for bad in (2 * x, np.full(3, math.nan)):
             with pytest.raises(ValueError, match="dir_b"):
@@ -934,6 +937,22 @@ class TestSweepKernelOracle:
             for table, want in zip(tables, expected):
                 assert_read_pairs_match(kind, table, want)
 
+    @pytest.mark.parametrize("pairs", [[(1, 0)], [(0, 1), (1, 1)]])
+    def test_pairs_skipping_an_alice_direction(self, pairs):
+        """A pair list that leaves out an Alice direction counts its pairs
+        as the every-pair count does, and leaves the other tables zero."""
+        config = tomography_config("bell", 2)
+        grid = (0.0, 0.3, 0.6)
+        n_copies = (2, math.inf)
+        got, want = (models.count_tables(config, rng_stream(5, 1), 20_005,
+                                         grid, n_copies, p, Workspace())
+                     for p in (pairs, None))
+        read = np.zeros((2, 2), dtype=bool)
+        read[tuple(zip(*pairs))] = True
+        assert np.array_equal(got[:, :, read], want[:, :, read])
+        assert not np.any(got[:, :, ~read])
+        assert np.all(want[:, :, read].sum(axis=(-2, -1)) == 20_005)
+
     @pytest.mark.parametrize("kind", ["bell", "steering"])
     def test_copy_counts_worker_invariance(self, small_chunks, kind):
         grid = (0.6, 0.0, 0.3, 0.3, 0.95)
@@ -1014,7 +1033,7 @@ class TestPickCountOracle:
                 (config, (config.n_copies,), (config.q,), None, seed, 3,
                  size))[0, 0]
             batch = sample_batch(config, rng_stream(seed, 3), size)
-            counter = estimators._LevelCounter(
+            counter = models._LevelCounter(
                 1, (config.n_copies,), batch.alice.shape[1],
                 batch.bob.shape[1], None, Workspace())
             for rows in blocks(size):

@@ -141,9 +141,11 @@ class TestModelConfig:
             ModelConfig(kind=kind, m_choices=4)
 
     def test_bad_copy_count_named(self):
-        # NaN fails the same check as 0 and 1.5, also in a sweep.
-        message = "n_copies must be a positive integer or inf"
-        for n in (0, 1.5, math.nan):
+        # NaN fails the same check as 1.5, also in a sweep.
+        for n, message in ((0, "be >= 1, got 0"),
+                           (1.5, r"be an integer, got 1\.5"),
+                           (math.nan, "be an integer, got nan")):
+            message = f"^n_copies must {message}$"
             with pytest.raises(ValueError, match=message):
                 ModelConfig(kind="ncopy-tomography", n_copies=n)
             with pytest.raises(ValueError, match=message):
