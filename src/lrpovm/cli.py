@@ -206,13 +206,11 @@ def _pair_lines(stats: estimators.RunStatistics) -> list[str]:
 def _write_pair_csv(stats: estimators.RunStatistics, path: str) -> None:
     rows = ["pair_alice,pair_bob,correlation,stderr,n_coincidence,"
             "eta_alice,eta_bob"]
-    ma, mb = stats.weights.shape[:2]
-    for i in range(ma):
-        for j in range(mb):
-            p = stats.pair(i, j)
-            rows.append(f"{i + 1},{j + 1},{p.correlation:.9g},"
-                        f"{p.stderr:.9g},{p.n_coincidence:.9g},"
-                        f"{p.eta_alice:.9g},{p.eta_bob:.9g}")
+    for i, j in np.ndindex(stats.weights.shape[:2]):
+        p = stats.pair(i, j)
+        rows.append(f"{i + 1},{j + 1},{p.correlation:.9g},"
+                    f"{p.stderr:.9g},{p.n_coincidence:.9g},"
+                    f"{p.eta_alice:.9g},{p.eta_bob:.9g}")
     Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 
 
@@ -374,7 +372,7 @@ def _cmd_oracle_check(_args) -> int:
         3, -quantum.STEERING_TRIPLE, quantum.STEERING_TRIPLE)
     report("trusted POVM completeness",
            quantum.povm_completeness_deviation(terms), 1e-10)
-    worst_eig = min(quantum.min_eigenvalue(k.conj().T @ k)
+    worst_eig = min(np.linalg.eigvalsh(k.conj().T @ k).min()
                     for _, _, k in terms)
     report("trusted POVM positivity", max(0.0, -worst_eig), 1e-10)
 

@@ -8,16 +8,14 @@ at once, adding terms in a fixed left-to-right order, so a table's
 statistics have the same bits alone or in a stack.  ``estimate`` and
 ``enumerate_exact`` reduce the one-N, one-q case (counted, exact),
 ``sweep_curves`` reduces a whole grid at once, and ``min_copies``
-searches exact ``sweep_curves`` frontiers.  Exact tables are closed-form
-enumeration for the unanimity family, and for the tomography family a
-closed-form Legendre sum at finite N or two-cap lens areas at N = inf,
-made for every q and every distinct |a.b| in one call per N.
+searches exact ``sweep_curves`` frontiers.  Exact tables are one
+``models.exact_tables`` call; Monte Carlo tables are counted by
+``models.count_tables``, one chunk at a time.
 
-Monte Carlo tables are counted by ``models.count_tables``, one chunk at
-a time.  A sweep counts only the pairs its statistic reads (a steering
-run's matched pairs (j, j)) and leaves the other tables zero; a point
-estimate counts every pair, since ``lrpovm steer --out`` writes all of
-them.  A sweep over several N is one pass: chunk i draws from
+A sweep counts only the pairs its statistic reads (a steering run's
+matched pairs (j, j)) and leaves the other tables zero; a point estimate
+counts every pair, since ``lrpovm steer --out`` writes all of them.  A
+sweep over several N is one pass: chunk i draws from
 ``rng_stream(seed, i)`` the same numbers whatever N is, and each N's
 tables are bit-identical to a sweep of it alone.
 
@@ -45,15 +43,13 @@ import numpy as np
 
 from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import (Workspace, check_count, check_unit,
-                     circle_arc_fraction, rng_stream)
+from .sphere import Workspace, check_count, check_unit, rng_stream
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
 MIN_SAMPLES = 1_000
 
 LR_BOUND = {"bell": 2.0, "steering": 1.0 / 3.0}
-_EPS = np.finfo(float).eps
 
 
 def _reading_pairs(kind: str, ma: int, mb: int) -> list[tuple[int, int]]:
@@ -317,127 +313,18 @@ def _forget_pool_in_child() -> None:
 os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-# ---------------------------------------------------------------------------
-# Exact tomography tables: a closed-form Legendre sum for finite N and
-# two-cap lens areas for N = inf, each made for every threshold and every
-# a.b >= 0 in one call (``models.enumerate_unanimity`` is the unanimity
-# family's closed form).
-# ---------------------------------------------------------------------------
-
-def _legendre_tables(n: int, q, ct) -> np.ndarray:
-    """Finite-N 3x3 trit tables (L, C, 3, 3) at the L thresholds of ``q``
-    and the C values a.b of ``ct``, in closed form.
-
-    The pair density ((1 - A.B)/2)^N is sum_l a_l P_l(A.B) with
-    a_l = (-1)^l (2l+1) N!^2 / ((N-l)! (N+l+1)!).  By the Funk-Hecke
-    formula the cell of Alice's band I and Bob's band J is
-    ((N+1)/4) sum_l a_l F_l(I) F_l(J) P_l(a.b), where F_l(I) is the
-    integral of P_l over I: the difference of (P_{l+1} - P_{l-1})/(2l+1)
-    at I's ends, and I's length for l = 0: one Legendre recurrence over
-    every band edge and every a.b, then one stacked matmul.  Cells whose
-    true value is ~0 and that round below 0 by at most 4(N+1) eps are set
-    to 0; anything below is left for ``RunStatistics`` to reject.
-    """
-    q = np.asarray(q, dtype=float)
-    edges = np.empty((len(q), 4))
-    edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3] = -1.0, -q, q, 1.0
-    # P_l, l <= N + 1: legvander's recurrence, without its set-up cost.
-    x = np.concatenate([edges.ravel(), ct]) + 0.0
-    legendre = np.empty((n + 2, x.size))
-    legendre[0], legendre[1] = 1.0, x
-    for l in range(2, n + 2):
-        legendre[l] = (legendre[l - 1] * x * (2 * l - 1)
-                       - legendre[l - 2] * (l - 1)) / l
-    legendre = np.ascontiguousarray(legendre.T)
-    at_edges = legendre[:edges.size].reshape(len(q), 4, n + 2)
-    antideriv = np.empty((len(q), 4, n + 1))
-    antideriv[..., 0] = edges
-    coef, odd = _legendre_coef(n)
-    antideriv[..., 1:] = (at_edges[..., 2:] - at_edges[..., :-2]) / odd
-    bands = antideriv[:, 1:] - antideriv[:, :-1]  # F_l of the 3 bands
-    pair = coef * legendre[edges.size:, :n + 1]
-    table = (0.25 * (bands[:, None] * pair[:, None])
-             @ bands.swapaxes(1, 2)[:, None])
-    table[(table < 0.0) & (table >= -4 * (n + 1) * _EPS)] = 0.0
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _legendre_coef(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N+1) a_l for l = 0..N, by the ratio a_l / a_{l-1}, and 2l + 1
-    for l = 1..N."""
-    deg = np.arange(1, n + 1)
-    odd = 2 * deg + 1
-    return np.cumprod(np.append(1.0, -odd * (n - deg + 1)
-                                / ((2 * deg - 1) * (n + deg + 1.0)))), odd
-
-
-def _lens_tables(q, ct) -> np.ndarray:
-    """Chaotic-ball (B = A) 3x3 trit tables (L, C, 3, 3) at the L
-    thresholds of ``q`` and the C values a.b >= 0 of ``ct``, in closed form.
-
-    G(s, t) = P(a.A > s, b.A > t), a lens of two caps over 4 pi, is by
-    Gauss-Bonnet 2G = f(ct, r_s r_t, s t) - s f(ct s, d r_s, t)
-    - t f(ct t, d r_t, s), with f = ``circle_arc_fraction``, d = |a x b|
-    and r_s = sqrt(1 - s^2); f's clipping covers disjoint, nested and
-    complementary caps.  With the marginals (1 - s)/2, G at s, t = +-q is
-    the joint survival function at the band edges, whose mixed second
-    difference is the table; inverting A makes the -1 row the +1 row
-    reversed.  At b = a (d = 0) f's strict indicator splits the tie of
-    coincident caps, so that table is written out.  An arccos argument
-    within rounding of +-1 loses half its digits: errors reach ~1e-10
-    within 1e-6 rad of a = +-b and ~5e-9 where cap edges touch; cells
-    left below 0 by at most sqrt(eps) become 0.
-    """
-    q = np.asarray(q, dtype=float)
-    ct = np.asarray(ct, dtype=float)
-    parallel = ct == 1.0
-    c = (ct * ~parallel)[:, None, None]  # (C, 1, 1); f needs b != a
-    s = np.multiply.outer(q, [-1.0, 1.0])[:, None, :, None]  # (L, 1, 2, 1)
-    r = np.sqrt(1.0 - s * s)
-    s_t, r_t = s.swapaxes(2, 3), r.swapaxes(2, 3)
-    # f(ct t, d r_t, s) is f(ct s, d r_s, t) transposed.
-    f = circle_arc_fraction(c * s, np.sqrt(1.0 - c * c) * r, s_t)
-    survival = np.zeros((len(q), len(c), 4, 4))
-    marginal = (1.0 - s[..., 0]) / 2.0                   # (L, 1, 2)
-    survival[..., 0, 0] = 1.0
-    survival[..., 0, 1:3] = survival[..., 1:3, 0] = marginal
-    survival[..., 1:3, 1:3] = 0.5 * (circle_arc_fraction(c, r * r_t, s * s_t)
-                                     - s * f - s_t * f.swapaxes(2, 3))
-    rows = survival[:, :, 1:] - survival[:, :, :-1]
-    table = rows[..., 1:] - rows[..., :-1]
-    table[..., 0, :] = table[..., 2, ::-1]
-    table[(table < 0.0) & (table >= -math.sqrt(_EPS))] = 0.0
-    if parallel.any():
-        diag = np.zeros((len(q), 3, 3))
-        diag[:, 0, 0] = diag[:, 2, 2] = marginal[:, 0, 1]
-        diag[:, 1, 1] = q
-        table[:, parallel] = diag[:, None]
-    return table
-
-
-def _exact_tables(n_copies, q, ct) -> np.ndarray:
-    """(L, C, 3, 3) tables at a.b >= 0 from ``n_copies``'s family."""
-    if n_copies == math.inf:
-        return _lens_tables(q, ct)
-    return _legendre_tables(int(n_copies), q, ct)
-
-
 def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
-    """Exact 3x3 trit table for one tomography setting pair: the one-q,
-    one-a.b case of ``_legendre_tables`` (finite N) or ``_lens_tables``
-    (N = inf).  It depends on the directions only through a.b, and
-    b -> -b reverses Bob's trits.  N = 0 is the independent pair.
-    """
+    """Exact 3x3 trit table for one tomography setting pair: the directions'
+    a.b through ``models.pair_table``.  N = 0 is the independent pair."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
     if n_copies != math.inf:
         n_copies = check_count(n_copies)
-    check_unit(dir_a, "dir_a")
-    check_unit(dir_b, "dir_b")
-    ct = min(max(float(np.dot(dir_a, dir_b)), -1.0), 1.0)
-    table = _exact_tables(n_copies, [q], [abs(ct)])[0, 0]
-    return table[:, ::-1] if ct < 0 else table
+    for name, direction in (("dir_a", dir_a), ("dir_b", dir_b)):
+        if np.shape(check_unit(direction, name)) != (3,):
+            raise ValueError(f"{name} must be one 3-vector, got shape "
+                             f"{np.shape(direction)}")
+    return models.pair_table(n_copies, q, float(np.dot(dir_a, dir_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +352,7 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
     With ``samples``, Monte Carlo counts of the reading pairs of ``pairs``
     (every pair when None): chunks of ``DEFAULT_CHUNK`` in one map, in
     this process at one worker and over the cached pool otherwise.
-    Without, exact probabilities of every pair.  The run arguments are
+    Without, ``models.exact_tables`` of every pair.  The run arguments are
     checked either way, and then no copy counts give ``[]``.
     """
     if samples is not None:
@@ -475,20 +362,7 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
     if not n_copies:
         return []
     if samples is None:
-        if not config.is_tomography:
-            return models.enumerate_unanimity(config)[None, None]
-        # A pair's table depends only on (N, q, a.b), and one at a.b < 0 is
-        # the |a.b| table with Bob's trits reversed (b -> -b), so one call
-        # per N makes the tables of every q and every distinct |a.b|.
-        dots = np.array([[np.dot(a, b) for b in config.bob_directions]
-                         for a in config.alice_directions])
-        cts = np.minimum(np.abs(dots), 1.0).tolist()
-        distinct = list(dict.fromkeys(sum(cts, [])))
-        index = [[distinct.index(ct) for ct in row] for row in cts]
-        flip = (dots < 0.0)[..., None, None]
-        tables = [_exact_tables(n, q_sorted, distinct)[:, index]
-                  for n in n_copies]
-        return np.array([np.where(flip, t[..., ::-1], t) for t in tables])
+        return models.exact_tables(config, q_sorted, n_copies)
     full, rest = divmod(samples, DEFAULT_CHUNK)
     sizes = [DEFAULT_CHUNK] * full + ([rest] if rest else [])
     tasks = [(config, n_copies, q_sorted, pairs, seed, index, size)
@@ -528,9 +402,9 @@ def estimate(config: ModelConfig, samples: int, *,
 
 def enumerate_exact(config: ModelConfig) -> RunStatistics:
     """Exact statistics with no Monte Carlo error: the one-N, one-q case
-    of the exact tables, the twin of ``estimate``.  The unanimity family
-    is enumerated in closed form; tomography tables are exact to rounding
-    away from degenerate geometry (``_legendre_tables``, ``_lens_tables``).
+    of ``models.exact_tables``, the twin of ``estimate``.  The unanimity
+    family is enumerated in closed form; tomography tables are exact to
+    rounding away from degenerate geometry.
     """
     probs = _tables(config, (config.n_copies,), (config.q,))[0, 0]
     return RunStatistics(

@@ -31,7 +31,11 @@ the seed belongs to each run and the samplers take a generator.
 with one trit per (run, choice) for every kind.  It wraps one kernel per
 model family, and ``count_tables`` turns the same kernels' draws into
 the (K, L, Ma, Mb, 3, 3) trit tables of K copy counts and L thresholds,
-the unanimity family being the 1 x 1 case.
+the unanimity family being the 1 x 1 case.  ``exact_tables`` is its
+exact twin, with one closed form per family: the unanimity enumeration
+(``enumerate_unanimity``), and for the tomography family a Legendre sum
+at finite N or two-cap lens areas at N = inf, made for every q and every
+distinct |a.b| in one call per N; ``pair_table`` is one pair's table.
 
 ``unanimity_cell_batch`` gives each run's pick cell, one index of its two
 picks and the trit read at each, the whole unanimity readout;
@@ -61,6 +65,7 @@ each call a fresh one.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -69,7 +74,7 @@ import numpy as np
 
 from . import quantum
 from .sphere import (BLOCK, PairSampler, Workspace, blocks, check_count,
-                     check_unit)
+                     check_unit, circle_arc_fraction)
 
 DEFAULT_SEED = 12345
 
@@ -294,10 +299,14 @@ def threshold_levels(projections, q_sorted) -> np.ndarray:
     grid point is below |p|, w being the most grid points one bin holds.
     Only same-bin points are ever compared, and the +inf that pads the grid
     stops a count that has passed every point.  The result equals the
-    binary-search count for any sorted grid, duplicates included.
+    binary-search count for any sorted grid, duplicates included; a grid
+    that is not 1-D and non-decreasing, or has a point < 0 or NaN, fails.
     """
+    q = np.asarray(q_sorted, dtype=float)
+    if q.ndim != 1 or not np.all(np.diff(q, prepend=0.0) >= 0.0):
+        raise ValueError("q_sorted must be a sorted 1-D grid of points >= 0")
     p = np.ascontiguousarray(projections, dtype=float).reshape(-1)
-    grid = _LevelGrid(q_sorted, BLOCK + 1, Workspace())
+    grid = _LevelGrid(q, BLOCK + 1, Workspace())
     out = np.empty(p.shape, grid.dtype)
     for rows in blocks(p.size):
         grid.levels_into(p[rows], out[rows])
@@ -538,7 +547,7 @@ def count_tables(config: ModelConfig, rng: np.random.Generator, n: int,
     return counter.tables()
 
 
-# Exact joint-readout distributions ----------------------------------------
+# Exact tables ---------------------------------------------------------------
 
 def pick_tables(cell: np.ndarray) -> np.ndarray:
     """Reading-pair trit tables from unanimity outcomes per pick pair.
@@ -583,3 +592,130 @@ def enumerate_unanimity(config: ModelConfig) -> np.ndarray:
     cell[..., 1, ::2] = half_pow - both.sum(axis=-2)
     cell[..., 1, 1] = 1.0 - 4.0 * half_pow + both.sum(axis=(-2, -1))
     return pick_tables(cell) / (ma * mb)
+
+
+def _legendre_tables(n: int, q, ct) -> np.ndarray:
+    """Finite-N 3x3 trit tables (L, C, 3, 3) at the L thresholds of ``q``
+    and the C values a.b of ``ct``, in closed form.
+
+    The pair density ((1 - A.B)/2)^N is sum_l a_l P_l(A.B) with
+    a_l = (-1)^l (2l+1) N!^2 / ((N-l)! (N+l+1)!).  By the Funk-Hecke
+    formula the cell of Alice's band I and Bob's band J is
+    ((N+1)/4) sum_l a_l F_l(I) F_l(J) P_l(a.b), where F_l(I) is the
+    integral of P_l over I: the difference of (P_{l+1} - P_{l-1})/(2l+1)
+    at I's ends, and I's length for l = 0: one Legendre recurrence over
+    every band edge and every a.b, then one stacked matmul.  Cells whose
+    true value is ~0 and that round below 0 by at most 4(N+1) eps are set
+    to 0; anything below is left for ``RunStatistics`` to reject.
+    """
+    q = np.asarray(q, dtype=float)
+    edges = np.empty((len(q), 4))
+    edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3] = -1.0, -q, q, 1.0
+    # P_l, l <= N + 1: legvander's recurrence, without its set-up cost.
+    x = np.concatenate([edges.ravel(), ct]) + 0.0
+    legendre = np.empty((n + 2, x.size))
+    legendre[0], legendre[1] = 1.0, x
+    for l in range(2, n + 2):
+        legendre[l] = (legendre[l - 1] * x * (2 * l - 1)
+                       - legendre[l - 2] * (l - 1)) / l
+    legendre = np.ascontiguousarray(legendre.T)
+    at_edges = legendre[:edges.size].reshape(len(q), 4, n + 2)
+    antideriv = np.empty((len(q), 4, n + 1))
+    antideriv[..., 0] = edges
+    coef, odd = _legendre_coef(n)
+    antideriv[..., 1:] = (at_edges[..., 2:] - at_edges[..., :-2]) / odd
+    bands = antideriv[:, 1:] - antideriv[:, :-1]  # F_l of the 3 bands
+    pair = coef * legendre[edges.size:, :n + 1]
+    table = (0.25 * (bands[:, None] * pair[:, None])
+             @ bands.swapaxes(1, 2)[:, None])
+    table[(table < 0.0) & (table >= -4 * (n + 1) * np.finfo(float).eps)] = 0.0
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_coef(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N+1) a_l for l = 0..N, by the ratio a_l / a_{l-1}, and 2l + 1
+    for l = 1..N."""
+    deg = np.arange(1, n + 1)
+    odd = 2 * deg + 1
+    return np.cumprod(np.append(1.0, -odd * (n - deg + 1)
+                                / ((2 * deg - 1) * (n + deg + 1.0)))), odd
+
+
+def _lens_tables(q, ct) -> np.ndarray:
+    """Chaotic-ball (B = A) 3x3 trit tables (L, C, 3, 3) at the L
+    thresholds of ``q`` and the C values a.b >= 0 of ``ct``, in closed form.
+
+    G(s, t) = P(a.A > s, b.A > t), a lens of two caps over 4 pi, is by
+    Gauss-Bonnet 2G = f(ct, r_s r_t, s t) - s f(ct s, d r_s, t)
+    - t f(ct t, d r_t, s), with f = ``circle_arc_fraction``, d = |a x b|
+    and r_s = sqrt(1 - s^2); f's clipping covers disjoint, nested and
+    complementary caps.  With the marginals (1 - s)/2, G at s, t = +-q is
+    the joint survival function at the band edges, whose mixed second
+    difference is the table; inverting A makes the -1 row the +1 row
+    reversed.  At b = a (d = 0) f's strict indicator splits the tie of
+    coincident caps, so that table is written out.  An arccos argument
+    within rounding of +-1 loses half its digits: errors reach ~1e-10
+    within 1e-6 rad of a = +-b and ~5e-9 where cap edges touch; cells
+    left below 0 by at most sqrt(eps) become 0.
+    """
+    q = np.asarray(q, dtype=float)
+    ct = np.asarray(ct, dtype=float)
+    parallel = ct == 1.0
+    c = (ct * ~parallel)[:, None, None]  # (C, 1, 1); f needs b != a
+    s = np.multiply.outer(q, [-1.0, 1.0])[:, None, :, None]  # (L, 1, 2, 1)
+    r = np.sqrt(1.0 - s * s)
+    s_t, r_t = s.swapaxes(2, 3), r.swapaxes(2, 3)
+    # f(ct t, d r_t, s) is f(ct s, d r_s, t) transposed.
+    f = circle_arc_fraction(c * s, np.sqrt(1.0 - c * c) * r, s_t)
+    survival = np.zeros((len(q), len(c), 4, 4))
+    marginal = (1.0 - s[..., 0]) / 2.0                   # (L, 1, 2)
+    survival[..., 0, 0] = 1.0
+    survival[..., 0, 1:3] = survival[..., 1:3, 0] = marginal
+    survival[..., 1:3, 1:3] = 0.5 * (circle_arc_fraction(c, r * r_t, s * s_t)
+                                     - s * f - s_t * f.swapaxes(2, 3))
+    rows = survival[:, :, 1:] - survival[:, :, :-1]
+    table = rows[..., 1:] - rows[..., :-1]
+    table[..., 0, :] = table[..., 2, ::-1]
+    table[(table < 0.0) & (table >= -math.sqrt(np.finfo(float).eps))] = 0.0
+    if parallel.any():
+        diag = np.zeros((len(q), 3, 3))
+        diag[:, 0, 0] = diag[:, 2, 2] = marginal[:, 0, 1]
+        diag[:, 1, 1] = q
+        table[:, parallel] = diag[:, None]
+    return table
+
+
+def _tomography_tables(n_copies, q, ct) -> np.ndarray:
+    """(L, C, 3, 3) tables at a.b >= 0: Legendre sum, or lens areas at inf."""
+    if n_copies == math.inf:
+        return _lens_tables(q, ct)
+    return _legendre_tables(int(n_copies), q, ct)
+
+
+def pair_table(n_copies, q: float, dot: float) -> np.ndarray:
+    """Exact 3x3 trit table of one tomography reading pair with a.b = ``dot``
+    at N = ``n_copies`` (N = 0 is the independent pair) and threshold q:
+    the one-q, one-a.b case of ``exact_tables``, with no array of pairs."""
+    table = _tomography_tables(n_copies, [q], [min(abs(dot), 1.0)])[0, 0]
+    return table[:, ::-1] if dot < 0 else table
+
+
+def exact_tables(config: ModelConfig, q_sorted, n_copies) -> np.ndarray:
+    """Exact tables (K, L, Ma, Mb, 3, 3) of every reading pair at the K copy
+    counts of ``n_copies`` and the L thresholds of ``q_sorted``: the exact
+    twin of ``count_tables``, the unanimity family (``enumerate_unanimity``)
+    being the 1 x 1 case.  A tomography pair's table depends only on
+    (N, q, a.b), and one at a.b < 0 is the |a.b| table with Bob's trits
+    reversed (b -> -b), so one kernel call per N makes the tables of every
+    q and every distinct |a.b|.
+    """
+    if not config.is_tomography:
+        return enumerate_unanimity(config)[None, None]
+    dots = np.array([[np.dot(a, b) for b in config.bob_directions]
+                     for a in config.alice_directions])
+    cts, index = np.unique(np.minimum(np.abs(dots), 1.0), return_inverse=True)
+    index = index.reshape(dots.shape)
+    flip = (dots < 0.0)[..., None, None]
+    return np.array([np.where(flip, t[..., ::-1], t) for t in (
+        _tomography_tables(n, q_sorted, cts)[:, index] for n in n_copies)])

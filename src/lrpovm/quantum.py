@@ -319,15 +319,7 @@ def trusted_reduction_deviation(m_choices: int = 3) -> float:
     return worst
 
 
-def min_eigenvalue(op: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(op)))
-
-
 def povm_completeness_deviation(terms) -> float:
     """Max entry deviation of sum K^dag K from the identity."""
-    total = 0
-    dim = None
-    for _, _, k in terms:
-        total = total + k.conj().T @ k
-        dim = k.shape[0]
-    return float(np.max(np.abs(total - np.eye(dim))))
+    total = sum(k.conj().T @ k for _, _, k in terms)
+    return float(np.max(np.abs(total - np.eye(len(total)))))

@@ -505,6 +505,43 @@ class TestQuadratureOracle:
                                    config.bob_directions[j])
             assert np.max(np.abs(tables[i, j] - ref)) <= 1e-14, (i, j)
 
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    def test_large_n_tables_match_50_digit_sum(self, n):
+        """Past N = 10 the dense reference grows too costly, so the
+        Funk-Hecke sum is evaluated again at 50 digits: every cell within
+        1e-14, at a = b, a = -b and two oblique pairs."""
+        import mpmath
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+
+        def legendre(x):  # P_0 .. P_{N+1} by the mpf recurrence
+            p = [mp.mpf(1), x]
+            for l in range(2, n + 2):
+                p.append(((2 * l - 1) * x * p[-1] - (l - 1) * p[-2]) / l)
+            return p
+
+        def band_integrals(lo, hi):  # F_l of [lo, hi], l = 0 .. N
+            a, b = legendre(lo), legendre(hi)
+            return [hi - lo] + [(b[l + 1] - b[l - 1] - a[l + 1] + a[l - 1])
+                                / (2 * l + 1) for l in range(1, n + 1)]
+
+        coef = [(-1) ** l * (2 * l + 1) * mp.factorial(n) ** 2
+                / (mp.factorial(n - l) * mp.factorial(n + l + 1))
+                for l in range(n + 1)]
+        worst = 0.0
+        for q in (0.0, 0.3, math.cos(math.pi / 8)):
+            edges = [mp.mpf(-1), -mp.mpf(q), mp.mpf(q), mp.mpf(1)]
+            bands = [band_integrals(lo, hi) for lo, hi in zip(edges, edges[1:])]
+            for dot in (1.0, -1.0, math.cos(math.pi / 4), 0.3):
+                p = legendre(mp.mpf(dot))
+                table = models.pair_table(n, q, dot)
+                for i, j in np.ndindex(3, 3):
+                    ref = (n + 1) / mp.mpf(4) * mp.fsum(
+                        c * f * g * pl for c, f, g, pl
+                        in zip(coef, bands[i], bands[j], p))
+                    worst = max(worst, abs(float(table[i, j] - ref)))
+        assert worst <= 1e-14
+
     def test_finite_n_table_memory_bounded(self):
         # A dense 3-D quadrature grid needed ~114 MB here.
         z, x = np.eye(3)[2], np.eye(3)[0]
@@ -553,6 +590,12 @@ class TestClosedFormTables:
                 estimators.tomography_pair_table(2, 0.3, z, bad)
             with pytest.raises(ValueError, match="dir_a"):
                 estimators.tomography_pair_table(2, 0.3, bad, z)
+        # A matrix of unit rows is not one direction.
+        rows = np.eye(3)[:2]
+        for args, name in (((rows, rows), "dir_a"), ((z, rows), "dir_b")):
+            message = rf"^{name} must be one 3-vector, got shape \(2, 3\)$"
+            with pytest.raises(ValueError, match=message):
+                estimators.tomography_pair_table(2, 0.3, *args)
         # N = 0 is the independent pair: every table is the product of the
         # marginals ((1-q)/2, q, (1-q)/2).
         m = np.array([0.35, 0.3, 0.35])
@@ -1320,11 +1363,18 @@ class TestChunkMemory:
 
     def test_repeated_chunk_reuses_workspace(self, fresh_workspace):
         """A chunk run again takes its arrays from the kept arena, so it
-        makes no fresh pages: at most 16 minor faults a call, where
-        fresh arrays made about 1 600 per tomography sweep chunk."""
+        makes no fresh pages: at most 16 minor faults a call.  Fresh
+        arrays in place of the arena make 1 488 a call in the steering
+        sweep chunk alone, and 1 072, 149 and 267 in the three chunks
+        here, one after another; the Bell sweep and ncopy-steering chunks
+        alone read 0 even then, as the allocator reuses their freed
+        pages."""
         grid = default_q_grid()
         tasks = [(tomography_config("bell"), (2, math.inf), grid,
                   estimators._reading_pairs("bell", 2, 2), 5, 0,
+                  estimators.DEFAULT_CHUNK),
+                 (tomography_config("steering"), (2, math.inf), grid,
+                  estimators._reading_pairs("steering", 3, 3), 5, 0,
                   estimators.DEFAULT_CHUNK),
                  (ModelConfig(kind="ncopy-steering", n_copies=3), (3,),
                   (0.0,), None, 5, 0, estimators.DEFAULT_CHUNK)]
@@ -1588,11 +1638,11 @@ class TestMinCopies:
         # large n_max costs nothing past the answer.  Each N's tables, over
         # every q and |a.b|, take one call.
         calls = []
-        tables = estimators._exact_tables
+        tables = models._tomography_tables
 
         def counted(n_copies, q, ct):
             calls.append((n_copies, len(q)))
             return tables(n_copies, q, ct)
-        monkeypatch.setattr(estimators, "_exact_tables", counted)
+        monkeypatch.setattr(models, "_tomography_tables", counted)
         assert min_copies(0.34, 0.85, "steering", 40) == 4
         assert calls == [(n, len(default_q_grid())) for n in (1, 2, 3, 4)]

@@ -103,6 +103,16 @@ class TestThresholdLevels:
         assert np.array_equal(threshold_levels(shaped, q_sorted),
                               searchsorted_levels(shaped, q_sorted))
 
+    @pytest.mark.parametrize("grid", [[0.6, 0.1, 0.3], [0.3, 0.1],
+                                      [-0.5, 0.2], [0.1, math.nan],
+                                      [math.nan], [[0.1, 0.2]], 0.3])
+    def test_bad_grid_rejected(self, grid):
+        # An unsorted grid once gave [2, -3, 3] where the rule gives
+        # [1, -2, 3]; a negative or NaN point failed inside np.bincount.
+        with pytest.raises(ValueError, match="^q_sorted must be a sorted "
+                                             "1-D grid of points >= 0$"):
+            threshold_levels([0.25, -0.5, 0.8], grid)
+
     def test_levels_fit_their_dtype(self):
         for size in (2, 127, 128, 300):
             q_sorted = np.linspace(0.0, 0.9, size)
