@@ -198,8 +198,7 @@ class RunStatistics:
                 f"variant must be 'alice' or 'bob', got {variant!r}")
         eta = self._pairs.eta_alice if variant == "alice" \
             else self._pairs.eta_bob
-        eta = (eta.diagonal(axis1=-2, axis2=-1) if self.kind == "steering"
-               else eta.reshape(*eta.shape[:-2], -1))  # the read pairs
+        eta = eta[(..., *zip(*self.reading_pairs()))]
         with np.errstate(divide="ignore", invalid="ignore"):
             return _scalar(_added(eta) / np.add.reduce(eta == eta, axis=-1))
 

@@ -52,14 +52,16 @@ levels do not depend on N, so each block makes them once, then loops
 over the copy counts, adding only Bob's directions, projections and
 levels.  Each N's levels are bit-identical to a draw of that N alone,
 because the single-N stream draws the same numbers in the same order and
-every elementwise operation keeps its order.  The loop hands each
-block's levels to its caller's function: ``sample_batch`` copies them
-into full arrays, and counting (``_LevelCounter``) histograms the joint
-levels of each copy count and counted reading pair, then reads every
-threshold's table from the histogram's 2-D prefix sums.  A counted
-chunk therefore holds only A's normal rows and the opening uniforms at
-full size, and a workspace that does not grow with the number of copy
-counts.  Every kernel takes a ``sphere.Workspace``;
+every elementwise operation keeps its order.  The loop makes one call
+of its caller's function per (block, copy count), in order, with level
+arrays that are block views valid only during the call: ``sample_batch``
+copies them into full arrays, and counting (``_LevelCounter``)
+histograms the joint levels of each copy count and counted reading
+pair, then reads every threshold's table from the histogram's 2-D prefix
+sums.  A counted chunk therefore holds only A's normal rows and the
+opening uniforms at full size, and a workspace that does not grow with
+the number of copy counts.  ``_LevelGrid``, which every level path
+builds, owns the grid rule.  Every kernel takes a ``sphere.Workspace``;
 ``unanimity_cell_batch`` returns a view of it, and ``sample_batch`` gives
 each call a fresh one.
 """
@@ -234,10 +236,15 @@ LEVEL_BINS = 1024
 
 class _LevelGrid:
     """The kernel of ``threshold_levels``: the grid's bucket table, and work
-    arrays for blocks of up to ``size`` projections taken from ``ws``."""
+    arrays for blocks of up to ``size`` projections taken from ``ws``.
+    Every level path builds one, so it owns the grid rule: a grid that is
+    not 1-D and non-decreasing, or has a point < 0 or NaN, fails here."""
 
     def __init__(self, q_sorted, size: int, ws: Workspace) -> None:
         q = np.asarray(q_sorted, dtype=float)
+        if q.ndim != 1 or not np.all(np.diff(q, prepend=0.0) >= 0.0):
+            raise ValueError(
+                "q_sorted must be a sorted 1-D grid of points >= 0")
         self.q = q
         self.dtype = np.min_scalar_type(-q.size - 1)
         self.bools = ws.take((2, size), bool)
@@ -302,11 +309,8 @@ def threshold_levels(projections, q_sorted) -> np.ndarray:
     binary-search count for any sorted grid, duplicates included; a grid
     that is not 1-D and non-decreasing, or has a point < 0 or NaN, fails.
     """
-    q = np.asarray(q_sorted, dtype=float)
-    if q.ndim != 1 or not np.all(np.diff(q, prepend=0.0) >= 0.0):
-        raise ValueError("q_sorted must be a sorted 1-D grid of points >= 0")
+    grid = _LevelGrid(q_sorted, BLOCK + 1, Workspace())
     p = np.ascontiguousarray(projections, dtype=float).reshape(-1)
-    grid = _LevelGrid(q, BLOCK + 1, Workspace())
     out = np.empty(p.shape, grid.dtype)
     for rows in blocks(p.size):
         grid.levels_into(p[rows], out[rows])
@@ -399,22 +403,24 @@ def tomography_level_batch(config: ModelConfig, rng: np.random.Generator,
                            count) -> None:
     """Signed threshold levels of n sampled runs at several copy counts.
 
-    Hands each block of runs to ``count(rows, levels_a, levels_b)``:
-    Alice's levels of the block (m, Ma) and an iterator of Bob's (m, Mb),
-    one per copy count in ``n_copies``, each levelled as it is taken into
-    one reused block buffer; the config gives the direction sets.
-    Levels are read against the sorted grid ``q_sorted`` as by
-    ``threshold_levels``; a point estimate is the one-N, one-q case, whose
-    levels on the grid (config.q,) are the trits.  One ``PairSampler`` draw
-    serves every copy count: for finite N the pair (A, B) follows the
-    N-copy tomography density, and the chaotic-ball limit shares one axis
-    exactly (B = A).  Each block projects and levels Alice's directions
-    once, then loops over the copy counts, adding Bob's directions,
-    projections and levels; each N's levels equal those of a call with
-    that N alone.  Where B = A and the direction sets are equal, Bob's
-    levels are Alice's block and that N is skipped.  Every work array is
-    taken from ``ws``.  No array of n levels is made, and the workspace
-    does not grow with the number of copy counts.
+    Calls ``count(rows, k, levels_a, levels_b)`` once per block of runs
+    and copy count, k = 0, 1, ... indexing ``n_copies`` in order within
+    each block: Alice's levels of the block (m, Ma), and Bob's (m, Mb) at
+    the k-th copy count, levelled into one reused block buffer just before
+    the call.  Both are block views, valid only during the call.  The
+    config gives the direction sets.  Levels are read against the sorted
+    grid ``q_sorted`` as by ``threshold_levels``; a point estimate is the
+    one-N, one-q case, whose levels on the grid (config.q,) are the trits.
+    One ``PairSampler`` draw serves every copy count: for finite N the
+    pair (A, B) follows the N-copy tomography density, and the
+    chaotic-ball limit shares one axis exactly (B = A).  Each block
+    projects and levels Alice's directions once, then loops over the copy
+    counts, adding Bob's directions, projections and levels; each N's
+    levels equal those of a call with that N alone.  Where B = A and the
+    direction sets are equal, Bob's levels are Alice's block and that N
+    draws and levels nothing.  Every work array is taken from ``ws``.  No
+    array of n levels is made, and the workspace does not grow with the
+    number of copy counts.
     """
     dirs_a = np.asarray(config.alice_directions).T
     dirs_b = np.asarray(config.bob_directions).T
@@ -426,23 +432,18 @@ def tomography_level_batch(config: ModelConfig, rng: np.random.Generator,
     proj_a = ws.take((BLOCK + 1, ma))
     proj_b = ws.take((BLOCK + 1, mb))
     pairs = PairSampler(n_copies, rng, n, ws)
-
-    def bob(a, rows, levels_a):
-        m = len(a)
-        for k in n_copies:
-            if shared and k == math.inf:
-                yield levels_a
-            else:
-                b = pairs.partner(k, a, rows)
-                grid.levels_into(np.matmul(b, dirs_b, out=proj_b[:m]),
-                                 block_b[:m])
-                yield block_b[:m]
-
     for rows in blocks(n):
         m = rows.stop - rows.start
         a = pairs.block(rows)
-        grid.levels_into(np.matmul(a, dirs_a, out=proj_a[:m]), block_a[:m])
-        count(rows, block_a[:m], bob(a, rows, block_a[:m]))
+        levels_a, levels_b = block_a[:m], block_b[:m]
+        grid.levels_into(np.matmul(a, dirs_a, out=proj_a[:m]), levels_a)
+        for k, n_k in enumerate(n_copies):
+            if shared and n_k == math.inf:
+                count(rows, k, levels_a, levels_a)
+                continue
+            b = pairs.partner(n_k, a, rows)
+            grid.levels_into(np.matmul(b, dirs_b, out=proj_b[:m]), levels_b)
+            count(rows, k, levels_a, levels_b)
 
 
 def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
@@ -460,9 +461,9 @@ def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
         alice = np.empty((n, ma), np.int8)
         bob = np.empty((n, mb), np.int8)
 
-        def keep(rows, levels_a, levels_b):
+        def keep(rows, k, levels_a, levels_b):
             alice[rows] = levels_a
-            bob[rows] = next(levels_b)
+            bob[rows] = levels_b
 
         tomography_level_batch(config, rng, n, (config.q,), Workspace(),
                                (config.n_copies,), keep)
@@ -477,11 +478,11 @@ def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
 class _LevelCounter:
     """Trit tables of signed levels v in [-L, L], counted block by block.
 
-    Called with one block's levels, as ``tomography_level_batch`` hands
-    them over, it writes the code (v_a + L)(2L + 1) + L of each Alice
-    direction once, then for every copy count and counted reading pair
-    (i, j) adds Bob's v_b at j to Alice's code at i, giving the joint level
-    code, and adds one to that code's cell of the pair's histogram by
+    Called as ``tomography_level_batch`` calls ``count``, once per block
+    and copy count k, it writes the code (v_a + L)(2L + 1) + L of each
+    Alice direction when k = 0, then for every counted reading pair (i, j)
+    adds Bob's v_b at j to Alice's code at i, giving the joint level code,
+    and adds one to that code's cell of the pair's histogram at k by
     ``np.add.at``, which makes no histogram-sized array however fine the
     grid.  ``pairs`` lists the pairs to count, every pair when None; the
     other tables are zero.  The code arrays are block buffers of ``ws``.
@@ -497,15 +498,15 @@ class _LevelCounter:
         self.hist = np.zeros((len(n_copies), len(self.pairs),
                               self.width * self.width), dtype=np.int64)
 
-    def __call__(self, rows, levels_a, levels_b) -> None:
+    def __call__(self, rows, k, levels_a, levels_b) -> None:
         m = len(levels_a)
         codes_a, code = self.codes_a[:, :m], self.code[:m]
-        np.multiply(levels_a.T, self.width, out=codes_a, dtype=np.intp)
-        codes_a += self.n_levels * (self.width + 1)
-        for hist, levels in zip(self.hist, levels_b):
-            for counts, (i, j) in zip(hist, self.pairs):
-                np.add(codes_a[i], levels[:, j], out=code)
-                np.add.at(counts, code, 1)
+        if k == 0:
+            np.multiply(levels_a.T, self.width, out=codes_a, dtype=np.intp)
+            codes_a += self.n_levels * (self.width + 1)
+        for counts, (i, j) in zip(self.hist[k], self.pairs):
+            np.add(codes_a[i], levels_b[:, j], out=code)
+            np.add.at(counts, code, 1)
 
     def tables(self) -> np.ndarray:
         """The tables (K, L, Ma, Mb, 3, 3) of the K copy counts: 2-D prefix

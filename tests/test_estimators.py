@@ -1080,7 +1080,7 @@ class TestPickCountOracle:
                 1, (config.n_copies,), batch.alice.shape[1],
                 batch.bob.shape[1], None, Workspace())
             for rows in blocks(size):
-                counter(rows, batch.alice[rows], iter([batch.bob[rows]]))
+                counter(rows, 0, batch.alice[rows], batch.bob[rows])
             want = counter.tables()[0, 0]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), size

@@ -109,9 +109,17 @@ class TestThresholdLevels:
     def test_bad_grid_rejected(self, grid):
         # An unsorted grid once gave [2, -3, 3] where the rule gives
         # [1, -2, 3]; a negative or NaN point failed inside np.bincount.
-        with pytest.raises(ValueError, match="^q_sorted must be a sorted "
-                                             "1-D grid of points >= 0$"):
+        message = "^q_sorted must be a sorted 1-D grid of points >= 0$"
+        with pytest.raises(ValueError, match=message):
             threshold_levels([0.25, -0.5, 0.8], grid)
+        if np.ndim(grid) == 0:
+            return  # count_tables takes len(q_sorted) before any level
+        # The counted path checks the same rule: an unsorted grid once
+        # gave wrong tables there without a word.
+        with pytest.raises(ValueError, match=message):
+            models.count_tables(tomography_config("bell", 2),
+                                rng_stream(1, 0), 2_000, grid, (2,), None,
+                                sphere.Workspace())
 
     def test_levels_fit_their_dtype(self):
         for size in (2, 127, 128, 300):
@@ -465,6 +473,34 @@ class TestTomography:
         assert preselection_weight(100_000) == 0.0
         config = tomography_config("bell", 100_000)
         assert config.preselection_weight == 0.0
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    def test_level_kernel_hands_over_block_by_copy_count(self, kind):
+        # One count call per (block, copy count), blocks in order and
+        # k = 0, 1, 2 in order within each; Alice's levels stay put across
+        # one block's calls, and only the steering preset's shared axis
+        # (N = inf, equal direction sets) hands Alice's block over as Bob's.
+        n, n_copies = 2 * sphere.BLOCK + 5, (1, 2, math.inf)
+        calls = []
+
+        def count(rows, k, levels_a, levels_b):
+            calls.append((rows, k, levels_a.copy(),
+                          np.shares_memory(levels_a, levels_b)))
+
+        models.tomography_level_batch(
+            tomography_config(kind), rng_stream(3, 0), n, (0.1, 0.3, 0.6),
+            sphere.Workspace(), n_copies, count)
+        block_rows = list(sphere.blocks(n))
+        assert [(r.start, r.stop) for r in block_rows] == [
+            (0, sphere.BLOCK), (sphere.BLOCK, 2 * sphere.BLOCK),
+            (2 * sphere.BLOCK, n)]
+        assert [(rows, k) for rows, k, _, _ in calls] == [
+            (rows, k) for rows in block_rows for k in range(3)]
+        for start in range(0, len(calls), 3):
+            for _, _, levels_a, _ in calls[start:start + 3]:
+                assert np.array_equal(levels_a, calls[start][2])
+        shared = [k for _, k, _, same in calls if same]
+        assert shared == ([2] * 3 if kind == "steering" else [])
 
 
 class TestQubitCopies:

@@ -192,10 +192,9 @@ def kernel_levels(config, gen, n_copies):
     bob = np.empty((len(n_copies), ZERO_ROW_SIZE,
                     len(config.bob_directions)), np.int8)
 
-    def keep(rows, levels_a, levels_b):
+    def keep(rows, k, levels_a, levels_b):
         alice[rows] = levels_a
-        for full, levels in zip(bob, levels_b):
-            full[rows] = levels
+        bob[k, rows] = levels_b
 
     models.tomography_level_batch(config, gen, ZERO_ROW_SIZE, (0.3,),
                                   Workspace(), n_copies, keep)
