@@ -18,7 +18,7 @@ omega = 1.0
 t_a, t_b = math.pi / 2.0, math.pi
 
 sequential = sequential_qubit_probability(t_a, t_b, omega)
-copies = copies_joint_probability(t_a, t_b, omega, n_copies=2)
+copies = copies_joint_probability(t_a, t_b, omega)
 print(f"t_a = pi/2, t_b = pi (omega = {omega:g})")
 print(f"undisturbed single-check probabilities: "
       f"p_a = {qubit_probability_plus(omega * t_a):.4f}, "
@@ -42,7 +42,7 @@ rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(200):
     ta, tb = sorted(rng.random(2) * 2.0 * math.pi)
-    joint = copies_joint_probability(ta, tb, omega, n_copies=2)
+    joint = copies_joint_probability(ta, tb, omega)
     pa, pb = (qubit_probability_plus(omega * t) for t in (ta, tb))
     product = np.array([[(1 - pa) * (1 - pb), (1 - pa) * pb],
                         [pa * (1 - pb), pa * pb]])

@@ -40,14 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _integer(flag, minimum=1):
+def _integer(minimum=1):
     def parse(text):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} expects an integer")
+            raise argparse.ArgumentTypeError("expects an integer")
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}")
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
         return value
     return parse
 
@@ -58,43 +58,38 @@ def _copies(text):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "--n-copies expects a positive integer or 'inf'")
+        raise argparse.ArgumentTypeError("expects a positive integer or 'inf'")
     if value < 1:
-        raise argparse.ArgumentTypeError("--n-copies must be >= 1 or 'inf'")
+        raise argparse.ArgumentTypeError("must be >= 1 or 'inf'")
     return value
 
 
 def _copies_list(text):
-    return [_copies(part) for part in text.split(",") if part != ""]
+    if not (values := [_copies(part) for part in text.split(",") if part]):
+        raise argparse.ArgumentTypeError("expects at least one copy count")
+    return values
 
 
-def _number(flag, valid=math.isfinite, requirement="be finite"):
+def _number(valid=math.isfinite, requirement="be finite"):
     def parse(text):
         try:
             value = float(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} expects a number")
+            raise argparse.ArgumentTypeError("expects a number")
         if not valid(value):
-            raise argparse.ArgumentTypeError(f"{flag} must {requirement}")
+            raise argparse.ArgumentTypeError(f"must {requirement}")
         return value
     return parse
 
 
-_fraction_q = _number("--q", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
-
-
-def _output_file(flag):
+def _output_file(text):
     """Reject an output path that cannot be a file before any work runs."""
-    def parse(text):
-        parent = os.path.dirname(text) or "."
-        if os.path.isdir(text):
-            raise argparse.ArgumentTypeError(f"{flag}: {text} is a directory")
-        if not os.path.isdir(parent):
-            raise argparse.ArgumentTypeError(
-                f"{flag}: directory {parent} does not exist")
-        return text
-    return parse
+    parent = os.path.dirname(text) or "."
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent} does not exist")
+    return text
 
 
 @contextlib.contextmanager
@@ -109,12 +104,12 @@ def _writing(flag, path):
 
 def _add_run_flags(p):
     p.add_argument("--samples", default=estimators.DEFAULT_SAMPLES,
-                   type=_integer("--samples", estimators.MIN_SAMPLES),
+                   type=_integer(estimators.MIN_SAMPLES),
                    help=f"Monte Carlo draws "
                         f"(default {estimators.DEFAULT_SAMPLES})")
-    p.add_argument("--seed", type=_integer("--seed", 0), default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_integer(0), default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
-    p.add_argument("--workers", type=_integer("--workers"), default=1,
+    p.add_argument("--workers", type=_integer(), default=1,
                    help="parallel sample workers (default 1)")
 
 
@@ -135,19 +130,19 @@ def build_parser() -> _Parser:
         p.add_argument("--model", default=choices[0], choices=choices)
         # Left out, a model flag is None and the model's default holds.
         p.add_argument("--n-copies", type=_copies)
-        p.add_argument("--q", type=_fraction_q)
+        p.add_argument("--q", type=_number(lambda v: 0.0 <= v < 1.0,
+                                              "lie in [0, 1)"))
         if kind == "steering":
-            p.add_argument("--m-choices", type=_integer("--m-choices"))
+            p.add_argument("--m-choices", type=_integer())
         _add_run_flags(p)
-        p.add_argument("--out", type=_output_file("--out"),
+        p.add_argument("--out", type=_output_file,
                        help="optional CSV with per-pair statistics")
 
     p = sub.add_parser("qubit",
                        help="sequential versus copy-served two-time readout")
-    p.add_argument("--omega", type=_number("--omega"), default=1.0)
-    p.add_argument("--t-a", type=_number("--t-a"), default=math.pi / 2.0)
-    p.add_argument("--t-b", type=_number("--t-b"), default=math.pi)
-    p.add_argument("--n-copies", type=_integer("--n-copies", 2), default=2)
+    p.add_argument("--omega", type=_number(), default=1.0)
+    p.add_argument("--t-a", type=_number(), default=math.pi / 2.0)
+    p.add_argument("--t-b", type=_number(), default=math.pi)
 
     p = sub.add_parser("curves",
                        help="efficiency-versus-violation sweep to CSV/SVG")
@@ -155,9 +150,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n-copies", type=_copies_list, default=[1],
                    help="comma-separated copy counts, e.g. 1,2,3,inf")
     _add_run_flags(p)
-    p.add_argument("--out", type=_output_file("--out"), required=True,
+    p.add_argument("--out", type=_output_file, required=True,
                    help="output CSV path")
-    p.add_argument("--svg", type=_output_file("--svg"),
+    p.add_argument("--svg", type=_output_file,
                    help="optional SVG chart path")
 
     p = sub.add_parser("causality",
@@ -261,11 +256,7 @@ def _cmd_qubit(args) -> int:
         raise CliError("--omega times --t-a and --t-b must be finite")
     sequential = quantum.sequential_qubit_probability(
         args.t_a, args.t_b, args.omega)
-    try:
-        copies = quantum.copies_joint_probability(
-            args.t_a, args.t_b, args.omega, args.n_copies)
-    except ValueError as exc:
-        raise CliError(f"--n-copies: {exc}")
+    copies = quantum.copies_joint_probability(args.t_a, args.t_b, args.omega)
     p_a = quantum.qubit_probability_plus(args.omega * args.t_a)
     p_b = quantum.qubit_probability_plus(args.omega * args.t_b)
     print(f"two-time qubit readout: omega={args.omega:g} t_a={args.t_a:g} "
@@ -284,8 +275,6 @@ def _cmd_qubit(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    if not args.n_copies:
-        raise CliError("--n-copies expects at least one copy count")
     curves = sweep_curves(args.kind, args.n_copies, samples=args.samples,
                           seed=args.seed, workers=args.workers)
     points = [p for pts in curves.values() for p in pts]
@@ -380,7 +369,7 @@ def _cmd_oracle_check(_args) -> int:
         math.pi / 2.0, math.pi, 1.0)
     report("sequential readout p=1/4 table",
            float(np.max(np.abs(seq - 0.25))), 1e-12)
-    cop = quantum.copies_joint_probability(math.pi / 2.0, math.pi, 1.0, 2)
+    cop = quantum.copies_joint_probability(math.pi / 2.0, math.pi, 1.0)
     report("copies readout p(gamma=1) = 0",
            float(cop[:, 1].sum()), 1e-12)
 

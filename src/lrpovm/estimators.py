@@ -88,8 +88,9 @@ def _added(terms: np.ndarray) -> np.ndarray:
 
 def _square(x) -> np.ndarray:
     """x ** 2 by the C pow, as a Python float squares; pow rounds unlike
-    x * x for ~0.1% of values, and the recorded digits come from it."""
-    return np.asarray(np.power(np.asarray(x, dtype=object), 2), dtype=float)
+    x * x for ~0.1% of values, and the recorded digits come from it.
+    ``np.float_power`` calls that pow."""
+    return np.float_power(x, 2.0)
 
 
 def _listed(x: np.ndarray) -> list:

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +125,7 @@ class ModelConfig:
         if self.kind not in READS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         steering = "m_choices" in READS[self.kind]
-        try:
-            self.m_choices = operator.index(self.m_choices)
-        except TypeError:
-            raise ValueError(f"m_choices must be an integer, got "
-                             f"{self.m_choices!r}") from None
+        self.m_choices = quantum.check_choices(self.m_choices)
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
         if self.n_copies != math.inf:
@@ -456,6 +451,7 @@ def sample_batch(config: ModelConfig, rng: np.random.Generator, n: int
     correlation to 1/M while coincidences stay perfect.  The tomography
     family reads every choice, thresholded at ``config.q``.
     """
+    n = check_count(n, "n")
     ma, mb = len(config.alice_directions), len(config.bob_directions)
     if config.is_tomography:
         alice = np.empty((n, ma), np.int8)

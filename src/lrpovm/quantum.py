@@ -8,6 +8,7 @@ on small Hilbert spaces (dimension at most 4^5).
 from __future__ import annotations
 
 import math
+import operator
 from functools import reduce
 from itertools import product
 
@@ -231,26 +232,22 @@ def sequential_qubit_probability(t_a: float, t_b: float, omega: float
     return out
 
 
-def copies_joint_probability(t_a: float, t_b: float, omega: float,
-                             n_copies: int) -> np.ndarray:
+def copies_joint_probability(t_a: float, t_b: float, omega: float
+                             ) -> np.ndarray:
     """Joint readout table when the two checks hit two different qubit copies.
 
-    All copies start in the initial state and evolve identically; the
+    Both copies start in the initial state and evolve identically; the
     operator projects copy 0 at t_a and copy 1 at t_b.  Computed by brute
-    force on the 2^n register; the result factorizes into the undisturbed
-    single-check probabilities.
+    force on the two-qubit register of the copies the checks read: further
+    copies stay idle and never change the table.  The result factorizes
+    into the undisturbed single-check probabilities.
     """
-    n = check_count(n_copies)
-    if n < 2:
-        raise ValueError("need at least two copies for two readout times")
-    if n > 12:
-        raise ValueError("brute-force register capped at 12 copies")
-    psi0 = reduce(np.kron, [_PLUS] * n)
+    psi0 = np.kron(_PLUS, _PLUS)
     out = np.empty((2, 2))
     for beta in (0, 1):
-        pa = site_operator(_heisenberg_projector(omega * t_a, beta), 0, n)
+        pa = site_operator(_heisenberg_projector(omega * t_a, beta), 0, 2)
         for gamma in (0, 1):
-            pb = site_operator(_heisenberg_projector(omega * t_b, gamma), 1, n)
+            pb = site_operator(_heisenberg_projector(omega * t_b, gamma), 1, 2)
             amp = (pb @ (pa @ psi0))
             out[beta, gamma] = float(np.real(np.conj(amp) @ amp))
     return out
@@ -259,6 +256,15 @@ def copies_joint_probability(t_a: float, t_b: float, omega: float,
 # ---------------------------------------------------------------------------
 # Joint Kraus set of the trusted M-choice steering model, and its reduction.
 # ---------------------------------------------------------------------------
+
+def check_choices(m_choices) -> int:
+    """``m_choices`` as an int; a float, even 2.0, fails naming it."""
+    try:
+        return operator.index(m_choices)
+    except TypeError:
+        raise ValueError(f"m_choices must be an integer, got "
+                         f"{m_choices!r}") from None
+
 
 def trusted_steering_kraus(m_choices: int, alice_dirs, bob_dirs
                            ) -> list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
@@ -269,7 +275,7 @@ def trusted_steering_kraus(m_choices: int, alice_dirs, bob_dirs
     The returned labels give the full choice-conditioned readout vectors;
     Alice's mismatched choices read 0, Bob's are unregistered (encoded 0).
     """
-    m = int(m_choices)
+    m = check_choices(m_choices)
     if m < 2 or len(alice_dirs) != m or len(bob_dirs) != m:
         raise ValueError("need m_choices >= 2 matching both direction sets")
     weight = 1.0 / m  # sqrt of the 1/M^2 pick probability
@@ -294,9 +300,9 @@ def trusted_reduction_deviation(m_choices: int = 3) -> float:
     carry the pick weights: (1/M) P(+-a_1) for a_1 = +-1 and (1 - 1/M) I
     for the retained zero / unregistered outcome.
     """
-    bob_dirs = STEERING_TRIPLE[:m_choices]
+    m = check_choices(m_choices)
+    bob_dirs = STEERING_TRIPLE[:m]
     alice_dirs = -bob_dirs
-    m = int(m_choices)
     terms = trusted_steering_kraus(m, alice_dirs, bob_dirs)
 
     sums: dict[tuple[int, int], np.ndarray] = {}

@@ -307,7 +307,7 @@ def sample_pair(n_copies: int, rng: np.random.Generator,
     ``PairSampler`` does the work, in blocks; see it for the draw order.
     """
     n_copies = check_count(n_copies)
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else check_count(size, "size")
     pairs = PairSampler((n_copies,), rng, n, Workspace())
     b = np.empty((n, 3))
     for rows in blocks(n):

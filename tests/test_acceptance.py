@@ -344,13 +344,13 @@ def test_c08_qubit_demo():
     sequential = quantum.sequential_qubit_probability(t_a, t_b, omega)
     if np.max(np.abs(sequential - 0.25)) > 1e-12:
         failures.append(f"sequential table {sequential.ravel()}")
-    copies = quantum.copies_joint_probability(t_a, t_b, omega, 2)
+    copies = quantum.copies_joint_probability(t_a, t_b, omega)
     if copies[:, 1].sum() > 1e-12:
         failures.append(f"copies p(gamma=1) = {copies[:, 1].sum()!r}")
     rng = np.random.default_rng(SEED)
     for _ in range(100):
         ta, tb = sorted(rng.random(2) * 2.0 * math.pi)
-        joint = quantum.copies_joint_probability(ta, tb, omega, 2)
+        joint = quantum.copies_joint_probability(ta, tb, omega)
         pa = quantum.qubit_probability_plus(omega * ta)
         pb = quantum.qubit_probability_plus(omega * tb)
         expected = np.array([[(1 - pa) * (1 - pb), (1 - pa) * pb],

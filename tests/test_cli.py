@@ -103,6 +103,25 @@ class TestValidation:
         assert err.startswith("error:") and flag in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("bell", "--samples", "abc"), "--samples"),
+        (("bell", "--samples", "10"), "--samples"),
+        (("bell", "--q", "1.5"), "--q"),
+        (("bell", "--seed", "-1"), "--seed"),
+        (("bell", "--workers", "0"), "--workers"),
+        (("steer", "--m-choices", "x"), "--m-choices"),
+        (("curves", "--n-copies", "zero", "--out", "x.csv"), "--n-copies"),
+        (("qubit", "--omega", "nan"), "--omega"),
+        (("bell", "--out", "/nonexistent/x.csv"), "--out"),
+        (("curves", "--out", "x.csv", "--svg", "."), "--svg")])
+    def test_type_error_names_flag_once(self, capsys, argv, flag):
+        """argparse prefixes ``argument --flag:``; the message does not
+        name the flag again."""
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: argument {flag}: ")
+        assert err.count(flag) == 1
+
     def test_missing_command(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

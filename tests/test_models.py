@@ -507,12 +507,8 @@ class TestQubitCopies:
     """The two-time readout served by distinct qubit copies."""
 
     def test_special_times(self):
-        p = quantum.copies_joint_probability(math.pi / 2, math.pi, 1.0, 2)
+        p = quantum.copies_joint_probability(math.pi / 2, math.pi, 1.0)
         assert p[:, 1].sum() == pytest.approx(0.0, abs=1e-12)
-
-    def test_requires_enough_copies(self):
-        with pytest.raises(ValueError, match="[Ii]nsufficient|at least"):
-            quantum.copies_joint_probability(0.1, 0.2, 1.0, 1)
 
 
 class TestNoSignaling:
@@ -607,6 +603,20 @@ UNANIMITY_CONFIGS = [ModelConfig(kind="simple-bell"),
 ALL_KIND_CONFIGS = UNANIMITY_CONFIGS + [
     ModelConfig(kind="ncopy-tomography", n_copies=2, q=0.3),
     ModelConfig(kind="chaotic-ball", q=0.3)]
+
+
+class TestDrawCount:
+    @pytest.mark.parametrize("config", ALL_KIND_CONFIGS, ids=lambda c: c.kind)
+    def test_named(self, config):
+        # A draw count is named, never truncated or left to numpy; an
+        # integral float draws what its integer draws.
+        for n, message in ((2.5, r"be an integer, got 2\.5"),
+                           (-1, "be >= 0, got -1")):
+            with pytest.raises(ValueError, match=f"^n must {message}$"):
+                sample_batch(config, rng_stream(4), n)
+        got, want = (sample_batch(config, rng_stream(4), n) for n in (7.0, 7))
+        assert np.array_equal(got.alice, want.alice)
+        assert np.array_equal(got.bob, want.bob)
 
 
 class TestBlocks:

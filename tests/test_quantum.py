@@ -186,12 +186,12 @@ class TestSequentialReadout:
 
 class TestCopiesReadout:
     def test_projective_zero_restored(self):
-        p = copies_joint_probability(math.pi / 2, math.pi, 1.0, 2)
+        p = copies_joint_probability(math.pi / 2, math.pi, 1.0)
         assert p[:, 1].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_times_product(self):
         t = 0.9
-        p = copies_joint_probability(t, t, 1.0, 2)
+        p = copies_joint_probability(t, t, 1.0)
         pt = qubit_probability_plus(t)
         assert p[1, 1] == pytest.approx(pt * pt, abs=1e-12)
 
@@ -199,24 +199,15 @@ class TestCopiesReadout:
         rng = np.random.default_rng(17)
         for _ in range(10):
             t_a, t_b = sorted(rng.random(2) * 6.0)
-            p = copies_joint_probability(t_a, t_b, 1.0, 3)
+            p = copies_joint_probability(t_a, t_b, 1.0)
             pa = qubit_probability_plus(t_a)
             pb = qubit_probability_plus(t_b)
             expected = np.array([[(1 - pa) * (1 - pb), (1 - pa) * pb],
                                  [pa * (1 - pb), pa * pb]])
             assert np.allclose(p, expected, atol=1e-12)
 
-    def test_insufficient_copies(self):
-        with pytest.raises(ValueError, match="at least two copies"):
-            copies_joint_probability(0.1, 0.2, 1.0, 1)
-        for n in (2.5, math.inf, math.nan):
-            with pytest.raises(ValueError, match="n_copies"):
-                copies_joint_probability(0.1, 0.2, 1.0, n)
-        assert np.array_equal(copies_joint_probability(0.1, 0.2, 1.0, 3.0),
-                              copies_joint_probability(0.1, 0.2, 1.0, 3))
-
     def test_zero_time_start(self):
-        p = copies_joint_probability(0.0, 1.3, 1.0, 2)
+        p = copies_joint_probability(0.0, 1.3, 1.0)
         assert p[1, :].sum() == pytest.approx(1.0, abs=1e-12)
         assert p[1, 1] == pytest.approx(qubit_probability_plus(1.3),
                                         abs=1e-12)
@@ -239,6 +230,15 @@ class TestTrustedKraus:
 
     def test_reduction_other_m(self):
         assert trusted_reduction_deviation(2) < 1e-10
+
+    def test_choice_count_named(self):
+        # A choice count is named, never truncated or left to the slice.
+        message = r"^m_choices must be an integer, got 2\.5$"
+        with pytest.raises(ValueError, match=message):
+            trusted_steering_kraus(2.5, -STEERING_TRIPLE[:2],
+                                   STEERING_TRIPLE[:2])
+        with pytest.raises(ValueError, match=message):
+            trusted_reduction_deviation(2.5)
 
     def test_projector_povm(self):
         rng = np.random.default_rng(19)

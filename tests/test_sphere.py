@@ -86,6 +86,16 @@ class TestSamplePair:
                              sample_pair(2, rng_stream(9), 5)):
             assert np.array_equal(got, want)
 
+    def test_draw_count_named(self):
+        # A draw count is named, never truncated or left to numpy.
+        for size, message in ((2.5, r"be an integer, got 2\.5"),
+                              (-1, "be >= 0, got -1")):
+            with pytest.raises(ValueError, match=f"^size must {message}$"):
+                sample_pair(2, rng_stream(9), size)
+        for got, want in zip(sample_pair(2, rng_stream(9), 5.0),
+                             sample_pair(2, rng_stream(9), 5)):
+            assert np.array_equal(got, want)
+
 
 def cross_sample_pair(n_copies, gen, size):
     """Reference sampler: the same draws, framed with ``np.cross``.
