@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -24,6 +25,7 @@ from . import causality, estimators, models, quantum
 from .curvefile import write_curve_csv
 from .estimators import estimate, sweep_curves
 from .models import DEFAULT_SEED, ModelConfig
+from .sphere import check_count, check_threshold
 from .svgchart import write_curve_svg
 
 
@@ -40,46 +42,44 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _integer(minimum=1):
+def _flag(convert, expects, check):
+    """An argparse type: the text through ``convert``, whose failure reads
+    ``expects ...``, then through ``check``, whose ValueError message is
+    the flag's error.  The checks are the library's own argument rules."""
     def parse(text):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError("expects an integer")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
-        return value
+            raise argparse.ArgumentTypeError(f"expects {expects}") from None
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
+
+
+def _count(name, minimum=1, expects="an integer"):
+    """An integer flag, held to at least ``minimum`` by ``check_count``."""
+    return _flag(int, expects, functools.partial(check_count, name=name,
+                                                 minimum=minimum))
+
+
+def _finite(value):
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _copies(text):
     if text.strip().lower() == "inf":
         return math.inf
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expects a positive integer or 'inf'")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1 or 'inf'")
-    return value
+    return _count("n_copies", expects="a positive integer or 'inf'")(text)
 
 
 def _copies_list(text):
     if not (values := [_copies(part) for part in text.split(",") if part]):
         raise argparse.ArgumentTypeError("expects at least one copy count")
     return values
-
-
-def _number(valid=math.isfinite, requirement="be finite"):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("expects a number")
-        if not valid(value):
-            raise argparse.ArgumentTypeError(f"must {requirement}")
-        return value
-    return parse
 
 
 def _output_file(text):
@@ -104,12 +104,12 @@ def _writing(flag, path):
 
 def _add_run_flags(p):
     p.add_argument("--samples", default=estimators.DEFAULT_SAMPLES,
-                   type=_integer(estimators.MIN_SAMPLES),
+                   type=_count("samples", estimators.MIN_SAMPLES),
                    help=f"Monte Carlo draws "
                         f"(default {estimators.DEFAULT_SAMPLES})")
-    p.add_argument("--seed", type=_integer(0), default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_count("seed", 0), default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
-    p.add_argument("--workers", type=_integer(), default=1,
+    p.add_argument("--workers", type=_count("workers"), default=1,
                    help="parallel sample workers (default 1)")
 
 
@@ -130,19 +130,19 @@ def build_parser() -> _Parser:
         p.add_argument("--model", default=choices[0], choices=choices)
         # Left out, a model flag is None and the model's default holds.
         p.add_argument("--n-copies", type=_copies)
-        p.add_argument("--q", type=_number(lambda v: 0.0 <= v < 1.0,
-                                              "lie in [0, 1)"))
+        p.add_argument("--q", type=_flag(float, "a number", check_threshold))
         if kind == "steering":
-            p.add_argument("--m-choices", type=_integer())
+            p.add_argument("--m-choices", type=_count("m_choices", 2))
         _add_run_flags(p)
         p.add_argument("--out", type=_output_file,
                        help="optional CSV with per-pair statistics")
 
     p = sub.add_parser("qubit",
                        help="sequential versus copy-served two-time readout")
-    p.add_argument("--omega", type=_number(), default=1.0)
-    p.add_argument("--t-a", type=_number(), default=math.pi / 2.0)
-    p.add_argument("--t-b", type=_number(), default=math.pi)
+    number = _flag(float, "a number", _finite)
+    p.add_argument("--omega", type=number, default=1.0)
+    p.add_argument("--t-a", type=number, default=math.pi / 2.0)
+    p.add_argument("--t-b", type=number, default=math.pi)
 
     p = sub.add_parser("curves",
                        help="efficiency-versus-violation sweep to CSV/SVG")

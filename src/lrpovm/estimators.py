@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +42,8 @@ import numpy as np
 
 from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import Workspace, check_count, check_unit, rng_stream
+from .sphere import (Workspace, check_count, check_threshold, check_unit,
+                     rng_stream)
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
@@ -315,11 +315,8 @@ os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
     """Exact 3x3 trit table for one tomography setting pair: the directions'
-    a.b through ``models.pair_table``.  N = 0 is the independent pair."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
-    if n_copies != math.inf:
-        n_copies = check_count(n_copies)
+    a.b through ``models.pair_table``, which checks N and q.  N = 0 is the
+    independent pair."""
     for name, direction in (("dir_a", dir_a), ("dir_b", dir_b)):
         if np.shape(check_unit(direction, name)) != (3,):
             raise ValueError(f"{name} must be one 3-vector, got shape "
@@ -330,17 +327,6 @@ def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The one table source, and its one-N, one-q reductions.
 # ---------------------------------------------------------------------------
-
-def _at_least(name: str, value, minimum: int) -> int:
-    """``value`` as an int, checked >= ``minimum``; errors name ``name``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
 
 def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
             pairs=None, seed: int = models.DEFAULT_SEED,
@@ -356,9 +342,9 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
     checked either way, and then no copy counts give ``[]``.
     """
     if samples is not None:
-        samples = _at_least("samples", samples, MIN_SAMPLES)
-    workers = _at_least("workers", workers, 1)
-    seed = _at_least("seed", seed, 0)
+        samples = check_count(samples, "samples", MIN_SAMPLES)
+    workers = check_count(workers, "workers", 1)
+    seed = check_count(seed, "seed", 0)
     if not n_copies:
         return []
     if samples is None:
@@ -393,7 +379,7 @@ def estimate(config: ModelConfig, samples: int, *,
     the ones the test does not read too.  ``enumerate_exact`` is the exact
     twin.
     """
-    samples = _at_least("samples", samples, MIN_SAMPLES)
+    samples = check_count(samples, "samples", MIN_SAMPLES)
     counts = _tables(config, (config.n_copies,), (config.q,), samples,
                      seed=seed, workers=workers)
     return RunStatistics(
@@ -448,7 +434,11 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     nothing is drawn, and each point equals ``enumerate_exact``'s at its
     (N, q).  The whole (N, q) stack is reduced in one ``RunStatistics``.
     Degenerate points (no coincidences in some setting pair) carry NaN
-    value and stderr.
+    value and stderr.  The arguments follow the package's two rules:
+    every point of ``q_grid`` lies in [0, 1) (``sphere.check_threshold``),
+    and each finite copy count, ``samples``, ``seed`` and ``workers`` are
+    integers (``sphere.check_count``); the last three are checked even
+    when ``n_copies`` is empty.
     """
     # Every copy count has the same direction sets, so one config serves
     # them all; it also checks ``kind``.
@@ -457,8 +447,7 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     if q_grid.ndim != 1 or q_grid.size == 0:
         raise ValueError(f"q_grid must be a non-empty 1-D sequence, got "
                          f"shape {q_grid.shape}")
-    if not np.all((q_grid >= 0) & (q_grid < 1)):
-        raise ValueError("q_grid must lie in [0, 1) with no NaN")
+    check_threshold(q_grid, "q_grid")
     n_copies = list(dict.fromkeys(n_copies))
     configs = [tomography_config(kind, n) for n in n_copies]
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)
@@ -516,7 +505,7 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
     """
     if kind not in LR_BOUND:
         raise ValueError(f"kind must be 'bell' or 'steering': {kind!r}")
-    n_max = _at_least("n_max", n_max, 1)
+    n_max = check_count(n_max, "n_max", 1)
     if not math.isfinite(observed_value):
         raise ValueError("observed_value must be finite")
     if not 0.0 < observed_eta <= 1.0:

@@ -61,9 +61,10 @@ pair, then reads every threshold's table from the histogram's 2-D prefix
 sums.  A counted chunk therefore holds only A's normal rows and the
 opening uniforms at full size, and a workspace that does not grow with
 the number of copy counts.  ``_LevelGrid``, which every level path
-builds, owns the grid rule.  Every kernel takes a ``sphere.Workspace``;
-``unanimity_cell_batch`` returns a view of it, and ``sample_batch`` gives
-each call a fresh one.
+builds, checks the grid: its points by the one threshold rule
+(``sphere.check_threshold``), and its order itself.  Every kernel takes
+a ``sphere.Workspace``; ``unanimity_cell_batch`` returns a view of it,
+and ``sample_batch`` gives each call a fresh one.
 """
 from __future__ import annotations
 
@@ -75,7 +76,7 @@ import numpy as np
 
 from . import quantum
 from .sphere import (BLOCK, PairSampler, Workspace, blocks, check_count,
-                     check_unit, circle_arc_fraction)
+                     check_threshold, check_unit, circle_arc_fraction)
 
 DEFAULT_SEED = 12345
 
@@ -111,7 +112,10 @@ class ModelConfig:
     steering models default to the orthogonal triple for Bob and its
     antipodes for Alice, which is the perfectly correlated matched
     arrangement.  A steering run reads matched pairs, so it needs one
-    Alice direction per Bob direction.
+    Alice direction per Bob direction.  A finite ``n_copies`` (at least
+    1) and ``m_choices`` (at least 2) follow the package's one integer
+    rule, ``sphere.check_count``, and ``q`` its one threshold rule,
+    ``sphere.check_threshold``.
     """
 
     kind: str
@@ -125,16 +129,13 @@ class ModelConfig:
         if self.kind not in READS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         steering = "m_choices" in READS[self.kind]
-        self.m_choices = quantum.check_choices(self.m_choices)
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"q must lie in [0, 1), got {self.q}")
+        self.m_choices = check_count(self.m_choices, "m_choices", 2)
+        check_threshold(self.q)
         if self.n_copies != math.inf:
             self.n_copies = check_count(self.n_copies, minimum=1)
         elif self.kind == "ncopy-steering":
             raise ValueError("n_copies must be finite for ncopy-steering")
         if steering:
-            if self.m_choices < 2:
-                raise ValueError("m_choices must be at least 2 for steering")
             if self.bob_directions is None:
                 if self.m_choices > len(quantum.STEERING_TRIPLE):
                     raise ValueError(
@@ -213,10 +214,10 @@ class ReadoutBatch:
 def threshold_readout(projection: float, q: float) -> int:
     """Trit from a projection: +1 above +q, -1 below -q, else 0.
 
-    The dead zone is the closed interval [-q, +q].
+    The dead zone is the closed interval [-q, +q], and q follows the one
+    threshold rule, ``sphere.check_threshold``: it lies in [0, 1).
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    check_threshold(q)
     if projection > q:
         return 1
     if projection < -q:
@@ -232,14 +233,14 @@ LEVEL_BINS = 1024
 class _LevelGrid:
     """The kernel of ``threshold_levels``: the grid's bucket table, and work
     arrays for blocks of up to ``size`` projections taken from ``ws``.
-    Every level path builds one, so it owns the grid rule: a grid that is
-    not 1-D and non-decreasing, or has a point < 0 or NaN, fails here."""
+    Every level path builds one.  Its points follow the one threshold rule,
+    ``sphere.check_threshold``, and it adds the order its bucket table
+    needs: a grid that is not 1-D and non-decreasing fails here."""
 
     def __init__(self, q_sorted, size: int, ws: Workspace) -> None:
-        q = np.asarray(q_sorted, dtype=float)
-        if q.ndim != 1 or not np.all(np.diff(q, prepend=0.0) >= 0.0):
-            raise ValueError(
-                "q_sorted must be a sorted 1-D grid of points >= 0")
+        q = check_threshold(np.asarray(q_sorted, dtype=float), "q_sorted")
+        if q.ndim != 1 or not np.all(np.diff(q) >= 0.0):
+            raise ValueError("q_sorted must be a sorted 1-D grid")
         self.q = q
         self.dtype = np.min_scalar_type(-q.size - 1)
         self.bools = ws.take((2, size), bool)
@@ -301,8 +302,10 @@ def threshold_levels(projections, q_sorted) -> np.ndarray:
     grid point is below |p|, w being the most grid points one bin holds.
     Only same-bin points are ever compared, and the +inf that pads the grid
     stops a count that has passed every point.  The result equals the
-    binary-search count for any sorted grid, duplicates included; a grid
-    that is not 1-D and non-decreasing, or has a point < 0 or NaN, fails.
+    binary-search count for any sorted grid, duplicates included.  Every
+    point must lie in [0, 1), by the one threshold rule
+    (``sphere.check_threshold``), and a grid that is not 1-D and
+    non-decreasing fails too (``_LevelGrid``).
     """
     grid = _LevelGrid(q_sorted, BLOCK + 1, Workspace())
     p = np.ascontiguousarray(projections, dtype=float).reshape(-1)
@@ -684,16 +687,18 @@ def _lens_tables(q, ct) -> np.ndarray:
 
 
 def _tomography_tables(n_copies, q, ct) -> np.ndarray:
-    """(L, C, 3, 3) tables at a.b >= 0: Legendre sum, or lens areas at inf."""
+    """(L, C, 3, 3) tables at a.b >= 0: Legendre sum, or lens areas at inf.
+    A finite N follows the one integer rule (``sphere.check_count``)."""
     if n_copies == math.inf:
         return _lens_tables(q, ct)
-    return _legendre_tables(int(n_copies), q, ct)
+    return _legendre_tables(check_count(n_copies), q, ct)
 
 
 def pair_table(n_copies, q: float, dot: float) -> np.ndarray:
     """Exact 3x3 trit table of one tomography reading pair with a.b = ``dot``
     at N = ``n_copies`` (N = 0 is the independent pair) and threshold q:
     the one-q, one-a.b case of ``exact_tables``, with no array of pairs."""
+    check_threshold(q)
     table = _tomography_tables(n_copies, [q], [min(abs(dot), 1.0)])[0, 0]
     return table[:, ::-1] if dot < 0 else table
 
@@ -705,10 +710,12 @@ def exact_tables(config: ModelConfig, q_sorted, n_copies) -> np.ndarray:
     being the 1 x 1 case.  A tomography pair's table depends only on
     (N, q, a.b), and one at a.b < 0 is the |a.b| table with Bob's trits
     reversed (b -> -b), so one kernel call per N makes the tables of every
-    q and every distinct |a.b|.
+    q and every distinct |a.b|.  As in ``count_tables``, each q and each
+    finite N follow the package's two argument rules.
     """
     if not config.is_tomography:
         return enumerate_unanimity(config)[None, None]
+    check_threshold(np.asarray(q_sorted, dtype=float), "q_sorted")
     dots = np.array([[np.dot(a, b) for b in config.bob_directions]
                      for a in config.alice_directions])
     cts, index = np.unique(np.minimum(np.abs(dots), 1.0), return_inverse=True)

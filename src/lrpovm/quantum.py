@@ -8,7 +8,6 @@ on small Hilbert spaces (dimension at most 4^5).
 from __future__ import annotations
 
 import math
-import operator
 from functools import reduce
 from itertools import product
 
@@ -257,15 +256,6 @@ def copies_joint_probability(t_a: float, t_b: float, omega: float
 # Joint Kraus set of the trusted M-choice steering model, and its reduction.
 # ---------------------------------------------------------------------------
 
-def check_choices(m_choices) -> int:
-    """``m_choices`` as an int; a float, even 2.0, fails naming it."""
-    try:
-        return operator.index(m_choices)
-    except TypeError:
-        raise ValueError(f"m_choices must be an integer, got "
-                         f"{m_choices!r}") from None
-
-
 def trusted_steering_kraus(m_choices: int, alice_dirs, bob_dirs
                            ) -> list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
     """All joint Kraus operators of the trusted M-choice steering model.
@@ -275,9 +265,9 @@ def trusted_steering_kraus(m_choices: int, alice_dirs, bob_dirs
     The returned labels give the full choice-conditioned readout vectors;
     Alice's mismatched choices read 0, Bob's are unregistered (encoded 0).
     """
-    m = check_choices(m_choices)
-    if m < 2 or len(alice_dirs) != m or len(bob_dirs) != m:
-        raise ValueError("need m_choices >= 2 matching both direction sets")
+    m = check_count(m_choices, "m_choices", 2)
+    if len(alice_dirs) != m or len(bob_dirs) != m:
+        raise ValueError("m_choices must match both direction sets")
     weight = 1.0 / m  # sqrt of the 1/M^2 pick probability
     terms = []
     for j, k in product(range(m), range(m)):
@@ -300,7 +290,7 @@ def trusted_reduction_deviation(m_choices: int = 3) -> float:
     carry the pick weights: (1/M) P(+-a_1) for a_1 = +-1 and (1 - 1/M) I
     for the retained zero / unregistered outcome.
     """
-    m = check_choices(m_choices)
+    m = check_count(m_choices, "m_choices", 2)
     bob_dirs = STEERING_TRIPLE[:m]
     alice_dirs = -bob_dirs
     terms = trusted_steering_kraus(m, alice_dirs, bob_dirs)

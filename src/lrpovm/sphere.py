@@ -4,7 +4,9 @@ The seeded streams that every sampler draws from (``rng_stream``),
 correlated direction pairs for the tomography models (``sample_pair``,
 whose A is a uniform direction and whose N = 0 pair is two independent
 ones), the circle-arc fraction of the exact chaotic-ball tables, and the
-Gauss-Legendre rule of the pair-density normalisation check.
+Gauss-Legendre rule of the pair-density normalisation check.  It also
+holds the package's two argument rules, which every module imports:
+``check_count`` for integers and ``check_threshold`` for thresholds.
 
 Sampling writes into a ``Workspace``, one byte arena reused round after
 round.  Of a draw of n pairs, only the normal rows of A and the opening
@@ -32,6 +34,7 @@ single-N code, so each N's pairs are bit-identical to its own run.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -60,17 +63,43 @@ def check_unit(v, name: str = "direction") -> np.ndarray:
 
 
 def check_count(value, name: str = "n_copies", minimum: int = 0) -> int:
-    """value as an int of at least ``minimum``.  An integral float such as
-    2.0 passes; a non-integral, infinite or NaN value fails naming ``name``."""
+    """value as an int of at least ``minimum``: the package's one integer
+    rule, for every count, size, seed and worker argument.
+
+    The rule is Python's own, ``operator.index``, which ``range`` and
+    indexing apply: an int or a numpy integer passes, and every float
+    fails, 2.0 included, as do bool, str and None.  A float is refused
+    rather than truncated or compared with its int, because one that
+    looks integral may not be meant as a count (1e20, or
+    2.0000000000000004 from arithmetic), and because refusing every float
+    is the rule that ``samples``, ``seed`` and ``workers`` already kept; a
+    bool is a flag, not a count.  Callers that take the copy count
+    ``math.inf`` test for it first.  A value that is not an integer raises
+    TypeError, one below ``minimum`` ValueError, each naming ``name``.
+    """
     try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if n < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def check_threshold(q, name: str = "q"):
+    """q unchanged, once it lies in [0, 1): the package's one threshold
+    rule, which every threshold goes through, and every point of a grid
+    given as an array: a q >= 1 would put every projection in the dead
+    zone [-q, q], and a negative q is no dead zone.  The first value that
+    fails, NaN included, raises ValueError naming ``name``; a q that is
+    neither a number nor an array fails its comparison.  Grid shape and
+    order belong to the grid's user (``models.threshold_levels``)."""
+    for value in q.ravel().tolist() if isinstance(q, np.ndarray) else (q,):
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), got {value}")
+    return q
 
 
 # Rows per block of elementwise work: one float vector of a block is 64 KiB,
@@ -209,12 +238,14 @@ class PairSampler:
     ``partner(N, A, rows)`` then gives that block's B for one N, in one
     reused block buffer, adding only N's opening cosine and sine, or A
     itself when N is inf (the shared axis of the chaotic-ball limit).
+    Every other N follows the one integer rule, ``check_count``.
     """
 
     def __init__(self, n_copies, gen: np.random.Generator, n: int,
                  ws: Workspace) -> None:
+        finite = [check_count(k) for k in n_copies if k != math.inf]
+        self.finite = bool(finite)
         self.a = _draw_directions(gen, n, ws)
-        self.finite = any(k != math.inf for k in n_copies)
         if not self.finite:
             return
         self.gen = gen

@@ -579,11 +579,12 @@ class TestClosedFormTables:
         for q in (-0.1, 1.0, math.nan):
             with pytest.raises(ValueError, match="q must lie in"):
                 estimators.tomography_pair_table(2, q, z, x)
-        for n, message in ((-1, "be >= 0, got -1"),
-                           (2.5, r"be an integer, got 2\.5"),
-                           (math.nan, "be an integer, got nan")):
+        for n, error, message in (
+                (-1, ValueError, "be >= 0, got -1"),
+                (2.5, TypeError, r"be an integer, got 2\.5"),
+                (math.nan, TypeError, "be an integer, got nan")):
             message = f"^n_copies must {message}$"
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error, match=message):
                 estimators.tomography_pair_table(n, 0.3, z, x)
         for bad in (2 * x, np.full(3, math.nan)):
             with pytest.raises(ValueError, match="dir_b"):
@@ -849,7 +850,9 @@ def _reference_pairs(n_copies, gen, size):
 
 @functools.lru_cache(maxsize=None)
 def _reference_sweep_tables(kind, n_copies, q_grid, samples, seed, chunk):
-    """Per-threshold trit tables by plain comparison, one q at a time.
+    """Per-threshold trit tables by plain comparison, one q at a time, on
+    the pairs ``assert_read_pairs_match`` reads (the matched (j, j) for
+    steering); the other tables are zero.
 
     Memoised: the single-N and the several-N oracle tests read the same
     references."""
@@ -861,14 +864,16 @@ def _reference_sweep_tables(kind, n_copies, q_grid, samples, seed, chunk):
     proj_a = np.concatenate([a for a, _ in draws]) @ config.alice_directions.T
     proj_b = np.concatenate([b for _, b in draws]) @ config.bob_directions.T
     ma, mb = proj_a.shape[1], proj_b.shape[1]
+    read = [(j, j) for j in range(ma)] if kind == "steering" \
+        else list(np.ndindex(ma, mb))
     tables = []
     for q in q_grid:
         trit_a = np.where(proj_a > q, 2, np.where(proj_a < -q, 0, 1))
         trit_b = np.where(proj_b > q, 2, np.where(proj_b < -q, 0, 1))
         counts = np.zeros((ma, mb, 3, 3), dtype=np.int64)
-        for i in range(ma):
-            for j in range(mb):
-                np.add.at(counts[i, j], (trit_a[:, i], trit_b[:, j]), 1)
+        for i, j in read:
+            counts[i, j] = np.bincount(3 * trit_a[:, i] + trit_b[:, j],
+                                       minlength=9).reshape(3, 3)
         tables.append(counts)
     return tuple(tables)
 

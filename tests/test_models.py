@@ -109,7 +109,12 @@ class TestThresholdLevels:
     def test_bad_grid_rejected(self, grid):
         # An unsorted grid once gave [2, -3, 3] where the rule gives
         # [1, -2, 3]; a negative or NaN point failed inside np.bincount.
-        message = "^q_sorted must be a sorted 1-D grid of points >= 0$"
+        # A point outside [0, 1) fails the one threshold rule
+        # (sphere.check_threshold), naming the first such point.
+        bad = {"[-0.5, 0.2]": "-0.5", "[0.1, nan]": "nan",
+               "[nan]": "nan"}.get(str(grid))
+        message = (rf"^q_sorted must lie in \[0, 1\), got {bad}$" if bad
+                   else "^q_sorted must be a sorted 1-D grid$")
         with pytest.raises(ValueError, match=message):
             threshold_levels([0.25, -0.5, 0.8], grid)
         if np.ndim(grid) == 0:
@@ -160,18 +165,19 @@ class TestModelConfig:
 
     def test_bad_copy_count_named(self):
         # NaN fails the same check as 1.5, also in a sweep.
-        for n, message in ((0, "be >= 1, got 0"),
-                           (1.5, r"be an integer, got 1\.5"),
-                           (math.nan, "be an integer, got nan")):
+        for n, error, message in (
+                (0, ValueError, "be >= 1, got 0"),
+                (1.5, TypeError, r"be an integer, got 1\.5"),
+                (math.nan, TypeError, "be an integer, got nan")):
             message = f"^n_copies must {message}$"
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error, match=message):
                 ModelConfig(kind="ncopy-tomography", n_copies=n)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error, match=message):
                 sweep_curves("bell", [n], [0.0], None)
 
     def test_bad_choice_count_named(self):
         for m in (2.5, "2"):
-            with pytest.raises(ValueError, match="m_choices must be an "
+            with pytest.raises(TypeError, match="m_choices must be an "
                                "integer"):
                 ModelConfig(kind="trusted-steering", m_choices=m)
 
@@ -608,13 +614,14 @@ ALL_KIND_CONFIGS = UNANIMITY_CONFIGS + [
 class TestDrawCount:
     @pytest.mark.parametrize("config", ALL_KIND_CONFIGS, ids=lambda c: c.kind)
     def test_named(self, config):
-        # A draw count is named, never truncated or left to numpy; an
-        # integral float draws what its integer draws.
-        for n, message in ((2.5, r"be an integer, got 2\.5"),
-                           (-1, "be >= 0, got -1")):
-            with pytest.raises(ValueError, match=f"^n must {message}$"):
+        # A draw count is named, never truncated or left to numpy; a
+        # numpy integer draws what its int draws.
+        for n, error, message in ((2.5, TypeError, r"be an integer, got 2\.5"),
+                                  (-1, ValueError, "be >= 0, got -1")):
+            with pytest.raises(error, match=f"^n must {message}$"):
                 sample_batch(config, rng_stream(4), n)
-        got, want = (sample_batch(config, rng_stream(4), n) for n in (7.0, 7))
+        got, want = (sample_batch(config, rng_stream(4), n)
+                     for n in (np.int64(7), 7))
         assert np.array_equal(got.alice, want.alice)
         assert np.array_equal(got.bob, want.bob)
 

@@ -80,19 +80,20 @@ class TestSamplePair:
             sample_pair(-1, rng_stream(9))
         # A copy count that is not an integer is named, never truncated.
         for n in (2.5, math.inf, math.nan):
-            with pytest.raises(ValueError, match="n_copies"):
+            with pytest.raises(TypeError, match="n_copies"):
                 sample_pair(n, rng_stream(9))
-        for got, want in zip(sample_pair(2.0, rng_stream(9), 5),
+        for got, want in zip(sample_pair(np.int64(2), rng_stream(9), 5),
                              sample_pair(2, rng_stream(9), 5)):
             assert np.array_equal(got, want)
 
     def test_draw_count_named(self):
         # A draw count is named, never truncated or left to numpy.
-        for size, message in ((2.5, r"be an integer, got 2\.5"),
-                              (-1, "be >= 0, got -1")):
-            with pytest.raises(ValueError, match=f"^size must {message}$"):
+        for size, error, message in (
+                (2.5, TypeError, r"be an integer, got 2\.5"),
+                (-1, ValueError, "be >= 0, got -1")):
+            with pytest.raises(error, match=f"^size must {message}$"):
                 sample_pair(2, rng_stream(9), size)
-        for got, want in zip(sample_pair(2, rng_stream(9), 5.0),
+        for got, want in zip(sample_pair(2, rng_stream(9), np.int64(5)),
                              sample_pair(2, rng_stream(9), 5)):
             assert np.array_equal(got, want)
 
@@ -408,9 +409,9 @@ class TestPairDensity:
         with pytest.raises(ValueError):
             pair_density(1, 1.5)
         for n in (2.5, math.inf, math.nan):
-            with pytest.raises(ValueError, match="n_copies"):
+            with pytest.raises(TypeError, match="n_copies"):
                 pair_density(n, 0.3)
-        assert pair_density(2.0, 0.3) == pair_density(2, 0.3)
+        assert pair_density(np.int64(2), 0.3) == pair_density(2, 0.3)
 
 
 class TestQuadrature:
@@ -430,9 +431,9 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="nodes"):
             cap_overlap_quadrature(lambda c: c, 1)
         for nodes in (3.7, math.inf, math.nan):
-            with pytest.raises(ValueError, match="nodes"):
+            with pytest.raises(TypeError, match="nodes"):
                 cap_overlap_quadrature(lambda c: c, nodes)
-        assert cap_overlap_quadrature(lambda c: c ** 2, 16.0) == \
+        assert cap_overlap_quadrature(lambda c: c ** 2, np.int64(16)) == \
             cap_overlap_quadrature(lambda c: c ** 2, 16)
 
 
