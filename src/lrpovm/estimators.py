@@ -447,7 +447,7 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     if q_grid.ndim != 1 or q_grid.size == 0:
         raise ValueError(f"q_grid must be a non-empty 1-D sequence, got "
                          f"shape {q_grid.shape}")
-    check_threshold(q_grid, "q_grid")
+    q_grid = check_threshold(q_grid, "q_grid")
     n_copies = list(dict.fromkeys(n_copies))
     configs = [tomography_config(kind, n) for n in n_copies]
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)

@@ -130,7 +130,7 @@ class ModelConfig:
             raise ValueError(f"unknown model kind {self.kind!r}")
         steering = "m_choices" in READS[self.kind]
         self.m_choices = check_count(self.m_choices, "m_choices", 2)
-        check_threshold(self.q)
+        self.q = check_threshold(self.q)
         if self.n_copies != math.inf:
             self.n_copies = check_count(self.n_copies, minimum=1)
         elif self.kind == "ncopy-steering":
@@ -246,7 +246,7 @@ class _LevelGrid:
         self.bools = ws.take((2, size), bool)
         if q.size == 1:
             return
-        q_bin = np.minimum(q * LEVEL_BINS, LEVEL_BINS).astype(np.intp)
+        q_bin = (q * LEVEL_BINS).astype(np.intp)
         per_bin = np.bincount(q_bin, minlength=LEVEL_BINS + 1)
         self.first = np.zeros(LEVEL_BINS + 1, dtype=np.intp)
         np.cumsum(per_bin[:-1], out=self.first[1:])
@@ -535,8 +535,10 @@ def count_tables(config: ModelConfig, rng: np.random.Generator, n: int,
     ``n_copies`` and the L thresholds of ``q_sorted``, counting the reading
     pairs of ``pairs`` (every pair when None).  The unanimity family fixes
     N, reads no threshold and counts every pair: the 1 x 1 case.  Every
-    work array is taken from ``ws``.
+    work array is taken from ``ws``.  The draw count n follows the one
+    integer rule, ``sphere.check_count``.
     """
+    n = check_count(n, "n")
     ma, mb = len(config.alice_directions), len(config.bob_directions)
     if not config.is_tomography:
         cell = unanimity_cell_batch(config, rng, n, ws)

@@ -8,6 +8,12 @@ Gauss-Legendre rule of the pair-density normalisation check.  It also
 holds the package's two argument rules, which every module imports:
 ``check_count`` for integers and ``check_threshold`` for thresholds.
 
+A is a standard normal row divided by its norm, in one pass and with no
+test of the norm: the direction of a Gaussian row is uniform whatever its
+norm, so no row is ever redrawn.  Only an exactly zero row, about 1e-47 a
+row, would give NaN; so would a ``Generator`` subclass whose
+``standard_normal`` returns zero rows, and nothing guards against it.
+
 Sampling writes into a ``Workspace``, one byte arena reused round after
 round.  Of a draw of n pairs, only the normal rows of A and the opening
 uniforms u are held at full size, straight in the arena
@@ -89,17 +95,19 @@ def check_count(value, name: str = "n_copies", minimum: int = 0) -> int:
 
 
 def check_threshold(q, name: str = "q"):
-    """q unchanged, once it lies in [0, 1): the package's one threshold
-    rule, which every threshold goes through, and every point of a grid
-    given as an array: a q >= 1 would put every projection in the dead
-    zone [-q, q], and a negative q is no dead zone.  The first value that
-    fails, NaN included, raises ValueError naming ``name``; a q that is
-    neither a number nor an array fails its comparison.  Grid shape and
-    order belong to the grid's user (``models.threshold_levels``)."""
+    """q, once it lies in [0, 1), with a -0.0 made +0.0: the package's one
+    threshold rule, which every threshold goes through, and every point
+    of a grid given as an array: a q >= 1 would put every projection in
+    the dead zone [-q, q], and a negative q is no dead zone.  The first
+    value that fails, NaN included, raises ValueError naming ``name``; a
+    q that is neither a number nor an array fails its comparison.  A
+    value that passes keeps its type, and abs changes no bit of it but
+    the sign of a zero, so a -0 given is never printed back.  Grid shape
+    and order belong to the grid's user (``models.threshold_levels``)."""
     for value in q.ravel().tolist() if isinstance(q, np.ndarray) else (q,):
         if not 0.0 <= value < 1.0:
             raise ValueError(f"{name} must lie in [0, 1), got {value}")
-    return q
+    return abs(q)
 
 
 # Rows per block of elementwise work: one float vector of a block is 64 KiB,
@@ -178,43 +186,25 @@ def _norm3(x, y, z, out, work) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _normalise(v, norms, work, zero) -> bool:
-    """Divide the rows of v by their norms, in place, except the rows of
-    norm below 1e-12, which are marked in ``zero`` and left as drawn.
-    True if there is such a row."""
-    _norm3(*v.T, norms, work)
-    found = np.less(norms, 1e-12, out=zero).any()
-    if found:
-        np.copyto(norms, 1.0, where=zero)
-    v /= norms[:, None]
-    return found
-
-
 def _draw_directions(gen: np.random.Generator, n: int, ws: Workspace
                     ) -> np.ndarray:
     """n uniform directions (n, 3): standard normal rows drawn into ``ws``
     and divided by their norms block by block, in place.
 
-    A zero norm has probability ~1e-900; such rows are redrawn, all at once
-    and in row order, before anything else is drawn, and only the redrawn
-    rows are normalised again.
+    The division is unconditional.  The standard normal density in 3-D
+    depends on the norm alone, so a row's direction is uniform whatever
+    its norm (Muller, Commun. ACM 2, 19, 1959), and no row needs a
+    redraw: a small norm is no worse than a large one.  Only an exactly
+    zero row, at about 1e-47 a row, would give NaN, as would a generator
+    subclass that returns zero rows.
     """
     v = ws.take((n, 3))
     gen.standard_normal(out=v)
     norms, work = ws.take((2, BLOCK + 1))
-    zero = ws.take(BLOCK + 1, bool)
-    redraw = []
     for rows in blocks(n):
-        m = rows.stop - rows.start
-        if _normalise(v[rows], norms[:m], work[:m], zero[:m]):
-            redraw.extend(rows.start + np.flatnonzero(zero[:m]))
-    redraw = np.array(redraw, np.intp)
-    while redraw.size:
-        drawn = gen.standard_normal((redraw.size, 3))
-        again = np.empty(redraw.size, bool)
-        _normalise(drawn, np.empty(redraw.size), np.empty(redraw.size), again)
-        v[redraw] = drawn
-        redraw = redraw[again]
+        block = v[rows]
+        m = len(block)
+        block /= _norm3(*block.T, norms[:m], work[:m])[:, None]
     return v
 
 
@@ -222,13 +212,14 @@ class PairSampler:
     """Direction pairs (A, B) of the N-copy tomography density, by blocks,
     for several copy counts N at once.
 
-    The draws of n pairs come in this order: normal rows for A (zero norms
-    redrawn), then, if some N is finite, n uniforms for the opening
-    variable and n for the azimuth.  No draw depends on N, so the stream of
-    each single N is this one, cut short after A when N is inf: every N
-    gets exactly the A, u and chi it would draw alone.  The constructor
+    The draws of n pairs come in this order: normal rows for A, then, if
+    some N is finite, n uniforms for the opening variable and n for the
+    azimuth.  No draw depends on N, so the stream of each single N is
+    this one, cut short after A when N is inf: every N gets exactly the
+    A, u and chi it would draw alone.  The constructor
     draws A and u, which are held at full size, as each is drawn whole
-    before the next; A is normalised as it is drawn.
+    before the next; each row of A is divided by its norm as it is drawn,
+    with no test of the norm and no redraw (see ``_draw_directions``).
 
     ``block(rows)`` gives A for one block of ``blocks(n)``: those drawn
     rows, a view.  It draws the block's azimuth uniforms chi into a reused

@@ -10,7 +10,8 @@ import re
 import numpy as np
 import pytest
 
-from lrpovm import models, quantum, sphere
+from lrpovm import cli, models, quantum, sphere
+from lrpovm.curvefile import write_curve_csv
 from lrpovm.estimators import (estimate, min_copies, sweep_curves,
                                tomography_pair_table)
 from lrpovm.models import ModelConfig, tomography_config
@@ -62,6 +63,10 @@ INTEGER_ARGS = {
         lambda v: models.count_tables(
             tomography_config("bell", 2), sphere.rng_stream(1), 2000, [0.3],
             (v,), None, sphere.Workspace()), "n_copies", 0),
+    "count_tables-n": (
+        lambda v: models.count_tables(
+            BELL, sphere.rng_stream(1), v, [0.3], (2,), None,
+            sphere.Workspace()), "n", 0),
 }
 # The copy counts that also take the shared-axis limit N = inf.
 TAKES_INF = {"ModelConfig-n_copies", "tomography_pair_table-n_copies",
@@ -135,3 +140,31 @@ def test_one_rule_per_argument(entry, value):
         error, message = ValueError, f"{name} must lie in [0, 1), got {point}"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+def test_threshold_keeps_value_and_type():
+    """A threshold that passes comes back as given, except that -0.0 is
+    +0.0."""
+    for q in (0, 0.3, np.float64(0.25), np.array([0.0, 0.5])):
+        got = sphere.check_threshold(q)
+        assert type(got) is type(q) and np.array_equal(got, q)
+    for q in (-0.0, np.float64(-0.0), np.array([-0.0, 0.5])):
+        assert not np.signbit(sphere.check_threshold(q)).any()
+    assert math.copysign(1.0, ModelConfig("chaotic-ball", q=-0.0).q) == 1.0
+
+
+def test_negative_zero_threshold_printed_as_zero(capsys, tmp_path):
+    """-0 reads as the threshold 0 in the run header and in a curve file."""
+    outputs = []
+    for q in ("-0", "0"):
+        assert cli.main(["bell", "--model", "chaotic-ball", "--q", q,
+                         "--samples", "1000"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "  q: 0  " in outputs[0] and outputs[0] == outputs[1]
+    files = []
+    for zero in (-0.0, 0.0):
+        path = tmp_path / f"curve{len(files)}.csv"
+        write_curve_csv(sweep_curves("bell", [1], [zero, 0.3], None)[1], path)
+        files.append(path.read_text())
+    assert files[0].splitlines()[1].startswith("1,0,1,")
+    assert files[0] == files[1]

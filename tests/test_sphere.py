@@ -143,142 +143,6 @@ class TestSamplePairOracle:
         assert np.array_equal(a, ref_a[0]) and np.array_equal(b, ref_b[0])
 
 
-class ZeroRowGenerator(np.random.Generator):
-    """The PCG64 stream of ``seed``, except that the rows ``zero_rows`` of
-    its first ``standard_normal`` draw are set to 0."""
-
-    def __init__(self, seed, zero_rows):
-        super().__init__(np.random.PCG64(seed))
-        self.zero_rows = zero_rows
-        self.normal_draws = 0
-
-    def standard_normal(self, size=None, dtype=np.float64, out=None):
-        draw = super().standard_normal(size, dtype, out)
-        self.normal_draws += 1
-        if self.normal_draws == 1:
-            draw[self.zero_rows] = 0.0
-        return draw
-
-
-def resampling_directions(gen, n):
-    """Reference directions: one allocated (n, 3) draw, zero-norm rows
-    redrawn together until none is left, then one division."""
-    v = gen.standard_normal((n, 3))
-    norms = np.linalg.norm(v, axis=1)
-    bad = norms < 1e-12
-    while np.any(bad):
-        v[bad] = gen.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1)
-        bad = norms < 1e-12
-    return v / norms[:, None]
-
-
-def resampling_pair(n_copies, gen, n):
-    """Reference pairs: ``resampling_directions``, then the opening and
-    azimuth draws, framed with ``np.cross`` as in ``cross_sample_pair``."""
-    a = resampling_directions(gen, n)
-    cos_t = 1.0 - 2.0 * gen.random(n) ** (1.0 / (n_copies + 1))
-    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, None))
-    chi = gen.random(n) * (2.0 * math.pi)
-    helper = np.where(np.abs(a[:, 0:1]) < 0.9, np.array([1.0, 0.0, 0.0]),
-                      np.array([0.0, 1.0, 0.0]))
-    e1 = np.cross(a, helper)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(a, e1)
-    b = (cos_t[:, None] * a
-         + sin_t[:, None] * (np.cos(chi)[:, None] * e1
-                             + np.sin(chi)[:, None] * e2))
-    return a, b
-
-
-ZERO_ROWS = [0, BLOCK + 3, 2 * BLOCK + 4]
-ZERO_ROW_SIZE = 2 * BLOCK + 5
-
-
-def kernel_levels(config, gen, n_copies):
-    """Alice's levels (n, Ma) and Bob's (n, Mb) at each copy count, at
-    q = 0.3 and ZERO_ROW_SIZE runs, copied out of the blocks that
-    ``models.tomography_level_batch`` hands over."""
-    alice = np.empty((ZERO_ROW_SIZE, len(config.alice_directions)), np.int8)
-    bob = np.empty((len(n_copies), ZERO_ROW_SIZE,
-                    len(config.bob_directions)), np.int8)
-
-    def keep(rows, k, levels_a, levels_b):
-        alice[rows] = levels_a
-        bob[k, rows] = levels_b
-
-    models.tomography_level_batch(config, gen, ZERO_ROW_SIZE, (0.3,),
-                                  Workspace(), n_copies, keep)
-    return alice, list(bob)
-
-
-class TestZeroNormResample:
-    """A zero-norm draw is redrawn in the reference's draw order."""
-
-    def test_uniform_direction(self):
-        got = uniform_directions(
-            ZeroRowGenerator(11, ZERO_ROWS), ZERO_ROW_SIZE)
-        gen = ZeroRowGenerator(11, ZERO_ROWS)
-        want = resampling_directions(gen, ZERO_ROW_SIZE)
-        assert gen.normal_draws == 2
-        assert np.array_equal(got, want)
-        # the redrawn rows are real directions, not the zeroed draw
-        assert np.allclose(np.linalg.norm(got[ZERO_ROWS], axis=1), 1.0)
-
-    def test_single_direction(self):
-        got = uniform_directions(ZeroRowGenerator(12, [0]))
-        want = resampling_directions(ZeroRowGenerator(12, [0]), 1)[0]
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("n_copies", [0, 1, 4])
-    def test_pair(self, n_copies):
-        got = sample_pair(n_copies, ZeroRowGenerator(13, ZERO_ROWS),
-                          ZERO_ROW_SIZE)
-        want = resampling_pair(n_copies, ZeroRowGenerator(13, ZERO_ROWS),
-                               ZERO_ROW_SIZE)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-
-    @pytest.mark.parametrize("kind, n_copies", [("bell", 2),
-                                                ("steering", math.inf)])
-    def test_chunk_kernel(self, kind, n_copies):
-        """The counting kernel draws through the same resample path."""
-        config = models.tomography_config(kind, n_copies, q=0.3)
-        gen = ZeroRowGenerator(14, ZERO_ROWS)
-        if n_copies == math.inf:
-            a = b = resampling_directions(gen, ZERO_ROW_SIZE)
-        else:
-            a, b = resampling_pair(n_copies, gen, ZERO_ROW_SIZE)
-        want_a = models.threshold_levels(a @ config.alice_directions.T,
-                                         (0.3,))
-        want_b = models.threshold_levels(b @ config.bob_directions.T, (0.3,))
-        got_a, (got_b,) = kernel_levels(
-            config, ZeroRowGenerator(14, ZERO_ROWS), (n_copies,))
-        assert np.array_equal(got_a, want_a)
-        assert np.array_equal(got_b, want_b)
-
-    @pytest.mark.parametrize("kind", ["bell", "steering"])
-    def test_chunk_kernel_several_copy_counts(self, kind):
-        """One draw for several copy counts redraws like each one alone."""
-        n_copies = (1, 4, math.inf, 2)
-        config = models.tomography_config(kind, n_copies[0], q=0.3)
-        got_a, got_b = kernel_levels(
-            config, ZeroRowGenerator(15, ZERO_ROWS), n_copies)
-        assert len(got_b) == len(n_copies)
-        for n, got in zip(n_copies, got_b):
-            gen = ZeroRowGenerator(15, ZERO_ROWS)
-            if n == math.inf:
-                a = b = resampling_directions(gen, ZERO_ROW_SIZE)
-            else:
-                a, b = resampling_pair(n, gen, ZERO_ROW_SIZE)
-            want_a = models.threshold_levels(a @ config.alice_directions.T,
-                                             (0.3,))
-            want_b = models.threshold_levels(b @ config.bob_directions.T,
-                                             (0.3,))
-            assert np.array_equal(got_a, want_a)
-            assert np.array_equal(got, want_b), n
-
-
 GENERATORS = {
     "pcg64": lambda: rng_stream(3),
     "mt19937": lambda: np.random.Generator(np.random.MT19937(3)),
@@ -322,6 +186,57 @@ class TestGeneratorEndState:
                             rng, n)
         assert next_draws(rng) == reference_next_draws(
             GENERATORS[gen](), n, n_copies != math.inf)
+
+
+STREAM_SIZE = 20_001  # not a multiple of BLOCK
+
+
+def twin_state(draws):
+    """The state of ``rng_stream(31)`` after ``draws(gen)``."""
+    gen = rng_stream(31)
+    draws(gen)
+    return gen.bit_generator.state
+
+
+def pair_draws(gen):
+    gen.standard_normal((STREAM_SIZE, 3))
+    gen.random(STREAM_SIZE)
+    gen.random(STREAM_SIZE)
+
+
+class TestStreamConsumed:
+    """Each sampler leaves its generator where a twin that made the draws
+    its docstring lists, whole and in that order, leaves its own."""
+
+    @pytest.mark.parametrize("n_copies", [0, 3])
+    def test_sample_pair(self, n_copies):
+        gen = rng_stream(31)
+        sample_pair(n_copies, gen, STREAM_SIZE)
+        assert gen.bit_generator.state == twin_state(pair_draws)
+
+    def test_pair_sampler_shared_axis(self):
+        gen = rng_stream(31)
+        PairSampler((math.inf,), gen, STREAM_SIZE, Workspace())
+        assert gen.bit_generator.state == twin_state(
+            lambda g: g.standard_normal((STREAM_SIZE, 3)))
+
+    @pytest.mark.parametrize("config", [
+        models.ModelConfig("simple-bell"),
+        models.ModelConfig("ncopy-steering", n_copies=3)],
+        ids=["simple-bell", "ncopy-steering-3"])
+    def test_unanimity_cell_batch(self, config):
+        ma, mb = len(config.alice_directions), len(config.bob_directions)
+        copies = config.n_copies
+
+        def draws(g):
+            g.integers(0, ma, STREAM_SIZE)
+            g.integers(0, mb, STREAM_SIZE)
+            g.integers(0, 2, (STREAM_SIZE, copies))
+            g.random((STREAM_SIZE, copies))
+
+        gen = rng_stream(31)
+        models.unanimity_cell_batch(config, gen, STREAM_SIZE, Workspace())
+        assert gen.bit_generator.state == twin_state(draws)
 
 
 class TestBlocks:
