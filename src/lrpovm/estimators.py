@@ -42,8 +42,8 @@ import numpy as np
 
 from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import (Workspace, check_count, check_threshold, check_unit,
-                     rng_stream)
+from .sphere import (Workspace, check_count, check_kind, check_threshold,
+                     check_unit, rng_stream)
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
@@ -62,23 +62,6 @@ def _reading_pairs(kind: str, ma: int, mb: int) -> list[tuple[int, int]]:
 def default_q_grid() -> np.ndarray:
     """33 thresholds from 0 to 0.96 in steps of 0.03."""
     return np.round(np.arange(33) * 0.03, 10)
-
-
-# Sums over the flat cells 3 a + b of a 3x3 table (trit indices a, b for
-# -1, 0, +1), added in the order that fixes the statistics' last bits:
-# coincidences, Alice's detections, Bob's (down his columns), and equal-
-# minus opposite-sign coincidences; _SIGNS negates and zeroes the padding.
-_SUMS = np.array([[0, 2, 6, 8, 0, 0], [0, 1, 2, 6, 7, 8],
-                  [0, 3, 6, 2, 5, 8], [0, 8, 2, 6, 0, 0]])
-_SIGNS = np.array([[1.0, 1, 1, 1, 0, 0], [1.0] * 6, [1.0] * 6,
-                   [1.0, 1, -1, -1, 0, 0]])
-
-
-def _sums(w: np.ndarray) -> np.ndarray:
-    """The four ``_SUMS`` of every 3x3 table of ``w``, on a last axis."""
-    cells = w.reshape(*w.shape[:-2], 9).take(_SUMS, axis=-1)
-    cells *= _SIGNS
-    return np.add.accumulate(cells, axis=-1, out=cells)[..., -1]
 
 
 def _added(terms: np.ndarray) -> np.ndarray:
@@ -137,8 +120,7 @@ class RunStatistics:
     exact: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bell", "steering"):
-            raise ValueError(f"kind must be 'bell' or 'steering': {self.kind!r}")
+        check_kind(self.kind)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim < 4 or self.weights.shape[-2:] != (3, 3):
             raise ValueError("weights must have shape (..., Ma, Mb, 3, 3)")
@@ -152,16 +134,33 @@ class RunStatistics:
                              f"{ma} for Alice and {mb} for Bob")
 
     @functools.cached_property
+    def _sums(self) -> tuple[np.ndarray, ...]:
+        """Coincidences, Alice's detections, Bob's detections and equal-
+        minus opposite-sign coincidences of every pair, (..., Ma, Mb).
+
+        Cell tk is the table's flat cell k = 3 a + b, trit indices (a, b)
+        for -1, 0, +1.  Each sum adds its cells left to right in the order
+        written, Bob's down his columns: that order fixes the statistics'
+        last bits.  The cells are copied to contiguous arrays, so each
+        addition is one pass.
+        """
+        (t0, t1, t2), (t3, _, t5), (t6, t7, t8) = np.ascontiguousarray(
+            self.weights.transpose(-2, -1, *range(self.weights.ndim - 2)))
+        return (t0 + t2 + t6 + t8,
+                t0 + t1 + t2 + t6 + t7 + t8,
+                t0 + t3 + t6 + t2 + t5 + t8,
+                t0 + t8 - t2 - t6)
+
+    @functools.cached_property
     def _pairs(self) -> PairSummary:
         """Every pair's quantities, as (..., Ma, Mb) arrays."""
-        sums = _sums(self.weights)
-        n_c = sums[..., 0]
+        n_c, alice, bob, signed = self._sums
         with np.errstate(divide="ignore", invalid="ignore"):
-            corr = sums[..., 3] / n_c
+            corr = signed / n_c
             se = (corr - corr if self.exact  # exact: 0, NaN if degenerate
                   else np.sqrt(np.maximum(0.0, 1.0 - corr * corr) / n_c))
-            return PairSummary(corr, se, n_c, n_c / sums[..., 1],
-                               n_c / sums[..., 2], n_c <= 0.0)
+            return PairSummary(corr, se, n_c, n_c / alice, n_c / bob,
+                               n_c <= 0.0)
 
     def pair(self, i: int, j: int) -> PairSummary:
         return PairSummary._make(_scalar(x[..., i, j]) for x in self._pairs)
@@ -178,9 +177,9 @@ class RunStatistics:
         nonzero), the accounting in which the trusted pick model shows the
         1/M suppression.
         """
-        sums = _sums(self.weights[..., i, j, :, :])
+        _, _, bob, signed = self._sums
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _scalar(sums[..., 3] / sums[..., 2])
+            return _scalar(signed[..., i, j] / bob[..., i, j])
 
     def reading_pairs(self) -> list[tuple[int, int]]:
         """Pairs read: every (i, j) for Bell, matched (j, j) for steering."""
@@ -231,7 +230,7 @@ class RunStatistics:
         j = np.arange(self.weights.shape[-3])
         w = self.weights[..., j, j, :, :]          # (..., M, 3, 3)
         m = len(j)
-        w_reg = _sums(w)[..., 2:3]                  # (..., M, 1)
+        w_reg = self._sums[2][..., j, j, None]      # (..., M, 1)
         n_a = w[..., 0] + w[..., 2]                 # (..., M, 3), over a
         flat = (*n_a.shape[:-2], -1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -434,11 +433,12 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     nothing is drawn, and each point equals ``enumerate_exact``'s at its
     (N, q).  The whole (N, q) stack is reduced in one ``RunStatistics``.
     Degenerate points (no coincidences in some setting pair) carry NaN
-    value and stderr.  The arguments follow the package's two rules:
-    every point of ``q_grid`` lies in [0, 1) (``sphere.check_threshold``),
-    and each finite copy count, ``samples``, ``seed`` and ``workers`` are
-    integers (``sphere.check_count``); the last three are checked even
-    when ``n_copies`` is empty.
+    value and stderr.  The arguments follow the package's rules: ``kind``
+    is 'bell' or 'steering' (``sphere.check_kind``), every point of
+    ``q_grid`` lies in [0, 1) (``sphere.check_threshold``), and each
+    finite copy count, ``samples``, ``seed`` and ``workers`` are integers
+    (``sphere.check_count``); the last three are checked even when
+    ``n_copies`` is empty.
     """
     # Every copy count has the same direction sets, so one config serves
     # them all; it also checks ``kind``.
@@ -503,8 +503,7 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
     returns 1; None when no curve with up to n_max copies reaches the
     observed value at the observed efficiency.
     """
-    if kind not in LR_BOUND:
-        raise ValueError(f"kind must be 'bell' or 'steering': {kind!r}")
+    check_kind(kind)
     n_max = check_count(n_max, "n_max", 1)
     if not math.isfinite(observed_value):
         raise ValueError("observed_value must be finite")

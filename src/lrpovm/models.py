@@ -38,7 +38,9 @@ at finite N or two-cap lens areas at N = inf, made for every q and every
 distinct |a.b| in one call per N; ``pair_table`` is one pair's table.
 
 ``unanimity_cell_batch`` gives each run's pick cell, one index of its two
-picks and the trit read at each, the whole unanimity readout;
+picks and the trit read at each, the whole unanimity readout.  A party's
+trit is +1 when all its copies read +1, -1 when none does, 0 otherwise,
+so trit + 1 is the sum of the flags "all copies +1" and "some copy +1";
 ``sample_batch`` decodes it with ``divmod``, and counting bincounts it
 and maps the pick-pair cells to reading pairs with ``pick_tables``, the
 map the exact enumerator (``enumerate_unanimity``) uses too.
@@ -76,7 +78,8 @@ import numpy as np
 
 from . import quantum
 from .sphere import (BLOCK, PairSampler, Workspace, blocks, check_count,
-                     check_threshold, check_unit, circle_arc_fraction)
+                     check_kind, check_threshold, check_unit,
+                     circle_arc_fraction)
 
 DEFAULT_SEED = 12345
 
@@ -192,12 +195,10 @@ class ModelConfig:
 def tomography_config(kind: str = "bell", n_copies: float = 1,
                       q: float = 0.0) -> ModelConfig:
     """Tomography model preset for a Bell (CHSH angles) or steering (triple) run."""
-    if kind == "bell":
+    if check_kind(kind) == "bell":
         alice, bob = quantum.CHSH_ALICE, quantum.CHSH_BOB
-    elif kind == "steering":
-        alice, bob = quantum.STEERING_TRIPLE, quantum.STEERING_TRIPLE
     else:
-        raise ValueError(f"kind must be 'bell' or 'steering', got {kind!r}")
+        alice, bob = quantum.STEERING_TRIPLE, quantum.STEERING_TRIPLE
     model = "chaotic-ball" if n_copies == math.inf else "ncopy-tomography"
     return ModelConfig(kind=model, n_copies=n_copies, q=q,
                        alice_directions=alice, bob_directions=bob)
@@ -341,9 +342,15 @@ def unanimity_cell_batch(config: ModelConfig, rng: np.random.Generator,
     no ``out=``, so its draws are made block by block; the blocks draw the
     numbers of one call, as a bounded draw below 2**32 uses 32-bit halves
     of the output and PCG64 keeps an unused half (``has_uint32``,
-    ``uinteger``) for the next one, which ``random()`` leaves alone.  One
-    block loop then draws the match uniforms, decides unanimity and writes
-    the cell in place on the pick array.  Every array is a view of ``ws``.
+    ``uinteger``) for the next one, which ``random()`` leaves alone.
+
+    One block loop then draws the match uniforms and writes the cell in
+    place on the pick array.  Alice's copy k reads +1 when xi_k, and
+    Bob's when its match equals xi_k (a match copies Alice's sign, a
+    mismatch flips it).  A party's trit + 1 is then the sum of two flags
+    over its copies, "all read +1" and "some copy reads +1": 2 when all
+    read +1, 0 when none does, 1 when they disagree.  Every array is a
+    view of ``ws``.
     """
     table = _correlation_table(config.alice_directions, config.bob_directions)
     p_same = ((1.0 + table) / 2.0).ravel()
@@ -360,39 +367,25 @@ def unanimity_cell_batch(config: ModelConfig, rng: np.random.Generator,
         np.not_equal(rng.integers(0, 2, (rows.stop - rows.start, ncopies)),
                      0, out=xi[rows])
     match = ws.take((BLOCK + 1, ncopies))
-    same = ws.take((BLOCK + 1, ncopies), bool)
+    bob_plus = ws.take((BLOCK + 1, ncopies), bool)
     work = ws.take(BLOCK + 1)
-    alice_all, bob_all, agree, flag = ws.take((4, BLOCK + 1), bool)
+    all_plus, any_plus = ws.take((2, BLOCK + 1), bool)
     for rows in blocks(n):
         m = rows.stop - rows.start
         c = cell[rows]
         p = np.take(p_same, c, out=work[:m], mode="clip")
-        s = same[:m]
-        np.less(rng.random(out=match[:m]), p[:, None], out=s)
-        # Bob's copy k reads xi_k when same_k and -xi_k otherwise, so his
-        # copies agree with copy 0 exactly when
-        # (xi_k == xi_0) == (same_k == same_0).
-        xi_0, same_0 = xi[rows, 0], s[:, 0]
-        a_all, b_all, eq, fl = alice_all[:m], bob_all[:m], agree[:m], flag[:m]
-        a_all[:] = True
-        b_all[:] = True
-        for k in range(1, ncopies):
-            np.equal(xi[rows, k], xi_0, out=eq)
-            a_all &= eq
-            np.equal(s[:, k], same_0, out=fl)
-            np.equal(eq, fl, out=fl)
-            b_all &= fl
-        # Copy 0 reads +1 for Alice when xi_0, and for Bob when
-        # xi_0 == same_0; a party reads that sign when unanimous, else 0.
-        np.equal(xi_0, same_0, out=fl)
-        trit = eq.view(np.int8)
-        for positive, unanimous in ((xi_0, a_all), (fl, b_all)):
-            np.multiply(positive.view(np.int8), 2, out=trit)
-            trit -= 1
-            trit *= unanimous.view(np.int8)
+        plus, every, some = bob_plus[:m], all_plus[:m], any_plus[:m]
+        np.less(rng.random(out=match[:m]), p[:, None], out=plus)
+        np.equal(plus, xi[rows], out=plus)
+        for copies in (xi[rows], plus):
+            np.logical_and(copies[:, 0], copies[:, -1], out=every)
+            np.logical_or(copies[:, 0], copies[:, -1], out=some)
+            for k in range(1, ncopies - 1):
+                every &= copies[:, k]
+                some |= copies[:, k]
             c *= 3
-            c += trit
-        c += 4
+            c += every
+            c += some
     return cell
 
 
@@ -713,7 +706,7 @@ def exact_tables(config: ModelConfig, q_sorted, n_copies) -> np.ndarray:
     (N, q, a.b), and one at a.b < 0 is the |a.b| table with Bob's trits
     reversed (b -> -b), so one kernel call per N makes the tables of every
     q and every distinct |a.b|.  As in ``count_tables``, each q and each
-    finite N follow the package's two argument rules.
+    finite N follow the package's threshold and integer rules.
     """
     if not config.is_tomography:
         return enumerate_unanimity(config)[None, None]

@@ -5,8 +5,9 @@ correlated direction pairs for the tomography models (``sample_pair``,
 whose A is a uniform direction and whose N = 0 pair is two independent
 ones), the circle-arc fraction of the exact chaotic-ball tables, and the
 Gauss-Legendre rule of the pair-density normalisation check.  It also
-holds the package's two argument rules, which every module imports:
-``check_count`` for integers and ``check_threshold`` for thresholds.
+holds the package's argument rules, which every module imports:
+``check_count`` for integers, ``check_threshold`` for thresholds and
+``check_kind`` for the test a run feeds.
 
 A is a standard normal row divided by its norm, in one pass and with no
 test of the norm: the direction of a Gaussian row is uniform whatever its
@@ -108,6 +109,14 @@ def check_threshold(q, name: str = "q"):
         if not 0.0 <= value < 1.0:
             raise ValueError(f"{name} must lie in [0, 1), got {value}")
     return abs(q)
+
+
+def check_kind(kind: str) -> str:
+    """kind, once it is 'bell' or 'steering': the package's one rule for
+    the test a run feeds, else ValueError."""
+    if kind not in ("bell", "steering"):
+        raise ValueError(f"kind must be 'bell' or 'steering', got {kind!r}")
+    return kind
 
 
 # Rows per block of elementwise work: one float vector of a block is 64 KiB,

@@ -11,6 +11,7 @@ import math
 from pathlib import Path
 
 from .estimators import LR_BOUND, CurvePoint
+from .sphere import check_kind
 
 WIDTH, HEIGHT = 720, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 24, 28, 48
@@ -38,14 +39,15 @@ def write_curve_svg(curves: dict[float, list[CurvePoint]], path,
     """Render grouped curve points to a single SVG file.
 
     ``curves`` maps the copy count to its point list; at least one curve
-    with at least one finite point is required.
+    with at least one finite point is required; ``kind`` follows
+    ``sphere.check_kind``.
     """
+    bound = LR_BOUND[check_kind(kind)]
     usable = {n: [p for p in pts if not math.isnan(p.value)]
               for n, pts in curves.items()}
     usable = {n: pts for n, pts in usable.items() if pts}
     if not usable:
         raise ValueError("no plottable curve points")
-    bound = LR_BOUND[kind]
 
     vmax = max(max(p.value for p in pts) for pts in usable.values())
     vmax = max(vmax, bound) * 1.06

@@ -19,7 +19,8 @@ from lrpovm.estimators import (CurvePoint, RunStatistics, default_q_grid,
                                min_copies, sweep_curves)
 from lrpovm.models import DEFAULT_SEED, ModelConfig, sample_batch, \
     tomography_config, unanimity_cell_batch
-from lrpovm.sphere import Workspace, blocks, rng_stream, sample_pair
+from lrpovm.sphere import (BLOCK, Workspace, blocks, rng_stream,
+                           sample_pair)
 
 
 class TestRunStatistics:
@@ -1037,7 +1038,7 @@ UNANIMITY_CONFIGS = {
     "trusted-M2": dict(kind="trusted-steering", m_choices=2),
     "trusted-M3": dict(kind="trusted-steering", m_choices=3),
     **{f"ncopy-N{n}": dict(kind="ncopy-steering", n_copies=n, m_choices=3)
-       for n in (1, 3, 7)}}
+       for n in (1, 2, 3, 7)}}
 
 
 def copywise_cell_batch(config, gen, n):
@@ -1060,13 +1061,16 @@ def copywise_cell_batch(config, gen, n):
 
 
 class TestPickCountOracle:
-    """Pick-histogram tables equal the level kernel over scattered trits."""
+    """Pick-histogram tables equal the level kernel over scattered trits.
+
+    The sizes leave a last block of 1, 7, 1695, BLOCK and BLOCK + 1
+    rows."""
 
     @pytest.mark.parametrize("seed", [12345, 7, 1])
     @pytest.mark.parametrize("name", sorted(UNANIMITY_CONFIGS))
     def test_picks_match_copywise_reference(self, name, seed):
         config = ModelConfig(**UNANIMITY_CONFIGS[name])
-        for size in (1, 7, 99_999, 131_072):
+        for size in (1, 7, 99_999, 131_072, 2 * BLOCK + 1):
             got = unanimity_cell_batch(config, rng_stream(seed, 3),
                                        size, Workspace())
             want = copywise_cell_batch(config, rng_stream(seed, 3), size)
@@ -1076,7 +1080,7 @@ class TestPickCountOracle:
     @pytest.mark.parametrize("name", sorted(UNANIMITY_CONFIGS))
     def test_tables_match_level_kernel(self, name, seed):
         config = ModelConfig(**UNANIMITY_CONFIGS[name])
-        for size in (1, 7, 99_999, 131_072):
+        for size in (1, 7, 99_999, 131_072, 2 * BLOCK + 1):
             got = estimators._count_chunk(
                 (config, (config.n_copies,), (config.q,), None, seed, 3,
                  size))[0, 0]

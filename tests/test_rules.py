@@ -1,9 +1,10 @@
-"""Every integer and every threshold argument of the public entry points
-follows one of the package's two argument rules, with one exception type
-and one message per rule: ``sphere.check_count`` (``operator.index``; a
-float, 2.0 included, and a bool fail with TypeError, a value below the
-minimum with ValueError) and ``sphere.check_threshold`` (each threshold
-and each grid point in [0, 1), else ValueError)."""
+"""Every integer, threshold and test-kind argument of the public entry
+points follows one of the package's argument rules, with one exception
+type and one message per rule: ``sphere.check_count`` (``operator.index``;
+a float, 2.0 included, and a bool fail with TypeError, a value below the
+minimum with ValueError), ``sphere.check_threshold`` (each threshold and
+each grid point in [0, 1), else ValueError) and ``sphere.check_kind``
+('bell' or 'steering', else ValueError)."""
 import math
 import re
 
@@ -12,9 +13,11 @@ import pytest
 
 from lrpovm import cli, models, quantum, sphere
 from lrpovm.curvefile import write_curve_csv
-from lrpovm.estimators import (estimate, min_copies, sweep_curves,
+from lrpovm.estimators import (CurvePoint, RunStatistics, estimate,
+                               min_copies, sweep_curves,
                                tomography_pair_table)
 from lrpovm.models import ModelConfig, tomography_config
+from lrpovm.svgchart import write_curve_svg
 
 BELL = ModelConfig("simple-bell")
 Z, X = np.eye(3)[2], np.eye(3)[0]
@@ -102,6 +105,19 @@ THRESHOLD_VALUES = [-0.1, 1.0, math.nan]
 GRID_VALUES = [[1.0], [math.nan], [-0.1], [1.5]]
 
 
+# Entry point: call with the kind set, writing any file into a directory.
+KIND_ARGS = {
+    "tomography_config": lambda k, _: tomography_config(k),
+    "sweep_curves": lambda k, _: sweep_curves(k, [1], [0.3], None),
+    "RunStatistics": lambda k, _: RunStatistics(
+        kind=k, weights=np.ones((2, 2, 3, 3)), samples=36),
+    "min_copies": lambda k, _: min_copies(2.5, 0.9, k, 3, curves={}),
+    "write_curve_svg": lambda k, tmp: write_curve_svg(
+        {1: [CurvePoint(1, 0.3, 0.5, 2.2, 0.0, 0)]}, tmp / "c.svg", kind=k),
+}
+KIND_VALUES = ["Bell", "chsh", "", None]
+
+
 def _outcome(call, value):
     """"ok", or the type and message of what ``call(value)`` raised."""
     try:
@@ -140,6 +156,14 @@ def test_one_rule_per_argument(entry, value):
         error, message = ValueError, f"{name} must lie in [0, 1), got {point}"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("value", KIND_VALUES)
+@pytest.mark.parametrize("entry", sorted(KIND_ARGS))
+def test_one_kind_rule(entry, value, tmp_path):
+    message = f"kind must be 'bell' or 'steering', got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KIND_ARGS[entry](value, tmp_path)
 
 
 def test_threshold_keeps_value_and_type():
