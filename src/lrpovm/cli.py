@@ -84,6 +84,8 @@ def _copies_list(text):
 
 def _output_file(text):
     """Reject an output path that cannot be a file before any work runs."""
+    if not text:
+        raise argparse.ArgumentTypeError("expects a file path, got ''")
     parent = os.path.dirname(text) or "."
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text} is a directory")

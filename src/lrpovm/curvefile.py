@@ -38,22 +38,3 @@ def write_curve_csv(points, path) -> None:
             _fmt_copies(p.n_copies), _fmt(p.q), _fmt(p.eta),
             _fmt(p.value), _fmt(p.stderr), str(p.samples))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_curve_csv(path) -> list[CurvePoint]:
-    """Parse a curve CSV back into points (values at the printed precision)."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing header {CSV_HEADER!r}")
-    points = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        n = math.inf if parts[0] == "inf" else int(parts[0])
-        points.append(CurvePoint(
-            n_copies=n, q=float(parts[1]), eta=float(parts[2]),
-            value=float(parts[3]), stderr=float(parts[4]),
-            samples=int(parts[5])))
-    return points

@@ -21,11 +21,12 @@ tables are bit-identical to a sweep of it alone.
 
 Parallelism is a map over chunks of ``DEFAULT_CHUNK`` samples, one
 stream per chunk, merged by integer addition, so a Monte Carlo result is
-fixed by (model, samples, seed) whatever ``workers`` is.  A process
-keeps one warm pool until exit (rebuilt for a new worker count, a broken
-pool or a forked child); threads share it one call at a time.  Each
-thread's chunks reuse one ``sphere.Workspace``, computing in cache-sized
-blocks of its buffers.
+fixed by (model, samples, seed) whatever ``workers`` is.  A call uses
+at most one worker per chunk, so a one-chunk call runs in this process.
+A process keeps one warm pool until exit (rebuilt for a new worker
+count, a broken pool or a forked child); threads share it one call at a
+time.  Each thread's chunks reuse one ``sphere.Workspace``, computing
+in cache-sized blocks of its buffers.
 """
 from __future__ import annotations
 
@@ -313,14 +314,15 @@ os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def tomography_pair_table(n_copies, q: float, dir_a, dir_b) -> np.ndarray:
-    """Exact 3x3 trit table for one tomography setting pair: the directions'
-    a.b through ``models.pair_table``, which checks N and q.  N = 0 is the
-    independent pair."""
+    """Exact 3x3 trit table for one tomography setting pair: the one-q,
+    one-a.b call of ``models.tomography_tables``, which checks N.  N = 0 is
+    the independent pair."""
     for name, direction in (("dir_a", dir_a), ("dir_b", dir_b)):
         if np.shape(check_unit(direction, name)) != (3,):
             raise ValueError(f"{name} must be one 3-vector, got shape "
                              f"{np.shape(direction)}")
-    return models.pair_table(n_copies, q, float(np.dot(dir_a, dir_b)))
+    check_threshold(q)
+    return models.tomography_tables(n_copies, [q], np.dot(dir_a, dir_b))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +337,9 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
     config fixes N and reads no threshold, so it is the 1 x 1 case.
 
     With ``samples``, Monte Carlo counts of the reading pairs of ``pairs``
-    (every pair when None): chunks of ``DEFAULT_CHUNK`` in one map, in
-    this process at one worker and over the cached pool otherwise.
+    (every pair when None): chunks of ``DEFAULT_CHUNK`` in one map, over
+    the cached pool of at most one worker per chunk, or in this process
+    when that is one worker.
     Without, ``models.exact_tables`` of every pair.  The run arguments are
     checked either way, and then no copy counts give ``[]``.
     """
@@ -352,6 +355,7 @@ def _tables(config: ModelConfig, n_copies, q_sorted, samples=None, *,
     sizes = [DEFAULT_CHUNK] * full + ([rest] if rest else [])
     tasks = [(config, n_copies, q_sorted, pairs, seed, index, size)
              for index, size in enumerate(sizes)]
+    workers = min(workers, len(tasks))
     if workers == 1:
         return sum(map(_count_chunk, tasks))
     with _POOL_LOCK:

@@ -33,9 +33,10 @@ model family, and ``count_tables`` turns the same kernels' draws into
 the (K, L, Ma, Mb, 3, 3) trit tables of K copy counts and L thresholds,
 the unanimity family being the 1 x 1 case.  ``exact_tables`` is its
 exact twin, with one closed form per family: the unanimity enumeration
-(``enumerate_unanimity``), and for the tomography family a Legendre sum
-at finite N or two-cap lens areas at N = inf, made for every q and every
-distinct |a.b| in one call per N; ``pair_table`` is one pair's table.
+(``enumerate_unanimity``), and for the tomography family
+``tomography_tables``, a Legendre sum at finite N or two-cap lens areas
+at N = inf, made for every q and every a.b of any shape in one call per
+N; one pair's table is the one-q, one-a.b call.
 
 ``unanimity_cell_batch`` gives each run's pick cell, one index of its two
 picks and the trit read at each, the whole unanimity readout.  A party's
@@ -681,40 +682,40 @@ def _lens_tables(q, ct) -> np.ndarray:
     return table
 
 
-def _tomography_tables(n_copies, q, ct) -> np.ndarray:
-    """(L, C, 3, 3) tables at a.b >= 0: Legendre sum, or lens areas at inf.
-    A finite N follows the one integer rule (``sphere.check_count``)."""
+def tomography_tables(n_copies, q_sorted, dots) -> np.ndarray:
+    """Exact 3x3 trit tables (L, *dots.shape, 3, 3) of tomography reading
+    pairs at N = ``n_copies`` (N = 0 is the independent pair), the L
+    thresholds of ``q_sorted`` and the values a.b of ``dots``, any shape.
+
+    A pair's table depends only on (N, q, |a.b|), and one at a.b < 0 is
+    the |a.b| table with Bob's trits reversed (b -> -b).  So one kernel
+    call on every min(|a.b|, 1) makes them all: a Legendre sum at finite N,
+    which follows the one integer rule (``sphere.check_count``), or two-cap
+    lens areas at N = inf.  A value's table has the same bits whatever
+    else the call holds, so one pair's table is its cell of a whole
+    config's call.  The thresholds are left to the callers to check.
+    """
+    dots = np.asarray(dots, dtype=float)
+    ct = np.minimum(np.abs(dots), 1.0).ravel()
     if n_copies == math.inf:
-        return _lens_tables(q, ct)
-    return _legendre_tables(check_count(n_copies), q, ct)
-
-
-def pair_table(n_copies, q: float, dot: float) -> np.ndarray:
-    """Exact 3x3 trit table of one tomography reading pair with a.b = ``dot``
-    at N = ``n_copies`` (N = 0 is the independent pair) and threshold q:
-    the one-q, one-a.b case of ``exact_tables``, with no array of pairs."""
-    check_threshold(q)
-    table = _tomography_tables(n_copies, [q], [min(abs(dot), 1.0)])[0, 0]
-    return table[:, ::-1] if dot < 0 else table
+        tables = _lens_tables(q_sorted, ct)
+    else:
+        tables = _legendre_tables(check_count(n_copies), q_sorted, ct)
+    tables = tables.reshape(len(tables), *dots.shape, 3, 3)
+    return np.where((dots < 0.0)[..., None, None], tables[..., ::-1], tables)
 
 
 def exact_tables(config: ModelConfig, q_sorted, n_copies) -> np.ndarray:
     """Exact tables (K, L, Ma, Mb, 3, 3) of every reading pair at the K copy
     counts of ``n_copies`` and the L thresholds of ``q_sorted``: the exact
     twin of ``count_tables``, the unanimity family (``enumerate_unanimity``)
-    being the 1 x 1 case.  A tomography pair's table depends only on
-    (N, q, a.b), and one at a.b < 0 is the |a.b| table with Bob's trits
-    reversed (b -> -b), so one kernel call per N makes the tables of every
-    q and every distinct |a.b|.  As in ``count_tables``, each q and each
-    finite N follow the package's threshold and integer rules.
+    being the 1 x 1 case.  The tomography family makes every pair's table
+    by one ``tomography_tables`` call per N.  As in ``count_tables``, each
+    q and each finite N follow the package's threshold and integer rules.
     """
     if not config.is_tomography:
         return enumerate_unanimity(config)[None, None]
     check_threshold(np.asarray(q_sorted, dtype=float), "q_sorted")
     dots = np.array([[np.dot(a, b) for b in config.bob_directions]
                      for a in config.alice_directions])
-    cts, index = np.unique(np.minimum(np.abs(dots), 1.0), return_inverse=True)
-    index = index.reshape(dots.shape)
-    flip = (dots < 0.0)[..., None, None]
-    return np.array([np.where(flip, t[..., ::-1], t) for t in (
-        _tomography_tables(n, q_sorted, cts)[:, index] for n in n_copies)])
+    return np.array([tomography_tables(n, q_sorted, dots) for n in n_copies])

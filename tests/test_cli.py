@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from lrpovm.cli import main
-from lrpovm.curvefile import CSV_HEADER, read_curve_csv, write_curve_csv
+from lrpovm.curvefile import CSV_HEADER, write_curve_csv
 from lrpovm.estimators import CurvePoint, sweep_curves
 from lrpovm.svgchart import write_curve_svg
 
@@ -96,7 +96,13 @@ class TestValidation:
         # passes the up-front check; the write itself fails (ENAMETOOLONG)
         (("curves", "--samples", "2000", "--out", "x" * 300 + ".csv"),
          "--out"),
-        (("qubit", "--n-copies", "inf"), "--n-copies")])
+        (("qubit", "--n-copies", "inf"), "--n-copies"),
+        # an empty path names no file: rejected before any run
+        (("bell", "--samples", "1000", "--out", ""), "--out"),
+        (("steer", "--samples", "1000", "--out", ""), "--out"),
+        (("curves", "--samples", "2000", "--out", ""), "--out"),
+        (("curves", "--samples", "2000", "--out", "x.csv", "--svg", ""),
+         "--svg")])
     def test_bad_input_flag_named(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -326,14 +332,6 @@ class TestCurvesCommand:
         assert out.read_bytes() == \
             (GOLDEN / f"curves_{kind}.expected").read_bytes()
 
-    def test_round_trip(self, capsys, tmp_path):
-        out = tmp_path / "r.csv"
-        run(capsys, "curves", "--kind", "bell", "--n-copies", "1,inf",
-            "--samples", "5000", "--seed", "7", "--out", str(out))
-        points = read_curve_csv(out)
-        write_curve_csv(points, tmp_path / "again.csv")
-        assert out.read_bytes() == (tmp_path / "again.csv").read_bytes()
-
 
 class TestOracleCheck:
     def test_all_pass(self, capsys):
@@ -354,12 +352,6 @@ class TestCurveFile:
         write_curve_csv([point], path)
         lines = path.read_text().splitlines()
         assert lines == [CSV_HEADER, "1,0,1,2,0.01,1000"]
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope\n1,0,1,2,0.01,1000\n")
-        with pytest.raises(ValueError):
-            read_curve_csv(path)
 
 
 class TestSvgChart:

@@ -533,9 +533,10 @@ class TestQuadratureOracle:
         for q in (0.0, 0.3, math.cos(math.pi / 8)):
             edges = [mp.mpf(-1), -mp.mpf(q), mp.mpf(q), mp.mpf(1)]
             bands = [band_integrals(lo, hi) for lo, hi in zip(edges, edges[1:])]
-            for dot in (1.0, -1.0, math.cos(math.pi / 4), 0.3):
+            dots = (1.0, -1.0, math.cos(math.pi / 4), 0.3)
+            tables = models.tomography_tables(n, [q], dots)[0]
+            for dot, table in zip(dots, tables):
                 p = legendre(mp.mpf(dot))
-                table = models.pair_table(n, q, dot)
                 for i, j in np.ndindex(3, 3):
                     ref = (n + 1) / mp.mpf(4) * mp.fsum(
                         c * f * g * pl for c, f, g, pl
@@ -603,6 +604,21 @@ class TestClosedFormTables:
         m = np.array([0.35, 0.3, 0.35])
         assert np.allclose(estimators.tomography_pair_table(0, 0.3, z, x),
                            np.outer(m, m), atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["bell", "steering"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 10, 50, math.inf])
+    def test_pair_table_is_exact_tables_cell(self, kind, n):
+        """One pair's table is its cell of the whole-config call, bit for
+        bit, at every default-grid threshold."""
+        config = tomography_config(kind)
+        grid = default_q_grid()
+        tables = models.exact_tables(config, grid, (n,))[0]
+        for l, q in enumerate(grid):
+            for i, a in enumerate(config.alice_directions):
+                for j, b in enumerate(config.bob_directions):
+                    cell = estimators.tomography_pair_table(n, q, a, b)
+                    assert cell.tobytes() == tables[l, i, j].tobytes(), \
+                        (l, i, j)
 
     @pytest.mark.parametrize("n", [60, 200, 1000])
     def test_large_n_tables_non_negative(self, n):
@@ -693,13 +709,13 @@ def small_chunks(monkeypatch):
 
 
 class TestParallelDeterminism:
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, small_chunks):
         config = ModelConfig(kind="simple-bell")
         one = estimate(config, 50_000, seed=11, workers=1)
         three = estimate(config, 50_000, seed=11, workers=3)
         assert np.array_equal(one.weights, three.weights)
 
-    def test_sweep_reproducible(self):
+    def test_sweep_reproducible(self, small_chunks):
         a = sweep_curves("bell", [2], [0.0, 0.3], 20_000, seed=13)
         b = sweep_curves("bell", [2], [0.0, 0.3], 20_000, seed=13, workers=2)
         assert a == b
@@ -761,6 +777,15 @@ class TestProcessPool:
         assert serial.tobytes() == first.tobytes() == second.tobytes()
         assert curves == sweep_curves("bell", [2, math.inf], [0.0, 0.3],
                                       20_000, seed=13)
+
+    def test_at_most_one_worker_per_chunk(self, pools):
+        # 7 000 samples are one chunk, counted in this process whatever the
+        # worker count; 20 000 are three, counted by three workers.
+        for samples, workers in ((7_000, 4), (20_000, 8)):
+            serial = estimate(self.CONFIG, samples, seed=47, workers=1)
+            pooled = estimate(self.CONFIG, samples, seed=47, workers=workers)
+            assert pooled.weights.tobytes() == serial.weights.tobytes()
+        assert [pool._max_workers for pool in pools] == [3]
 
     def test_worker_count_change_replaces_pool(self, pools):
         serial = self._tables(1)
@@ -1647,11 +1672,11 @@ class TestMinCopies:
         # large n_max costs nothing past the answer.  Each N's tables, over
         # every q and |a.b|, take one call.
         calls = []
-        tables = models._tomography_tables
+        tables = models.tomography_tables
 
-        def counted(n_copies, q, ct):
+        def counted(n_copies, q, dots):
             calls.append((n_copies, len(q)))
-            return tables(n_copies, q, ct)
-        monkeypatch.setattr(models, "_tomography_tables", counted)
+            return tables(n_copies, q, dots)
+        monkeypatch.setattr(models, "tomography_tables", counted)
         assert min_copies(0.34, 0.85, "steering", 40) == 4
         assert calls == [(n, len(default_q_grid())) for n in (1, 2, 3, 4)]

@@ -57,8 +57,8 @@ INTEGER_ARGS = {
         "m_choices", 2),
     "cap_overlap_quadrature-nodes": (
         lambda v: sphere.cap_overlap_quadrature(np.cos, v), "nodes", 2),
-    "pair_table-n_copies": (lambda v: models.pair_table(v, 0.3, 0.5),
-                            "n_copies", 0),
+    "tomography_tables-n_copies": (
+        lambda v: models.tomography_tables(v, [0.3], 0.5), "n_copies", 0),
     "exact_tables-n_copies": (
         lambda v: models.exact_tables(tomography_config("bell", 2), [0.3],
                                       (v,)), "n_copies", 0),
@@ -73,7 +73,7 @@ INTEGER_ARGS = {
 }
 # The copy counts that also take the shared-axis limit N = inf.
 TAKES_INF = {"ModelConfig-n_copies", "tomography_pair_table-n_copies",
-             "pair_table-n_copies", "exact_tables-n_copies",
+             "tomography_tables-n_copies", "exact_tables-n_copies",
              "count_tables-n_copies"}
 INTEGER_VALUES = [2.5, 2.0, True, -1, math.nan, math.inf, "3", np.int64(3),
                   np.float64(2.0)]
@@ -84,7 +84,6 @@ THRESHOLD_ARGS = {
     "threshold_readout-q": (lambda q: models.threshold_readout(0.2, q), "q"),
     "tomography_pair_table-q": (lambda q: tomography_pair_table(2, q, Z, X),
                                 "q"),
-    "pair_table-q": (lambda q: models.pair_table(2, q, 0.5), "q"),
 }
 GRID_ARGS = {
     "sweep_curves-q_grid": (lambda g: sweep_curves("bell", [1], g, 2000),
