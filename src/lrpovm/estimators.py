@@ -70,13 +70,6 @@ def _added(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.fmax(terms, 0.0), axis=-1)[..., -1]
 
 
-def _square(x) -> np.ndarray:
-    """x ** 2 by the C pow, as a Python float squares; pow rounds unlike
-    x * x for ~0.1% of values, and the recorded digits come from it.
-    ``np.float_power`` calls that pow."""
-    return np.float_power(x, 2.0)
-
-
 def _listed(x: np.ndarray) -> list:
     """``x.tolist()`` of a 1-D array; NaN is ``math.nan``, which == matches."""
     return [math.nan if v != v else v for v in x.tolist()]
@@ -214,7 +207,7 @@ class RunStatistics:
             raise ValueError("CHSH needs two choices per party")
         e = self._pairs.correlation
         s = e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] - e[..., 1, 1]
-        v = _square(self._pairs.stderr)
+        v = self._pairs.stderr * self._pairs.stderr
         se = np.sqrt(v[..., 0, 0] + v[..., 0, 1] + v[..., 1, 0] + v[..., 1, 1])
         return _scalar(s), _scalar(se), _scalar(s != s)
 
@@ -237,11 +230,13 @@ class RunStatistics:
         with np.errstate(divide="ignore", invalid="ignore"):
             mean_b = (w[..., 2] - w[..., 0]) / n_a  # NaN in empty bins
             p_a = n_a / w_reg
-            mean_sq = _square(mean_b)
+            mean_sq = mean_b * mean_b
             total = _added(((1.0 / m) * p_a * mean_sq).reshape(flat))
+            # The delta method: each term's slopes in p_a and in mean_b.
+            d_p, d_mean = mean_sq / m, 2.0 * p_a * mean_b / m
             se = total * 0.0 if self.exact else np.sqrt(_added((
-                _square(mean_sq / m) * (p_a * (1.0 - p_a) / w_reg)
-                + _square(2.0 * p_a * mean_b / m)
+                d_p * d_p * (p_a * (1.0 - p_a) / w_reg)
+                + d_mean * d_mean
                 * (np.maximum(0.0, 1.0 - mean_sq) / n_a)).reshape(flat)))
         empty_bins = (n_a[..., ::2] <= 0.0).reshape(flat).any(axis=-1)
         return _scalar(total), _scalar(se), _scalar(empty_bins)
@@ -439,10 +434,11 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
     Degenerate points (no coincidences in some setting pair) carry NaN
     value and stderr.  The arguments follow the package's rules: ``kind``
     is 'bell' or 'steering' (``sphere.check_kind``), every point of
-    ``q_grid`` lies in [0, 1) (``sphere.check_threshold``), and each
-    finite copy count, ``samples``, ``seed`` and ``workers`` are integers
-    (``sphere.check_count``); the last three are checked even when
-    ``n_copies`` is empty.
+    ``q_grid`` lies in [0, 1) (``sphere.check_threshold``), each copy
+    count is ``math.inf`` or an integer of at least 1
+    (``models.check_copies``), and ``samples``, ``seed`` and ``workers``
+    are integers (``sphere.check_count``), checked even when ``n_copies``
+    is empty.
     """
     # Every copy count has the same direction sets, so one config serves
     # them all; it also checks ``kind``.
@@ -453,12 +449,12 @@ def sweep_curves(kind: str, n_copies, q_grid=None,
                          f"shape {q_grid.shape}")
     q_grid = check_threshold(q_grid, "q_grid")
     n_copies = list(dict.fromkeys(n_copies))
-    configs = [tomography_config(kind, n) for n in n_copies]
+    counts = tuple(map(models.check_copies, n_copies))
     q_sorted, sorted_index = np.unique(q_grid, return_inverse=True)
     pairs = _reading_pairs(kind, len(config.alice_directions),
                            len(config.bob_directions))
-    tables = _tables(config, tuple(c.n_copies for c in configs), q_sorted,
-                     samples, pairs=pairs, seed=seed, workers=workers)
+    tables = _tables(config, counts, q_sorted, samples, pairs=pairs,
+                     seed=seed, workers=workers)
     if not n_copies:
         return {}
     # One reduction of the whole (K, L, Ma, Mb, 3, 3) array.

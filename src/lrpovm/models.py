@@ -95,6 +95,17 @@ READS = {
     "chaotic-ball": ("q",),
 }
 
+
+def check_copies(n_copies):
+    """A copy count: ``math.inf``, the shared-axis limit, as ``math.inf``,
+    and any other value an integer of at least 1 by the one integer rule,
+    ``sphere.check_count``.  ``ModelConfig`` and ``sweep_curves`` take
+    their copy counts through it."""
+    if n_copies == math.inf:
+        return math.inf
+    return check_count(n_copies, minimum=1)
+
+
 # Preselection weight (N+1)/2^N of the N-copy tomography construction: a
 # property of the config, printed by ``lrpovm bell`` and never folded into
 # the detection efficiency.
@@ -116,10 +127,10 @@ class ModelConfig:
     steering models default to the orthogonal triple for Bob and its
     antipodes for Alice, which is the perfectly correlated matched
     arrangement.  A steering run reads matched pairs, so it needs one
-    Alice direction per Bob direction.  A finite ``n_copies`` (at least
-    1) and ``m_choices`` (at least 2) follow the package's one integer
-    rule, ``sphere.check_count``, and ``q`` its one threshold rule,
-    ``sphere.check_threshold``.
+    Alice direction per Bob direction.  ``n_copies`` follows the copy
+    counts' rule, ``check_copies``, ``m_choices`` (at least 2) the
+    package's one integer rule, ``sphere.check_count``, and ``q`` its one
+    threshold rule, ``sphere.check_threshold``.
     """
 
     kind: str
@@ -135,9 +146,8 @@ class ModelConfig:
         steering = "m_choices" in READS[self.kind]
         self.m_choices = check_count(self.m_choices, "m_choices", 2)
         self.q = check_threshold(self.q)
-        if self.n_copies != math.inf:
-            self.n_copies = check_count(self.n_copies, minimum=1)
-        elif self.kind == "ncopy-steering":
+        self.n_copies = check_copies(self.n_copies)
+        if self.n_copies == math.inf and self.kind == "ncopy-steering":
             raise ValueError("n_copies must be finite for ncopy-steering")
         if steering:
             if self.bob_directions is None:
@@ -253,7 +263,12 @@ class _LevelGrid:
         self.first = np.zeros(LEVEL_BINS + 1, dtype=np.intp)
         np.cumsum(per_bin[:-1], out=self.first[1:])
         self.q_pad = np.append(q, np.inf)
-        self.steps = int(per_bin.max())
+        # Powers of two, largest first, summing to at least w, the most
+        # grid points that one bin holds; at w = 2, two steps of 1, which
+        # spare the multiply that a step of 2 costs.
+        w = int(per_bin.max())
+        self.steps = [1] * w if w <= 2 else [
+            1 << k for k in reversed(range(w.bit_length()))]
         self.mag, self.near = ws.take((2, size))
         self.bins, self.level = ws.take((2, size), np.intp)
 
@@ -272,10 +287,13 @@ class _LevelGrid:
         np.abs(p, out=mag)
         np.multiply(mag, LEVEL_BINS, out=bins, casting="unsafe")
         np.take(self.first, bins, out=level, mode="clip")
-        for _ in range(self.steps):
-            np.take(self.q_pad, level, out=near, mode="clip")
+        for step in self.steps:
+            # q_pad[level + step - 1], read through an offset view; the
+            # bins are spent, so their buffer holds the step's increments.
+            np.take(self.q_pad[step - 1:], level, out=near, mode="clip")
             np.greater(mag, near, out=above)
-            level += above
+            level += above if step == 1 else \
+                np.multiply(above, step, out=bins)
         np.copyto(out, level, casting="unsafe")
         # The sign 1 - 2 (p < 0) is built in the bytes of ``below``: a
         # plain multiply costs a small fraction of a masked negative.
@@ -300,12 +318,16 @@ def threshold_levels(projections, q_sorted) -> np.ndarray:
     power of two, bin(x) = min(floor(x B), B) is exact and monotone, so a
     grid point in a lower bin than |p| lies below |p| and one in a higher
     bin lies above it.  The count starts at first[bin(|p|)], the number of
-    grid points in lower bins; each of w steps then adds 1 while the next
-    grid point is below |p|, w being the most grid points one bin holds.
-    Only same-bin points are ever compared, and the +inf that pads the grid
-    stops a count that has passed every point.  The result equals the
-    binary-search count for any sorted grid, duplicates included.  Every
-    point must lie in [0, 1), by the one threshold rule
+    grid points in lower bins, and a binary search over the bin's points
+    ends it: for each power of two s below 2^bitlength(w), largest first,
+    the count grows by s where the grid point at index count + s - 1 is
+    below |p|, w being the most grid points one bin holds (at w = 2, two
+    steps of 1).  That is ceil(log2(w + 1)) steps, which together can add
+    up to 2^bitlength(w) - 1 >= w.  A read past the bin finds a higher
+    bin's point, above |p|, or the +inf that pads the grid, and adds
+    nothing.  The result equals the binary-search count for any sorted
+    grid, duplicates included.  Every point must lie in [0, 1), by the
+    one threshold rule
     (``sphere.check_threshold``), and a grid that is not 1-D and
     non-decreasing fails too (``_LevelGrid``).
     """
@@ -600,9 +622,8 @@ def _legendre_tables(n: int, q, ct) -> np.ndarray:
     ((N+1)/4) sum_l a_l F_l(I) F_l(J) P_l(a.b), where F_l(I) is the
     integral of P_l over I: the difference of (P_{l+1} - P_{l-1})/(2l+1)
     at I's ends, and I's length for l = 0: one Legendre recurrence over
-    every band edge and every a.b, then one stacked matmul.  Cells whose
-    true value is ~0 and that round below 0 by at most 4(N+1) eps are set
-    to 0; anything below is left for ``RunStatistics`` to reject.
+    every band edge and every a.b, then one stacked matmul, whose rounding
+    ``_legendre_zeroed`` clears.
     """
     q = np.asarray(q, dtype=float)
     edges = np.empty((len(q), 4))
@@ -622,8 +643,14 @@ def _legendre_tables(n: int, q, ct) -> np.ndarray:
     antideriv[..., 1:] = (at_edges[..., 2:] - at_edges[..., :-2]) / odd
     bands = antideriv[:, 1:] - antideriv[:, :-1]  # F_l of the 3 bands
     pair = coef * legendre[edges.size:, :n + 1]
-    table = (0.25 * (bands[:, None] * pair[:, None])
-             @ bands.swapaxes(1, 2)[:, None])
+    return _legendre_zeroed(0.25 * (bands[:, None] * pair[:, None])
+                            @ bands.swapaxes(1, 2)[:, None], n)
+
+
+def _legendre_zeroed(table: np.ndarray, n: int) -> np.ndarray:
+    """``table`` with its cells in [-4(N+1) eps, 0) set to 0, in place:
+    cells whose true value is ~0 and that the N-term Legendre sum rounds
+    below 0.  Anything below is left for ``RunStatistics`` to reject."""
     table[(table < 0.0) & (table >= -4 * (n + 1) * np.finfo(float).eps)] = 0.0
     return table
 

@@ -94,6 +94,7 @@ class TestRunStatistics:
 # The one-table formulas, kept here as the oracle of the array statistics:
 # each statistic of one (Ma, Mb, 3, 3) table, pair by pair, in Python
 # scalars and small numpy sums.  The array path must give the same bits.
+# Both square by x * x: x ** 2 (the C pow) misrounds ~0.1% of doubles.
 # ---------------------------------------------------------------------------
 
 def oracle_pair(w, exact):
@@ -128,12 +129,13 @@ def oracle_steering(weights, exact):
                 continue
             mean_b = (registered[s, 1] - registered[s, 0]) / n_s
             p_s = n_s / w_reg
-            total += (1.0 / m) * p_s * mean_b ** 2
+            mean_sq = mean_b * mean_b
+            total += (1.0 / m) * p_s * mean_sq
             if not exact:
                 var_p = p_s * (1.0 - p_s) / w_reg
-                var_m = max(0.0, 1.0 - mean_b ** 2) / n_s
-                var += ((mean_b ** 2 / m) ** 2 * var_p
-                        + (2.0 * p_s * mean_b / m) ** 2 * var_m)
+                var_m = max(0.0, 1.0 - mean_sq) / n_s
+                d_p, d_mean = mean_sq / m, 2.0 * p_s * mean_b / m
+                var += d_p * d_p * var_p + d_mean * d_mean * var_m
     return total, math.sqrt(var), empty_bins
 
 
@@ -153,7 +155,7 @@ def oracle_statistics(kind, weights, exact):
     if any(p[5] for p in ps):
         return (math.nan, math.nan, True, *etas)
     s = ps[0][0] + ps[1][0] + ps[2][0] - ps[3][0]
-    return (abs(s), math.sqrt(sum(p[1] ** 2 for p in ps)), False, *etas)
+    return (abs(s), math.sqrt(sum(p[1] * p[1] for p in ps)), False, *etas)
 
 
 def oracle_tables(config, n_copies, q):
@@ -575,6 +577,29 @@ class TestClosedFormTables:
         # rounds them below 0 unless they are set to 0.
         stats = enumerate_exact(tomography_config("steering", n, q=0.99))
         assert np.all(stats.weights >= 0.0)
+
+    def test_zeroed_band_is_rounding_only(self):
+        # A cell in [-4(N+1) eps, 0) is the Legendre sum's rounding and
+        # becomes 0; one further below, -1e-9 say, is a kernel error and
+        # stays, for RunStatistics to reject.
+        eps = np.finfo(float).eps
+        for n in (1, 100, 1000):
+            cells = [-1e-9, -5 * (n + 1) * eps, -(n + 1) * eps, 0.5]
+            zeroed = models._legendre_zeroed(np.array(cells), n)
+            assert zeroed.tolist() == [*cells[:2], 0.0, 0.5]
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_large_n_rounding_within_zeroed_band(self, n, monkeypatch):
+        # Before it is zeroed, no cell of the sum lies below -4(N+1) eps:
+        # at a = b, a = -b, oblique and orthogonal pairs, q = 0 included.
+        summed = []
+        monkeypatch.setattr(models, "_legendre_zeroed",
+                            lambda table, n: summed.append(table.copy())
+                            or table)
+        dots = (1.0, -1.0, math.cos(math.pi / 4), 0.3, 0.0)
+        models.tomography_tables(n, [0.0, 0.3, 0.9, 0.99], dots)
+        [table] = summed
+        assert table.min() >= -4 * (n + 1) * np.finfo(float).eps
 
     def test_pair_table_arguments_named(self):
         z, x = np.eye(3)[2], np.eye(3)[0]

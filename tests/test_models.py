@@ -67,8 +67,14 @@ class TestThresholdLevels:
     def _trit(level, k):
         return 1 if level >= k + 1 else -1 if level <= -(k + 1) else 0
 
-    @pytest.mark.parametrize("grid", [[0.0], [0.5], [0.0, 0.3, 0.6, 0.95],
-                                      list(np.round(np.arange(33) * 0.03, 10))])
+    @pytest.mark.parametrize("grid", [
+        [0.0], [0.5], [0.0, 0.3, 0.6, 0.95],
+        list(np.round(np.arange(33) * 0.03, 10)),
+        # 1000 points in two bins, 30 in bin 512 with one duplicate, and two
+        # in bin 512: the bucket walk runs 10, 5 and two unit steps.
+        list(np.linspace(0.70, 0.70099, 1000)),
+        [0.5, *np.linspace(0.5, 0.5 + 0.9 / LEVEL_BINS, 29)],
+        [0.2, 0.5, 0.5 + 0.5 / LEVEL_BINS, 0.9]])
     def test_agrees_with_scalar_readout(self, grid):
         q_sorted = np.array(grid)
         boundaries = np.concatenate([q_sorted, -q_sorted,
@@ -80,8 +86,14 @@ class TestThresholdLevels:
         levels = threshold_levels(values, q_sorted)
         assert levels.shape == values.shape
         for p, level in zip(values, levels):
-            for k, q in enumerate(grid):
-                assert self._trit(level, k) == threshold_readout(p, q), (p, q)
+            # The scalar trits are monotone in k, so once |v| <= L the two
+            # indices where the level's trits step, |v| - 1 and |v|, agree
+            # with them only if they agree at every index.
+            assert abs(level) <= len(grid), (p, level)
+            for k in range(max(abs(level) - 1, 0),
+                           min(abs(level) + 1, len(grid))):
+                assert self._trit(level, k) == \
+                    threshold_readout(p, grid[k]), (p, grid[k])
 
     def test_one_point_grid_is_the_trit(self):
         p = np.array([[-0.7, -0.3, 0.0], [0.3, 0.31, 1.0]])

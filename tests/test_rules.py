@@ -36,6 +36,8 @@ INTEGER_ARGS = {
     "sweep_curves-workers": (
         lambda v: sweep_curves("bell", [1], [0.3], 2000, workers=v),
         "workers", 1),
+    "sweep_curves-n_copies": (
+        lambda v: sweep_curves("bell", [v], [0.3], None), "n_copies", 1),
     "min_copies-n_max": (
         lambda v: min_copies(0.5, 0.5, "steering", v, curves={}), "n_max", 1),
     "ModelConfig-n_copies": (
@@ -72,7 +74,8 @@ INTEGER_ARGS = {
             sphere.Workspace()), "n", 0),
 }
 # The copy counts that also take the shared-axis limit N = inf.
-TAKES_INF = {"ModelConfig-n_copies", "tomography_pair_table-n_copies",
+TAKES_INF = {"ModelConfig-n_copies", "sweep_curves-n_copies",
+             "tomography_pair_table-n_copies",
              "tomography_tables-n_copies", "exact_tables-n_copies",
              "count_tables-n_copies"}
 INTEGER_VALUES = [2.5, 2.0, True, -1, math.nan, math.inf, "3", np.int64(3),
