@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .sphere import check_finite
+
 
 @dataclass(frozen=True)
 class Event:
@@ -20,11 +22,10 @@ class Event:
     pos: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        coords = (self.t, *self.pos)
         if len(self.pos) != 3:
             raise ValueError("pos must have three components")
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"event coordinates must be finite: {coords}")
+        for name, c in zip("txyz", (self.t, *self.pos)):
+            check_finite(c, f"event {name}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,10 @@ def parse_scenario(text: str) -> CausalScenario:
             t, x, y, z = (float(p) for p in parts[2:])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad coordinate in {raw!r}") from exc
-        ev = Event(t, (x, y, z))
+        try:
+            ev = Event(t, (x, y, z))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         (choices if kind == "choice" else readouts).append((label, ev))
     return CausalScenario(choices=tuple(choices), readouts=tuple(readouts))
 

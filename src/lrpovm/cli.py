@@ -25,7 +25,7 @@ from . import causality, estimators, models, quantum
 from .curvefile import write_curve_csv
 from .estimators import estimate, sweep_curves
 from .models import DEFAULT_SEED, ModelConfig
-from .sphere import check_count, check_threshold
+from .sphere import check_count, check_finite, check_threshold
 from .svgchart import write_curve_svg
 
 
@@ -64,10 +64,10 @@ def _count(name, minimum=1, expects="an integer"):
                                                  minimum=minimum))
 
 
-def _finite(value):
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
+def _number(name):
+    """A real flag, held finite by ``check_finite``."""
+    return _flag(float, "a number", functools.partial(check_finite,
+                                                      name=name))
 
 
 def _copies(text):
@@ -141,10 +141,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("qubit",
                        help="sequential versus copy-served two-time readout")
-    number = _flag(float, "a number", _finite)
-    p.add_argument("--omega", type=number, default=1.0)
-    p.add_argument("--t-a", type=number, default=math.pi / 2.0)
-    p.add_argument("--t-b", type=number, default=math.pi)
+    p.add_argument("--omega", type=_number("omega"), default=1.0)
+    p.add_argument("--t-a", type=_number("t_a"), default=math.pi / 2.0)
+    p.add_argument("--t-b", type=_number("t_b"), default=math.pi)
 
     p = sub.add_parser("curves",
                        help="efficiency-versus-violation sweep to CSV/SVG")
@@ -252,15 +251,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_qubit(args) -> int:
-    if args.t_a > args.t_b:
-        raise CliError("--t-a must not exceed --t-b")
-    if not all(math.isfinite(args.omega * t) for t in (args.t_a, args.t_b)):
-        raise CliError("--omega times --t-a and --t-b must be finite")
-    sequential = quantum.sequential_qubit_probability(
-        args.t_a, args.t_b, args.omega)
-    copies = quantum.copies_joint_probability(args.t_a, args.t_b, args.omega)
-    p_a = quantum.qubit_probability_plus(args.omega * args.t_a)
-    p_b = quantum.qubit_probability_plus(args.omega * args.t_b)
+    try:
+        sequential = quantum.sequential_qubit_probability(
+            args.t_a, args.t_b, args.omega)
+        copies = quantum.copies_joint_probability(
+            args.t_a, args.t_b, args.omega)
+        p_a = quantum.qubit_probability_plus(args.omega * args.t_a)
+        p_b = quantum.qubit_probability_plus(args.omega * args.t_b)
+    except ValueError as exc:
+        # The engine names its arguments, and a phase omega_t that
+        # overflows; report the flags that set them.
+        raise CliError(str(exc)
+                       .replace("omega_t", "--omega times --t-a/--t-b")
+                       .replace("t_a", "--t-a").replace("t_b", "--t-b"))
     print(f"two-time qubit readout: omega={args.omega:g} t_a={args.t_a:g} "
           f"t_b={args.t_b:g}")
     print(f"projective reference: p(beta=1)={p_a:.6f} p(gamma=1)={p_b:.6f}")
@@ -328,7 +331,7 @@ def _cmd_oracle_check(_args) -> int:
            abs(quantum.quantum_steering_T() - 1.0), 1e-12)
 
     worst = 0.0
-    for n in range(1, quantum.ORACLE_COPY_CAP + 1):
+    for n in range(1, quantum.COPY_CAP + 1):
         ref_dir = np.array([0.0, 0.0, 1.0])
         ref = quantum.oracle_pair_density(n, ref_dir, np.array([0.0, 1.0, 0.0]))
         ref_closed = (0.5) ** n

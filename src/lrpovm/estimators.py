@@ -4,7 +4,7 @@ There is one table source, ``_tables``: the (K, L, Ma, Mb, 3, 3) trit
 tables of every reading pair at K copy counts and a sorted grid of L
 thresholds, Monte Carlo counts when given ``samples`` and exact
 probabilities when not.  ``RunStatistics`` reduces any stack of tables
-at once, adding terms in a fixed left-to-right order, so a table's
+at once, each sum running over one contiguous axis, so a table's
 statistics have the same bits alone or in a stack.  ``estimate`` and
 ``enumerate_exact`` reduce the one-N, one-q case (counted, exact),
 ``sweep_curves`` reduces a whole grid at once, and ``min_copies``
@@ -43,8 +43,8 @@ import numpy as np
 
 from . import models
 from .models import ModelConfig, tomography_config
-from .sphere import (Workspace, check_count, check_kind, check_threshold,
-                     check_unit, rng_stream)
+from .sphere import (Workspace, check_count, check_finite, check_kind,
+                     check_threshold, check_unit, rng_stream)
 
 DEFAULT_CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
@@ -63,11 +63,6 @@ def _reading_pairs(kind: str, ma: int, mb: int) -> list[tuple[int, int]]:
 def default_q_grid() -> np.ndarray:
     """33 thresholds from 0 to 0.96 in steps of 0.03."""
     return np.round(np.arange(33) * 0.03, 10)
-
-
-def _added(terms: np.ndarray) -> np.ndarray:
-    """Sum of terms >= 0 over the last axis, left to right; NaNs skipped."""
-    return np.add.accumulate(np.fmax(terms, 0.0), axis=-1)[..., -1]
 
 
 def _listed(x: np.ndarray) -> list:
@@ -133,9 +128,7 @@ class RunStatistics:
         minus opposite-sign coincidences of every pair, (..., Ma, Mb).
 
         Cell tk is the table's flat cell k = 3 a + b, trit indices (a, b)
-        for -1, 0, +1.  Each sum adds its cells left to right in the order
-        written, Bob's down his columns: that order fixes the statistics'
-        last bits.  The cells are copied to contiguous arrays, so each
+        for -1, 0, +1.  The cells are copied to contiguous arrays, so each
         addition is one pass.
         """
         (t0, t1, t2), (t3, _, t5), (t6, t7, t8) = np.ascontiguousarray(
@@ -194,7 +187,8 @@ class RunStatistics:
             else self._pairs.eta_bob
         eta = eta[(..., *zip(*self.reading_pairs()))]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _scalar(_added(eta) / np.add.reduce(eta == eta, axis=-1))
+            return _scalar(np.fmax(eta, 0.0).sum(axis=-1)
+                           / np.add.reduce(eta == eta, axis=-1))
 
     def chsh(self):
         """S, its standard error, and a degenerate flag.
@@ -218,8 +212,9 @@ class RunStatistics:
         the uniform choice weight 1/M folded into p(a_j).  Probabilities
         are conditioned on Bob registering (his trit nonzero); Alice's
         zero outcomes keep their own conditional-mean terms.  An empty bin
-        adds nothing and sets the flag unless a = 0; terms add in (j, a)
-        order.
+        adds nothing (its NaN term counts as 0) and sets the flag unless
+        a = 0.  The (j, a) terms are summed over one flat axis, which keeps
+        a table's bits the same alone or in a stack.
         """
         j = np.arange(self.weights.shape[-3])
         w = self.weights[..., j, j, :, :]          # (..., M, 3, 3)
@@ -231,13 +226,14 @@ class RunStatistics:
             mean_b = (w[..., 2] - w[..., 0]) / n_a  # NaN in empty bins
             p_a = n_a / w_reg
             mean_sq = mean_b * mean_b
-            total = _added(((1.0 / m) * p_a * mean_sq).reshape(flat))
+            total = np.fmax((1.0 / m) * p_a * mean_sq, 0.0).reshape(
+                flat).sum(axis=-1)
             # The delta method: each term's slopes in p_a and in mean_b.
             d_p, d_mean = mean_sq / m, 2.0 * p_a * mean_b / m
-            se = total * 0.0 if self.exact else np.sqrt(_added((
+            se = total * 0.0 if self.exact else np.sqrt(np.fmax(
                 d_p * d_p * (p_a * (1.0 - p_a) / w_reg)
-                + d_mean * d_mean
-                * (np.maximum(0.0, 1.0 - mean_sq) / n_a)).reshape(flat)))
+                + d_mean * d_mean * (np.maximum(0.0, 1.0 - mean_sq) / n_a),
+                0.0).reshape(flat).sum(axis=-1))
         empty_bins = (n_a[..., ::2] <= 0.0).reshape(flat).any(axis=-1)
         return _scalar(total), _scalar(se), _scalar(empty_bins)
 
@@ -505,8 +501,7 @@ def min_copies(observed_value: float, observed_eta: float, kind: str,
     """
     check_kind(kind)
     n_max = check_count(n_max, "n_max", 1)
-    if not math.isfinite(observed_value):
-        raise ValueError("observed_value must be finite")
+    check_finite(observed_value, "observed_value")
     if not 0.0 < observed_eta <= 1.0:
         raise ValueError("observed_eta must lie in (0, 1]")
     if observed_value <= LR_BOUND[kind]:

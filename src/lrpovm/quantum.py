@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .sphere import check_count, check_unit
+from .sphere import check_count, check_finite, check_unit
 
 # Basis convention: |+> is index 0, |-> is index 1, binary counting.
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,8 +29,7 @@ CHSH_BOB = np.array([[-1.0, -1.0, 0.0],
 # Orthogonal triple used by the three-setting steering test.
 STEERING_TRIPLE = np.eye(3)
 
-COPY_CAP = 5          # exact singlet powers up to 4^5 amplitudes
-ORACLE_COPY_CAP = 4   # brute-force pair-density oracle regime
+COPY_CAP = 5  # exact singlet powers up to 4^5 amplitudes
 
 
 def direction_operator(direction) -> np.ndarray:
@@ -57,19 +56,21 @@ def bloch_state(direction) -> np.ndarray:
 
 def qubit_probability_plus(omega_t: float) -> float:
     """Survival probability of the initial state after phase omega*t."""
-    return math.cos(omega_t / 2.0) ** 2
+    return math.cos(check_finite(omega_t, "omega_t") / 2.0) ** 2
 
 
 def evolution_operator(omega_t: float) -> np.ndarray:
     """Single-qubit evolution with amplitude cos(omega*t/2) on the initial state."""
-    c, s = math.cos(omega_t / 2.0), math.sin(omega_t / 2.0)
+    half = check_finite(omega_t, "omega_t") / 2.0
+    c, s = math.cos(half), math.sin(half)
     return c * IDENTITY_2 - 1j * s * PAULI_X
 
 
-def _check_copy_cap(n_copies: int, cap: int) -> int:
+def _check_copy_cap(n_copies: int) -> int:
     n = check_count(n_copies, minimum=1)
-    if n > cap:
-        raise ValueError(f"n_copies={n} exceeds the exact-engine cap {cap}")
+    if n > COPY_CAP:
+        raise ValueError(
+            f"n_copies={n} exceeds the exact-engine cap {COPY_CAP}")
     return n
 
 
@@ -80,7 +81,7 @@ def singlet_power(n_copies: int) -> np.ndarray:
     the most significant qubit.  For one copy this is (0, 1, -1, 0)/sqrt(2)
     over the basis (++, +-, -+, --).
     """
-    n = _check_copy_cap(n_copies, COPY_CAP)
+    n = _check_copy_cap(n_copies)
     pair = np.zeros((2, 2), dtype=complex)
     pair[0, 1] = 1.0 / math.sqrt(2.0)
     pair[1, 0] = -1.0 / math.sqrt(2.0)
@@ -91,7 +92,7 @@ def singlet_power(n_copies: int) -> np.ndarray:
 
 def coherent_state(n_copies: int, direction) -> np.ndarray:
     """Product state of n identically oriented qubits (maximal spin along d)."""
-    n = _check_copy_cap(n_copies, COPY_CAP)
+    n = _check_copy_cap(n_copies)
     single = bloch_state(direction)
     return reduce(np.kron, [single] * n)
 
@@ -121,7 +122,7 @@ def oracle_pair_density(n_copies: int, dir_a, dir_b) -> float:
     weight (N+1)/2^N; the shape in A.B is the ground truth for
     sphere.pair_density.
     """
-    n = _check_copy_cap(n_copies, ORACLE_COPY_CAP)
+    n = _check_copy_cap(n_copies)
     psi = singlet_power(n)
     bra = np.conj(np.kron(coherent_state(n, dir_a), coherent_state(n, dir_b)))
     amp = bra @ psi
@@ -210,6 +211,12 @@ def _heisenberg_projector(omega_t: float, outcome: int) -> np.ndarray:
     return p if outcome == 1 else IDENTITY_2 - p
 
 
+def _check_times(t_a: float, t_b: float, omega: float) -> None:
+    """Both check times and the rate must be finite, each named."""
+    for name, value in (("t_a", t_a), ("t_b", t_b), ("omega", omega)):
+        check_finite(value, name)
+
+
 def sequential_qubit_probability(t_a: float, t_b: float, omega: float
                                  ) -> np.ndarray:
     """Joint readout table for two sequential projective checks on one qubit.
@@ -219,8 +226,9 @@ def sequential_qubit_probability(t_a: float, t_b: float, omega: float
     product of time-evolved projectors, so the first readout disturbs the
     second; the marginals do not reproduce the single-check probability.
     """
+    _check_times(t_a, t_b, omega)
     if t_a > t_b:
-        raise ValueError("requires t_a <= t_b")
+        raise ValueError("t_a must not exceed t_b")
     out = np.empty((2, 2))
     for beta in (0, 1):
         for gamma in (0, 1):
@@ -241,6 +249,7 @@ def copies_joint_probability(t_a: float, t_b: float, omega: float
     copies stay idle and never change the table.  The result factorizes
     into the undisturbed single-check probabilities.
     """
+    _check_times(t_a, t_b, omega)
     psi0 = np.kron(_PLUS, _PLUS)
     out = np.empty((2, 2))
     for beta in (0, 1):

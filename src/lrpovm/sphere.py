@@ -6,8 +6,9 @@ whose A is a uniform direction and whose N = 0 pair is two independent
 ones), the circle-arc fraction of the exact chaotic-ball tables, and the
 Gauss-Legendre rule of the pair-density normalisation check.  It also
 holds the package's argument rules, which every module imports:
-``check_count`` for integers, ``check_threshold`` for thresholds and
-``check_kind`` for the test a run feeds.
+``check_count`` for integers, ``check_finite`` for real numbers,
+``check_threshold`` for thresholds and ``check_kind`` for the test a run
+feeds.
 
 A is a standard normal row divided by its norm, in one pass and with no
 test of the norm: the direction of a Gaussian row is uniform whatever its
@@ -93,6 +94,16 @@ def check_count(value, name: str = "n_copies", minimum: int = 0) -> int:
     if n < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def check_finite(value, name: str):
+    """value, once it is a finite number: the package's one rule for a
+    real argument that no narrower rule covers (a time, a rate, a phase, an
+    observed value, a coordinate).  NaN, inf and -inf raise ValueError naming ``name``;
+    a value that is not a real number fails in ``math.isfinite``."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def check_threshold(q, name: str = "q"):
@@ -301,7 +312,13 @@ class PairSampler:
 
     def partner(self, n_copies, a, rows: slice) -> np.ndarray:
         """B of the block A = ``block(rows)`` for n_copies: cos_t A + sin_t
-        (the azimuth vector), with cos_t = 1 - 2 u^(1/(N+1)); A at inf."""
+        (the azimuth vector), with cos_t = 1 - 2 u^(1/(N+1)); A at inf.
+
+        sin_t is sqrt(1 - cos_t^2) with no clip, as none could act:
+        u^(1/(N+1)) lies in [0, 1] for u in [0, 1), so the rounded cos_t
+        lies in [-1, 1] and its rounded square is at most 1; rounding is
+        monotone, so 1 minus that square is never below 0.
+        """
         if n_copies == math.inf:
             return a
         m = len(a)
@@ -311,7 +328,6 @@ class PairSampler:
         cos_t += 1.0
         np.multiply(cos_t, cos_t, out=sin_t)
         np.subtract(1.0, sin_t, out=sin_t)
-        np.clip(sin_t, 0.0, None, out=sin_t)
         np.sqrt(sin_t, out=sin_t)
         b = self.b[:m]
         for c in range(3):
@@ -357,7 +373,7 @@ def pair_density(n_copies: int, cos_angle) -> np.ndarray | float:
     """
     n_copies = check_count(n_copies)
     c = np.asarray(cos_angle, dtype=float)
-    if np.any(np.abs(c) > 1.0 + 1e-12):
+    if not np.all(np.abs(c) <= 1.0 + 1e-12):  # NaN fails too
         raise ValueError("cos_angle outside [-1, 1]")
     c = np.clip(c, -1.0, 1.0)
     val = (n_copies + 1) / (16.0 * math.pi ** 2) \

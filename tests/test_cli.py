@@ -152,6 +152,13 @@ class TestCausalityCommand:
         assert code == 1
         assert "line 1" in err
 
+    def test_nonfinite_scenario_coordinate_names_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("choice a 0 0 0 0\nreadout r 1 0 nan 0\n")
+        code, out, err = run(capsys, "causality", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: event y must be finite, got nan\n"
+
     def test_unreadable_scenario_named(self, capsys, tmp_path):
         # A directory or a file that is not UTF-8 fails with exit 1 and a
         # message naming the path, not a traceback or a bare codec error.

@@ -113,8 +113,10 @@ def oracle_pair(w, exact):
 
 
 def oracle_steering(weights, exact):
+    """T, its stderr and the empty-bin flag: each (j, a) term in its slot
+    3 j + a of a zeroed array, and each array summed."""
     m = weights.shape[0]
-    total = var = 0.0
+    terms, var_terms = np.zeros(3 * m), np.zeros(3 * m)
     empty_bins = False
     for j in range(m):
         registered = weights[j, j][:, (0, 2)]
@@ -130,13 +132,14 @@ def oracle_steering(weights, exact):
             mean_b = (registered[s, 1] - registered[s, 0]) / n_s
             p_s = n_s / w_reg
             mean_sq = mean_b * mean_b
-            total += (1.0 / m) * p_s * mean_sq
+            terms[3 * j + s] = (1.0 / m) * p_s * mean_sq
             if not exact:
                 var_p = p_s * (1.0 - p_s) / w_reg
                 var_m = max(0.0, 1.0 - mean_sq) / n_s
                 d_p, d_mean = mean_sq / m, 2.0 * p_s * mean_b / m
-                var += d_p * d_p * var_p + d_mean * d_mean * var_m
-    return total, math.sqrt(var), empty_bins
+                var_terms[3 * j + s] = (d_p * d_p * var_p
+                                        + d_mean * d_mean * var_m)
+    return float(terms.sum()), math.sqrt(var_terms.sum()), empty_bins
 
 
 def oracle_statistics(kind, weights, exact):
@@ -362,16 +365,22 @@ class TestEnumerateExact:
 
     @pytest.mark.parametrize("n", [11, 20])
     def test_unanimity_beyond_ten_copies(self, n):
-        # Closed form at any N: a distribution per pair, and every cell
-        # within 6 sigma of a 2M-sample Monte Carlo frequency.
+        """Closed form at any N: a distribution per pair, and the counts of
+        a 2M-sample Monte Carlo run fit it.  Gate, as in
+        ``TestUnanimityGoodnessOfFit``: each of the nine pair tables is
+        G-tested against the exact table, the least p must reach the
+        Bonferroni bound 0.01 / 9 of a family alpha of 0.01, and any count
+        in a cell of probability 0 fails."""
         config = ModelConfig(kind="ncopy-steering", n_copies=n)
         p = enumerate_exact(config).weights
         assert np.all(p >= 0.0)
         assert np.allclose(p.sum(axis=(2, 3)), 1.0, atol=1e-12)
         counts = estimate(config, 2_000_000, seed=43).weights
-        total = counts.sum(axis=(2, 3), keepdims=True)
-        assert np.all(np.abs(counts / total - p)
-                      <= 6.0 * np.sqrt(p * (1.0 - p) / total))
+        assert not np.any(counts[p == 0.0] > 0)
+        p_values = [g_test(counts[i, j], p[i, j])
+                    for i, j in np.ndindex(p.shape[:2])]
+        assert len(p_values) == 9
+        assert min(p_values) >= 0.01 / len(p_values), p_values
 
     def test_simple_bell_efficiency(self):
         stats = enumerate_exact(ModelConfig(kind="simple-bell"))

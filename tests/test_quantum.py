@@ -53,10 +53,15 @@ class TestSingletPower:
         assert abs(np.real(np.conj(psi) @ (j2 @ psi))) < 1e-10
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            singlet_power(6)
-        # A copy count that is not an integer is named, never truncated.
+        # One cap, COPY_CAP = 5, for every exact-engine copy count.
         z, y = np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+        for call in (singlet_power, lambda n: coherent_state(n, z),
+                     lambda n: oracle_pair_density(n, z, y)):
+            call(5)
+            with pytest.raises(ValueError, match="exceeds the exact-engine "
+                                                 "cap 5"):
+                call(6)
+        # A copy count that is not an integer is named, never truncated.
         for n in (2.5, math.inf, math.nan):
             for call in (lambda: singlet_power(n),
                          lambda: coherent_state(n, z),
@@ -101,7 +106,7 @@ class TestOraclePairDensity:
         for _ in range(25):
             assert peak >= oracle_pair_density(1, a, random_direction(rng))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ratio_matches_closed_form(self, n):
         rng = np.random.default_rng(n)
         a = random_direction(rng)
@@ -180,8 +185,15 @@ class TestSequentialReadout:
         assert abs(marginal - projective) > 0.05
 
     def test_requires_ordering(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^t_a must not exceed t_b$"):
             sequential_qubit_probability(2.0, 1.0, 1.0)
+
+    def test_phase_overflow_named(self):
+        # Finite times and rate whose product overflows: the phase is named.
+        for table in (sequential_qubit_probability, copies_joint_probability):
+            with pytest.raises(ValueError,
+                               match="^omega_t must be finite, got inf$"):
+                table(1e10, 1e11, 1e300)
 
 
 class TestCopiesReadout:

@@ -1,17 +1,19 @@
-"""Every integer, threshold and test-kind argument of the public entry
-points follows one of the package's argument rules, with one exception
-type and one message per rule: ``sphere.check_count`` (``operator.index``;
-a float, 2.0 included, and a bool fail with TypeError, a value below the
-minimum with ValueError), ``sphere.check_threshold`` (each threshold and
-each grid point in [0, 1), else ValueError) and ``sphere.check_kind``
-('bell' or 'steering', else ValueError)."""
+"""Every integer, real, threshold and test-kind argument of the public
+entry points follows one of the package's argument rules, with one
+exception type and one message per rule: ``sphere.check_count``
+(``operator.index``; a float, 2.0 included, and a bool fail with
+TypeError, a value below the minimum with ValueError),
+``sphere.check_finite`` (NaN, inf and -inf fail with ValueError),
+``sphere.check_threshold`` (each threshold and each grid point in [0, 1),
+else ValueError) and ``sphere.check_kind`` ('bell' or 'steering', else
+ValueError)."""
 import math
 import re
 
 import numpy as np
 import pytest
 
-from lrpovm import cli, models, quantum, sphere
+from lrpovm import causality, cli, models, quantum, sphere
 from lrpovm.curvefile import write_curve_csv
 from lrpovm.estimators import (CurvePoint, RunStatistics, estimate,
                                min_copies, sweep_curves,
@@ -106,6 +108,31 @@ GRID_ARGS = {
 THRESHOLD_VALUES = [-0.1, 1.0, math.nan]
 GRID_VALUES = [[1.0], [math.nan], [-0.1], [1.5]]
 
+# Entry point and argument: (call with the real argument set, name).
+FINITE_ARGS = {
+    "min_copies-observed_value": (
+        lambda v: min_copies(v, 0.5, "bell", 3, curves={}), "observed_value"),
+    "sequential_qubit_probability-t_a": (
+        lambda v: quantum.sequential_qubit_probability(v, 1.0, 1.0), "t_a"),
+    "sequential_qubit_probability-t_b": (
+        lambda v: quantum.sequential_qubit_probability(0.0, v, 1.0), "t_b"),
+    "sequential_qubit_probability-omega": (
+        lambda v: quantum.sequential_qubit_probability(0.0, 1.0, v),
+        "omega"),
+    "copies_joint_probability-t_a": (
+        lambda v: quantum.copies_joint_probability(v, 1.0, 1.0), "t_a"),
+    "copies_joint_probability-t_b": (
+        lambda v: quantum.copies_joint_probability(0.0, v, 1.0), "t_b"),
+    "copies_joint_probability-omega": (
+        lambda v: quantum.copies_joint_probability(0.0, 1.0, v), "omega"),
+    "qubit_probability_plus-omega_t": (quantum.qubit_probability_plus,
+                                       "omega_t"),
+    "evolution_operator-omega_t": (quantum.evolution_operator, "omega_t"),
+    "Event-t": (lambda v: causality.Event(v, (0.0, 0.0, 0.0)), "event t"),
+    "Event-z": (lambda v: causality.Event(0.0, (0.0, 0.0, v)), "event z"),
+}
+FINITE_VALUES = [math.nan, math.inf, -math.inf]
+
 
 # Entry point: call with the kind set, writing any file into a directory.
 KIND_ARGS = {
@@ -158,6 +185,16 @@ def test_one_rule_per_argument(entry, value):
         error, message = ValueError, f"{name} must lie in [0, 1), got {point}"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("value", FINITE_VALUES)
+@pytest.mark.parametrize("entry", sorted(FINITE_ARGS))
+def test_one_finite_rule(entry, value):
+    call, name = FINITE_ARGS[entry]
+    message = f"{name} must be finite, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+    assert _outcome(call, np.float64(0.5)) == "ok"
 
 
 @pytest.mark.parametrize("value", KIND_VALUES)

@@ -321,8 +321,9 @@ class TestPairDensity:
             pair_density(4, float(ra @ rb)), rel=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            pair_density(1, 1.5)
+        for c in (1.5, math.nan, [0.3, math.nan], -math.inf):
+            with pytest.raises(ValueError, match="cos_angle outside"):
+                pair_density(2, c)
         for n in (2.5, math.inf, math.nan):
             with pytest.raises(TypeError, match="n_copies"):
                 pair_density(n, 0.3)
